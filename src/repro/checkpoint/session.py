@@ -260,15 +260,6 @@ class CheckpointSession:
         """True when the supervisor ordered this unit skipped."""
         return tuple(unit_key) in self._quarantine
 
-    @property
-    def pending_replays(self) -> int:
-        """Journal records not yet consumed by :meth:`replay_unit`.
-
-        The parallel executor reads this to suppress speculation while a
-        resumed run is still replaying: replayed units issue no calls, so
-        there is no latency to prefetch."""
-        return max(0, self._replay_limit - self._cursor)
-
     # --------------------------------------------------------------- replay
     def replay_unit(self, unit_key: Tuple[str, str, str], attribute,
                     record) -> Optional[ReplayedUnit]:

@@ -21,14 +21,10 @@ Surface-acquired instance set is available as a donor regardless of
 iteration order. This keeps results order-independent and matches the
 paper's intent (donors in its examples already have instances).
 
-The three phase loops are planned as an explicit
-:class:`~repro.exec.dag.ExecutionDAG` — one :class:`~repro.exec.dag.WorkUnit`
-per checkpoint unit, phases as barrier stages — and driven by a pluggable
-executor (:mod:`repro.exec.executors`). The default
-:class:`~repro.exec.executors.SerialExecutor` reproduces the classic
-loops exactly; the speculating pool overlaps simulated I/O latency while
-committing every unit on the calling thread in canonical order, so both
-produce bit-identical results.
+The three phases run as plain loops over a state-independent enumeration
+of checkpoint units — one ``(phase, interface, attribute)`` per unit —
+so the journal's boundary layout depends only on the interfaces and the
+enabled phases, never on what earlier units produced.
 """
 
 from __future__ import annotations
@@ -43,9 +39,6 @@ from repro.core.attr_surface import AttrSurfaceValidator, ClassifierConfig
 from repro.core.surface import SurfaceConfig, SurfaceDiscoverer, WebValidator
 from repro.deepweb.models import Attribute, QueryInterface
 from repro.deepweb.source import DeepWebSource
-from repro.exec.context import unit_scope
-from repro.exec.dag import ExecutionDAG, WorkUnit
-from repro.exec.executors import SerialExecutor
 from repro.matching.similarity import label_similarity, value_similarity, values_similar
 from repro.obs.instrument import Observability
 from repro.obs.provenance import (
@@ -58,6 +51,7 @@ from repro.obs.provenance import (
 )
 from repro.perf.cache import ValidationCache
 from repro.resilience.client import ResilientClient
+from repro.resilience.context import UnitKey, unit_scope
 from repro.surfaceweb.engine import SearchEngine
 from repro.util.clock import SimulatedClock
 
@@ -69,6 +63,21 @@ __all__ = [
 ]
 
 AttrKey = Tuple[str, str]
+
+
+@dataclass(frozen=True)
+class _Unit:
+    """One checkpoint unit: one ``(phase, interface, attribute)`` of work,
+    with the acquisition record it updates."""
+
+    phase: str
+    interface: QueryInterface
+    attribute: Attribute
+    record: AcquisitionRecord
+
+    @property
+    def key(self) -> UnitKey:
+        return (self.phase, self.interface.interface_id, self.attribute.name)
 
 
 @dataclass(frozen=True)
@@ -170,7 +179,6 @@ class InstanceAcquirer:
         clock: Optional[SimulatedClock] = None,
         obs: Optional[Observability] = None,
         checkpoint: Optional[CheckpointSession] = None,
-        executor=None,
     ) -> None:
         """``engine`` and ``sources`` may be the raw substrates or the
         drop-in resilient proxies from :mod:`repro.resilience`; pass the
@@ -192,13 +200,7 @@ class InstanceAcquirer:
         ``checkpoint``, when given, brackets every per-attribute unit of
         work: completed units are journaled durably, and on resume the
         journaled ones are replayed without issuing a single engine query
-        or source probe (see :mod:`repro.checkpoint`).
-
-        ``executor``, when given, drives the planned unit DAG (see
-        :mod:`repro.exec.executors`); ``None`` uses a fresh
-        :class:`~repro.exec.executors.SerialExecutor`, the classic loop.
-        Whatever the executor, every unit's authoritative effects happen
-        on the calling thread in canonical order."""
+        or source probe (see :mod:`repro.checkpoint`)."""
         self.engine = engine
         self.sources = sources
         self.config = config
@@ -206,7 +208,6 @@ class InstanceAcquirer:
         self.clock = clock
         self.obs = obs
         self.checkpoint = checkpoint
-        self.executor = executor if executor is not None else SerialExecutor()
         self._interfaces: List[QueryInterface] = []
         self._domain_keywords: List[str] = []
         self._object_name: str = "object"
@@ -285,120 +286,66 @@ class InstanceAcquirer:
         self._domain_keywords = list(domain_keywords)
         self._object_name = object_name
         report = AcquisitionReport(k=self.config.k)
+        # Unit enumeration is state-independent: which units exist depends
+        # only on the interfaces and the enabled phases, never on what
+        # earlier units produced (per-unit gates like "Surface already
+        # reached k" stay *inside* the unit), so the journal's boundary
+        # layout is fixed before the first query.
+        slots: List[Tuple[QueryInterface, Attribute, AcquisitionRecord]] = []
         for interface in interfaces:
             for attribute in interface.attributes:
-                report.records.append(
-                    AcquisitionRecord(
-                        interface_id=interface.interface_id,
-                        attribute=attribute.name,
-                        label=attribute.label,
-                        had_instances=attribute.has_instances,
-                    )
+                record = AcquisitionRecord(
+                    interface_id=interface.interface_id,
+                    attribute=attribute.name,
+                    label=attribute.label,
+                    had_instances=attribute.has_instances,
                 )
+                report.records.append(record)
+                slots.append((interface, attribute, record))
+        no_instances = [slot for slot in slots if not slot[1].has_instances]
+        # pre-defined values: handled by Attr-Surface, not Attr-Deep
+        predefined = [slot for slot in slots if slot[1].has_instances]
 
-        if not enable_surface:
-            for record in report.records:
-                record.n_after_surface = 0
-        dag = self.plan(
-            interfaces, report,
-            enable_surface=enable_surface,
-            enable_attr_deep=enable_attr_deep,
-            enable_attr_surface=enable_attr_surface,
-        )
-        for phase in dag.phases:
-            self._run_phase(phase, report)
-
-        # Final instance counts for attributes no borrowing phase touched.
-        for interface in interfaces:
-            for attribute in interface.attributes:
-                record = report.record_for(interface.interface_id, attribute.name)
-                record.n_after_borrow = max(
-                    record.n_after_borrow, self._acquired_count(attribute)
-                )
-        return report
-
-    # ----------------------------------------------------------- planning
-    def plan(self, interfaces, report: AcquisitionReport,
-             enable_surface: bool = True, enable_attr_deep: bool = True,
-             enable_attr_surface: bool = True) -> ExecutionDAG:
-        """Enumerate the run's checkpoint units into an explicit DAG.
-
-        Enumeration is state-independent: which units exist depends only
-        on the interfaces and the enabled phases, never on what earlier
-        units produced (per-unit gates like "Surface already reached k"
-        stay *inside* the unit, preserving the journal-boundary layout).
-        That is what lets an executor dispatch speculation for units
-        whose predecessors have not committed yet.
-        """
-        dag = ExecutionDAG()
+        # Accounting is accumulated per unit (not as one phase-wide
+        # counter delta): every query happens inside some unit, so the sum
+        # is identical — but per-unit deltas are what the checkpoint
+        # journal records and what replay re-charges.
         if enable_surface:
-            dag.add_phase("surface", [
-                WorkUnit("surface", interface, attribute,
-                         report.record_for(interface.interface_id,
-                                           attribute.name))
-                for interface in interfaces
-                for attribute in interface.attributes
-                if not attribute.has_instances
-            ])
-        if enable_attr_deep:
-            dag.add_phase("attr_deep", [
-                WorkUnit("attr_deep", interface, attribute,
-                         report.record_for(interface.interface_id,
-                                           attribute.name))
-                for interface in interfaces
-                for attribute in interface.attributes
-                # pre-defined values: handled by Attr-Surface
-                if not attribute.has_instances
-            ])
-        if enable_attr_surface:
-            dag.add_phase("attr_surface", [
-                WorkUnit("attr_surface", interface, attribute,
-                         report.record_for(interface.interface_id,
-                                           attribute.name))
-                for interface in interfaces
-                for attribute in interface.attributes
-                if attribute.has_instances
-            ])
-        return dag
-
-    # ----------------------------------------------------------- execution
-    def _run_phase(self, phase, report: AcquisitionReport) -> None:
-        """Drive one phase's units through the executor.
-
-        Accounting is accumulated per unit (not as one phase-wide counter
-        delta): every query happens inside some unit, so the sum is
-        identical — but per-unit deltas are what the checkpoint journal
-        records and what replay re-charges. The cost tally and the
-        phase-end clock charge run on the calling thread, like every
-        other authoritative effect.
-        """
-        cost = 0
-
-        def commit(unit: WorkUnit) -> None:
-            nonlocal cost
-            cost += self._execute_unit(unit)
-
-        with self._phase(phase.name):
-            self.executor.run_phase(phase.units, commit)
-            if phase.name == "surface":
+            with self._phase("surface"):
+                cost = 0
+                for slot in no_instances:
+                    cost += self._execute_unit(_Unit("surface", *slot))
                 report.surface_queries += cost
                 if self.clock is not None:
                     self.clock.charge_search_query("surface", cost)
-            elif phase.name == "attr_deep":
+        if enable_attr_deep:
+            with self._phase("attr_deep"):
+                cost = 0
+                for slot in no_instances:
+                    cost += self._execute_unit(_Unit("attr_deep", *slot))
                 report.attr_deep_probes += cost
                 if self.clock is not None:
                     self.clock.charge_deep_probe("attr_deep", cost)
-            else:
+        if enable_attr_surface:
+            with self._phase("attr_surface"):
+                cost = 0
+                for slot in predefined:
+                    cost += self._execute_unit(_Unit("attr_surface", *slot))
                 report.attr_surface_queries += cost
                 if self.clock is not None:
                     self.clock.charge_search_query("attr_surface", cost)
 
-    def _execute_unit(self, unit: WorkUnit) -> int:
-        """The authoritative serial body of one unit: replay it from the
-        journal if a record is pending, honour quarantine, else run it
-        fresh. Returns the unit's round-trip cost (queries, or probes for
-        ``attr_deep``). This is the ONE place a unit's observable effects
-        happen, whatever executor drives the DAG."""
+        # Final instance counts for attributes no borrowing phase touched.
+        for _, attribute, record in slots:
+            record.n_after_borrow = max(
+                record.n_after_borrow, self._acquired_count(attribute)
+            )
+        return report
+
+    def _execute_unit(self, unit: _Unit) -> int:
+        """The body of one unit: replay it from the journal if a record is
+        pending, honour quarantine, else run it fresh. Returns the unit's
+        round-trip cost (queries, or probes for ``attr_deep``)."""
         replayed = self._replayed(unit.phase, unit.interface, unit.attribute,
                                   unit.record)
         if replayed is not None:
@@ -413,7 +360,7 @@ class InstanceAcquirer:
         with unit_scope(unit.key):
             return self._fresh_unit(unit)
 
-    def _fresh_unit(self, unit: WorkUnit) -> int:
+    def _fresh_unit(self, unit: _Unit) -> int:
         interface, attribute, record = unit.interface, unit.attribute, unit.record
         capture = self._begin(unit.phase, interface, attribute)
         before = self._cost_mark(unit.phase)

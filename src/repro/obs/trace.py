@@ -17,12 +17,10 @@ The export format is plain JSON-serialisable dicts (``version``, ``spans``,
 ``events``), written with sorted keys by :mod:`repro.io` so byte equality
 is meaningful across processes.
 
-The tracer is **not** thread-safe and does not need to be: under the
-parallel executor (:mod:`repro.exec`) every span and event is emitted
-from the serial commit thread — speculative workers run against clone
-worlds built *without* an observability layer, so nothing they do can
-reach a tracer. That discipline, not locking, is what keeps ``seq``
-gap-free and traces byte-identical across worker counts.
+The tracer is **not** thread-safe and does not need to be: a run emits
+every span and event from the one thread that executes it, and each run
+gets its own tracer. That discipline, not locking, is what keeps ``seq``
+gap-free and traces byte-identical from run to run.
 """
 
 from __future__ import annotations

@@ -310,9 +310,9 @@ class CachingSearchEngine:
     def snapshot_entries(self) -> List[Tuple[Tuple, Any]]:
         """The cache's content in recency order (cold to hot).
 
-        The speculative executor copies this into each worker's isolated
-        cache clone so a speculation predicts the same hit/miss pattern —
-        and therefore the same raw round trips — as the upcoming commit.
+        :meth:`CachePreload.capture` snapshots this so a warm run starts
+        with the same content — and therefore the same hit/miss pattern —
+        the donor run ended with.
         """
         return self._cache.items()
 
@@ -372,7 +372,8 @@ class ValidationCache:
         )
 
     def clone(self) -> "ValidationCache":
-        """An independent copy (snapshot isolation for speculative runs)."""
+        """An independent copy (a :class:`CachePreload` holds one, so later
+        growth of the donor run's memo cannot leak into the preload)."""
         copy = ValidationCache()
         copy.phrase_hits = dict(self.phrase_hits)
         copy.candidate_hits = dict(self.candidate_hits)

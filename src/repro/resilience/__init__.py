@@ -11,7 +11,10 @@ provides the machinery to survive it:
   exponential backoff + jitter, per-component budgets, per-source circuit
   breakers), the drop-in :class:`ResilientSearchEngine` /
   :class:`ResilientDeepWebSource` proxies, and the
-  :class:`DegradationReport` a run attaches to its result.
+  :class:`DegradationReport` a run attaches to its result;
+- :mod:`repro.resilience.context` — the per-unit scope that keys fault
+  and jitter streams by checkpoint unit, making their draws independent
+  of execution order.
 
 Enable it per run via ``WebIQConfig(resilience=ResilienceConfig(...))``;
 with the default ``FaultProfile()`` (rate 0) the whole layer is an exact

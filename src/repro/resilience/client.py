@@ -56,7 +56,7 @@ from repro.util.errors import (
 )
 from repro.util.rng import derive_rng
 
-from repro.exec.context import UnitKey, current_unit
+from repro.resilience.context import UnitKey, current_unit
 from repro.resilience.faults import FaultKind, FaultProfile
 
 __all__ = [
@@ -384,8 +384,8 @@ class ResilientClient:
         #: streams need no fast-forward on resume)
         self.backoff_draws = 0
         #: per-thread mutable call state (active component, in-flight
-        #: attempt index). Thread-local so concurrent units — e.g. the
-        #: parallel executor's speculative workers — cannot race each
+        #: attempt index). Thread-local so concurrent callers — e.g. the
+        #: service's tenants sharing one client — cannot race each
         #: other's ambient state.
         self._local = threading.local()
         #: optional :class:`~repro.obs.Observability` bundle; when attached,
@@ -414,7 +414,7 @@ class ResilientClient:
 
         Flaky wrappers read it (via ``attempt_provider``) to key
         per-attempt fault fates, so a retry re-rolls where a re-issue
-        replays. Thread-local: one worker's retry loop must never leak its
+        replays. Thread-local: one caller's retry loop must never leak its
         attempt index into the fault fates another thread is rolling.
         """
         return getattr(self._local, "attempt", 0)
@@ -597,7 +597,7 @@ class ResilientClient:
         outside any unit scope). A per-unit stream starts at position 0
         whenever its unit runs, so backoff jitter is a pure function of
         ``(seed, unit, draw index within the unit)`` — independent of
-        execution order, worker interleaving and resume point."""
+        execution order and resume point."""
         unit = current_unit()
         if unit is None:
             return self._rng
@@ -642,8 +642,8 @@ class ResilientSearchEngine:
     happened; cache layers above read it to avoid memoising a degraded
     answer as if it were the query's real one.
 
-    ``last_degraded`` is **thread-local** (the same treatment the PR-7
-    audit gave ``ResilientClient.current_attempt``): one proxy may be
+    ``last_degraded`` is **thread-local** (the same treatment
+    ``ResilientClient.current_attempt`` gets): one proxy may be
     shared by concurrent tenants with different budgets, and a plain
     instance attribute would let tenant B's budget-exhausted degradation
     flip the flag between tenant A's fetch and A's cleanliness check —

@@ -33,14 +33,14 @@ the cache cannot shift the fate of the queries that still reach the
 engine, so cached and uncached runs see the same Web. Deep-Web sources
 keep sequential streams (probes are stateful submissions), partitioned
 per ``(source, checkpoint unit)``: inside a unit scope (see
-:mod:`repro.exec.context`) the stream is derived from the unit key and
-starts at position 0, so a unit's fates are independent of which units
-ran before it, of worker interleaving under the parallel executor, and
-of where a resumed run picks up — no fast-forwarding needed. Outside any
-unit (direct use in tests) the legacy per-source sequential stream
-applies unchanged. With ``fault_rate=0.0`` the wrappers are exact
-pass-throughs: results, counters and downstream RNG streams are
-bit-identical to the unwrapped substrates.
+:mod:`repro.resilience.context`) the stream is derived from the unit key
+and starts at position 0, so a unit's fates are independent of which
+units ran before it and of where a resumed run picks up — no
+fast-forwarding needed. Outside any unit (direct use in tests) the
+legacy per-source sequential stream applies unchanged. With
+``fault_rate=0.0`` the wrappers are exact pass-throughs: results,
+counters and downstream RNG streams are bit-identical to the unwrapped
+substrates.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from repro.util.errors import (
 )
 from repro.util.rng import derive_rng
 
-from repro.exec.context import UnitKey, current_unit
+from repro.resilience.context import UnitKey, current_unit
 
 __all__ = [
     "FaultKind",

@@ -22,7 +22,9 @@ assert ``report.ok`` uniformly):
   equals the stopwatch totals in its own export (queries = surface +
   attr-surface accounts, probes = attr-deep, seconds = Σ accounts). A
   request the service charged but the export didn't see (or vice versa)
-  breaks the law.
+  breaks the law. Records round seconds to 6 decimals while ledgers keep
+  them raw, so the ledger-vs-records seconds check allows half a unit in
+  the 6th decimal per summed record; every other comparison is exact.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from typing import Any, Dict
 from repro.obs.invariants import InvariantReport, InvariantViolation
 
 __all__ = ["check_service"]
+
+#: worst-case error of one record's ``round(seconds, 6)``
+_RECORD_ROUNDING = 5e-7
 
 _LAWS = (
     "service-admission-accounting",
@@ -118,18 +123,22 @@ def check_service(service) -> InvariantReport:
     by_tenant: Dict[str, Dict[str, Any]] = {}
     for record in stats.records:
         sums = by_tenant.setdefault(
-            record["tenant"], {"queries": 0, "probes": 0, "seconds": 0.0})
+            record["tenant"],
+            {"queries": 0, "probes": 0, "seconds": 0.0, "records": 0})
+        sums["records"] += 1
         sums["queries"] += record["queries"]
         sums["probes"] += record["probes"]
         sums["seconds"] += record["seconds"]
     for tenant, ledger in sorted(stats.ledgers.items()):
         sums = by_tenant.get(
-            tenant, {"queries": 0, "probes": 0, "seconds": 0.0})
+            tenant, {"queries": 0, "probes": 0, "seconds": 0.0, "records": 0})
         _equal(report, law, ledger.queries, sums["queries"],
                f"tenant {tenant} ledger queries vs Σ records")
         _equal(report, law, ledger.probes, sums["probes"],
                f"tenant {tenant} ledger probes vs Σ records")
-        if abs(ledger.seconds - sums["seconds"]) > 1e-6:
+        # the 1e-9 absorbs float summation error on top of the rounding
+        tolerance = _RECORD_ROUNDING * sums["records"] + 1e-9
+        if abs(ledger.seconds - sums["seconds"]) > tolerance:
             _fail(report, law,
                   f"tenant {tenant} ledger seconds {ledger.seconds!r} != "
                   f"Σ records {sums['seconds']!r}")

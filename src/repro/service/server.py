@@ -189,7 +189,7 @@ class ServiceStats:
     Deliberately wall-clock-free: "latency" is simulated seconds from the
     runs' stopwatches, so two identical workloads produce byte-identical
     stats (the determinism the service suite asserts). Real wall clocks
-    stay in-memory diagnostics, exactly like ``exec_stats``.
+    stay in-memory diagnostics, outside the ledger.
     """
 
     def __init__(self) -> None:
@@ -396,6 +396,11 @@ class MatchingService:
                 request.domain, n_interfaces=request.n_interfaces,
                 seed=request.seed)
             result = WebIQMatcher(effective).run(dataset, warm=preload)
+            # Assimilation shares the crash domain: a registry that cannot
+            # take this run's interfaces (another domain's registry, say)
+            # crashes *this* request and abandons its epoch.
+            registry = (self._assimilate(parent, dataset, effective)
+                        if request.assimilate else None)
         except DeadlineExceededError as exc:
             return self._expire(request, parent, effective, warm_start, exc)
         except Exception as exc:  # noqa: BLE001 — crash isolation is the point
@@ -416,9 +421,6 @@ class MatchingService:
 
         # ---- success: derive, publish, charge — in that order.
         new_warm = result.cache_content or CachePreload()
-        registry = None
-        if request.assimilate:
-            registry = self._assimilate(parent, dataset, effective)
         info = ServiceRunInfo(
             request_id=request_id, tenant=request.tenant,
             epoch_parent=parent.epoch_id,

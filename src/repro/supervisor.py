@@ -321,12 +321,10 @@ class RunSupervisor:
     tests and the chaos CI job inject any deterministic kill/corruption
     schedule. Production use passes neither.
 
-    Restart attempts reuse the run config verbatim, including
-    ``workers`` / ``io_latency``: the journal is executor-agnostic (the
-    parallel executor commits units in the same canonical order the
-    serial one does), so a crashed parallel attempt may be resumed
-    parallel, serial, or at any other worker count without affecting a
-    byte of the result.
+    Restart attempts reuse the run config, changing only the
+    checkpoint's resume/kill settings and the supervisor's quarantine,
+    so a resumed attempt replays the unit boundaries the crashed one
+    journaled.
     """
 
     def __init__(

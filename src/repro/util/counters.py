@@ -19,12 +19,6 @@ Design constraints, in order of importance:
 2. **Free when off.** The default state is "no collector installed": the
    per-site cost is one module-attribute load and a ``None`` check. The
    pipeline only installs a collector when ``ObsConfig.profile`` is set.
-3. **Deterministic under the parallel executor.** Speculative workers run
-   the same substrate code on worker threads against snapshot worlds;
-   counting their work would make counter values depend on scheduling.
-   A collector therefore only accepts bumps from the thread that
-   installed it — the serial commit thread — so counts are identical at
-   every worker count, for the same reason traces are.
 
 Usage at a counter site (the fast-path guard is deliberately inlined at
 each site rather than hidden behind a function call)::
@@ -39,12 +33,11 @@ each site rather than hidden behind a function call)::
 and around a profiled region::
 
     with work.collecting(my_counters):
-        ...          # bumps from this thread accumulate into my_counters
+        ...          # bumps accumulate into my_counters
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional
 
@@ -54,21 +47,13 @@ __all__ = ["WorkCounters", "ACTIVE", "collecting", "bump"]
 class WorkCounters:
     """One run's accumulated work counts, keyed by dotted counter name."""
 
-    __slots__ = ("counts", "_owner")
+    __slots__ = ("counts",)
 
     def __init__(self) -> None:
         self.counts: Dict[str, int] = {}
-        self._owner: Optional[int] = None
 
     def bump(self, name: str, n: int = 1) -> None:
-        """Add ``n`` to counter ``name`` — ignored off the owning thread.
-
-        The thread guard is what keeps counts deterministic under the
-        speculative executor: workers re-run substrate code purely to
-        prefetch latency, and their work must not be double-counted.
-        """
-        if self._owner is not None and threading.get_ident() != self._owner:
-            return
+        """Add ``n`` to counter ``name``."""
         self.counts[name] = self.counts.get(name, 0) + n
 
     def get(self, name: str) -> int:
@@ -101,18 +86,13 @@ def bump(name: str, n: int = 1) -> None:
 def collecting(counters: WorkCounters) -> Iterator[WorkCounters]:
     """Install ``counters`` as the collector for the ``with`` body.
 
-    Only the installing thread's bumps are accepted (see
-    :meth:`WorkCounters.bump`). The previous collector — normally
-    ``None`` — is restored on exit, even on exception, so nested or
-    sequential profiled regions compose.
+    The previous collector — normally ``None`` — is restored on exit,
+    even on exception, so nested or sequential profiled regions compose.
     """
     global ACTIVE
-    previous = counters._owner
-    counters._owner = threading.get_ident()
     saved = ACTIVE
     ACTIVE = counters
     try:
         yield counters
     finally:
         ACTIVE = saved
-        counters._owner = previous

@@ -6,8 +6,8 @@ batch IceQ over the same set — is enforced here three ways:
 
 - exhaustively over every permutation of a small domain;
 - sampled by seed over full 20-interface domains;
-- across the existing stack matrix (faults x cache x checkpoint x
-  workers {1, 4}) through the pipeline, asserting byte-identical induced
+- across the existing stack matrix (faults x cache x checkpoint)
+  through the pipeline, asserting byte-identical induced
   match views, zero invariant violations, and zero provenance
   divergence (a registry-attached run exports the same bytes as a run
   without one).
@@ -138,7 +138,7 @@ class TestSampledPermutations:
 
 
 def _matrix_configs(tmp_path):
-    """The stack matrix: faults x cache x checkpoint x workers {1, 4}."""
+    """The stack matrix: faults x cache x checkpoint."""
     from repro.perf import CacheConfig
     from repro.resilience import FaultProfile, ResilienceConfig
 
@@ -146,21 +146,18 @@ def _matrix_configs(tmp_path):
     for fault_rate in (0.0, 0.2):
         for with_cache in (False, True):
             for with_checkpoint in (False, True):
-                for workers in (1, 4):
-                    resilience = (
-                        ResilienceConfig(
-                            profile=FaultProfile(fault_rate=fault_rate,
-                                                 seed=5))
-                        if fault_rate else None)
-                    cache = CacheConfig() if with_cache else None
-                    checkpoint = None
-                    if with_checkpoint:
-                        from repro.checkpoint import CheckpointConfig
-                        tag = (f"f{fault_rate}-c{int(with_cache)}"
-                               f"-w{workers}")
-                        checkpoint = CheckpointConfig(
-                            directory=str(tmp_path / f"journal-{tag}"))
-                    combos.append((resilience, cache, checkpoint, workers))
+                resilience = (
+                    ResilienceConfig(
+                        profile=FaultProfile(fault_rate=fault_rate, seed=5))
+                    if fault_rate else None)
+                cache = CacheConfig() if with_cache else None
+                checkpoint = None
+                if with_checkpoint:
+                    from repro.checkpoint import CheckpointConfig
+                    tag = f"f{fault_rate}-c{int(with_cache)}"
+                    checkpoint = CheckpointConfig(
+                        directory=str(tmp_path / f"journal-{tag}"))
+                combos.append((resilience, cache, checkpoint))
     return combos
 
 
@@ -171,13 +168,12 @@ class TestStackMatrix:
     N = 5
 
     def test_matrix_runs_hold_every_invariant_and_match_batch(self, tmp_path):
-        for resilience, cache, checkpoint, workers in _matrix_configs(
-                tmp_path):
+        for resilience, cache, checkpoint in _matrix_configs(tmp_path):
             registry_dir = str(
                 tmp_path / f"registry-{len(list(tmp_path.iterdir()))}")
             config = WebIQConfig(
                 resilience=resilience, cache=cache, checkpoint=checkpoint,
-                workers=workers, obs=ObsConfig(), registry=registry_dir)
+                obs=ObsConfig(), registry=registry_dir)
             dataset = build_domain_dataset(DOMAIN, self.N, 1)
             result = WebIQMatcher(config).run(dataset)
 
@@ -195,7 +191,7 @@ class TestStackMatrix:
             # two arrival orders through the same post-acquisition
             # interfaces: identity and a seeded shuffle
             shuffled = list(dataset.interfaces)
-            random.Random(workers).shuffle(shuffled)
+            random.Random(1).shuffle(shuffled)
             store, _ = build_registry(
                 DOMAIN, shuffled,
                 store=RegistryStore(domain=DOMAIN,
@@ -215,7 +211,7 @@ class TestStackMatrix:
         base = dict(
             resilience=ResilienceConfig(
                 profile=FaultProfile(fault_rate=0.2, seed=5)),
-            cache=CacheConfig(), obs=ObsConfig(), workers=4)
+            cache=CacheConfig(), obs=ObsConfig())
         without = WebIQMatcher(WebIQConfig(**base)).run(
             build_domain_dataset(DOMAIN, self.N, 1))
         with_registry = WebIQMatcher(WebIQConfig(

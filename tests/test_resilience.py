@@ -28,6 +28,7 @@ from repro.resilience import (
     ResilientSearchEngine,
     RetryPolicy,
 )
+from repro.resilience.context import unit_scope
 from repro.surfaceweb.document import Document
 from repro.surfaceweb.engine import SearchEngine
 from repro.util.errors import (
@@ -249,6 +250,78 @@ class TestFlakyDeepWebSource:
         assert outcomes[0] == outcomes[5]
 
 
+UNIT = ("attr_deep", "air-1", "from")
+OTHER_UNITS = [("attr_deep", "air-3", "to"), ("surface", "air-1", "from")]
+
+
+def jitter_in_unit(client, unit, retries=6):
+    """Backoff seconds of ``retries`` retries drawn inside ``unit`` (each
+    unit bills its own component, so the sum starts from zero)."""
+    component = "/".join(unit)
+    calls = {"n": 0}
+
+    def flaky():
+        calls["n"] += 1
+        if calls["n"] <= retries:
+            raise TransientWebError("502")
+        return "ok"
+
+    with unit_scope(unit), client.component(component):
+        client.call(flaky)
+    return client.report.backoff_seconds_by_component[component]
+
+
+def fates_in_unit(flaky, unit, n=20):
+    fates = []
+    with unit_scope(unit):
+        for _ in range(n):
+            try:
+                flaky.submit({"from": "Boston"})
+                fates.append("ok")
+            except WebAccessError as exc:
+                fates.append(type(exc).__name__)
+    return fates
+
+
+class TestPerUnitStreams:
+    """Draws inside ``unit_scope(K)`` are a pure function of ``K``: they
+    do not move when other units drew first, in any order."""
+
+    def make_client(self):
+        return ResilientClient(ResilienceConfig(
+            profile=FaultProfile(seed=11),
+            retry=RetryPolicy(max_attempts=10, jitter=0.5)))
+
+    def test_backoff_jitter_ignores_earlier_units(self):
+        alone = jitter_in_unit(self.make_client(), UNIT)
+        for order in (OTHER_UNITS, OTHER_UNITS[::-1]):
+            client = self.make_client()
+            for other in order:
+                jitter_in_unit(client, other)
+            client.call(lambda: "outside any unit")
+            assert jitter_in_unit(client, UNIT) == alone
+        # ...and the stream really is per unit, not one shared sequence
+        assert jitter_in_unit(self.make_client(), OTHER_UNITS[0]) != alone
+
+    def test_source_fault_fates_ignore_earlier_units(self):
+        profile = FaultProfile(fault_rate=0.5, seed=3)
+        alone = fates_in_unit(FlakyDeepWebSource(make_source(), profile),
+                              UNIT)
+        assert "ok" in alone and len(set(alone)) > 1
+        for order in (OTHER_UNITS, OTHER_UNITS[::-1]):
+            flaky = FlakyDeepWebSource(make_source(), profile)
+            for other in order:
+                fates_in_unit(flaky, other, n=7)
+            for _ in range(3):  # legacy stream, outside any unit
+                try:
+                    flaky.submit({"from": "Boston"})
+                except WebAccessError:
+                    pass
+            assert fates_in_unit(flaky, UNIT) == alone
+        assert fates_in_unit(FlakyDeepWebSource(make_source(), profile),
+                             OTHER_UNITS[0]) != alone
+
+
 class TestCircuitBreaker:
     def test_full_state_cycle(self):
         breaker = CircuitBreaker(
@@ -427,14 +500,13 @@ class TestResilientClient:
     def test_current_attempt_is_per_thread(self):
         """A concurrent call must not clobber another thread's attempt.
 
-        Regression test for the order-dependence bug the parallel
-        executor exposed: ``current_attempt`` was a plain instance
-        attribute, so a speculative worker's fresh ``call`` (attempt 0)
-        reset the attempt index the commit thread's retry loop was
-        mid-way through — re-keying its fault fates from re-roll back to
-        replay. Thread A retries into attempt 1, then parks while thread
-        B completes a call on the *same* client; A must still see its
-        own attempt index afterwards.
+        Regression test for an order-dependence bug: ``current_attempt``
+        was a plain instance attribute, so another thread's fresh
+        ``call`` (attempt 0) reset the attempt index this thread's retry
+        loop was mid-way through — re-keying its fault fates from
+        re-roll back to replay. Thread A retries into attempt 1, then
+        parks while thread B completes a call on the *same* client; A
+        must still see its own attempt index afterwards.
         """
         client = ResilientClient(
             ResilienceConfig(retry=RetryPolicy(max_attempts=3)))

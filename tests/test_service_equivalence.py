@@ -4,7 +4,7 @@ An admitted request's export must be byte-identical — after stripping
 the format-5 ``service`` section — to the same run executed standalone
 with the same effective config and the parent epoch's
 :class:`~repro.perf.CachePreload` applied, across the faults × cache ×
-checkpoint × workers grid, at several seeded tenant interleavings, and
+checkpoint grid, at several seeded tenant interleavings, and
 regardless of what happened to *other* tenants' requests around it
 (shed, deadline-expired, rejected at the door). On top of the byte
 oracle: zero :mod:`repro.obs.invariants` violations on every replayed
@@ -79,7 +79,6 @@ GRID = [
         WebIQConfig(resilience=ResilienceConfig(
             profile=FaultProfile(fault_rate=0.25, seed=11))),
         None, id="faults"),
-    pytest.param(WebIQConfig(workers=3), None, id="workers"),
     # A generous deadline attaches the checkpoint spool + supervisor but
     # lets the run complete: the checkpointed corner of the grid.
     pytest.param(WebIQConfig(), 1000.0, id="checkpoint"),
@@ -87,7 +86,7 @@ GRID = [
 
 
 class TestEquivalenceGrid:
-    """Byte-identical exports across faults × cache × checkpoint × workers."""
+    """Byte-identical exports across faults × cache × checkpoint."""
 
     @pytest.mark.parametrize("config, deadline", GRID)
     def test_service_runs_equal_standalone(self, config, deadline, tmp_path):
@@ -270,3 +269,48 @@ class TestCrashIsolation:
             service, survivor, by_id[survivor.request_id], tmp_path)
         report = check_service(service)
         assert report.ok, report.summary()
+
+    def test_assimilation_crash_abandons_the_epoch(self):
+        """A registry that rejects the run's interfaces (here: another
+        domain's registry) crashes the request inside the crash domain —
+        the epoch is abandoned and the serve loop keeps going."""
+        service = MatchingService(ServiceConfig())
+        responses, _ = drive_tracked(service, [
+            MatchRequest(tenant="acme", domain="book", n_interfaces=3,
+                         assimilate=True),
+            MatchRequest(tenant="acme", domain="auto", n_interfaces=3,
+                         assimilate=True),
+        ])
+        assert [r.outcome for r in responses] == ["completed", "crashed"]
+        assert "RegistryMismatchError" in responses[1].error
+        assert (service.warm.begun, service.warm.published,
+                service.warm.abandoned) == (2, 1, 1)
+        assert service.warm.current.registry.domain == "book"
+        report = check_service(service)
+        assert report.ok, report.summary()
+
+
+class TestQuotaConservationTolerance:
+    """Records round seconds to 6 decimals; ledgers keep them raw."""
+
+    def test_many_rounded_records_conserve_quota(self):
+        service = MatchingService(ServiceConfig())
+        ledger = service.stats.ledger_for("acme")
+        # each record rounds 0.4 µs away: 8 records drift 3.2 µs in total,
+        # past a fixed 1e-6 tolerance but within 8 × 5e-7
+        for index in range(8):
+            ledger.charge(queries=1, probes=0, seconds=1.0000004)
+            service._record(f"r{index:04d}", "acme", "deadline_expired",
+                            False, 1, 0, 1.0000004)
+        report = check_service(service)
+        assert report.ok, report.summary()
+
+    def test_real_seconds_drift_still_breaks_the_law(self):
+        service = MatchingService(ServiceConfig())
+        service.stats.ledger_for("acme").charge(
+            queries=1, probes=0, seconds=1.00001)
+        service._record("r0000", "acme", "deadline_expired", False, 1, 0,
+                        1.0)
+        report = check_service(service)
+        assert not report.ok
+        assert any("ledger seconds" in v.message for v in report.violations)
