@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.checkpoint.session import CheckpointSession, ReplayedUnit, UnitCapture
 from repro.core.attr_deep import AttrDeepValidator
@@ -39,7 +39,7 @@ from repro.core.attr_surface import AttrSurfaceValidator, ClassifierConfig
 from repro.core.surface import SurfaceConfig, SurfaceDiscoverer, WebValidator
 from repro.deepweb.models import Attribute, QueryInterface
 from repro.deepweb.source import DeepWebSource
-from repro.matching.similarity import label_similarity, value_similarity, values_similar
+from repro.matching.similarity import label_cosine, label_vector, values_similar
 from repro.obs.instrument import Observability
 from repro.obs.provenance import (
     PHASE_ATTR_DEEP,
@@ -53,6 +53,7 @@ from repro.perf.cache import ValidationCache
 from repro.resilience.client import ResilientClient
 from repro.resilience.context import UnitKey, unit_scope
 from repro.surfaceweb.engine import SearchEngine
+from repro.util import counters as work
 from repro.util.clock import SimulatedClock
 
 __all__ = [
@@ -216,6 +217,9 @@ class InstanceAcquirer:
         # to a (phase, interface, attribute) and quarantine repeat
         # offenders.
         self._current_unit: Optional[Tuple[str, str, str]] = None
+        # label -> label_vector(label); labels never change, so the memo
+        # spares case-1 donor selection re-normalising every donor label.
+        self._label_vectors: Dict[str, Tuple[Dict[str, int], float]] = {}
         self.validation_cache = validation_cache
         self._discoverer = SurfaceDiscoverer(
             engine, config.surface, validation_cache=validation_cache,
@@ -452,22 +456,28 @@ class InstanceAcquirer:
         interface designer pre-defined.
         """
         others = [
-            y for y in interface.attributes
+            _normalized(y.instances) for y in interface.attributes
             if y.name != attribute.name and y.instances
         ]
+        own_vector, own_norm = self._label_vector(attribute.label)
         scored: List[Tuple[float, str, Attribute]] = []
+        candidates = 0
         for other_interface, donor in self._donor_candidates(interface):
-            sim = label_similarity(attribute.label, donor.label)
+            candidates += 1
+            sim = label_cosine(own_vector, own_norm,
+                               *self._label_vector(donor.label))
             if sim < self.config.label_sim_threshold:
                 continue
-            donor_values = donor.all_instances()
+            donor_values = _normalized(donor.all_instances())
             if any(
-                value_similarity(donor_values, list(y.instances))
+                _containment(donor_values, y_values)
                 > self.config.domain_dissimilar_max
-                for y in others
+                for y_values in others
             ):
                 continue
             scored.append((sim, other_interface.interface_id, donor))
+        if work.ACTIVE is not None:
+            work.ACTIVE.bump("donor.candidates", candidates)
         scored.sort(key=lambda item: (-item[0], item[2].label.lower()))
         return [(interface_id, donor) for _, interface_id, donor in scored]
 
@@ -516,20 +526,24 @@ class InstanceAcquirer:
         """Donor ``(interface_id, attribute)`` pairs for a pre-defined
         attribute (§5 case 2): the domains share at least
         ``min_similar_values`` very similar values."""
-        own = attribute.all_instances()
+        own = _SimilarValueIndex(attribute.all_instances())
         scored: List[Tuple[int, str, Attribute]] = []
+        candidates = 0
         for other_interface, donor in self._donor_candidates(interface):
-            donor_values = donor.all_instances()
+            candidates += 1
+            donor_values = _normalized(donor.all_instances())
             if not donor_values:
                 continue
             if (
-                value_similarity(own, donor_values)
+                _containment(own.counts, donor_values)
                 >= self.config.case2_skip_overlap
             ):
                 continue  # domains already similar: nothing to gain
-            overlap = _count_similar_values(own, donor_values)
+            overlap = own.count_similar(donor_values)
             if overlap >= self.config.min_similar_values:
                 scored.append((overlap, other_interface.interface_id, donor))
+        if work.ACTIVE is not None:
+            work.ACTIVE.bump("donor.candidates", candidates)
         scored.sort(key=lambda item: (-item[0], item[2].label.lower()))
         return [(interface_id, donor) for _, interface_id, donor in scored]
 
@@ -648,14 +662,85 @@ class InstanceAcquirer:
         return len(attribute.all_instances()) if not attribute.has_instances \
             else len(attribute.acquired)
 
+    def _label_vector(self, label: str) -> Tuple[Dict[str, int], float]:
+        vector = self._label_vectors.get(label)
+        if vector is None:
+            vector = self._label_vectors[label] = label_vector(label)
+        return vector
+
     def _total_probes(self) -> int:
         return sum(s.probe_count for s in self.sources.values())
 
 
+def _normalized(values: Sequence[str]) -> Dict[str, str]:
+    """``strip().lower()`` form -> first value with that form, in order."""
+    out: Dict[str, str] = {}
+    for value in values:
+        out.setdefault(value.strip().lower(), value)
+    return out
+
+
+def _containment(values_a: Dict[str, Any], values_b: Dict[str, Any]) -> float:
+    """:func:`~repro.matching.similarity.value_similarity` over value sets
+    already keyed by their normalised forms."""
+    if not values_a or not values_b:
+        return 0.0
+    return len(values_a.keys() & values_b.keys()) / min(len(values_a),
+                                                        len(values_b))
+
+
+class _SimilarValueIndex:
+    """One recipient's values, indexed to count very similar donor values.
+
+    :func:`~repro.matching.similarity.values_similar` sees its arguments
+    only through their ``strip().lower()`` forms, is symmetric, holds on
+    equal forms, and otherwise needs a word Jaccard of at least 0.5 — so
+    at least one shared word. A donor value can therefore only match the
+    recipient form equal to it or the recipient forms sharing one of its
+    words; the index hands back exactly those, and ``values_similar``
+    confirms each one (DESIGN.md §18).
+    """
+
+    def __init__(self, values: Sequence[str]) -> None:
+        #: normalised form -> how many of ``values`` have it
+        self.counts: Dict[str, int] = {}
+        #: normalised form -> the first value with it
+        self.originals: Dict[str, str] = {}
+        #: word -> the normalised forms containing it
+        self.postings: Dict[str, List[str]] = {}
+        for value in values:
+            norm = value.strip().lower()
+            if norm in self.counts:
+                self.counts[norm] += 1
+                continue
+            self.counts[norm] = 1
+            self.originals[norm] = value
+            for word in set(norm.split()):
+                self.postings.setdefault(word, []).append(norm)
+
+    def count_similar(self, donor: Dict[str, str]) -> int:
+        """How many recipient values have a very similar partner among the
+        donor's values (``donor`` as :func:`_normalized` returns them)."""
+        counts = self.counts
+        postings = self.postings
+        matched: Set[str] = set()
+        comparisons = 0
+        for norm, value in donor.items():
+            candidates = {norm} if norm in counts else set()
+            for word in norm.split():
+                candidates.update(postings.get(word, ()))
+            candidates -= matched
+            comparisons += len(candidates)
+            for candidate in candidates:
+                if values_similar(self.originals[candidate], value):
+                    matched.add(candidate)
+            if len(matched) == len(counts):
+                break
+        if work.ACTIVE is not None:
+            work.ACTIVE.bump("donor.value_comparisons", comparisons)
+        return sum(counts[norm] for norm in matched)
+
+
 def _count_similar_values(values_a: Sequence[str], values_b: Sequence[str]) -> int:
     """How many of ``values_a`` have a very similar partner in ``values_b``."""
-    count = 0
-    for a in values_a:
-        if any(values_similar(a, b) for b in values_b):
-            count += 1
-    return count
+    return _SimilarValueIndex(values_a).count_similar(_normalized(values_b))

@@ -14,8 +14,9 @@ the root cause of the matching failures WebIQ exists to fix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.matching.types import DomainType, infer_type
 from repro.stats.outliers import parse_numeric
@@ -25,6 +26,7 @@ from repro.util import counters as work
 
 __all__ = [
     "AttributeView",
+    "ViewFeatures",
     "SimilarityConfig",
     "label_similarity",
     "value_similarity",
@@ -32,6 +34,8 @@ __all__ = [
     "attribute_similarity",
     "similarity_components",
     "normalize_label_words",
+    "label_vector",
+    "label_cosine",
     "values_similar",
 ]
 
@@ -53,6 +57,26 @@ class SimilarityConfig:
     numeric_family_factor: float = 0.6
 
 
+class ViewFeatures(NamedTuple):
+    """Everything :func:`similarity_components` reads of one view.
+
+    Each field is what the reference functions re-derive from the label
+    or the instances on every call; computing it once per view leaves
+    every float of ``Sim`` unchanged (DESIGN.md §18).
+    """
+
+    #: word counts of :func:`normalize_label_words`, in first-seen order
+    label_vector: Dict[str, int]
+    #: ``math.sqrt`` of the vector's sum of squared counts
+    label_norm: float
+    #: :func:`infer_type` of the instances, or ``None`` without instances
+    domain_type: Optional[DomainType]
+    #: parsed ``(min, max)`` for a numeric type with a parseable value
+    numeric_range: Optional[Tuple[float, float]]
+    #: the ``strip().lower()`` instance values
+    values: FrozenSet[str]
+
+
 @dataclass(frozen=True)
 class AttributeView:
     """What the matcher sees of an attribute: identity, label, instances."""
@@ -65,6 +89,24 @@ class AttributeView:
     @property
     def key(self) -> Tuple[str, str]:
         return (self.interface_id, self.name)
+
+    @cached_property
+    def features(self) -> ViewFeatures:
+        """The view's similarity features, built on first use.
+
+        The cache lives in the instance ``__dict__``, outside the
+        dataclass fields, so equality and hashing ignore it; the view is
+        frozen, so the fields it was built from never change under it.
+        """
+        if work.ACTIVE is not None:
+            work.ACTIVE.bump("similarity.feature_builds")
+        vector, norm = label_vector(self.label)
+        domain_type = infer_type(self.instances) if self.instances else None
+        numeric_range = None
+        if domain_type is not None and domain_type.is_numeric:
+            numeric_range = _numeric_range(self.instances)
+        values = frozenset(v.strip().lower() for v in self.instances)
+        return ViewFeatures(vector, norm, domain_type, numeric_range, values)
 
 
 def normalize_label_words(label: str) -> List[str]:
@@ -79,6 +121,29 @@ def normalize_label_words(label: str) -> List[str]:
         if low not in _LABEL_STOPWORDS:
             out.append(low)
     return out
+
+
+def label_vector(label: str) -> Tuple[Dict[str, int], float]:
+    """A label's word-count vector and its norm, as :func:`label_similarity`
+    builds them; :func:`label_cosine` of two of these equals
+    :func:`label_similarity` of the labels bit for bit.
+
+    >>> label_vector("From city to city")
+    ({'from': 1, 'city': 2, 'to': 1}, 2.449489742783178)
+    """
+    vector: Dict[str, int] = {}
+    for w in normalize_label_words(label):
+        vector[w] = vector.get(w, 0) + 1
+    return vector, math.sqrt(sum(v * v for v in vector.values()))
+
+
+def label_cosine(vec_a: Dict[str, int], norm_a: float,
+                 vec_b: Dict[str, int], norm_b: float) -> float:
+    """Cosine of two :func:`label_vector` results; 0 if either is empty."""
+    if not vec_a or not vec_b:
+        return 0.0
+    dot = sum(vec_a[w] * vec_b.get(w, 0) for w in vec_a)
+    return dot / (norm_a * norm_b)
 
 
 def label_similarity(label_a: str, label_b: str) -> float:
@@ -198,9 +263,36 @@ def similarity_components(
     """
     if work.ACTIVE is not None:
         work.ACTIVE.bump("similarity.evaluations")
-    label_sim = label_similarity(a.label, b.label)
-    dom_sim = domain_similarity(a.instances, b.instances, config)
+    fa = a.features
+    fb = b.features
+    label_sim = label_cosine(fa.label_vector, fa.label_norm,
+                             fb.label_vector, fb.label_norm)
+    dom_sim = _feature_domain_similarity(fa, fb, config)
     return label_sim, dom_sim, config.alpha * label_sim + config.beta * dom_sim
+
+
+def _feature_domain_similarity(fa: ViewFeatures, fb: ViewFeatures,
+                               config: SimilarityConfig) -> float:
+    """:func:`domain_similarity` over precomputed features, same float ops."""
+    type_a = fa.domain_type
+    type_b = fb.domain_type
+    if type_a is None or type_b is None:
+        return 0.0
+    if type_a is type_b:
+        type_factor = 1.0
+    elif type_a.is_numeric and type_b.is_numeric:
+        type_factor = config.numeric_family_factor
+    else:
+        return 0.0
+    if type_a.is_numeric and type_b.is_numeric:
+        if fa.numeric_range is None or fb.numeric_range is None:
+            return 0.0
+        return type_factor * _range_overlap(fa.numeric_range, fb.numeric_range)
+    values_a = fa.values
+    values_b = fb.values
+    return type_factor * (
+        len(values_a & values_b) / min(len(values_a), len(values_b))
+    )
 
 
 def attribute_similarity(

@@ -1,14 +1,23 @@
 """Focused tests for the §5 donor-selection rules."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.acquisition import (
     AcquisitionConfig,
     InstanceAcquirer,
     _count_similar_values,
 )
+from repro.core.pipeline import WebIQConfig, WebIQMatcher
+from repro.datasets import build_domain_dataset
 from repro.deepweb.models import Attribute, AttributeKind, QueryInterface
+from repro.matching.similarity import (
+    label_similarity,
+    value_similarity,
+    values_similar,
+)
 from repro.surfaceweb.engine import SearchEngine
+from repro.util import counters as work
 
 
 def select(name, label, values):
@@ -29,7 +38,56 @@ def acquirer_with(interfaces, config=None):
     return acq
 
 
+def brute_force_count(values_a, values_b):
+    """The §5 rule as written: every value of A against every value of B."""
+    return sum(any(values_similar(a, b) for b in values_b) for a in values_a)
+
+
+#: words whose case, padding and combinations collide in every way the
+#: index must handle: equal forms, shared words, Jaccard just above and
+#: below 0.5, empty and whitespace-only values
+_WORDS = st.sampled_from(["air", "Air", "AIR", "canada", "lines", "united",
+                          "delta", "x"])
+_VALUES = st.one_of(
+    st.lists(_WORDS, min_size=1, max_size=4).map(" ".join),
+    st.tuples(st.sampled_from(["", " ", "  ", "\t"]),
+              st.lists(_WORDS, max_size=3).map(" ".join),
+              st.sampled_from(["", " ", "\n"])).map("".join),
+)
+
+
 class TestCountSimilarValues:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_VALUES, max_size=8), st.lists(_VALUES, max_size=8))
+    def test_indexed_count_equals_brute_force(self, values_a, values_b):
+        assert (_count_similar_values(values_a, values_b)
+                == brute_force_count(values_a, values_b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(max_size=6), max_size=6),
+           st.lists(st.text(max_size=6), max_size=6))
+    def test_indexed_count_equals_brute_force_on_any_text(self, values_a,
+                                                          values_b):
+        assert (_count_similar_values(values_a, values_b)
+                == brute_force_count(values_a, values_b))
+
+    def test_duplicates_count_once_per_occurrence(self):
+        assert _count_similar_values(["Air", " air", "AIR ", "x"],
+                                     ["air lines"]) == 3
+
+    def test_empty_values_match_only_empty_values(self):
+        assert _count_similar_values(["", "  "], ["\t"]) == 2
+        assert _count_similar_values(["", "  "], ["air"]) == 0
+
+    def test_comparisons_counted(self):
+        counters = work.WorkCounters()
+        with work.collecting(counters):
+            assert _count_similar_values(
+                ["united airlines", "delta", "klm"],
+                ["United", "Aer Lingus", "KLM"]) == 2
+        # only the recipient forms sharing a word are ever compared
+        assert counters.get("donor.value_comparisons") == 2
+
     def test_exact_matches(self):
         assert _count_similar_values(["a", "b"], ["A", "c"]) == 1
 
@@ -140,3 +198,70 @@ class TestCase2Donors:
         acq = acquirer_with([target_if, donor_if])
         donors = acq._case2_donors(target_if, target_if.attribute("airline"))
         assert donors == []
+
+
+def reference_case1(acq, interface, attribute):
+    """``_case1_donors`` as first written, from the reference functions."""
+    others = [y for y in interface.attributes
+              if y.name != attribute.name and y.instances]
+    scored = []
+    for other_interface, donor in acq._donor_candidates(interface):
+        sim = label_similarity(attribute.label, donor.label)
+        if sim < acq.config.label_sim_threshold:
+            continue
+        donor_values = donor.all_instances()
+        if any(value_similarity(donor_values, list(y.instances))
+               > acq.config.domain_dissimilar_max for y in others):
+            continue
+        scored.append((sim, other_interface.interface_id, donor))
+    scored.sort(key=lambda item: (-item[0], item[2].label.lower()))
+    return [(interface_id, donor) for _, interface_id, donor in scored]
+
+
+def reference_case2(acq, interface, attribute):
+    """``_case2_donors`` as first written, with the brute-force count."""
+    own = attribute.all_instances()
+    scored = []
+    for other_interface, donor in acq._donor_candidates(interface):
+        donor_values = donor.all_instances()
+        if not donor_values:
+            continue
+        if value_similarity(own, donor_values) >= acq.config.case2_skip_overlap:
+            continue
+        overlap = brute_force_count(own, donor_values)
+        if overlap >= acq.config.min_similar_values:
+            scored.append((overlap, other_interface.interface_id, donor))
+    scored.sort(key=lambda item: (-item[0], item[2].label.lower()))
+    return [(interface_id, donor) for _, interface_id, donor in scored]
+
+
+class TestDonorSelectionMatchesReference:
+    """On a post-acquisition Figure-6 world, where donors carry acquired
+    values, both donor rules pick exactly the reference donors in the
+    reference order."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        dataset = build_domain_dataset("airfare", n_interfaces=8, seed=1)
+        WebIQMatcher(WebIQConfig()).run(dataset)
+        return acquirer_with(dataset.interfaces)
+
+    def test_case1(self, world):
+        checked = 0
+        for interface in world._interfaces:
+            for attribute in interface.attributes:
+                assert (world._case1_donors(interface, attribute)
+                        == reference_case1(world, interface, attribute))
+                checked += 1
+        assert checked
+
+    def test_case2(self, world):
+        selected = 0
+        for interface in world._interfaces:
+            for attribute in interface.attributes:
+                if not attribute.has_instances:
+                    continue
+                donors = world._case2_donors(interface, attribute)
+                assert donors == reference_case2(world, interface, attribute)
+                selected += len(donors)
+        assert selected

@@ -120,6 +120,27 @@ class TestProfileIsReadOnly:
                      "index.intersections"):
             assert counts.get(name, 0) > 0, name
 
+        # the donor-selection counters need a cell whose case-2 donors
+        # share words with their recipients (book-s2's do not):
+        # auto-s1, faults + cache
+        domain, seed, knobs = CELLS[3]
+        hot = ("donor.value_comparisons", "donor.candidates",
+               "similarity.feature_builds")
+        first = run_cell(domain, seed, knobs, profile=True,
+                         tmp_path=tmp_path)
+        counts = first.obs.counters.as_dict()
+        for name in hot:
+            assert counts.get(name, 0) > 0, name
+        # features are built once per matched view
+        views = sum(len(cluster.keys)
+                    for cluster in first.match_result.clusters)
+        assert counts["similarity.feature_builds"] == views
+        # work counts, not timings: a second run repeats them exactly
+        again = run_cell(domain, seed, knobs, profile=True,
+                         tmp_path=tmp_path).obs.counters.as_dict()
+        for name in hot:
+            assert again[name] == counts[name], name
+
 
 class TestCounterBooksBalance:
     """Hot-path counters vs. the stack's own accounting (satellite 6)."""
