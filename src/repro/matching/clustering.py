@@ -14,9 +14,10 @@ have a positive similarity, they may potentially be matched") and then with
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.deepweb.models import QueryInterface
 from repro.matching.similarity import (
@@ -29,6 +30,7 @@ from repro.obs.provenance import (
     MergeStep,
     ProvenanceRecorder,
 )
+from repro.util import counters as work
 
 __all__ = [
     "Cluster",
@@ -83,68 +85,71 @@ class MatchResult:
 
 def agglomerate(
     views: Sequence[AttributeView],
-    sim_of: Callable[[int, int], float],
+    sims: Mapping[Tuple[int, int], float],
     threshold: float,
     linkage: str = "average",
     provenance: Optional[ProvenanceRecorder] = None,
 ) -> Tuple[List[List[int]], List[MergeStep]]:
-    """The one agglomerative merge loop — batch IceQ and the incremental
-    registry assimilator (:mod:`repro.registry`) both call exactly this
-    function, so the tie-break order ("highest linkage value wins, equal
-    values break toward the lowest ``(i, j)``") cannot drift between the
-    two code paths.
+    """The one agglomerative merge loop — batch IceQ, the incremental
+    registry assimilator (:mod:`repro.registry`) and the interactive
+    threshold learner all call exactly this function, so the tie-break
+    order ("highest linkage value wins, equal values break toward the
+    lowest ``(i, j)``") cannot drift between them.
 
-    ``sim_of(i, j)`` (called with ``i < j``) supplies the singleton
-    similarity for a view pair; the caller decides whether that is a dense
-    precomputed matrix (batch) or a sparse cache that returns 0.0 for pairs
-    a blocking stage never evaluated (incremental). Returns the final
-    clusters as sorted member-index lists (ordered by smallest member
-    index) plus the committed :class:`~repro.obs.provenance.MergeStep`
-    sequence. When ``provenance`` is given, each step is also recorded.
+    ``sims`` maps view-index pairs ``(i, j)`` with ``i < j`` to their
+    singleton similarity; an absent pair is 0.0, whether the caller
+    dropped it as zero (batch) or a blocking stage never evaluated it
+    (incremental). Returns the final clusters as sorted member-index
+    lists (ordered by smallest member index) plus the committed
+    :class:`~repro.obs.provenance.MergeStep` sequence. When
+    ``provenance`` is given, each step is also recorded.
+
+    Linkage rows are sparse and the next merge comes off a lazy max-heap
+    keyed ``(-value, i, j)``; DESIGN.md §19 argues why that picks exactly
+    the pair a full rescan would.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"unknown linkage {linkage!r}")
     n = len(views)
-
-    # Active clusters: id -> (member indices, interface-id set).
-    members: Dict[int, List[int]] = {i: [i] for i in range(n)}
-    ifaces: Dict[int, Set[str]] = {i: {views[i].interface_id} for i in range(n)}
-    # avg[i][j]: average linkage between active clusters (dict of dicts).
-    avg: Dict[int, Dict[int, float]] = {
-        i: {j: (sim_of(i, j) if i < j else sim_of(j, i)) for j in range(n) if j != i}
-        for i in range(n)
-    }
-    active: Set[int] = set(range(n))
-    merge_step = 0
+    members: List[List[int]] = [[i] for i in range(n)]
+    ifaces: List[Set[str]] = [{view.interface_id} for view in views]
+    # avg[i][j]: linkage between active clusters i and j, symmetric. Only
+    # nonzero values are kept, unless zero pairs can merge (0.0 > τ):
+    # then every pair is materialised, exactly as a dense matrix would.
+    avg: List[Dict[int, float]] = [{} for _ in range(n)]
+    dense = 0.0 > threshold
+    if dense:
+        for i in range(n):
+            for j in range(i + 1, n):
+                avg[i][j] = avg[j][i] = sims.get((i, j), 0.0)
+    else:
+        for (i, j), value in sims.items():
+            if value != 0.0:
+                avg[i][j] = avg[j][i] = value
+    heap = [
+        (-value, i, j)
+        for i, row in enumerate(avg)
+        for j, value in row.items()
+        if i < j and value > threshold
+    ]
+    heapq.heapify(heap)
+    seeded = len(heap)
+    pops = 0
     steps: List[MergeStep] = []
 
-    while len(active) > 1:
-        # Tie-breaking is explicit: highest linkage value wins, and
-        # equal values break toward the lowest (i, j). The scan must
-        # not depend on set/dict iteration order — CPython happens to
-        # iterate small-int sets ascending, which masked ties until a
-        # schedule (or another interpreter) ordered them differently.
-        best_pair: Optional[Tuple[int, int]] = None
-        best_value = threshold
-        for i in sorted(active):
-            for j in sorted(avg[i]):
-                if j <= i or j not in active:
-                    continue
-                value = avg[i][j]
-                better = value > best_value or (
-                    value == best_value
-                    and best_pair is not None
-                    and (i, j) < best_pair
-                )
-                if better and not (ifaces[i] & ifaces[j]):
-                    best_value = value
-                    best_pair = (i, j)
-        if best_pair is None:
-            break
-        i, j = best_pair
+    while heap:
+        key, i, j = heapq.heappop(heap)
+        pops += 1
+        # Discard stale entries (a side merged away, or the pair's value
+        # changed since the push) and cannot-linked pairs. Interface sets
+        # only grow, so a cannot-linked pair stays so until one side
+        # merges — and that merge pushes fresh entries for it.
+        value = avg[i].get(j)
+        if value is None or value != -key or not ifaces[i].isdisjoint(ifaces[j]):
+            continue
         step = MergeStep(
-            step=merge_step,
-            linkage_value=best_value,
+            step=len(steps),
+            linkage_value=value,
             threshold=threshold,
             cluster_a=tuple(views[idx].key for idx in members[i]),
             cluster_b=tuple(views[idx].key for idx in members[j]),
@@ -152,14 +157,16 @@ def agglomerate(
         if provenance is not None:
             provenance.record_merge(step)
         steps.append(step)
-        merge_step += 1
         size_i, size_j = len(members[i]), len(members[j])
-        # Lance-Williams updates: the merged cluster's similarity to k.
-        for k in active:
-            if k in (i, j):
+        row_i, row_j = avg[i], avg[j]
+        # Lance-Williams updates: the merged cluster's linkage to every k
+        # either side touches; an absent operand is 0.0, and two absent
+        # operands give 0.0 under every linkage, so other k stay absent.
+        for k in row_i.keys() | row_j.keys():
+            if k == i or k == j:
                 continue
-            sim_ik = avg[i].get(k, 0.0)
-            sim_jk = avg[j].get(k, 0.0)
+            sim_ik = row_i.get(k, 0.0)
+            sim_jk = row_j.get(k, 0.0)
             if linkage == "single":
                 merged = max(sim_ik, sim_jk)
             elif linkage == "complete":
@@ -168,16 +175,26 @@ def agglomerate(
                 merged = (size_i * sim_ik + size_j * sim_jk) / (
                     size_i + size_j
                 )
-            avg[i][k] = merged
-            avg[k][i] = merged
-            avg[k].pop(j, None)
+            row_k = avg[k]
+            row_k.pop(j, None)
+            if merged == 0.0 and not dense:
+                row_i.pop(k, None)
+                row_k.pop(i, None)
+                continue
+            row_i[k] = row_k[i] = merged
+            if merged > threshold:
+                heapq.heappush(
+                    heap, (-merged, i, k) if i < k else (-merged, k, i))
         members[i].extend(members[j])
         ifaces[i] |= ifaces[j]
-        del members[j], ifaces[j], avg[j]
-        avg[i].pop(j, None)
-        active.discard(j)
+        members[j] = []
+        avg[j] = {}
+        row_i.pop(j, None)
 
-    return [sorted(members[i]) for i in sorted(active)], steps
+    if work.ACTIVE is not None:
+        work.ACTIVE.bump("agglomerate.pairs_seeded", seeded)
+        work.ACTIVE.bump("agglomerate.heap_pops", pops)
+    return [sorted(group) for group in members if group], steps
 
 
 def views_from_interfaces(interfaces: Sequence[QueryInterface]) -> List[AttributeView]:
@@ -248,19 +265,39 @@ class IceQMatcher:
         views: Sequence[AttributeView],
         threshold: float = 0.0,
     ) -> MatchResult:
+        member_lists, _ = agglomerate(
+            views,
+            self.similarities(views, threshold),
+            threshold,
+            linkage=self.linkage,
+            provenance=self.provenance,
+        )
+        clusters = [
+            Cluster([views[idx] for idx in indices]) for indices in member_lists
+        ]
         n = len(views)
-        evaluations = 0
-        provenance = self.provenance
+        return MatchResult(clusters, threshold, n * (n - 1) // 2)
 
-        # Pairwise similarity matrix over singletons.
-        sim: List[List[float]] = [[0.0] * n for _ in range(n)]
+    def similarities(
+        self,
+        views: Sequence[AttributeView],
+        threshold: float = 0.0,
+    ) -> Dict[Tuple[int, int], float]:
+        """Evaluate every singleton pair once; return the nonzero values
+        as ``{(i, j): Sim}`` with ``i < j`` — the sparse input
+        :func:`agglomerate` reads (absent = 0.0). Each evaluation is
+        explained to the attached provenance recorder, zeros included.
+        """
+        n = len(views)
+        provenance = self.provenance
+        sims: Dict[Tuple[int, int], float] = {}
         for i in range(n):
             for j in range(i + 1, n):
                 label_sim, dom_sim, value = similarity_components(
                     views[i], views[j], self.config
                 )
-                evaluations += 1
-                sim[i][j] = sim[j][i] = value
+                if value != 0.0:
+                    sims[(i, j)] = value
                 if provenance is not None:
                     provenance.record_explanation(MatchExplanation(
                         a=views[i].key,
@@ -272,15 +309,4 @@ class IceQMatcher:
                         sim=value,
                         threshold=threshold,
                     ))
-
-        member_lists, _ = agglomerate(
-            views,
-            lambda i, j: sim[i][j],
-            threshold,
-            linkage=self.linkage,
-            provenance=provenance,
-        )
-        clusters = [
-            Cluster([views[idx] for idx in indices]) for indices in member_lists
-        ]
-        return MatchResult(clusters, threshold, evaluations)
+        return sims

@@ -21,10 +21,10 @@ paper's claim that a little interaction suffices to set τ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.matching.clustering import Cluster, IceQMatcher, MatchResult
+from repro.matching.clustering import Cluster, IceQMatcher, agglomerate
 from repro.matching.similarity import AttributeView
 
 __all__ = ["MergeQuestion", "InteractiveThresholdLearner", "truth_oracle"]
@@ -116,9 +116,22 @@ class InteractiveThresholdLearner:
     def _record_merges(
         self, views: Sequence[AttributeView]
     ) -> List[Tuple[float, Cluster, Cluster]]:
-        """Replay the clustering at τ=0, capturing each merge's operands."""
-        recorder = _MergeRecorder(self.matcher)
-        return recorder.run(views)
+        """Run the clustering at τ=0 (without provenance), returning each
+        committed merge as ``(similarity, left, right)`` with both operand
+        groups' members in view order."""
+        matcher = IceQMatcher(self.matcher.config, self.matcher.linkage)
+        _, steps = agglomerate(
+            views, matcher.similarities(views), 0.0, linkage=matcher.linkage)
+        index = {view.key: position for position, view in enumerate(views)}
+
+        def operand(keys: Tuple[AttrKey, ...]) -> Cluster:
+            return Cluster([views[i] for i in sorted(index[k] for k in keys)])
+
+        return [
+            (step.linkage_value, operand(step.cluster_a),
+             operand(step.cluster_b))
+            for step in steps
+        ]
 
     @staticmethod
     def _place_threshold(lowest_good: Optional[float],
@@ -132,76 +145,3 @@ class InteractiveThresholdLearner:
             # every inspected merge was right: keep everything
             return 0.0
         return (lowest_good + highest_bad) / 2.0
-
-
-class _MergeRecorder:
-    """Re-runs the agglomerative loop, emitting each merge's operands.
-
-    This mirrors :meth:`IceQMatcher.match_views` step for step (same
-    linkage updates, same cannot-link constraint, same tie-breaking) — the
-    one difference is that each merge's (similarity, clusters) triple is
-    recorded before the merge happens.
-    """
-
-    def __init__(self, matcher: IceQMatcher) -> None:
-        self.matcher = matcher
-
-    def run(self, views: Sequence[AttributeView]):
-        from repro.matching.similarity import attribute_similarity
-
-        n = len(views)
-        if n == 0:
-            return []
-        sim = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                value = attribute_similarity(views[i], views[j],
-                                             self.matcher.config)
-                sim[i][j] = sim[j][i] = value
-
-        members = {i: [i] for i in range(n)}
-        ifaces = {i: {views[i].interface_id} for i in range(n)}
-        avg = {i: {j: sim[i][j] for j in range(n) if j != i} for i in range(n)}
-        active = set(range(n))
-        merges = []
-
-        while len(active) > 1:
-            best_pair = None
-            best_value = 0.0
-            for i in active:
-                for j, value in avg[i].items():
-                    if j <= i or j not in active:
-                        continue
-                    if value > best_value and not (ifaces[i] & ifaces[j]):
-                        best_value = value
-                        best_pair = (i, j)
-            if best_pair is None:
-                break
-            i, j = best_pair
-            merges.append((
-                best_value,
-                Cluster([views[x] for x in sorted(members[i])]),
-                Cluster([views[x] for x in sorted(members[j])]),
-            ))
-            size_i, size_j = len(members[i]), len(members[j])
-            for k in active:
-                if k in (i, j):
-                    continue
-                sim_ik = avg[i].get(k, 0.0)
-                sim_jk = avg[j].get(k, 0.0)
-                if self.matcher.linkage == "single":
-                    merged = max(sim_ik, sim_jk)
-                elif self.matcher.linkage == "complete":
-                    merged = min(sim_ik, sim_jk)
-                else:
-                    merged = (size_i * sim_ik + size_j * sim_jk) / (
-                        size_i + size_j)
-                avg[i][k] = merged
-                avg[k][i] = merged
-                avg[k].pop(j, None)
-            members[i].extend(members[j])
-            ifaces[i] |= ifaces[j]
-            del members[j], ifaces[j], avg[j]
-            avg[i].pop(j, None)
-            active.discard(j)
-        return merges

@@ -44,6 +44,7 @@ from repro.matching.clustering import (
 )
 from repro.matching.similarity import AttributeView, similarity_components
 from repro.matching.unify import unify_cluster
+from repro.obs.provenance import MergeStep
 from repro.registry.blocking import AddRecord, BlockingIndex
 from repro.registry.store import RegistryEntry, RegistryLock, RegistryStore
 from repro.util.errors import RegistryMismatchError, ValidationError
@@ -86,6 +87,20 @@ class RegistryReport:
         return sum(record.pairs_considered for record in self.adds)
 
 
+def _canonical_sims(
+    store: RegistryStore, views: Sequence[AttributeView]
+) -> Dict[Tuple[int, int], float]:
+    """The store's sparse similarity cache re-keyed onto ``views``'
+    indices (``(i, j)`` with ``i < j``), the input :func:`agglomerate`
+    reads. One pass over the cached pairs: O(nnz), not O(n²)."""
+    position = {view.key: index for index, view in enumerate(views)}
+    sims: Dict[Tuple[int, int], float] = {}
+    for (a, b), value in store.sims.items():
+        i, j = position[a], position[b]
+        sims[(i, j) if i < j else (j, i)] = value
+    return sims
+
+
 def induced_clusters(store: RegistryStore) -> Tuple[Tuple[Tuple[AttrKey, ...], ...], list]:
     """The registry's induced matching over the canonical view order.
 
@@ -96,7 +111,7 @@ def induced_clusters(store: RegistryStore) -> Tuple[Tuple[Tuple[AttrKey, ...], .
     views = store.canonical_views()
     member_lists, steps = agglomerate(
         views,
-        lambda i, j: store.sim_between(views[i].key, views[j].key),
+        _canonical_sims(store, views),
         store.threshold,
         linkage=store.linkage,
     )
@@ -184,14 +199,23 @@ class RegistryAssimilator:
         views = store.canonical_views()
         member_lists, steps = agglomerate(
             views,
-            lambda i, j: store.sim_between(views[i].key, views[j].key),
+            _canonical_sims(store, views),
             store.threshold,
             linkage=store.linkage,
         )
+        # Every committed step ends inside exactly one final cluster:
+        # attribute each once, through any key it merged.
+        cluster_of = {
+            views[idx].key: position
+            for position, indices in enumerate(member_lists)
+            for idx in indices
+        }
+        merges: List[List[MergeStep]] = [[] for _ in member_lists]
+        for step in steps:
+            merges[cluster_of[step.cluster_a[0]]].append(step)
         entries: List[RegistryEntry] = []
         for position, indices in enumerate(member_lists):
             cluster = Cluster([views[idx] for idx in indices])
-            member_keys = set(cluster.keys)
             unified = unify_cluster(cluster, len(cluster.interfaces))
             entries.append(RegistryEntry(
                 cluster_id=f"c{position:04d}",
@@ -201,11 +225,7 @@ class RegistryAssimilator:
                 members=unified.members,
                 interfaces=tuple(sorted(cluster.interfaces)),
                 label_votes=unified.label_votes,
-                merges=tuple(
-                    step for step in steps
-                    if set(step.cluster_a) | set(step.cluster_b)
-                    <= member_keys
-                ),
+                merges=tuple(merges[position]),
             ))
         store.entries = entries
 

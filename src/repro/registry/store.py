@@ -280,9 +280,6 @@ class RegistryStore:
     def n_views(self) -> int:
         return sum(len(views) for _, views in self.interfaces)
 
-    def sim_between(self, a: AttrKey, b: AttrKey) -> float:
-        return self.sims.get((a, b) if a < b else (b, a), 0.0)
-
     # -- serialisation -------------------------------------------------
 
     def to_body(self) -> Dict[str, Any]:

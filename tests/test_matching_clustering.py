@@ -4,12 +4,93 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.deepweb.models import Attribute, AttributeKind, QueryInterface
-from repro.matching.clustering import IceQMatcher, views_from_interfaces
+from repro.matching.clustering import (
+    IceQMatcher,
+    agglomerate,
+    views_from_interfaces,
+)
 from repro.matching.similarity import AttributeView
+from repro.obs.provenance import MergeStep
 
 
 def view(iid, name, label, instances=()):
     return AttributeView(iid, name, label, tuple(instances))
+
+
+def _cross_interface_sims(views, similarity):
+    """Sparse sims for every cross-interface pair, as the registry's
+    assimilator supplies them (same-interface pairs never evaluated)."""
+    return {
+        (i, j): similarity(a, b)
+        for i, a in enumerate(views)
+        for j, b in enumerate(views)
+        if i < j and a.interface_id != b.interface_id
+    }
+
+
+def _dense_scan_agglomerate(views, sims, threshold, linkage="average"):
+    """Reference oracle: the original dense merge loop, which rescans
+    every active pair of a full n×n linkage matrix before each merge.
+    ``agglomerate`` must reproduce its clusters and merge steps exactly."""
+    n = len(views)
+    members = {i: [i] for i in range(n)}
+    ifaces = {i: {views[i].interface_id} for i in range(n)}
+    avg = {
+        i: {j: sims.get((min(i, j), max(i, j)), 0.0)
+            for j in range(n) if j != i}
+        for i in range(n)
+    }
+    active = set(range(n))
+    steps = []
+    while len(active) > 1:
+        best_pair = None
+        best_value = threshold
+        for i in sorted(active):
+            for j in sorted(avg[i]):
+                if j <= i or j not in active:
+                    continue
+                value = avg[i][j]
+                better = value > best_value or (
+                    value == best_value
+                    and best_pair is not None
+                    and (i, j) < best_pair
+                )
+                if better and not (ifaces[i] & ifaces[j]):
+                    best_value = value
+                    best_pair = (i, j)
+        if best_pair is None:
+            break
+        i, j = best_pair
+        steps.append(MergeStep(
+            step=len(steps),
+            linkage_value=best_value,
+            threshold=threshold,
+            cluster_a=tuple(views[idx].key for idx in members[i]),
+            cluster_b=tuple(views[idx].key for idx in members[j]),
+        ))
+        size_i, size_j = len(members[i]), len(members[j])
+        for k in active:
+            if k in (i, j):
+                continue
+            sim_ik = avg[i].get(k, 0.0)
+            sim_jk = avg[j].get(k, 0.0)
+            if linkage == "single":
+                merged = max(sim_ik, sim_jk)
+            elif linkage == "complete":
+                merged = min(sim_ik, sim_jk)
+            else:
+                merged = (size_i * sim_ik + size_j * sim_jk) / (
+                    size_i + size_j
+                )
+            avg[i][k] = merged
+            avg[k][i] = merged
+            avg[k].pop(j, None)
+        members[i].extend(members[j])
+        ifaces[i] |= ifaces[j]
+        del members[j], ifaces[j], avg[j]
+        avg[i].pop(j, None)
+        active.discard(j)
+    return [sorted(members[i]) for i in sorted(active)], steps
 
 
 @pytest.fixture()
@@ -256,8 +337,7 @@ class TestSharedMergeStep:
         # as the dense matcher does.
         sims = {(0, 3): 0.6, (1, 2): 0.6}
 
-        _, steps = agglomerate(
-            views, lambda i, j: sims.get((i, j), 0.0), 0.0)
+        _, steps = agglomerate(views, sims, 0.0)
         first = frozenset(steps[0].cluster_a) | frozenset(steps[0].cluster_b)
         assert first == {("i1", "a"), ("i4", "a")}
 
@@ -271,11 +351,7 @@ class TestSharedMergeStep:
 
         views = views_from_interfaces(
             build_domain_dataset("auto", 4, 2).interfaces)
-
-        def sparse(i, j):
-            if views[i].interface_id == views[j].interface_id:
-                return 0.0
-            return attribute_similarity(views[i], views[j])
+        sparse = _cross_interface_sims(views, attribute_similarity)
 
         for threshold in (0.0, 0.1, 0.3):
             dense = [
@@ -296,11 +372,7 @@ class TestSharedMergeStep:
 
         views = views_from_interfaces(
             build_domain_dataset("book", 3, 4).interfaces)
-
-        def sparse(i, j):
-            if views[i].interface_id == views[j].interface_id:
-                return 0.0
-            return attribute_similarity(views[i], views[j])
+        sparse = _cross_interface_sims(views, attribute_similarity)
 
         dense = [
             sorted(m.key for m in c.members)
@@ -312,3 +384,49 @@ class TestSharedMergeStep:
             for indices in agglomerate(
                 views, sparse, 0.05, linkage=linkage)[0]
         ] == dense
+
+
+@st.composite
+def _merge_problems(draw):
+    """Views over a few interfaces (so cannot-link conflicts occur) and a
+    sparse sims mapping over a small value set (so ties are common)."""
+    n = draw(st.integers(0, 40))
+    n_interfaces = draw(st.integers(1, 8))
+    views = [
+        view(f"i{draw(st.integers(0, n_interfaces - 1))}", f"a{k}", "x")
+        for k in range(n)
+    ]
+    values = st.sampled_from((0.0, 0.1, 0.3, 0.6, -0.1, -0.3))
+    sims = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            value = draw(values)
+            if value != 0.0 or draw(st.booleans()):
+                sims[(i, j)] = value
+    return views, sims
+
+
+class TestHeapMergeLoopEqualsDenseScan:
+    """``agglomerate`` keeps sparse linkage rows and takes each merge off a
+    lazy max-heap; the dense rescan it replaced is the oracle. Clusters
+    and MergeStep sequences (floats included) must be equal."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(problem=_merge_problems(),
+           threshold=st.sampled_from((-1.0, 0.0, 0.1)),
+           linkage=st.sampled_from(("single", "average", "complete")))
+    def test_equals_dense_scan(self, problem, threshold, linkage):
+        views, sims = problem
+        assert agglomerate(views, sims, threshold, linkage=linkage) == \
+            _dense_scan_agglomerate(views, sims, threshold, linkage)
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 0.1])
+    @pytest.mark.parametrize("linkage", ["single", "average", "complete"])
+    def test_equals_dense_scan_on_a_domain(self, threshold, linkage):
+        from repro.datasets import build_domain_dataset
+
+        views = views_from_interfaces(
+            build_domain_dataset("airfare", 6, 1).interfaces)
+        sims = IceQMatcher().similarities(views)
+        assert agglomerate(views, sims, threshold, linkage=linkage) == \
+            _dense_scan_agglomerate(views, sims, threshold, linkage)

@@ -125,7 +125,8 @@ class TestProfileIsReadOnly:
         # auto-s1, faults + cache
         domain, seed, knobs = CELLS[3]
         hot = ("donor.value_comparisons", "donor.candidates",
-               "similarity.feature_builds")
+               "similarity.feature_builds", "agglomerate.pairs_seeded",
+               "agglomerate.heap_pops")
         first = run_cell(domain, seed, knobs, profile=True,
                          tmp_path=tmp_path)
         counts = first.obs.counters.as_dict()

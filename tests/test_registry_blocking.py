@@ -140,13 +140,13 @@ class TestPerturbedSoundness:
         views = views_from_interfaces(dataset.interfaces)
         candidates = blocked_pairs(views)
 
-        def sparse_sim(i, j):
-            a, b = views[i], views[j]
-            if a.interface_id == b.interface_id:
-                return 0.0
-            if frozenset((a.key, b.key)) not in candidates:
-                return 0.0
-            return attribute_similarity(a, b)
+        sparse_sim = {
+            (i, j): attribute_similarity(a, b)
+            for i, a in enumerate(views)
+            for j, b in enumerate(views)
+            if i < j and a.interface_id != b.interface_id
+            and frozenset((a.key, b.key)) in candidates
+        }
 
         matcher = IceQMatcher()
         for tau in TAU_GRID:
