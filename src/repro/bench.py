@@ -6,9 +6,10 @@ metadata, no tolerance declarations, and therefore nothing a CI gate
 could compare. This module gives benchmark artifacts the same discipline
 the journal and registry stores already have:
 
-- an **envelope** ``{"format": N, "crc": <crc32>, "body": {...}}`` using
-  the exact CRC idiom of :func:`repro.checkpoint.journal.record_crc`, so
-  a torn or hand-edited artifact is detected on load;
+- an **envelope** ``{"format": N, "crc": <crc32>, "body": {...}}`` sealed
+  and verified by the same codec as the journal and registry stores
+  (:mod:`repro.util.envelope`), so a torn or hand-edited artifact is
+  detected on load;
 - a **body schema**: benchmark name, a *workload fingerprint* (the knobs
   that define what was measured — domains, interface counts, seeds),
   the measured ``metrics``, per-metric **tolerance declarations**, an
@@ -50,8 +51,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.checkpoint.journal import record_crc
 from repro.util.atomicio import atomic_write_json
+from repro.util.envelope import envelope, read_sealed, seal
 from repro.util.errors import ReproError
 
 __all__ = [
@@ -132,37 +133,23 @@ def make_envelope(
         body["profile_digest"] = profile_digest
     if detail is not None:
         body["detail"] = dict(detail)
-    return {"format": BENCH_FORMAT, "crc": record_crc(body), "body": body}
+    return envelope(body, BENCH_FORMAT)
 
 
 def write_bench(path: str, envelope: Mapping[str, Any]) -> None:
-    """Atomically persist an envelope (sorted keys, stable bytes)."""
-    atomic_write_json(path, dict(envelope))
+    """Atomically persist an envelope as canonical JSON (stable bytes).
+
+    The file is sealed from ``envelope["body"]``, so its CRC always
+    matches the body written.
+    """
+    atomic_write_json(path, seal(envelope["body"], envelope["format"]))
 
 
 def load_bench(path: str) -> Dict[str, Any]:
     """Load and verify an envelope; refuse torn or newer-schema files."""
-    import json
-
-    try:
-        with open(path, "r") as handle:
-            raw = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise BenchArtifactError(f"{path}: unreadable bench artifact: {exc}")
-    if not isinstance(raw, dict) or "body" not in raw:
-        raise BenchArtifactError(
-            f"{path}: not a bench envelope (missing 'body'); "
-            "re-run the benchmark to produce a versioned artifact"
-        )
-    fmt = raw.get("format")
-    if not isinstance(fmt, int) or fmt > BENCH_FORMAT:
-        raise BenchArtifactError(
-            f"{path}: bench format {fmt!r} is newer than supported "
-            f"({BENCH_FORMAT}); upgrade before comparing"
-        )
-    if raw.get("crc") != record_crc(raw["body"]):
-        raise BenchArtifactError(f"{path}: CRC mismatch — artifact is torn or edited")
-    return raw
+    return read_sealed(
+        path, "bench", BENCH_FORMAT, BenchArtifactError, BenchArtifactError
+    )
 
 
 @dataclass(frozen=True)

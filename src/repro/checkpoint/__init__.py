@@ -27,7 +27,6 @@ from repro.checkpoint.journal import (
     QuarantinedRecord,
     RunJournal,
     SalvageReport,
-    record_crc,
 )
 from repro.checkpoint.session import (
     CheckpointConfig,
@@ -43,7 +42,6 @@ __all__ = [
     "QuarantinedRecord",
     "RunJournal",
     "SalvageReport",
-    "record_crc",
     "CheckpointConfig",
     "CheckpointReport",
     "CheckpointSession",

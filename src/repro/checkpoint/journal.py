@@ -7,15 +7,16 @@ A journal is a directory::
     <dir>/record-000001.json   # unit 1
     ...
 
-Every file carries the same envelope::
+Every file is a sealed envelope (:mod:`repro.util.envelope`), written as
+canonical compact JSON::
 
-    {"format": 1, "crc": <crc32 of canonical body JSON>, "body": {...}}
+    {"body":{...},"crc":<crc32 of canonical body JSON>,"format":1}
 
-and is written via :func:`repro.util.atomicio.atomic_write_json` — temp
-file, fsync, ``os.replace`` — so a crash between any two appends leaves a
-journal that is a *complete prefix* of the run: every record present is
-whole and verified, and no partial record can exist. That prefix property
-is what makes resume sound; the loader therefore enforces it militantly:
+via :func:`repro.util.atomicio.atomic_write_json` — temp file, fsync,
+``os.replace`` — so a crash between any two appends leaves a journal that
+is a *complete prefix* of the run: every record present is whole and
+verified, and no partial record can exist. That prefix property is what
+makes resume sound; the loader therefore enforces it militantly:
 
 - an unparseable or torn record file is :class:`JournalCorruptionError`
   (naming the record index);
@@ -43,14 +44,13 @@ interprets, for duplicate detection.
 
 from __future__ import annotations
 
-import json
 import os
 import re
-import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.util.atomicio import _fsync_directory, atomic_write_json
+from repro.util.envelope import read_sealed, seal
 from repro.util.errors import (
     JournalCorruptionError,
     JournalFormatError,
@@ -63,7 +63,6 @@ __all__ = [
     "QuarantinedRecord",
     "RunJournal",
     "SalvageReport",
-    "record_crc",
 ]
 
 #: Schema version of journal envelopes (records and meta alike).
@@ -117,33 +116,27 @@ class SalvageReport:
         )
 
 
-def _canonical(body: Any) -> str:
-    """The canonical JSON the CRC is computed over (key-sorted, compact)."""
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
-
-
-def record_crc(body: Any) -> int:
-    """CRC32 guard over a record body's canonical JSON."""
-    return zlib.crc32(_canonical(body).encode("utf-8")) & 0xFFFFFFFF
-
-
 def _record_filename(index: int) -> str:
     return f"record-{index:06d}.json"
 
 
 def _scan_valid_prefix(
     directory: str,
-) -> Tuple[List[Dict[str, Any]], List[Tuple[int, str]], Optional[str]]:
+) -> Tuple[
+    Dict[str, Any], List[Dict[str, Any]], List[Tuple[int, str]],
+    Optional[str],
+]:
     """Walk the record chain, stopping (not raising) at the first damage.
 
-    Returns ``(prefix_bodies, ordered_files, reason)`` where
+    Returns ``(meta, prefix_bodies, ordered_files, reason)`` where
     ``ordered_files`` is every on-disk record as ``(index, filename)`` in
     index order and ``reason`` describes why the walk stopped (``None``
     when the whole chain is valid). The prefix property means everything
     past the first damaged record is unusable regardless of its own
-    integrity. Shared by :meth:`RunJournal.salvage` (which moves the
-    damaged suffix aside) and the supervisor's spend accounting (which
-    must count a torn journal's surviving prefix without mutating it).
+    integrity. Shared by :meth:`RunJournal.open` (which raises on the
+    damage), :meth:`RunJournal.salvage` (which moves the damaged suffix
+    aside) and the supervisor's spend accounting (which must count a torn
+    journal's surviving prefix without mutating it).
 
     Raises :class:`JournalMismatchError` for a missing journal/meta and
     :class:`JournalFormatError` for newer-format files — neither is
@@ -158,7 +151,7 @@ def _scan_valid_prefix(
         raise JournalMismatchError(
             f"no journal at {directory} (missing {META_FILENAME})"
         )
-    _load_envelope(meta_path, "journal meta")
+    meta = _read_envelope(meta_path, "journal meta")
 
     by_index: Dict[int, str] = {}
     for name in sorted(os.listdir(directory)):
@@ -175,11 +168,9 @@ def _scan_valid_prefix(
             reason = f"sequence gap (expected record {position} next)"
             break
         try:
-            body = _load_envelope(
+            body = _read_envelope(
                 os.path.join(directory, name), f"record {index}"
             )
-        except JournalFormatError:
-            raise
         except JournalCorruptionError as exc:
             reason = str(exc)
             break
@@ -197,33 +188,15 @@ def _scan_valid_prefix(
             break
         seen_units[unit] = index
         bodies.append(body)
-    return bodies, ordered, reason
+    return meta, bodies, ordered, reason
 
 
-def _load_envelope(path: str, what: str) -> Dict[str, Any]:
+def _read_envelope(path: str, what: str) -> Dict[str, Any]:
     """Read and verify one envelope file (meta or record)."""
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise JournalCorruptionError(
-            f"{what}: torn or unparseable ({exc})"
-        ) from exc
-    if not isinstance(payload, dict) or "body" not in payload:
-        raise JournalCorruptionError(f"{what}: envelope missing body")
-    version = payload.get("format")
-    if not isinstance(version, int) or version < 1:
-        raise JournalCorruptionError(
-            f"{what}: unrecognised format {version!r}"
-        )
-    if version > JOURNAL_FORMAT:
-        raise JournalFormatError(
-            f"{what}: format {version} is newer than this reader "
-            f"(knows up to {JOURNAL_FORMAT})"
-        )
-    if payload.get("crc") != record_crc(payload["body"]):
-        raise JournalCorruptionError(f"{what}: CRC mismatch")
-    return payload["body"]
+    return read_sealed(
+        path, "journal", JOURNAL_FORMAT,
+        JournalCorruptionError, JournalFormatError, what,
+    )["body"]
 
 
 class RunJournal:
@@ -249,8 +222,7 @@ class RunJournal:
             for name in os.listdir(quarantine_dir):
                 os.unlink(os.path.join(quarantine_dir, name))
         atomic_write_json(
-            os.path.join(directory, META_FILENAME),
-            {"format": JOURNAL_FORMAT, "crc": record_crc(meta), "body": meta},
+            os.path.join(directory, META_FILENAME), seal(meta, JOURNAL_FORMAT)
         )
         return cls(directory, meta)
 
@@ -262,48 +234,12 @@ class RunJournal:
         complete-prefix property raises a typed :class:`JournalError`
         subclass naming the offending record.
         """
-        if not os.path.isdir(directory):
-            raise JournalMismatchError(
-                f"no journal at {directory} (not a directory)"
+        meta, records, ordered, reason = _scan_valid_prefix(directory)
+        if reason is not None:
+            label = f"record {ordered[len(records)][0]}: "
+            raise JournalCorruptionError(
+                reason if reason.startswith(label) else label + reason
             )
-        meta_path = os.path.join(directory, META_FILENAME)
-        if not os.path.exists(meta_path):
-            raise JournalMismatchError(
-                f"no journal at {directory} (missing {META_FILENAME})"
-            )
-        meta = _load_envelope(meta_path, "journal meta")
-
-        by_index: Dict[int, str] = {}
-        for name in sorted(os.listdir(directory)):
-            match = _RECORD_PATTERN.match(name)
-            if match:
-                by_index[int(match.group(1))] = os.path.join(directory, name)
-        records: List[Dict[str, Any]] = []
-        seen_units: Dict[Tuple[str, ...], int] = {}
-        for position, index in enumerate(sorted(by_index)):
-            if index != position:
-                raise JournalCorruptionError(
-                    f"record {index}: sequence gap (expected record "
-                    f"{position} next)"
-                )
-            body = _load_envelope(by_index[index], f"record {index}")
-            if body.get("index") != index:
-                raise JournalCorruptionError(
-                    f"record {index}: body claims index "
-                    f"{body.get('index')!r}"
-                )
-            unit = tuple(body.get("unit", ()))
-            if not unit:
-                raise JournalCorruptionError(
-                    f"record {index}: missing unit key"
-                )
-            if unit in seen_units:
-                raise JournalCorruptionError(
-                    f"record {index}: duplicate record for unit "
-                    f"{list(unit)} (first at record {seen_units[unit]})"
-                )
-            seen_units[unit] = index
-            records.append(body)
         return cls(directory, meta, records)
 
     @classmethod
@@ -326,7 +262,7 @@ class RunJournal:
         (:class:`JournalFormatError` — a new-format journal must not be
         truncated by an old reader that cannot understand it).
         """
-        bodies, ordered, reason = _scan_valid_prefix(directory)
+        _, bodies, ordered, reason = _scan_valid_prefix(directory)
         kept = len(bodies)
 
         if reason is None:
@@ -368,11 +304,7 @@ class RunJournal:
         body = dict(body, index=index)
         atomic_write_json(
             os.path.join(self.directory, _record_filename(index)),
-            {
-                "format": JOURNAL_FORMAT,
-                "crc": record_crc(body),
-                "body": body,
-            },
+            seal(body, JOURNAL_FORMAT),
         )
         self.records.append(body)
         return index

@@ -193,7 +193,7 @@ class WebIQRunResult:
     #: present iff the run was executed by the matching service
     #: (:mod:`repro.service`), which attaches its per-request coordinates
     #: (request id, tenant, epoch lineage) after the run. Exported as the
-    #: format-5 ``service`` section; the equivalence oracle strips it
+    #: ``service`` section; the equivalence oracle strips it
     #: before byte-comparing against a standalone run.
     service: Optional[object] = None
 

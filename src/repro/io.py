@@ -8,22 +8,21 @@ corpus and sources, which are regenerated from the seed (recorded in the
 dataset payload) rather than stored.
 
 Run payloads carry a schema version (:data:`RUN_RESULT_FORMAT`, under the
-``"format"`` key). Format 2 added ``"format"``, ``"seed"`` and
-``"provenance"``; format 3 added ``"checkpoint"``; format 4 added
-``"supervisor"``; format 5 added ``"service"`` (the matching service's
-per-request coordinates — request id, tenant, epoch lineage). The writer
-emits the *lowest* format that can represent the run — a run without
-checkpointing still dumps as format 2, byte-identical to what earlier
-revisions wrote, and a checkpointed but unsupervised run still dumps as
-format 3; only a run executed by the service dumps as format 5.
-:func:`strip_service_section` removes the service section again (and
-recomputes the lowest format), which is how the service-equivalence
-oracle byte-compares a service response against the same run executed
-standalone. :func:`load_run_result`
-upgrades older payloads in place (the new keys default to absent values)
-and rejects formats newer than it knows, so old archives stay readable
-and future ones fail loudly instead of silently misreading. A payload
-that does not parse at all raises a typed
+``"format"`` key), and every run writes the current one. The
+``"checkpoint"``, ``"supervisor"`` and ``"service"`` sections are optional
+keys, present only when the run was checkpointed, supervised or executed
+by the matching service. :func:`strip_service_section` drops the service
+section, which is how the service-equivalence oracle byte-compares a
+service response against the same run executed standalone.
+
+Format history: format 2 added ``"format"``, ``"seed"`` and
+``"provenance"``; formats 3, 4 and 5 added the checkpoint, supervisor and
+service sections, and their writer stamped the lowest format that could
+represent a run. Format **6** stamps one number on every run; the keys
+are unchanged. :func:`load_run_result` does not upgrade anything: it
+returns the payload as written, and rejects a missing, non-integer or
+newer format with ``ValueError``. A payload that does not parse at all
+(or is not UTF-8) raises a typed
 :class:`~repro.util.errors.ExportCorruptionError` naming the path and
 byte offset of the damage. All dumps use ``sort_keys=True`` — byte
 equality between two dumps then means payload equality — and every dump
@@ -36,8 +35,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
-#: Schema version written into run-result payloads (highest known).
-RUN_RESULT_FORMAT = 5
+#: Schema version written into every run-result payload.
+RUN_RESULT_FORMAT = 6
 
 from repro.checkpoint.journal import JOURNAL_FORMAT
 from repro.checkpoint.session import CheckpointReport
@@ -299,18 +298,8 @@ def run_result_to_dict(result: WebIQRunResult) -> Dict[str, Any]:
     provenance = (
         result.obs.provenance if result.obs is not None else None
     )
-    # The lowest representable format: a run without checkpointing dumps
-    # as format 2, a checkpointed but unsupervised run as format 3 —
-    # byte-identical to what earlier revisions wrote.
-    version = 2
-    if result.checkpoint is not None:
-        version = 3
-    if result.supervisor is not None:
-        version = 4
-    if result.service is not None:
-        version = RUN_RESULT_FORMAT
     payload = {
-        "format": version,
+        "format": RUN_RESULT_FORMAT,
         "domain": result.domain,
         "seed": result.seed,
         "config": {
@@ -371,23 +360,16 @@ def run_result_to_dict(result: WebIQRunResult) -> Dict[str, Any]:
 
 
 def strip_service_section(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """A copy of ``payload`` with the format-5 service section removed.
+    """A copy of ``payload`` with the service section removed.
 
     The service-equivalence oracle promises that an admitted request's
     export is byte-identical to the same run executed standalone — *except*
     for the service section itself, which records coordinates (request id,
-    tenant, epoch lineage) that a standalone run cannot have. This helper
-    removes the section and recomputes the lowest representable format, so
+    tenant, epoch lineage) that a standalone run cannot have. Without it
     the result compares byte-for-byte against a standalone export.
     """
     stripped = dict(payload)
     stripped.pop("service", None)
-    version = 2
-    if stripped.get("checkpoint") is not None:
-        version = 3
-    if stripped.get("supervisor") is not None:
-        version = 4
-    stripped["format"] = version
     return stripped
 
 
@@ -458,36 +440,30 @@ def load_run_result(path: str) -> Dict[str, Any]:
     archival form; tests use it to assert the dump was lossless for the
     accounting layers (degradation, cache, trace, metrics, provenance).
 
-    Format-1 payloads (written before the schema carried a version) are
-    upgraded in place: ``"format"`` becomes 1 and the format-2 keys
-    (``"seed"``, ``"provenance"``) default to ``None``, as do the
-    format-3 ``"checkpoint"``, format-4 ``"supervisor"`` and format-5
-    ``"service"`` sections for
-    older payloads. Payloads newer than :data:`RUN_RESULT_FORMAT` raise
-    ``ValueError`` rather than being silently misread; a file that does
-    not parse as JSON at all (truncated export, bit-rot) raises
-    :class:`~repro.util.errors.ExportCorruptionError` naming the path
-    and byte offset of the damage."""
-    with open(path) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ExportCorruptionError(
-                f"run export {path} is corrupt at byte {exc.pos}: "
-                f"{exc.msg}",
-                path=path, offset=exc.pos,
-            ) from exc
-    version = payload.setdefault("format", 1)
-    if not isinstance(version, int) or version < 1:
+    The payload comes back as written: optional sections that the run did
+    not have are absent. A missing or non-integer ``"format"``, or one
+    newer than :data:`RUN_RESULT_FORMAT`, raises ``ValueError`` rather
+    than being silently misread; a file that is not UTF-8 JSON at all
+    (truncated export, bit-rot) raises
+    :class:`~repro.util.errors.ExportCorruptionError` naming the path and
+    byte offset of the damage."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        offset = exc.start if isinstance(exc, UnicodeDecodeError) \
+            else exc.pos
+        raise ExportCorruptionError(
+            f"run export {path} is corrupt at byte {offset}: {exc}",
+            path=path, offset=offset,
+        ) from exc
+    version = payload.get("format") if isinstance(payload, dict) else None
+    if type(version) is not int or version < 1:
         raise ValueError(f"unrecognised run-result format: {version!r}")
     if version > RUN_RESULT_FORMAT:
         raise ValueError(
             f"run-result format {version} is newer than this reader "
             f"(knows up to {RUN_RESULT_FORMAT})"
         )
-    payload.setdefault("seed", None)
-    payload.setdefault("provenance", None)
-    payload.setdefault("checkpoint", None)
-    payload.setdefault("supervisor", None)
-    payload.setdefault("service", None)
     return payload

@@ -39,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.checkpoint.journal import record_crc
 from repro.obs.instrument import LAYER_ENTRY, LAYER_TRANSPORT
 from repro.obs.trace import Span, Tracer
 from repro.util.atomicio import atomic_write_json, atomic_write_text
+from repro.util.envelope import record_crc
 
 __all__ = [
     "PROFILE_FORMAT",

@@ -1,9 +1,10 @@
 """The registry store: one domain's canonical attributes, durable on disk.
 
-A registry is a directory holding ``registry.json``, written with the
-same envelope the run journal uses (:mod:`repro.checkpoint.journal`)::
+A registry is a directory holding ``registry.json``, a sealed envelope
+(:mod:`repro.util.envelope`, the same codec the run journal uses) written
+as canonical compact JSON::
 
-    {"format": 2, "crc": <crc32 of canonical body JSON>, "body": {...}}
+    {"body":{...},"crc":<crc32 of canonical body JSON>,"format":2}
 
 via :func:`repro.util.atomicio.atomic_write_json` — temp file, fsync,
 ``os.replace`` — so every assimilation either lands whole or not at all;
@@ -18,9 +19,10 @@ the CRC and the body's internal consistency before trusting anything:
 - a missing store, or one whose domain/configuration does not match the
   requested operation, is :class:`RegistryMismatchError`.
 
-Format history: format **1** predates the blocking ledger and carries no
-``stats`` section; the loader upgrades it in place with an empty ledger
-(zero defaults). The writer always emits the current format.
+Format history: format **2** added the blocking ledger (``stats``), and
+it is the only format the loader reads. A format-1 store (no ``stats``)
+is refused as a malformed body; earlier revisions wrote the same
+envelope with ``indent=2`` whitespace, which still verifies.
 
 Atomic replace protects readers from a crashed writer, but not writers
 from each other: two concurrent assimilators would each load, merge and
@@ -39,11 +41,11 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.checkpoint.journal import record_crc
 from repro.matching.similarity import AttributeView, SimilarityConfig
 from repro.obs.provenance import MergeStep
 from repro.registry.blocking import BlockingStats
 from repro.util.atomicio import atomic_write_json
+from repro.util.envelope import read_sealed, seal
 from repro.util.errors import (
     RegistryCorruptionError,
     RegistryFormatError,
@@ -64,8 +66,6 @@ AttrKey = Tuple[str, str]
 
 #: Schema version of the registry envelope.
 REGISTRY_FORMAT = 2
-#: Oldest schema the loader still understands (upgraded on load).
-MIN_REGISTRY_FORMAT = 1
 REGISTRY_FILENAME = "registry.json"
 #: Sentinel file guarding registry writes (see :class:`RegistryLock`).
 LOCK_FILENAME = "registry.lock"
@@ -406,13 +406,8 @@ class RegistryStore:
     def save(self, directory: str) -> str:
         """Atomically persist the store; returns the file path written."""
         os.makedirs(directory, exist_ok=True)
-        body = self.to_body()
         path = os.path.join(directory, REGISTRY_FILENAME)
-        atomic_write_json(path, {
-            "format": REGISTRY_FORMAT,
-            "crc": record_crc(body),
-            "body": body,
-        })
+        atomic_write_json(path, seal(self.to_body(), REGISTRY_FORMAT))
         return path
 
     @classmethod
@@ -420,38 +415,8 @@ class RegistryStore:
         path = os.path.join(directory, REGISTRY_FILENAME)
         if not os.path.exists(path):
             raise RegistryMismatchError(f"no registry store at {path}")
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = handle.read()
-        try:
-            envelope = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise RegistryCorruptionError(
-                f"{path}: torn or unparseable registry store "
-                f"(char {exc.pos})"
-            ) from exc
-        if not isinstance(envelope, dict) or not {
-            "format", "crc", "body"
-        } <= set(envelope):
-            raise RegistryCorruptionError(
-                f"{path}: registry envelope is missing format/crc/body"
-            )
-        fmt = envelope["format"]
-        if not isinstance(fmt, int) or fmt < MIN_REGISTRY_FORMAT:
-            raise RegistryCorruptionError(
-                f"{path}: unusable registry format {fmt!r}"
-            )
-        if fmt > REGISTRY_FORMAT:
-            raise RegistryFormatError(
-                f"{path}: registry format {fmt} is newer than this "
-                f"reader (max {REGISTRY_FORMAT})"
-            )
-        body = envelope["body"]
-        if record_crc(body) != envelope["crc"]:
-            raise RegistryCorruptionError(
-                f"{path}: CRC mismatch — registry body is corrupt"
-            )
-        if fmt < 2:
-            # format 1 predates the blocking ledger: zero defaults.
-            body = dict(body)
-            body.setdefault("stats", {"adds": []})
+        body = read_sealed(
+            path, "registry", REGISTRY_FORMAT,
+            RegistryCorruptionError, RegistryFormatError,
+        )["body"]
         return cls.from_body(body, source=path)

@@ -5,7 +5,7 @@ everything it learns: each completed request's post-run cache content
 (engine answers + validation tallies) publishes as a new
 :class:`~repro.service.state.Epoch`, so the next tenant's run starts
 warm. The headline guarantee is the **equivalence oracle**: an admitted
-request's export is byte-identical (after stripping the format-5
+request's export is byte-identical (after stripping the
 ``service`` section) to the same run executed standalone with the same
 effective config and the same :class:`~repro.perf.CachePreload` applied
 — because the service and the standalone path *are the same code path*,
@@ -125,7 +125,7 @@ class MatchRequest:
 
 @dataclass(frozen=True)
 class ServiceRunInfo:
-    """The format-5 ``service`` section: a run's service coordinates."""
+    """The export's ``service`` section: a run's service coordinates."""
 
     request_id: str
     tenant: str

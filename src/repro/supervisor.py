@@ -519,7 +519,7 @@ class RunSupervisor:
         prove was journaled.
         """
         try:
-            bodies, _, _ = _scan_valid_prefix(directory)
+            _, bodies, _, _ = _scan_valid_prefix(directory)
         except JournalMismatchError:
             return 0
         spend = 0

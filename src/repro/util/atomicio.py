@@ -1,12 +1,13 @@
 """Atomic file writes: temp file + ``os.replace``, never a torn target.
 
 Every JSON artifact the library persists — dataset snapshots, run
-archives, journal records — goes through :func:`atomic_write_text` /
-:func:`atomic_write_json`. The content is fully serialised in memory
-first, written to a temporary file *in the target's directory* (so the
-rename cannot cross filesystems), flushed and fsynced, and only then
-renamed over the target. A crash at any point leaves either the old
-complete file or the new complete file — never a truncated hybrid.
+archives, sealed journal/registry/bench envelopes — goes through
+:func:`atomic_write_text` / :func:`atomic_write_json`. The content is
+fully serialised in memory first, written to a temporary file *in the
+target's directory* (so the rename cannot cross filesystems), flushed
+and fsynced, and only then renamed over the target. A crash at any
+point leaves either the old complete file or the new complete file —
+never a truncated hybrid.
 
 After the rename the *parent directory* is fsynced too: ``os.replace``
 updates a directory entry, and on a power loss the entry itself can be
@@ -22,6 +23,8 @@ import json
 import os
 import tempfile
 from typing import Any
+
+from repro.util.envelope import Sealed
 
 __all__ = ["atomic_write_text", "atomic_write_json"]
 
@@ -73,5 +76,9 @@ def atomic_write_json(path: str, payload: Any, *, indent: int = 2) -> None:
     Serialising first means an unserialisable payload raises before the
     filesystem is touched at all; the byte format (``indent=2``,
     ``sort_keys=True``) matches the library's historical dumps exactly.
+    A :class:`~repro.util.envelope.Sealed` payload is already canonical
+    JSON text and is written as is.
     """
-    atomic_write_text(path, json.dumps(payload, indent=indent, sort_keys=True))
+    if not isinstance(payload, Sealed):
+        payload = json.dumps(payload, indent=indent, sort_keys=True)
+    atomic_write_text(path, payload)

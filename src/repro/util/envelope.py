@@ -1,0 +1,112 @@
+"""One sealed-envelope codec for journal, registry and bench files.
+
+Every sealed file is one canonical JSON object::
+
+    {"body":{...},"crc":<crc32 of the canonical body>,"format":N}
+
+The canonical encoding of a body is key-sorted compact JSON, and the CRC
+is taken over its UTF-8 bytes (:func:`record_crc`). :func:`seal` encodes
+the body once and builds the file text around that encoding.
+
+:func:`read_sealed` is the one verifier. It re-derives the CRC from the
+parsed body, so envelopes written with other whitespace (the ``indent=2``
+files of earlier revisions) still verify. It raises the caller's own
+error classes, so each store keeps its typed errors and the CLI exit
+codes built on them. Each caller owns its format number: the journal 1,
+the registry 2, bench artifacts 1.
+"""
+
+from __future__ import annotations
+
+import json
+import zlib
+from typing import Any, Dict, Type
+
+__all__ = [
+    "Sealed",
+    "canonical",
+    "envelope",
+    "read_sealed",
+    "record_crc",
+    "seal",
+]
+
+
+class Sealed(str):
+    """The JSON text of a sealed envelope, already encoded by :func:`seal`.
+
+    :func:`repro.util.atomicio.atomic_write_json` writes it as is, so
+    sealed files and plain dumps share one atomic write path.
+    """
+
+
+def canonical(body: Any) -> str:
+    """The canonical JSON the CRC is computed over (key-sorted, compact)."""
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
+def _crc32(encoded: str) -> int:
+    return zlib.crc32(encoded.encode("utf-8")) & 0xFFFFFFFF
+
+
+def record_crc(body: Any) -> int:
+    """CRC32 guard over a record body's canonical JSON."""
+    return _crc32(canonical(body))
+
+
+def envelope(body: Dict[str, Any], fmt: int) -> Dict[str, Any]:
+    """The in-memory envelope ``{"format", "crc", "body"}`` of ``body``."""
+    return {"format": fmt, "crc": record_crc(body), "body": body}
+
+
+def seal(body: Dict[str, Any], fmt: int) -> Sealed:
+    """The file text of ``body`` sealed under ``fmt``.
+
+    The body is encoded once; the CRC and the file share that encoding.
+    The result equals :func:`canonical` of :func:`envelope`.
+    """
+    encoded = canonical(body)
+    return Sealed(
+        f'{{"body":{encoded},"crc":{_crc32(encoded)},"format":{fmt}}}'
+    )
+
+
+def read_sealed(
+    path: str,
+    kind: str,
+    max_format: int,
+    corrupt: Type[Exception],
+    newer: Type[Exception],
+    what: str = "",
+) -> Dict[str, Any]:
+    """Read and verify one sealed file; return its envelope dict.
+
+    ``what`` prefixes every error message (default: ``path``) and
+    ``kind`` names the store in format errors. A torn, non-UTF-8 or
+    unparseable file, a missing envelope key, a non-object body, a format
+    that is not an ``int`` of at least 1, and a CRC mismatch raise
+    ``corrupt``; a format above ``max_format`` raises ``newer``.
+    """
+    what = what or path
+    try:
+        with open(path, "rb") as handle:
+            payload = json.loads(handle.read().decode("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise corrupt(f"{what}: torn or unparseable ({exc})") from exc
+    if (
+        not isinstance(payload, dict)
+        or not {"format", "crc", "body"} <= payload.keys()
+        or not isinstance(payload["body"], dict)
+    ):
+        raise corrupt(f"{what}: envelope is missing format/crc/body")
+    fmt = payload["format"]
+    if type(fmt) is not int or fmt < 1:
+        raise corrupt(f"{what}: unusable {kind} format {fmt!r}")
+    if fmt > max_format:
+        raise newer(
+            f"{what}: {kind} format {fmt} is newer than this reader "
+            f"(knows up to {max_format})"
+        )
+    if payload["crc"] != record_crc(payload["body"]):
+        raise corrupt(f"{what}: CRC mismatch")
+    return payload

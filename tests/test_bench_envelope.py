@@ -20,7 +20,7 @@ from repro.bench import (
     make_envelope,
     write_bench,
 )
-from repro.checkpoint.journal import record_crc
+from repro.util.envelope import record_crc
 from repro.cli import main
 
 WORKLOAD = {"domain": "book", "n_interfaces": 8, "seed": 1}

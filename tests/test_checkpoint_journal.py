@@ -14,8 +14,9 @@ import os
 
 import pytest
 
-from repro.checkpoint import JOURNAL_FORMAT, RunJournal, record_crc
+from repro.checkpoint import JOURNAL_FORMAT, RunJournal
 from repro.resilience import KillSwitch, PreemptionPoint
+from repro.util.envelope import record_crc
 from repro.util.errors import (
     JournalCorruptionError,
     JournalFormatError,
@@ -51,6 +52,24 @@ def make_journal(directory, n=3):
 
 def record_path(directory, index):
     return os.path.join(str(directory), f"record-{index:06d}.json")
+
+
+def rewrite(path, mutate):
+    """Load an envelope file, apply ``mutate(envelope)``, write it back."""
+    with open(path) as handle:
+        envelope = json.load(handle)
+    mutate(envelope)
+    with open(path, "w") as handle:
+        json.dump(envelope, handle)
+
+
+def reseal(mutate):
+    """``mutate`` the body, then recompute the CRC so only the semantic
+    checks can catch the damage."""
+    def apply(envelope):
+        mutate(envelope["body"])
+        envelope["crc"] = record_crc(envelope["body"])
+    return apply
 
 
 class TestJournalRoundTrip:
@@ -101,47 +120,31 @@ class TestJournalCorruption:
 
     def test_bit_flipped_payload_fails_crc(self, tmp_path):
         make_journal(tmp_path, n=3)
-        path = record_path(tmp_path, 1)
-        with open(path) as handle:
-            envelope = json.load(handle)
-        envelope["body"]["added"] = ["tampered"]
-        with open(path, "w") as handle:
-            json.dump(envelope, handle)
+        rewrite(record_path(tmp_path, 1),
+                lambda env: env["body"].__setitem__("added", ["tampered"]))
         with pytest.raises(JournalCorruptionError,
                            match="record 1: CRC mismatch"):
             RunJournal.open(str(tmp_path))
 
     def test_flipped_crc_field(self, tmp_path):
         make_journal(tmp_path, n=2)
-        path = record_path(tmp_path, 0)
-        with open(path) as handle:
-            envelope = json.load(handle)
-        envelope["crc"] ^= 1
-        with open(path, "w") as handle:
-            json.dump(envelope, handle)
+        rewrite(record_path(tmp_path, 0),
+                lambda env: env.__setitem__("crc", env["crc"] ^ 1))
         with pytest.raises(JournalCorruptionError,
                            match="record 0: CRC mismatch"):
             RunJournal.open(str(tmp_path))
 
     def test_future_format_record_is_rejected(self, tmp_path):
         make_journal(tmp_path, n=2)
-        path = record_path(tmp_path, 1)
-        with open(path) as handle:
-            envelope = json.load(handle)
-        envelope["format"] = 99
-        with open(path, "w") as handle:
-            json.dump(envelope, handle)
+        rewrite(record_path(tmp_path, 1),
+                lambda env: env.__setitem__("format", 99))
         with pytest.raises(JournalFormatError, match="newer"):
             RunJournal.open(str(tmp_path))
 
     def test_future_format_meta_is_rejected(self, tmp_path):
         make_journal(tmp_path, n=1)
-        meta_path = os.path.join(str(tmp_path), "meta.json")
-        with open(meta_path) as handle:
-            envelope = json.load(handle)
-        envelope["format"] = JOURNAL_FORMAT + 1
-        with open(meta_path, "w") as handle:
-            json.dump(envelope, handle)
+        rewrite(os.path.join(str(tmp_path), "meta.json"),
+                lambda env: env.__setitem__("format", JOURNAL_FORMAT + 1))
         with pytest.raises(JournalFormatError, match="journal meta"):
             RunJournal.open(str(tmp_path))
 
@@ -161,25 +164,15 @@ class TestJournalCorruption:
 
     def test_body_index_disagrees_with_filename(self, tmp_path):
         make_journal(tmp_path, n=2)
-        path = record_path(tmp_path, 1)
-        with open(path) as handle:
-            envelope = json.load(handle)
-        envelope["body"]["index"] = 7
-        envelope["crc"] = record_crc(envelope["body"])
-        with open(path, "w") as handle:
-            json.dump(envelope, handle)
+        rewrite(record_path(tmp_path, 1),
+                reseal(lambda body: body.__setitem__("index", 7)))
         with pytest.raises(JournalCorruptionError, match="claims index 7"):
             RunJournal.open(str(tmp_path))
 
     def test_missing_unit_key(self, tmp_path):
         make_journal(tmp_path, n=1)
-        path = record_path(tmp_path, 0)
-        with open(path) as handle:
-            envelope = json.load(handle)
-        del envelope["body"]["unit"]
-        envelope["crc"] = record_crc(envelope["body"])
-        with open(path, "w") as handle:
-            json.dump(envelope, handle)
+        rewrite(record_path(tmp_path, 0),
+                reseal(lambda body: body.pop("unit")))
         with pytest.raises(JournalCorruptionError, match="missing unit"):
             RunJournal.open(str(tmp_path))
 

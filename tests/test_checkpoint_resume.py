@@ -21,7 +21,7 @@ import pytest
 from repro.checkpoint import CheckpointConfig
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
-from repro.io import dump_run_result, run_result_to_dict
+from repro.io import RUN_RESULT_FORMAT, dump_run_result, run_result_to_dict
 from repro.obs import ObsConfig, check_run, diff_runs
 from repro.perf import CacheConfig
 from repro.resilience import BreakerPolicy, FaultProfile, ResilienceConfig
@@ -125,7 +125,7 @@ class TestRecordingIsReadOnly:
     def test_checkpoint_off_export_has_no_checkpoint_key(self, tmp_path):
         _, result = baseline("book", 1, "plain")
         payload = run_result_to_dict(result)
-        assert payload["format"] == 2
+        assert payload["format"] == RUN_RESULT_FORMAT
         assert "checkpoint" not in payload
 
     def test_checkpoint_on_export_is_resume_invariant_only(self, tmp_path):
@@ -133,7 +133,7 @@ class TestRecordingIsReadOnly:
             "book", 1, "plain",
             CheckpointConfig(directory=str(tmp_path / "journal")))
         payload = run_result_to_dict(result)
-        assert payload["format"] == 3
+        assert payload["format"] == RUN_RESULT_FORMAT
         assert set(payload["checkpoint"]) == {"journal_format", "boundaries"}
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.io import RUN_RESULT_FORMAT
 
 
 class TestParser:
@@ -260,7 +261,7 @@ class TestSupervisorCommands:
         assert "supervisor: 2 attempts (1 restarts)" in out
         payload_a = json.loads(a.read_text())
         payload_b = json.loads(b.read_text())
-        assert payload_b["format"] == 4
+        assert payload_b["format"] == RUN_RESULT_FORMAT
         assert payload_b["supervisor"]["restarts"] == 1
         for payload in (payload_a, payload_b):
             for key in ("checkpoint", "format", "supervisor"):
@@ -419,7 +420,7 @@ class TestServiceCommands:
         assert sorted(stats["tenants"]) == ["acme", "globex"]
         first = json.loads((exports / "r0001.json").read_text())
         second = json.loads((exports / "r0002.json").read_text())
-        assert first["format"] == 5
+        assert first["format"] == RUN_RESULT_FORMAT
         assert first["service"]["warm"] is False
         assert second["service"]["warm"] is True
 
@@ -470,7 +471,7 @@ class TestServiceCommands:
         assert "outcome=completed" in out and "tenant=acme" in out
         assert "all hold" in out
         payload = json.loads(path.read_text())
-        assert payload["format"] == 5
+        assert payload["format"] == RUN_RESULT_FORMAT
         assert payload["service"]["tenant"] == "acme"
 
     def test_request_strip_service_matches_run_json(self, tmp_path):

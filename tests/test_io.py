@@ -180,36 +180,11 @@ class TestRunResultRoundTrip:
 
 
 class TestRunResultFormatVersioning:
-    """The schema version gate: old archives load, future ones fail loudly."""
+    """The schema version gate: one current format, nothing upgraded."""
 
-    #: A miniature format-1 payload as written before the schema carried a
-    #: version — no "format", "seed" or "provenance" keys. Captured, not
-    #: generated, so the upgrade path is pinned against the historical shape.
-    FORMAT_1_BLOB = {
-        "domain": "book",
-        "config": {
-            "enable_surface": True,
-            "enable_attr_deep": True,
-            "enable_attr_surface": True,
-            "threshold": 0.0,
-            "linkage": "average",
-        },
-        "metrics": {
-            "precision": 1.0,
-            "recall": 0.9,
-            "f1": 0.947,
-            "n_predicted": 18,
-            "n_truth": 20,
-            "n_correct": 18,
-        },
-        "clusters": [[["book-00", "author"], ["book-01", "author"]]],
-        "overhead_seconds": {"surface": 12.5},
-        "overhead_queries": {"surface": 40},
-        "acquisition": None,
-        "degradation": None,
-        "cache": None,
-        "observability": None,
-    }
+    #: A miniature current-format payload with no optional sections.
+    BLOB = {"format": RUN_RESULT_FORMAT, "domain": "book", "seed": 4,
+            "metrics": {"f1": 0.947}, "provenance": None}
 
     def write_blob(self, tmp_path, payload):
         path = tmp_path / "old.json"
@@ -221,30 +196,29 @@ class TestRunResultFormatVersioning:
         path = tmp_path / "run.json"
         dump_run_result(instrumented_result, str(path))
         payload = load_run_result(str(path))
-        # The writer emits the LOWEST format that represents the run: a
-        # non-checkpointed run dumps as format 2, byte-identical to what
-        # pre-checkpoint revisions wrote.
-        assert payload["format"] == 2
+        # Every run writes the current format; sections the run did not
+        # have are absent, not null.
+        assert payload["format"] == RUN_RESULT_FORMAT
         assert payload["seed"] == 2
-        assert payload["checkpoint"] is None
+        assert "checkpoint" not in payload
 
-    def test_format_1_blob_upgrades_in_place(self, tmp_path):
-        payload = load_run_result(self.write_blob(tmp_path, self.FORMAT_1_BLOB))
-        assert payload["format"] == 1
-        assert payload["seed"] is None
-        assert payload["provenance"] is None
-        # nothing else is touched
-        assert payload["domain"] == "book"
-        assert payload["metrics"]["f1"] == 0.947
+    def test_payload_loads_as_written(self, tmp_path):
+        assert load_run_result(self.write_blob(tmp_path, self.BLOB)) == \
+            self.BLOB
+
+    def test_unversioned_payload_is_rejected(self, tmp_path):
+        blob = {k: v for k, v in self.BLOB.items() if k != "format"}
+        with pytest.raises(ValueError, match="unrecognised"):
+            load_run_result(self.write_blob(tmp_path, blob))
 
     def test_future_format_is_rejected(self, tmp_path):
-        blob = dict(self.FORMAT_1_BLOB, format=RUN_RESULT_FORMAT + 1)
+        blob = dict(self.BLOB, format=RUN_RESULT_FORMAT + 1)
         with pytest.raises(ValueError, match="newer"):
             load_run_result(self.write_blob(tmp_path, blob))
 
     def test_nonsense_format_is_rejected(self, tmp_path):
-        for bad in (0, -3, "two"):
-            blob = dict(self.FORMAT_1_BLOB, format=bad)
+        for bad in (0, -3, "two", True, 6.0, None):
+            blob = dict(self.BLOB, format=bad)
             with pytest.raises(ValueError):
                 load_run_result(self.write_blob(tmp_path, blob))
 
@@ -351,7 +325,7 @@ class TestAtomicDumps:
 
 
 class TestCheckpointExport:
-    """Format 3: the thin, resume-invariant checkpoint section."""
+    """The thin, resume-invariant checkpoint section."""
 
     def test_format_3_round_trip(self, tmp_path):
         from repro.checkpoint import JOURNAL_FORMAT, CheckpointConfig
@@ -363,40 +337,16 @@ class TestCheckpointExport:
         path = tmp_path / "run.json"
         dump_run_result(result, str(path))
         payload = load_run_result(str(path))
-        # Lowest representable format: checkpointed but unsupervised
-        # runs still dump as format 3.
-        assert payload["format"] == 3
+        assert payload["format"] == RUN_RESULT_FORMAT
         assert payload["checkpoint"] == {
             "journal_format": JOURNAL_FORMAT,
             "boundaries": result.checkpoint.boundaries,
         }
-        assert payload["supervisor"] is None
-
-    def test_format_2_payload_upgrades_with_null_checkpoint(self, tmp_path):
-        blob = dict(
-            TestRunResultFormatVersioning.FORMAT_1_BLOB,
-            format=2, seed=4, provenance=None,
-        )
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(blob))
-        payload = load_run_result(str(path))
-        assert payload["format"] == 2
-        assert payload["checkpoint"] is None
-
-    def test_format_3_payload_upgrades_with_null_supervisor(self, tmp_path):
-        blob = dict(
-            TestRunResultFormatVersioning.FORMAT_1_BLOB,
-            format=3, seed=4, provenance=None, checkpoint=None,
-        )
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(blob))
-        payload = load_run_result(str(path))
-        assert payload["format"] == 3
-        assert payload["supervisor"] is None
+        assert "supervisor" not in payload
 
 
 class TestSupervisorExport:
-    """Format 4: supervised runs carry their full recovery provenance."""
+    """Supervised runs carry their full recovery provenance."""
 
     def _supervised_result(self, tmp_path):
         from repro.checkpoint import CheckpointConfig
@@ -413,9 +363,8 @@ class TestSupervisorExport:
         path = tmp_path / "run.json"
         dump_run_result(result, str(path))
         payload = load_run_result(str(path))
-        # Supervised but not service-executed: still the lowest
-        # representable format (4), not RUN_RESULT_FORMAT (5).
-        assert payload["format"] == 4
+        assert payload["format"] == RUN_RESULT_FORMAT
+        assert "service" not in payload
         section = payload["supervisor"]
         assert section["completed"] is True
         assert section["restarts"] == 1
@@ -426,16 +375,9 @@ class TestSupervisorExport:
         assert section["wasted_round_trips"] == \
             result.supervisor.wasted_round_trips
 
-    def test_format_6_is_rejected(self, tmp_path):
-        blob = dict(TestRunResultFormatVersioning.FORMAT_1_BLOB, format=6)
-        path = tmp_path / "future.json"
-        path.write_text(json.dumps(blob))
-        with pytest.raises(ValueError, match="newer"):
-            load_run_result(str(path))
-
 
 class TestServiceExport:
-    """Format 5: service-executed runs carry their service coordinates."""
+    """Service-executed runs carry their service coordinates."""
 
     def test_format_5_round_trip(self, dataset, tmp_path):
         from repro.service import ServiceRunInfo
@@ -447,7 +389,7 @@ class TestServiceExport:
         path = tmp_path / "run.json"
         dump_run_result(result, str(path))
         payload = load_run_result(str(path))
-        assert payload["format"] == 5
+        assert payload["format"] == RUN_RESULT_FORMAT
         assert payload["service"] == {
             "request_id": "r0001",
             "tenant": "acme",
@@ -457,36 +399,20 @@ class TestServiceExport:
             "outcome": "completed",
         }
 
-    def test_format_4_payload_upgrades_with_null_service(self, tmp_path):
-        blob = dict(
-            TestRunResultFormatVersioning.FORMAT_1_BLOB,
-            format=4, seed=4, provenance=None, checkpoint=None,
-            supervisor=None,
-        )
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(blob))
-        payload = load_run_result(str(path))
-        assert payload["format"] == 4
-        assert payload["service"] is None
-
-    def test_strip_recomputes_lowest_representable_format(self):
+    def test_strip_only_drops_the_service_section(self):
         from repro.io import strip_service_section
 
-        base = {"format": 5, "service": {"tenant": "acme"},
-                "checkpoint": None, "supervisor": None}
-        assert strip_service_section(base)["format"] == 2
-        assert strip_service_section(
-            dict(base, checkpoint={"boundaries": 3}))["format"] == 3
-        assert strip_service_section(
-            dict(base, supervisor={"restarts": 0}))["format"] == 4
-        # the service section is gone, the input is untouched
-        assert "service" not in strip_service_section(base)
-        assert base["format"] == 5 and "service" in base
+        base = {"format": RUN_RESULT_FORMAT, "service": {"tenant": "acme"},
+                "checkpoint": {"boundaries": 3}}
+        assert strip_service_section(base) == {
+            "format": RUN_RESULT_FORMAT, "checkpoint": {"boundaries": 3}}
+        # the input is untouched
+        assert "service" in base
 
     def test_strip_is_idempotent_on_plain_payloads(self):
         from repro.io import strip_service_section
 
-        plain = {"format": 2, "checkpoint": None, "supervisor": None}
+        plain = {"format": RUN_RESULT_FORMAT, "domain": "book"}
         assert strip_service_section(plain) == plain
 
 
@@ -515,3 +441,14 @@ class TestExportCorruption:
 
         assert issubclass(ExportCorruptionError, ReproError)
         assert not issubclass(ExportCorruptionError, ValueError)
+
+    def test_non_utf8_export_raises_typed_error(self, tmp_path):
+        from repro.util.errors import ExportCorruptionError
+
+        path = tmp_path / "run.json"
+        damaged = b'{"format": 6, "domain": "b\xffok"}'
+        path.write_bytes(damaged)
+        with pytest.raises(ExportCorruptionError) as excinfo:
+            load_run_result(str(path))
+        assert excinfo.value.offset == damaged.index(b"\xff")
+        assert str(path) in str(excinfo.value)

@@ -28,35 +28,13 @@ from repro.util.errors import (
     JournalFormatError,
     JournalMismatchError,
 )
-
-META = {"domain": "book", "seed": 1, "n_interfaces": 3}
-
-
-def body_for(index):
-    return {
-        "unit": ["surface", f"book-{index:02d}", "title"],
-        "skipped": False,
-        "added": [f"value-{index}"],
-        "record": {"n_after_surface": index},
-        "queries": index,
-        "probes": 0,
-        "stores": {},
-        "probe_memo": [],
-        "cache_ops": [],
-        "state": {},
-    }
-
-
-def make_journal(directory, n=3):
-    journal = RunJournal.create(str(directory), dict(META))
-    for index in range(n):
-        journal.append(body_for(index))
-    return journal
-
-
-def record_path(directory, index):
-    return os.path.join(str(directory), f"record-{index:06d}.json")
-
+from tests.test_checkpoint_journal import (
+    META,
+    body_for,
+    make_journal,
+    record_path,
+    rewrite,
+)
 
 def quarantine_dir(directory):
     return os.path.join(str(directory), QUARANTINE_DIRNAME)
@@ -90,12 +68,8 @@ class TestSalvageSemantics:
 
     def test_flipped_crc_is_trimmed(self, tmp_path):
         make_journal(tmp_path, n=3)
-        path = record_path(tmp_path, 1)
-        with open(path) as handle:
-            envelope = json.load(handle)
-        envelope["crc"] ^= 1
-        with open(path, "w") as handle:
-            json.dump(envelope, handle)
+        rewrite(record_path(tmp_path, 1),
+                lambda env: env.__setitem__("crc", env["crc"] ^ 1))
         report = RunJournal.salvage(str(tmp_path))
         assert report.kept_records == 1
         assert report.quarantined_records == 2
@@ -168,12 +142,8 @@ class TestSalvageSemantics:
     def test_future_format_record_refuses_salvage(self, tmp_path):
         """A newer-schema journal must not be truncated by an old reader."""
         make_journal(tmp_path, n=2)
-        path = record_path(tmp_path, 1)
-        with open(path) as handle:
-            envelope = json.load(handle)
-        envelope["format"] = 99
-        with open(path, "w") as handle:
-            json.dump(envelope, handle)
+        rewrite(record_path(tmp_path, 1),
+                lambda env: env.__setitem__("format", 99))
         with pytest.raises(JournalFormatError, match="newer"):
             RunJournal.salvage(str(tmp_path))
 

@@ -1,11 +1,12 @@
-"""Registry store durability: corruption fuzzing and format migration.
+"""Registry store durability: corruption fuzzing.
 
 Mirrors ``tests/test_checkpoint_journal.py`` for the registry's on-disk
 envelope: every way the store can be damaged — torn writes, bit flips
 under a stale CRC, flipped CRC fields, future formats, duplicate or
 dangling entries — must surface as a typed ``RegistryError`` subclass
 naming the damaged entity, never a crash and never silently-wrong
-clusters. The format-1 migration path is pinned by a checked-in blob.
+clusters. Cases shared by every sealed file live in
+``tests/test_envelope.py``.
 """
 
 import json
@@ -13,7 +14,7 @@ import os
 
 import pytest
 
-from repro.checkpoint.journal import record_crc
+from repro.util.envelope import record_crc
 from repro.datasets import build_domain_dataset
 from repro.registry import (
     REGISTRY_FILENAME,
@@ -22,7 +23,6 @@ from repro.registry import (
     RegistryStore,
     build_registry,
 )
-from repro.registry.assimilate import induced_clusters
 from repro.util.errors import (
     RegistryCorruptionError,
     RegistryError,
@@ -31,71 +31,6 @@ from repro.util.errors import (
 )
 
 DOMAIN = "book"
-
-#: A registry written by the format-1 code (before the blocking ledger
-#: existed — no "stats" section). Checked in verbatim: if the upgrade
-#: path regresses, this blob stops loading. The CRC is the real
-#: ``record_crc`` of the body; do not regenerate it casually.
-FORMAT_1_BLOB = {
-    "format": 1,
-    "crc": 2613280460,
-    "body": {
-        "domain": "book",
-        "threshold": 0.0,
-        "linkage": "average",
-        "similarity": {"alpha": 0.6, "beta": 0.4,
-                       "numeric_family_factor": 0.6},
-        "interfaces": [
-            {
-                "interface_id": "book-00",
-                "attributes": [
-                    {"name": "title", "label": "Title", "instances": []},
-                    {"name": "author", "label": "Author", "instances": []},
-                ],
-            },
-            {
-                "interface_id": "book-01",
-                "attributes": [
-                    {"name": "title", "label": "Book title",
-                     "instances": []},
-                ],
-            },
-        ],
-        "sims": [[["book-00", "title"], ["book-01", "title"],
-                  0.42426406871192845]],
-        "entries": [
-            {
-                "cluster_id": "c0000",
-                "label": "Title",
-                "instances": [],
-                "coverage": 2,
-                "members": [["book-00", "title"], ["book-01", "title"]],
-                "interfaces": ["book-00", "book-01"],
-                "label_votes": {"Title": 1, "Book title": 1},
-                "merges": [
-                    {
-                        "step": 0,
-                        "linkage_value": 0.42426406871192845,
-                        "threshold": 0.0,
-                        "cluster_a": [["book-00", "title"]],
-                        "cluster_b": [["book-01", "title"]],
-                    }
-                ],
-            },
-            {
-                "cluster_id": "c0001",
-                "label": "Author",
-                "instances": [],
-                "coverage": 1,
-                "members": [["book-00", "author"]],
-                "interfaces": ["book-00"],
-                "label_votes": {"Author": 1},
-                "merges": [],
-            },
-        ],
-    },
-}
-
 
 def saved_registry(tmp_path, n=3):
     """Build and persist a small real registry; returns its directory."""
@@ -344,44 +279,6 @@ class TestBodyCorruption:
         assert issubclass(RegistryCorruptionError, RegistryError)
         assert issubclass(RegistryFormatError, RegistryError)
         assert issubclass(RegistryMismatchError, RegistryError)
-
-
-class TestFormatMigration:
-    def write_blob(self, tmp_path, blob=FORMAT_1_BLOB):
-        directory = str(tmp_path / "v1")
-        os.makedirs(directory)
-        with open(store_path(directory), "w", encoding="utf-8") as handle:
-            json.dump(blob, handle)
-        return directory
-
-    def test_format_1_blob_loads_with_empty_ledger(self, tmp_path):
-        store = RegistryStore.load(self.write_blob(tmp_path))
-        assert store.domain == DOMAIN
-        assert [e.cluster_id for e in store.entries] == ["c0000", "c0001"]
-        assert store.stats.adds == []
-        assert store.stats.reduction == 0.0
-
-    def test_format_1_blob_upgrades_to_current_on_save(self, tmp_path):
-        directory = self.write_blob(tmp_path)
-        RegistryStore.load(directory).save(directory)
-        with open(store_path(directory), "r", encoding="utf-8") as handle:
-            envelope = json.load(handle)
-        assert envelope["format"] == REGISTRY_FORMAT
-        assert envelope["body"]["stats"] == {"adds": []}
-        # and it still loads — with the intact induced matching
-        clusters, _ = induced_clusters(RegistryStore.load(directory))
-        assert (("book-00", "title"), ("book-01", "title")) in clusters
-
-    def test_format_1_blob_crc_is_authentic(self, tmp_path):
-        assert record_crc(FORMAT_1_BLOB["body"]) == FORMAT_1_BLOB["crc"]
-
-    def test_upgraded_store_keeps_assimilating(self, tmp_path):
-        directory = self.write_blob(tmp_path)
-        store = RegistryStore.load(directory)
-        extra = list(build_domain_dataset(DOMAIN, 3, 1).interfaces)[2]
-        RegistryAssimilator(store).assimilate(extra)
-        assert store.has_interface(extra.interface_id)
-        assert len(store.stats.adds) == 1
 
 
 class TestAssimilationMismatch:

@@ -21,7 +21,11 @@ import pytest
 from repro.checkpoint import CheckpointConfig
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
-from repro.io import run_result_to_dict, strip_service_section
+from repro.io import (
+    RUN_RESULT_FORMAT,
+    run_result_to_dict,
+    strip_service_section,
+)
 from repro.obs.invariants import check_run
 from repro.resilience import FaultProfile, ResilienceConfig
 from repro.service import (
@@ -112,7 +116,7 @@ class TestEquivalenceGrid:
         responses, _ = drive_tracked(
             service, [MatchRequest(tenant="acme", domain=DOMAIN)])
         export = responses[0].export
-        assert export["format"] == 5
+        assert export["format"] == RUN_RESULT_FORMAT
         assert export["service"] == {
             "request_id": responses[0].request_id,
             "tenant": "acme",
@@ -121,8 +125,9 @@ class TestEquivalenceGrid:
             "warm": False,
             "outcome": "completed",
         }
-        # and stripping recomputes the lowest representable format
-        assert strip_service_section(export)["format"] == 2
+        # and stripping drops only the service section
+        stripped = strip_service_section(export)
+        assert stripped == {k: v for k, v in export.items() if k != "service"}
 
 
 class TestSeededInterleavings:

@@ -18,7 +18,7 @@ import pytest
 from repro.checkpoint import CheckpointConfig, RunJournal
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
-from repro.io import run_result_to_dict
+from repro.io import RUN_RESULT_FORMAT, run_result_to_dict
 from repro.obs import ObsConfig, check_run
 from repro.resilience import BreakerPolicy, FaultProfile, ResilienceConfig
 from repro.supervisor import (
@@ -234,7 +234,7 @@ class TestKillSchedule:
     def test_unsupervised_summary_absent_from_export(self, tmp_path):
         _, result, _ = supervise(tmp_path, kill_schedule=(2, None))
         payload = run_result_to_dict(result)
-        assert payload["format"] == 4
+        assert payload["format"] == RUN_RESULT_FORMAT
         assert payload["supervisor"]["restarts"] == 1
 
 
