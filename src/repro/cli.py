@@ -211,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "as JSON to PATH")
     radd.add_argument("directory", help="existing registry directory")
     rshow = rsub.add_parser(
-        "show", help="verify a registry and print its entries and "
-                     "blocking ledger (exit 1 if damaged)")
+        "show", help="verify a registry, derive and print its entries, "
+                     "and print its blocking ledger (exit 1 if damaged)")
     rshow.add_argument("directory", help="registry directory")
     rbatch = rsub.add_parser(
         "batch", help="run batch IceQ over the same interfaces and write "
@@ -938,19 +938,12 @@ def _cmd_journal(args) -> int:
 
 
 def _cmd_registry(args) -> int:
-    from repro.util.errors import (
-        RegistryCorruptionError,
-        RegistryError,
-        RegistryFormatError,
-    )
+    from repro.util.errors import RegistryCorruptionError, RegistryError
 
     try:
         return _registry_dispatch(args)
     except RegistryCorruptionError as exc:
         print(f"registry is damaged: {exc}", file=sys.stderr)
-        return 1
-    except RegistryFormatError as exc:
-        print(f"registry: {exc}", file=sys.stderr)
         return 1
     except RegistryError as exc:
         print(f"registry: {exc}", file=sys.stderr)
@@ -989,8 +982,12 @@ def _registry_dispatch(args) -> int:
         return 0
 
     if args.registry_command == "add":
-        from repro.io import dump_induced_matching, load_registry
-        from repro.registry import RegistryAssimilator, RegistryLock
+        from repro.io import dump_induced_matching
+        from repro.registry import (
+            RegistryAssimilator,
+            RegistryLock,
+            RegistryStore,
+        )
 
         if not 0 <= args.index < len(dataset.interfaces):
             print(f"registry add: --index must be within "
@@ -1000,7 +997,7 @@ def _registry_dispatch(args) -> int:
         # Load-assimilate-save is a read-modify-write: hold the writer
         # lock for all of it, or a concurrent add loses an update.
         with RegistryLock(args.directory, owner="cli registry add"):
-            store = load_registry(args.directory)
+            store = RegistryStore.load(args.directory)
             assimilator = RegistryAssimilator(store)
             record = assimilator.assimilate(dataset.interfaces[args.index])
             store.save(args.directory)
@@ -1018,22 +1015,17 @@ def _registry_dispatch(args) -> int:
 
     # batch: the independent oracle — straight IceQ over the id-sorted
     # interfaces, written in the same induced-matching JSON shape.
+    from repro.io import matching_to_dict
     from repro.matching.clustering import IceQMatcher
     from repro.util.atomicio import atomic_write_json
 
     interfaces = sorted(dataset.interfaces, key=lambda i: i.interface_id)
     result = IceQMatcher(linkage=args.linkage).match(
         interfaces, threshold=args.threshold)
-    atomic_write_json(args.induced, {
-        "domain": args.domain,
-        "threshold": args.threshold,
-        "linkage": args.linkage,
-        "n_interfaces": len(interfaces),
-        "clusters": [
-            [list(key) for key in sorted(cluster.keys)]
-            for cluster in result.clusters
-        ],
-    })
+    atomic_write_json(args.induced, matching_to_dict(
+        args.domain, args.threshold, args.linkage, len(interfaces),
+        [sorted(cluster.keys) for cluster in result.clusters],
+    ))
     print(f"batch IceQ: {len(result.clusters)} clusters from "
           f"{result.similarity_evaluations} pair evaluations; "
           f"wrote {args.induced}")
@@ -1053,9 +1045,10 @@ def _print_registry_summary(report) -> None:
 
 
 def _registry_show(args) -> int:
-    from repro.io import load_registry
+    from repro.registry import RegistryStore
 
-    store = load_registry(args.directory)
+    store = RegistryStore.load(args.directory)
+    entries = store.entries
     print(f"registry {args.directory}: intact")
     print(f"  domain: {store.domain}  threshold: {store.threshold}  "
           f"linkage: {store.linkage}")
@@ -1068,8 +1061,8 @@ def _registry_show(args) -> int:
     print(f"  blocking ledger: evaluated {stats.evaluated}, skipped "
           f"{stats.blocked} of {stats.pairs_considered} cross pairs "
           f"({reduction:.1f}%) over {len(stats.adds)} assimilations")
-    print(f"  entries: {len(store.entries)}")
-    for entry in store.entries:
+    print(f"  entries: {len(entries)}")
+    for entry in entries:
         print(f"    {entry.cluster_id} {entry.label!r}: "
               f"{len(entry.members)} attributes across {entry.coverage} "
               f"interfaces, {len(entry.instances)} unified values, "

@@ -33,7 +33,7 @@ leaves the previous file intact, never a torn half-payload.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, Sequence, Tuple
 
 #: Schema version written into every run-result payload.
 RUN_RESULT_FORMAT = 6
@@ -70,9 +70,7 @@ __all__ = [
     "dump_dataset",
     "dump_run_result",
     "load_run_result",
-    "registry_to_dict",
-    "dump_registry",
-    "load_registry",
+    "matching_to_dict",
     "induced_matching_to_dict",
     "dump_induced_matching",
 ]
@@ -383,29 +381,26 @@ def dump_run_result(result: WebIQRunResult, path: str) -> None:
     atomic_write_json(path, run_result_to_dict(result))
 
 
-def registry_to_dict(store: "RegistryStore") -> Dict[str, Any]:
-    """The registry's archival body (the envelope's ``"body"`` section)."""
-    return store.to_body()
-
-
-def dump_registry(store: "RegistryStore", directory: str) -> str:
-    """Persist a registry store to ``directory`` (atomic, CRC-guarded,
-    format-versioned — see :mod:`repro.registry.store`); returns the
-    path written."""
-    return store.save(directory)
-
-
-def load_registry(directory: str) -> "RegistryStore":
-    """Load and verify a registry store persisted by :func:`dump_registry`.
-
-    Raises the typed :class:`~repro.util.errors.RegistryError` family on
-    damage: :class:`~repro.util.errors.RegistryCorruptionError` naming the
-    damaged entry, :class:`~repro.util.errors.RegistryFormatError` for a
-    newer schema, :class:`~repro.util.errors.RegistryMismatchError` for a
-    missing store."""
-    from repro.registry.store import RegistryStore
-
-    return RegistryStore.load(directory)
+def matching_to_dict(
+    domain: str,
+    threshold: float,
+    linkage: str,
+    n_interfaces: int,
+    clusters: Sequence[Sequence[Tuple[str, str]]],
+) -> Dict[str, Any]:
+    """The induced-matching JSON: clusters of sorted member keys in the
+    run export's cluster shape. The registry's induced matching and the
+    ``registry batch`` oracle both write through here, so CI's registry
+    smoke can ``cmp`` their bytes."""
+    return {
+        "domain": domain,
+        "threshold": threshold,
+        "linkage": linkage,
+        "n_interfaces": n_interfaces,
+        "clusters": [
+            [list(key) for key in cluster] for cluster in clusters
+        ],
+    }
 
 
 def induced_matching_to_dict(store: "RegistryStore") -> Dict[str, Any]:
@@ -417,15 +412,8 @@ def induced_matching_to_dict(store: "RegistryStore") -> Dict[str, Any]:
     from repro.registry.assimilate import induced_clusters
 
     clusters, _ = induced_clusters(store)
-    return {
-        "domain": store.domain,
-        "threshold": store.threshold,
-        "linkage": store.linkage,
-        "n_interfaces": len(store.interfaces),
-        "clusters": [
-            [list(key) for key in cluster] for cluster in clusters
-        ],
-    }
+    return matching_to_dict(store.domain, store.threshold, store.linkage,
+                            len(store.interfaces), clusters)
 
 
 def dump_induced_matching(store: "RegistryStore", path: str) -> None:

@@ -257,9 +257,6 @@ class MatchExplanation:
         """Distance from the threshold — small means a hard decision."""
         return abs(self.sim - self.threshold)
 
-    def involves(self, key: AttrKey) -> bool:
-        return key in (self.a, self.b)
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "a": list(self.a),
@@ -471,15 +468,6 @@ class ProvenanceRecorder:
             if record.interface_id == interface_id
             and (attribute is None or record.attribute == attribute)
         ]
-
-    def explanation_for(self, a: AttrKey, b: AttrKey
-                        ) -> Optional[MatchExplanation]:
-        """The evaluation record of one unordered attribute pair."""
-        wanted = frozenset((a, b))
-        for explanation in self._explanations:
-            if frozenset((explanation.a, explanation.b)) == wanted:
-                return explanation
-        return None
 
     def explanations_involving(self, needle: str) -> List[MatchExplanation]:
         """Explanations touching any attribute whose name contains ``needle``

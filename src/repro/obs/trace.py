@@ -152,10 +152,6 @@ class Tracer:
         return event
 
     # -------------------------------------------------------------- queries
-    @property
-    def current_span(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
     def iter_spans(self, name: Optional[str] = None) -> Iterator[Span]:
         """All spans, depth-first; optionally filtered by name."""
         def walk(span: Span) -> Iterator[Span]:

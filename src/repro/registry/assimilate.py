@@ -1,6 +1,6 @@
 """Incremental assimilation: one interface joins the registry at a time.
 
-The flow per :meth:`RegistryAssimilator.assimilate` call:
+A :meth:`RegistryAssimilator.assimilate` call does two things:
 
 1. **Block** — the new interface's views query the
    :class:`~repro.registry.blocking.BlockingIndex` over all registered
@@ -12,13 +12,18 @@ The flow per :meth:`RegistryAssimilator.assimilate` call:
    unreachable by any merge decision (DESIGN.md §15 gives the induction).
 2. **Cache** — nonzero similarities join the store's sparse cache, keyed
    by canonical attr-key pair, so they are never recomputed.
-3. **Induce** — the registry's matching is recomputed over the canonical
-   view order (interfaces sorted by id) by the *same*
+
+The matching itself is derived on demand, never stored:
+
+3. **Induce** — :func:`induced_clusters` runs the *same*
    :func:`repro.matching.clustering.agglomerate` the batch IceQ matcher
-   runs, reading similarities from the sparse cache (absent = 0.0). One
-   shared merge loop means one tie-break order — incremental assimilation
-   cannot drift from batch.
-4. **Unify** — each induced cluster becomes a
+   runs, over the canonical view order (interfaces sorted by id), reading
+   similarities from the sparse cache (absent = 0.0). One shared merge
+   loop means one tie-break order — incremental assimilation cannot
+   drift from batch.
+4. **Unify** — :func:`induced_entries` (behind
+   :attr:`RegistryStore.entries <repro.registry.store.RegistryStore.entries>`)
+   turns each induced cluster into a
    :class:`~repro.registry.store.RegistryEntry` via
    :func:`repro.matching.unify.unify_cluster`, carrying the
    :class:`~repro.obs.provenance.MergeStep` links that assembled it.
@@ -54,6 +59,7 @@ __all__ = [
     "RegistryReport",
     "batch_induced_clusters",
     "build_registry",
+    "induced_entries",
 ]
 
 AttrKey = Tuple[str, str]
@@ -101,13 +107,9 @@ def _canonical_sims(
     return sims
 
 
-def induced_clusters(store: RegistryStore) -> Tuple[Tuple[Tuple[AttrKey, ...], ...], list]:
-    """The registry's induced matching over the canonical view order.
-
-    Returns ``(clusters, merge_steps)`` where clusters are tuples of
-    sorted member keys, ordered by smallest member index — exactly the
-    shape (and order) batch IceQ produces over id-sorted interfaces.
-    """
+def _agglomerate(store: RegistryStore):
+    """The one merge loop behind the registry's induced matching:
+    ``(views, member_lists, steps)`` over the canonical view order."""
     views = store.canonical_views()
     member_lists, steps = agglomerate(
         views,
@@ -115,11 +117,55 @@ def induced_clusters(store: RegistryStore) -> Tuple[Tuple[Tuple[AttrKey, ...], .
         store.threshold,
         linkage=store.linkage,
     )
+    return views, member_lists, steps
+
+
+def induced_clusters(store: RegistryStore) -> Tuple[Tuple[Tuple[AttrKey, ...], ...], list]:
+    """The registry's induced matching over the canonical view order.
+
+    Returns ``(clusters, merge_steps)`` where clusters are tuples of
+    sorted member keys, ordered by smallest member index — exactly the
+    shape (and order) batch IceQ produces over id-sorted interfaces.
+    """
+    views, member_lists, steps = _agglomerate(store)
     clusters = tuple(
         tuple(sorted(views[idx].key for idx in indices))
         for indices in member_lists
     )
     return clusters, steps
+
+
+def induced_entries(store: RegistryStore) -> List[RegistryEntry]:
+    """The registry's canonical attributes, derived from its interfaces
+    and similarity cache: each induced cluster unified, carrying the
+    merge steps that assembled it. Backs :attr:`RegistryStore.entries`.
+    """
+    views, member_lists, steps = _agglomerate(store)
+    # Every committed step ends inside exactly one final cluster:
+    # attribute each once, through any key it merged.
+    cluster_of = {
+        views[idx].key: position
+        for position, indices in enumerate(member_lists)
+        for idx in indices
+    }
+    merges: List[List[MergeStep]] = [[] for _ in member_lists]
+    for step in steps:
+        merges[cluster_of[step.cluster_a[0]]].append(step)
+    entries: List[RegistryEntry] = []
+    for position, indices in enumerate(member_lists):
+        cluster = Cluster([views[idx] for idx in indices])
+        unified = unify_cluster(cluster, len(cluster.interfaces))
+        entries.append(RegistryEntry(
+            cluster_id=f"c{position:04d}",
+            label=unified.label,
+            instances=unified.instances,
+            coverage=unified.coverage,
+            members=unified.members,
+            interfaces=tuple(sorted(cluster.interfaces)),
+            label_votes=unified.label_votes,
+            merges=tuple(merges[position]),
+        ))
+    return entries
 
 
 def batch_induced_clusters(
@@ -191,43 +237,7 @@ class RegistryAssimilator:
         for view in new_views:
             self._index.add(view)
             self._registered.append(view)
-        self._rebuild_entries()
         return record
-
-    def _rebuild_entries(self) -> None:
-        store = self.store
-        views = store.canonical_views()
-        member_lists, steps = agglomerate(
-            views,
-            _canonical_sims(store, views),
-            store.threshold,
-            linkage=store.linkage,
-        )
-        # Every committed step ends inside exactly one final cluster:
-        # attribute each once, through any key it merged.
-        cluster_of = {
-            views[idx].key: position
-            for position, indices in enumerate(member_lists)
-            for idx in indices
-        }
-        merges: List[List[MergeStep]] = [[] for _ in member_lists]
-        for step in steps:
-            merges[cluster_of[step.cluster_a[0]]].append(step)
-        entries: List[RegistryEntry] = []
-        for position, indices in enumerate(member_lists):
-            cluster = Cluster([views[idx] for idx in indices])
-            unified = unify_cluster(cluster, len(cluster.interfaces))
-            entries.append(RegistryEntry(
-                cluster_id=f"c{position:04d}",
-                label=unified.label,
-                instances=unified.instances,
-                coverage=unified.coverage,
-                members=unified.members,
-                interfaces=tuple(sorted(cluster.interfaces)),
-                label_votes=unified.label_votes,
-                merges=tuple(merges[position]),
-            ))
-        store.entries = entries
 
     def report(self, directory: Optional[str] = None) -> RegistryReport:
         store = self.store
@@ -236,7 +246,7 @@ class RegistryAssimilator:
             domain=store.domain,
             n_interfaces=len(store.interfaces),
             n_views=store.n_views,
-            n_entries=len(store.entries),
+            n_entries=len(clusters),
             induced=clusters,
             adds=tuple(store.stats.adds),
             directory=directory,

@@ -4,25 +4,30 @@ A registry is a directory holding ``registry.json``, a sealed envelope
 (:mod:`repro.util.envelope`, the same codec the run journal uses) written
 as canonical compact JSON::
 
-    {"body":{...},"crc":<crc32 of canonical body JSON>,"format":2}
+    {"body":{...},"crc":<crc32 of canonical body JSON>,"format":3}
 
 via :func:`repro.util.atomicio.atomic_write_json` — temp file, fsync,
 ``os.replace`` — so every assimilation either lands whole or not at all;
-a crash mid-save leaves the previous registry intact. The loader verifies
-the CRC and the body's internal consistency before trusting anything:
+a crash mid-save leaves the previous registry intact. The body holds the
+configuration, the interfaces, the nonzero similarity cache and the
+blocking ledger; the registry's entries are not stored, because they are
+a pure function of the interfaces and similarities
+(:attr:`RegistryStore.entries` derives them). The loader verifies the
+CRC and the body's internal consistency before trusting anything:
 
-- a torn/unparseable file, a CRC mismatch, a duplicate interface, a
-  duplicate cluster id, a member claimed by two entries (or none), or a
-  malformed similarity cache is :class:`RegistryCorruptionError` naming
-  the damaged entry;
+- a torn/unparseable file, a CRC mismatch, a duplicate interface or
+  attribute, or a malformed similarity cache is
+  :class:`RegistryCorruptionError` naming the damaged entry;
 - a store written by a newer schema is :class:`RegistryFormatError`;
 - a missing store, or one whose domain/configuration does not match the
   requested operation, is :class:`RegistryMismatchError`.
 
-Format history: format **2** added the blocking ledger (``stats``), and
-it is the only format the loader reads. A format-1 store (no ``stats``)
-is refused as a malformed body; earlier revisions wrote the same
-envelope with ``indent=2`` whitespace, which still verifies.
+Format history: format **2** added the blocking ledger (``stats``);
+format **3** dropped the derived ``entries`` section. The loader reads
+both: a format-2 file's ``entries`` are ignored, since they were always
+derived from the same interfaces and similarities. A format-1 store (no
+``stats``) is refused as a malformed body; earlier revisions wrote the
+same envelope with ``indent=2`` whitespace, which still verifies.
 
 Atomic replace protects readers from a crashed writer, but not writers
 from each other: two concurrent assimilators would each load, merge and
@@ -39,7 +44,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.matching.similarity import AttributeView, SimilarityConfig
 from repro.obs.provenance import MergeStep
@@ -65,7 +70,7 @@ __all__ = [
 AttrKey = Tuple[str, str]
 
 #: Schema version of the registry envelope.
-REGISTRY_FORMAT = 2
+REGISTRY_FORMAT = 3
 REGISTRY_FILENAME = "registry.json"
 #: Sentinel file guarding registry writes (see :class:`RegistryLock`).
 LOCK_FILENAME = "registry.lock"
@@ -185,49 +190,6 @@ class RegistryEntry:
     #: merge steps that assembled this cluster, in commit order
     merges: Tuple[MergeStep, ...]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "cluster_id": self.cluster_id,
-            "label": self.label,
-            "instances": list(self.instances),
-            "coverage": self.coverage,
-            "members": [list(key) for key in self.members],
-            "interfaces": list(self.interfaces),
-            "label_votes": dict(self.label_votes),
-            "merges": [
-                {
-                    "step": step.step,
-                    "linkage_value": step.linkage_value,
-                    "threshold": step.threshold,
-                    "cluster_a": [list(key) for key in step.cluster_a],
-                    "cluster_b": [list(key) for key in step.cluster_b],
-                }
-                for step in self.merges
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "RegistryEntry":
-        return cls(
-            cluster_id=payload["cluster_id"],
-            label=payload["label"],
-            instances=tuple(payload["instances"]),
-            coverage=payload["coverage"],
-            members=tuple((iid, name) for iid, name in payload["members"]),
-            interfaces=tuple(payload["interfaces"]),
-            label_votes=dict(payload["label_votes"]),
-            merges=tuple(
-                MergeStep(
-                    step=m["step"],
-                    linkage_value=m["linkage_value"],
-                    threshold=m["threshold"],
-                    cluster_a=tuple((i, n) for i, n in m["cluster_a"]),
-                    cluster_b=tuple((i, n) for i, n in m["cluster_b"]),
-                )
-                for m in payload["merges"]
-            ),
-        )
-
 
 @dataclass
 class RegistryStore:
@@ -250,7 +212,6 @@ class RegistryStore:
     interfaces: List[Tuple[str, List[AttributeView]]] = field(default_factory=list)
     #: canonical-key-pair -> evaluated nonzero similarity
     sims: Dict[Tuple[AttrKey, AttrKey], float] = field(default_factory=dict)
-    entries: List[RegistryEntry] = field(default_factory=list)
     stats: BlockingStats = field(default_factory=BlockingStats)
 
     # -- views ---------------------------------------------------------
@@ -279,6 +240,15 @@ class RegistryStore:
     @property
     def n_views(self) -> int:
         return sum(len(views) for _, views in self.interfaces)
+
+    @property
+    def entries(self) -> List[RegistryEntry]:
+        """The canonical attributes, derived from ``interfaces`` and
+        ``sims`` on every access (one merge loop plus unification); bind
+        the result once when it is needed twice."""
+        from repro.registry.assimilate import induced_entries
+
+        return induced_entries(self)
 
     # -- serialisation -------------------------------------------------
 
@@ -310,7 +280,6 @@ class RegistryStore:
                 [list(a), list(b), value]
                 for (a, b), value in sorted(self.sims.items())
             ],
-            "entries": [entry.to_dict() for entry in self.entries],
             "stats": self.stats.to_dict(),
         }
 
@@ -365,35 +334,6 @@ class RegistryStore:
                         f"{a!r} / {b!r}"
                     )
                 store.sims[(a, b)] = value
-            claimed: Dict[AttrKey, str] = {}
-            cluster_ids: Dict[str, int] = {}
-            for entry_payload in body["entries"]:
-                entry = RegistryEntry.from_dict(entry_payload)
-                if entry.cluster_id in cluster_ids:
-                    raise RegistryCorruptionError(
-                        f"{source}: duplicate entry {entry.cluster_id!r}"
-                    )
-                cluster_ids[entry.cluster_id] = 1
-                for member in entry.members:
-                    if member not in seen_keys:
-                        raise RegistryCorruptionError(
-                            f"{source}: entry {entry.cluster_id!r} claims "
-                            f"unknown attribute {member!r}"
-                        )
-                    if member in claimed:
-                        raise RegistryCorruptionError(
-                            f"{source}: attribute {member!r} claimed by "
-                            f"both {claimed[member]!r} and "
-                            f"{entry.cluster_id!r}"
-                        )
-                    claimed[member] = entry.cluster_id
-                store.entries.append(entry)
-            unclaimed = sorted(set(seen_keys) - set(claimed))
-            if unclaimed:
-                raise RegistryCorruptionError(
-                    f"{source}: attribute {unclaimed[0]!r} is not claimed "
-                    "by any entry"
-                )
             store.stats = BlockingStats.from_dict(body["stats"])
         except (KeyError, TypeError, ValueError) as exc:
             raise RegistryCorruptionError(

@@ -190,10 +190,10 @@ class RegistryError(ReproError):
 
 class RegistryCorruptionError(RegistryError):
     """The registry store is torn, CRC-mismatched, or internally
-    inconsistent (duplicate interface, duplicate cluster id, a member
-    claimed by two entries, ...). The message names the damaged entry;
-    loading such a store is refused rather than risking silent drift
-    between the registry and the batch oracle."""
+    inconsistent (duplicate interface or attribute, a similarity cache
+    pair that is unknown, non-canonical or repeated, ...). The message
+    names the damaged entry; loading such a store is refused rather than
+    risking silent drift between the registry and the batch oracle."""
 
 
 class RegistryFormatError(RegistryError):

@@ -2,10 +2,10 @@
 
 Mirrors ``tests/test_checkpoint_journal.py`` for the registry's on-disk
 envelope: every way the store can be damaged — torn writes, bit flips
-under a stale CRC, flipped CRC fields, future formats, duplicate or
-dangling entries — must surface as a typed ``RegistryError`` subclass
-naming the damaged entity, never a crash and never silently-wrong
-clusters. Cases shared by every sealed file live in
+under a stale CRC, flipped CRC fields, future formats, duplicate
+interfaces or dangling similarity pairs — must surface as a typed
+``RegistryError`` subclass naming the damaged entity, never a crash and
+never silently-wrong clusters. Cases shared by every sealed file live in
 ``tests/test_envelope.py``.
 """
 
@@ -85,10 +85,52 @@ class TestRoundTrip:
             envelope = json.load(handle)
         assert envelope["format"] == REGISTRY_FORMAT
         assert envelope["crc"] == record_crc(envelope["body"])
+        assert "entries" not in envelope["body"]
+
+    def test_loaded_entries_equal_writer_entries_after_every_add(
+            self, tmp_path, monkeypatch):
+        save = RegistryStore.save
+        checked = []
+
+        def save_and_reload(store, directory):
+            path = save(store, directory)
+            assert RegistryStore.load(directory).entries == store.entries
+            checked.append(len(store.interfaces))
+            return path
+
+        monkeypatch.setattr(RegistryStore, "save", save_and_reload)
+        interfaces = list(build_domain_dataset(DOMAIN, 5, 1).interfaces)
+        build_registry(DOMAIN, interfaces,
+                       directory=str(tmp_path / "registry"))
+        assert checked == [1, 2, 3, 4, 5]
 
     def test_missing_store_is_a_mismatch_not_corruption(self, tmp_path):
         with pytest.raises(RegistryMismatchError, match="no registry store"):
             RegistryStore.load(str(tmp_path / "nowhere"))
+
+
+class TestFormat2:
+    """A format-2 store carried a derived ``entries`` section; it still
+    loads, and the section is ignored whatever it holds."""
+
+    @pytest.mark.parametrize("entries", [
+        [], "garbage", [{"cluster_id": "c0000", "members": [["x", "y"]]}],
+    ])
+    def test_stale_or_garbage_entries_are_ignored(self, tmp_path, entries):
+        directory = saved_registry(tmp_path)
+        fresh, _ = build_registry(
+            DOMAIN, list(build_domain_dataset(DOMAIN, 3, 1).interfaces))
+
+        def downgrade(env):
+            env["format"] = 2
+            env["body"]["entries"] = entries
+            reseal(env)
+
+        rewrite(directory, downgrade)
+        loaded = RegistryStore.load(directory)
+        assert loaded.to_body() == fresh.to_body()
+        entries = loaded.entries
+        assert entries and entries == fresh.entries
 
 
 class TestEnvelopeCorruption:
@@ -166,64 +208,6 @@ class TestBodyCorruption:
                            match="duplicate interface 'book-00'"):
             RegistryStore.load(directory)
 
-    def test_duplicate_cluster_id_names_it(self, tmp_path):
-        directory = saved_registry(tmp_path)
-
-        def dup(env):
-            entries = env["body"]["entries"]
-            clone = json.loads(json.dumps(entries[0]))
-            clone["members"] = []
-            entries.append(clone)
-            reseal(env)
-
-        rewrite(directory, dup)
-        with pytest.raises(RegistryCorruptionError,
-                           match="duplicate entry 'c0000'"):
-            RegistryStore.load(directory)
-
-    def test_member_claimed_by_two_entries_names_both(self, tmp_path):
-        directory = saved_registry(tmp_path)
-
-        def steal(env):
-            entries = env["body"]["entries"]
-            entries[1]["members"].append(entries[0]["members"][0])
-            reseal(env)
-
-        rewrite(directory, steal)
-        with pytest.raises(RegistryCorruptionError,
-                           match="claimed by both 'c0000' and 'c0001'"):
-            RegistryStore.load(directory)
-
-    def test_unknown_member_names_entry_and_attribute(self, tmp_path):
-        directory = saved_registry(tmp_path)
-
-        def dangle(env):
-            env["body"]["entries"][0]["members"].append(
-                ["ghost-99", "phantom"])
-            reseal(env)
-
-        rewrite(directory, dangle)
-        with pytest.raises(
-                RegistryCorruptionError,
-                match=r"entry 'c0000' claims unknown attribute "
-                      r"\('ghost-99', 'phantom'\)"):
-            RegistryStore.load(directory)
-
-    def test_unclaimed_view_names_it(self, tmp_path):
-        directory = saved_registry(tmp_path)
-
-        def orphan(env):
-            for entry in env["body"]["entries"]:
-                if entry["members"]:
-                    entry["members"].pop()
-                    break
-            reseal(env)
-
-        rewrite(directory, orphan)
-        with pytest.raises(RegistryCorruptionError,
-                           match="is not claimed by any entry"):
-            RegistryStore.load(directory)
-
     def test_sim_cache_unknown_pair(self, tmp_path):
         directory = saved_registry(tmp_path)
 
@@ -267,7 +251,7 @@ class TestBodyCorruption:
         directory = saved_registry(tmp_path)
 
         def gut(env):
-            del env["body"]["entries"]
+            del env["body"]["sims"]
             reseal(env)
 
         rewrite(directory, gut)
