@@ -220,6 +220,8 @@ class InstanceAcquirer:
         # label -> label_vector(label); labels never change, so the memo
         # spares case-1 donor selection re-normalising every donor label.
         self._label_vectors: Dict[str, Tuple[Dict[str, int], float]] = {}
+        # every donor's normalised forms, inverted; built lazily per run
+        self._donor_forms: Optional[_DonorIndex] = None
         self.validation_cache = validation_cache
         self._discoverer = SurfaceDiscoverer(
             engine, config.surface, validation_cache=validation_cache,
@@ -276,6 +278,9 @@ class InstanceAcquirer:
                 except AttributeError:
                     pass  # exceptions with __slots__: crash stays unattributed
             raise
+        finally:
+            # the donor index serves one run; free it before matching
+            self._donor_forms = None
 
     def _acquire(
         self,
@@ -287,6 +292,7 @@ class InstanceAcquirer:
         enable_attr_surface: bool,
     ) -> AcquisitionReport:
         self._interfaces = list(interfaces)
+        self._donor_forms = None
         self._domain_keywords = list(domain_keywords)
         self._object_name = object_name
         report = AcquisitionReport(k=self.config.k)
@@ -462,13 +468,13 @@ class InstanceAcquirer:
         own_vector, own_norm = self._label_vector(attribute.label)
         scored: List[Tuple[float, str, Attribute]] = []
         candidates = 0
-        for other_interface, donor in self._donor_candidates(interface):
+        for _, other_interface, donor, donor_values in \
+                self._donor_index().donors(interface):
             candidates += 1
             sim = label_cosine(own_vector, own_norm,
                                *self._label_vector(donor.label))
             if sim < self.config.label_sim_threshold:
                 continue
-            donor_values = _normalized(donor.all_instances())
             if any(
                 _containment(donor_values, y_values)
                 > self.config.domain_dissimilar_max
@@ -526,22 +532,24 @@ class InstanceAcquirer:
         """Donor ``(interface_id, attribute)`` pairs for a pre-defined
         attribute (§5 case 2): the domains share at least
         ``min_similar_values`` very similar values."""
-        own = _SimilarValueIndex(attribute.all_instances())
+        index = self._donor_index()
+        own = _form_counts(attribute.all_instances())
+        exact, overlap = index.tally(own)
         scored: List[Tuple[int, str, Attribute]] = []
         candidates = 0
-        for other_interface, donor in self._donor_candidates(interface):
+        for rank, other_interface, donor, donor_values in \
+                index.donors(interface):
             candidates += 1
-            donor_values = _normalized(donor.all_instances())
             if not donor_values:
                 continue
-            if (
-                _containment(own.counts, donor_values)
-                >= self.config.case2_skip_overlap
-            ):
+            # exact-form containment, as _containment computes it
+            containment = (exact.get(rank, 0)
+                           / min(len(own), len(donor_values)) if own else 0.0)
+            if containment >= self.config.case2_skip_overlap:
                 continue  # domains already similar: nothing to gain
-            overlap = own.count_similar(donor_values)
-            if overlap >= self.config.min_similar_values:
-                scored.append((overlap, other_interface.interface_id, donor))
+            score = overlap.get(rank, 0)
+            if score >= self.config.min_similar_values:
+                scored.append((score, other_interface.interface_id, donor))
         if work.ACTIVE is not None:
             work.ACTIVE.bump("donor.candidates", candidates)
         scored.sort(key=lambda item: (-item[0], item[2].label.lower()))
@@ -641,21 +649,21 @@ class InstanceAcquirer:
         self.resilience.skip_attribute(interface.interface_id, attribute.name)
         return True
 
-    def _donor_candidates(self, interface: QueryInterface):
-        """Attributes whose instance sets are trustworthy donor domains.
+    def _donor_index(self) -> _DonorIndex:
+        """The run's donor index, built on first use and brought up to
+        date with every append since the last donor query."""
+        if self._donor_forms is None:
+            self._donor_forms = _DonorIndex(self._interfaces, self.config)
+        else:
+            self._donor_forms.refresh()
+        return self._donor_forms
 
-        Pre-defined SELECT values always qualify (however few — the
-        interface designer vouches for them). Acquired instance sets only
-        qualify when the acquisition *succeeded* (reached ``k``): a handful
-        of leftover candidates from a failed extraction is mostly noise and
-        would crowd out genuine donors.
-        """
-        for other in self._interfaces:
-            if other.interface_id == interface.interface_id:
-                continue
-            for donor in other.attributes:
-                if donor.has_instances or len(donor.acquired) >= self.config.k:
-                    yield other, donor
+    def _donor_candidates(self, interface: QueryInterface
+                          ) -> Iterator[Tuple[QueryInterface, Attribute]]:
+        """Eligible donors on interfaces other than ``interface``, in
+        interface order, then attribute order (see :class:`_DonorIndex`)."""
+        for _, other, donor, _ in self._donor_index().donors(interface):
+            yield other, donor
 
     @staticmethod
     def _acquired_count(attribute: Attribute) -> int:
@@ -689,58 +697,126 @@ def _containment(values_a: Dict[str, Any], values_b: Dict[str, Any]) -> float:
                                                         len(values_b))
 
 
-class _SimilarValueIndex:
-    """One recipient's values, indexed to count very similar donor values.
+def _form_counts(values: Sequence[str]) -> Dict[str, int]:
+    """``strip().lower()`` form -> how many of ``values`` have it."""
+    out: Dict[str, int] = {}
+    for value in values:
+        norm = value.strip().lower()
+        out[norm] = out.get(norm, 0) + 1
+    return out
 
-    :func:`~repro.matching.similarity.values_similar` sees its arguments
-    only through their ``strip().lower()`` forms, is symmetric, holds on
-    equal forms, and otherwise needs a word Jaccard of at least 0.5 — so
-    at least one shared word. A donor value can therefore only match the
-    recipient form equal to it or the recipient forms sharing one of its
-    words; the index hands back exactly those, and ``values_similar``
-    confirms each one (DESIGN.md §18).
+
+class _DonorIndex:
+    """Every eligible donor's normalised forms, inverted for donor selection.
+
+    A donor is any attribute whose instance set is a trustworthy domain:
+    pre-defined SELECT values always qualify (however few — the interface
+    designer vouches for them), acquired ones only once the acquisition
+    *succeeded* (reached ``k``), since a handful of leftover candidates from
+    a failed extraction is mostly noise and would crowd out genuine donors.
+    Donors are ranked by enumeration order — interface order, then
+    attribute order — which is the order both donor rules scan them in.
+
+    The index keeps each donor's :func:`_normalized` forms, each form's
+    holders, and a word -> forms posting list. :func:`~repro.matching.
+    similarity.values_similar` sees its arguments only through their
+    ``strip().lower()`` forms, is symmetric, holds on equal forms, and
+    otherwise needs a word Jaccard of at least 0.5 — so at least one
+    shared word. A recipient form can therefore only match the donor form
+    equal to it or the donor forms sharing one of its words; :meth:`tally`
+    confirms exactly those with ``values_similar``, once per distinct donor
+    form however many donors hold it (DESIGN.md §18).
+
+    ``acquired`` lists only grow during a run, so a donor whose
+    ``(len(instances), len(acquired))`` version is unchanged has unchanged
+    forms; :meth:`refresh` re-indexes only the donors whose version moved.
+    The attribute lists themselves are fixed for the index's lifetime.
+    The index holds the interfaces, never the acquirer that queries it.
     """
 
-    def __init__(self, values: Sequence[str]) -> None:
-        #: normalised form -> how many of ``values`` have it
-        self.counts: Dict[str, int] = {}
-        #: normalised form -> the first value with it
-        self.originals: Dict[str, str] = {}
-        #: word -> the normalised forms containing it
-        self.postings: Dict[str, List[str]] = {}
-        for value in values:
-            norm = value.strip().lower()
-            if norm in self.counts:
-                self.counts[norm] += 1
-                continue
-            self.counts[norm] = 1
-            self.originals[norm] = value
-            for word in set(norm.split()):
-                self.postings.setdefault(word, []).append(norm)
+    def __init__(self, interfaces: Sequence[QueryInterface],
+                 config: AcquisitionConfig) -> None:
+        self._k = config.k
+        #: ``(interface, attribute)`` by rank
+        self._slots = [(interface, attribute) for interface in interfaces
+                       for attribute in interface.attributes]
+        self._versions: List[Optional[Tuple[int, int]]] = \
+            [None] * len(self._slots)
+        #: rank -> the donor's forms as :func:`_normalized` returns them;
+        #: ``None`` while the attribute is not an eligible donor
+        self._forms: List[Optional[Dict[str, str]]] = [None] * len(self._slots)
+        #: normalised form -> ranks of the donors holding it
+        self._holders: Dict[str, Set[int]] = {}
+        #: word -> the held forms containing it
+        self._postings: Dict[str, Set[str]] = {}
+        self.refresh()
 
-    def count_similar(self, donor: Dict[str, str]) -> int:
-        """How many recipient values have a very similar partner among the
-        donor's values (``donor`` as :func:`_normalized` returns them)."""
-        counts = self.counts
-        postings = self.postings
-        matched: Set[str] = set()
+    def refresh(self) -> None:
+        """Re-index every donor whose instance lists grew."""
+        for rank, (_, attribute) in enumerate(self._slots):
+            version = (len(attribute.instances), len(attribute.acquired))
+            if version != self._versions[rank]:
+                self._versions[rank] = version
+                self._reindex(rank, attribute)
+
+    def _reindex(self, rank: int, attribute: Attribute) -> None:
+        for norm in self._forms[rank] or ():
+            holders = self._holders[norm]
+            holders.discard(rank)
+            if not holders:
+                del self._holders[norm]
+                for word in norm.split():
+                    self._postings[word].discard(norm)
+        forms = None
+        if attribute.has_instances or len(attribute.acquired) >= self._k:
+            forms = _normalized(attribute.all_instances())
+            for norm in forms:
+                holders = self._holders.setdefault(norm, set())
+                if not holders:
+                    for word in norm.split():
+                        self._postings.setdefault(word, set()).add(norm)
+                holders.add(rank)
+        self._forms[rank] = forms
+
+    def donors(self, interface: QueryInterface
+               ) -> Iterator[Tuple[int, QueryInterface, Attribute,
+                                   Dict[str, str]]]:
+        """``(rank, interface, donor, forms)`` for every eligible donor on
+        an interface other than ``interface``, by rank."""
+        for rank, (other, donor) in enumerate(self._slots):
+            forms = self._forms[rank]
+            if forms is not None \
+                    and other.interface_id != interface.interface_id:
+                yield rank, other, donor, forms
+
+    def tally(self, counts: Dict[str, int]
+              ) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """Score a recipient against every donor at once.
+
+        ``counts`` maps the recipient's forms to their multiplicities (as
+        :func:`_form_counts` returns them). Returns, per donor rank, how
+        many of those forms the donor holds exactly, and how many recipient
+        values have a very similar partner among the donor's forms; donors
+        scoring zero are absent."""
+        holders = self._holders
+        postings = self._postings
+        exact: Dict[int, int] = {}
+        overlap: Dict[int, int] = {}
         comparisons = 0
-        for norm, value in donor.items():
-            candidates = {norm} if norm in counts else set()
+        for norm, count in counts.items():
+            held_by = holders.get(norm, ())
+            for rank in held_by:
+                exact[rank] = exact.get(rank, 0) + 1
+            candidates = {norm} if held_by else set()
             for word in norm.split():
                 candidates.update(postings.get(word, ()))
-            candidates -= matched
             comparisons += len(candidates)
+            similar: Set[int] = set()
             for candidate in candidates:
-                if values_similar(self.originals[candidate], value):
-                    matched.add(candidate)
-            if len(matched) == len(counts):
-                break
+                if values_similar(norm, candidate):
+                    similar.update(holders[candidate])
+            for rank in similar:
+                overlap[rank] = overlap.get(rank, 0) + count
         if work.ACTIVE is not None:
             work.ACTIVE.bump("donor.value_comparisons", comparisons)
-        return sum(counts[norm] for norm in matched)
-
-
-def _count_similar_values(values_a: Sequence[str], values_b: Sequence[str]) -> int:
-    """How many of ``values_a`` have a very similar partner in ``values_b``."""
-    return _SimilarValueIndex(values_a).count_similar(_normalized(values_b))
+        return exact, overlap

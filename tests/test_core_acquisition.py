@@ -1,5 +1,8 @@
 """Tests for the §5 acquisition policy."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.acquisition import AcquisitionConfig, InstanceAcquirer
@@ -147,3 +150,48 @@ class TestReport:
         report = AcquisitionReport()
         assert report.surface_success_rate == 0.0
         assert report.final_success_rate == 0.0
+
+
+class TestLifecycle:
+    def test_run_frees_its_acquirer_without_the_cycle_collector(
+            self, monkeypatch):
+        # A reference cycle through the acquirer would keep each run's
+        # engine, corpus and indexes alive until the cyclic GC ran.
+        from repro.core import pipeline
+
+        acquirers = []
+        case2_calls = []
+
+        class Recorded(InstanceAcquirer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                acquirers.append(weakref.ref(self))
+
+            def _case2_donors(self, interface, attribute):
+                case2_calls.append(attribute.name)
+                return super()._case2_donors(interface, attribute)
+
+        monkeypatch.setattr(pipeline, "InstanceAcquirer", Recorded)
+        dataset = build_domain_dataset("airfare", n_interfaces=4, seed=1)
+        gc.disable()
+        try:
+            result = pipeline.WebIQMatcher(pipeline.WebIQConfig()).run(dataset)
+            del result
+            assert acquirers and case2_calls
+            assert all(ref() is None for ref in acquirers)
+        finally:
+            gc.enable()
+
+    def test_donor_index_holds_no_reference_to_its_acquirer(self, airfare):
+        acquirer = InstanceAcquirer(airfare.engine, airfare.sources)
+        acquirer._interfaces = airfare.interfaces
+        interface = airfare.interfaces[0]
+        acquirer._case2_donors(interface, interface.attributes[0])
+        assert acquirer._donor_forms is not None
+        ref = weakref.ref(acquirer)
+        gc.disable()
+        try:
+            del acquirer
+            assert ref() is None
+        finally:
+            gc.enable()

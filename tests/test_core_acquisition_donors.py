@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.acquisition import (
     AcquisitionConfig,
     InstanceAcquirer,
-    _count_similar_values,
+    _DonorIndex,
+    _form_counts,
 )
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
@@ -43,6 +44,16 @@ def brute_force_count(values_a, values_b):
     return sum(any(values_similar(a, b) for b in values_b) for a in values_a)
 
 
+def indexed_count(values_a, values_b):
+    """The donor index's overlap of recipient ``values_a`` with a lone
+    donor whose pre-defined values are ``values_b``."""
+    donor_if = QueryInterface("d", "airfare", "flight",
+                              [select("b", "B", values_b)])
+    index = _DonorIndex([donor_if], AcquisitionConfig())
+    _, overlap = index.tally(_form_counts(values_a))
+    return overlap.get(0, 0)
+
+
 #: words whose case, padding and combinations collide in every way the
 #: index must handle: equal forms, shared words, Jaccard just above and
 #: below 0.5, empty and whitespace-only values
@@ -60,7 +71,7 @@ class TestCountSimilarValues:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_VALUES, max_size=8), st.lists(_VALUES, max_size=8))
     def test_indexed_count_equals_brute_force(self, values_a, values_b):
-        assert (_count_similar_values(values_a, values_b)
+        assert (indexed_count(values_a, values_b)
                 == brute_force_count(values_a, values_b))
 
     @settings(max_examples=100, deadline=None)
@@ -68,35 +79,35 @@ class TestCountSimilarValues:
            st.lists(st.text(max_size=6), max_size=6))
     def test_indexed_count_equals_brute_force_on_any_text(self, values_a,
                                                           values_b):
-        assert (_count_similar_values(values_a, values_b)
+        assert (indexed_count(values_a, values_b)
                 == brute_force_count(values_a, values_b))
 
     def test_duplicates_count_once_per_occurrence(self):
-        assert _count_similar_values(["Air", " air", "AIR ", "x"],
-                                     ["air lines"]) == 3
+        assert indexed_count(["Air", " air", "AIR ", "x"],
+                             ["air lines"]) == 3
 
     def test_empty_values_match_only_empty_values(self):
-        assert _count_similar_values(["", "  "], ["\t"]) == 2
-        assert _count_similar_values(["", "  "], ["air"]) == 0
+        assert indexed_count(["", "  "], ["\t"]) == 2
+        assert indexed_count(["", "  "], ["air"]) == 0
 
     def test_comparisons_counted(self):
         counters = work.WorkCounters()
         with work.collecting(counters):
-            assert _count_similar_values(
+            assert indexed_count(
                 ["united airlines", "delta", "klm"],
                 ["United", "Aer Lingus", "KLM"]) == 2
         # only the recipient forms sharing a word are ever compared
         assert counters.get("donor.value_comparisons") == 2
 
     def test_exact_matches(self):
-        assert _count_similar_values(["a", "b"], ["A", "c"]) == 1
+        assert indexed_count(["a", "b"], ["A", "c"]) == 1
 
     def test_word_overlap_matches(self):
-        assert _count_similar_values(
+        assert indexed_count(
             ["United Airlines"], ["United", "Delta"]) == 1
 
     def test_empty(self):
-        assert _count_similar_values([], ["a"]) == 0
+        assert indexed_count([], ["a"]) == 0
 
 
 class TestCase1Donors:
@@ -265,3 +276,51 @@ class TestDonorSelectionMatchesReference:
                 assert donors == reference_case2(world, interface, attribute)
                 selected += len(donors)
         assert selected
+
+
+#: one attribute of a generated world: SELECT with pre-defined values, or
+#: TEXT with acquired ones; labels collide so the label tie-break matters
+_ATTRIBUTE = st.tuples(st.booleans(),
+                       st.sampled_from(["Airline", "airline", "Carrier"]),
+                       st.lists(_VALUES, max_size=5))
+_WORLD = st.lists(st.lists(_ATTRIBUTE, min_size=1, max_size=3),
+                  min_size=2, max_size=4)
+#: appends between donor queries: (attribute pick, values to append)
+_APPENDS = st.lists(st.tuples(st.integers(min_value=0, max_value=99),
+                              st.lists(_VALUES, min_size=1, max_size=3)),
+                    min_size=1, max_size=6)
+
+
+class TestIncrementalDonorIndex:
+    """The index is built once per run and kept current by re-indexing the
+    donors whose acquired lists grew; after every append both donor rules
+    must still equal the reference scan over the current values."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_WORLD, _APPENDS, st.integers(min_value=1, max_value=3))
+    def test_appends_keep_donors_equal_to_reference(self, world, appends, k):
+        interfaces = []
+        for i, attributes in enumerate(world):
+            built = []
+            for j, (is_select, label, values) in enumerate(attributes):
+                if is_select and values:
+                    built.append(select(f"a{j}", label, values))
+                else:
+                    built.append(text(f"a{j}", label, acquired=values))
+            interfaces.append(QueryInterface(f"i{i}", "airfare", "flight",
+                                             built))
+        acq = acquirer_with(interfaces, AcquisitionConfig(k=k))
+        slots = [(interface, attribute) for interface in interfaces
+                 for attribute in interface.attributes]
+
+        def check():
+            for interface, attribute in slots:
+                assert (acq._case2_donors(interface, attribute)
+                        == reference_case2(acq, interface, attribute))
+                assert (acq._case1_donors(interface, attribute)
+                        == reference_case1(acq, interface, attribute))
+
+        check()
+        for pick, values in appends:
+            slots[pick % len(slots)][1].acquired.extend(values)
+            check()
