@@ -254,13 +254,14 @@ def _find_cue(tokens: Sequence[TaggedToken], cue: Tuple[str, ...]) -> List[int]:
 
     Matching skips nothing: the cue must appear as consecutive word tokens
     (punctuation between cue words breaks the match, as it should).
+    ``cue`` is never empty: every extraction pattern has fixed cue words.
     """
     words = [t.word.lower() for t in tokens]
-    hits = []
-    for i in range(len(words) - len(cue) + 1):
-        if all(words[i + j] == cue[j] for j in range(len(cue))):
-            hits.append(i)
-    return hits
+    head, target, n = cue[0], list(cue), len(cue)
+    return [
+        i for i in range(len(words) - n + 1)
+        if words[i] == head and words[i:i + n] == target
+    ]
 
 
 # ---------------------------------------------------------------------------

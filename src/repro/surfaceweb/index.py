@@ -9,7 +9,7 @@ for extraction/validation queries and proximity for the paper's
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.surfaceweb.document import Document
 from repro.util import counters as work
@@ -66,23 +66,24 @@ class InvertedIndex:
         return sum(len(v) for v in self._postings.get(term.lower(), {}).values())
 
     def phrase_positions(self, phrase: Sequence[str], doc_id: int) -> List[int]:
-        """Start word-positions of exact occurrences of ``phrase`` in a doc."""
+        """Start word-positions of exact occurrences of ``phrase`` in a doc.
+
+        The first word's postings give the candidate starts; each is kept
+        when the page's word list, sliced there, equals the phrase. Postings
+        are built from :attr:`Document.words`, so the slice test is exactly
+        "every later word sits at its offset".
+        """
         phrase = [w.lower() for w in phrase]
         if not phrase:
             return []
         first = self._postings.get(phrase[0], {}).get(doc_id)
         if first is None:
             return []
-        rest = []
-        for offset, word in enumerate(phrase[1:], start=1):
-            positions = self._postings.get(word, {}).get(doc_id)
-            if positions is None:
-                return []
-            rest.append((offset, set(positions)))
-        return [
-            p for p in first
-            if all(p + off in positions for off, positions in rest)
-        ]
+        if len(phrase) == 1:
+            return list(first)
+        words = self._documents[doc_id].words
+        n = len(phrase)
+        return [p for p in first if words[p:p + n] == phrase]
 
     def documents_with_phrase(self, phrase: Sequence[str]) -> Set[int]:
         """Doc-ids containing ``phrase`` as consecutive words."""
@@ -91,9 +92,10 @@ class InvertedIndex:
             return set()
         if len(phrase) == 1:
             return self.documents_with_term(phrase[0])
-        candidates: Optional[Set[int]] = None
+        # postings key views intersect in C, iterating the smaller side
+        candidates: Optional[AbstractSet[int]] = None
         for word in phrase:
-            docs = set(self._postings.get(word, ()))
+            docs = self._postings.get(word, {}).keys()
             if candidates is None:
                 candidates = docs
             else:
@@ -103,7 +105,17 @@ class InvertedIndex:
             if not candidates:
                 return set()
         assert candidates is not None
-        return {d for d in candidates if self.phrase_positions(phrase, d)}
+        return {d for d in candidates if self._has_phrase(phrase, d)}
+
+    def _has_phrase(self, phrase: List[str], doc_id: int) -> bool:
+        """Does lower-cased ``phrase`` (two or more words, the first one
+        present in ``doc_id``) occur there? Stops at the first occurrence."""
+        words = self._documents[doc_id].words
+        n = len(phrase)
+        for p in self._postings[phrase[0]][doc_id]:
+            if words[p:p + n] == phrase:
+                return True
+        return False
 
     def cooccurrence_docs(
         self,

@@ -276,6 +276,10 @@ class BrillTagger:
             else:
                 tags.append(_guess_tag(tok, sentence_initial=i == 0))
         for rule in self.rules:
+            # a pass rewrites only positions holding ``from_tag``; checked
+            # per rule, since earlier rules create tags later ones rewrite
+            if rule.from_tag not in tags:
+                continue
             for i, tag in enumerate(tags):
                 if tag == rule.from_tag and rule.condition(tags, tokens, i):
                     tags[i] = rule.to_tag

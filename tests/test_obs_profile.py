@@ -51,6 +51,15 @@ CELLS = (
 
 CELL_IDS = [f"{domain}-s{seed}-" for domain, seed, _ in CELLS]
 
+#: work counters of one default profiled run on book, 5 interfaces, seed 1
+PINNED_WORK = {
+    "engine.round_trips": 925,
+    "index.intersections": 2500,
+    "index.window_checks": 261,
+    "pmi.phrase_queries": 829,
+    "tokenizer.calls": 1685,
+}
+
 
 def resilience_on():
     return ResilienceConfig(
@@ -159,6 +168,16 @@ class TestCounterBooksBalance:
             "web.calls", layer=LAYER_TRANSPORT, substrate="engine")
         assert counter == result.cache.misses == transport_calls
         assert counter == dataset.engine.query_count
+
+    def test_work_counters_pinned(self):
+        """The Surface-Web work of one profiled run, pinned: a change to
+        how the index, tokeniser or PMI scorer reads its data must leave
+        these counts exactly where they are."""
+        config = WebIQConfig(obs=ObsConfig(profile=True))
+        result = WebIQMatcher(config).run(build_domain_dataset("book", 5, 1))
+        counts = result.obs.counters.as_dict()
+        pinned = {name: counts.get(name) for name in PINNED_WORK}
+        assert pinned == PINNED_WORK
 
     def test_counters_off_by_default(self):
         config = WebIQConfig(obs=ObsConfig())

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.surfaceweb.document import Document
+from repro.surfaceweb.engine import SearchEngine
 from repro.surfaceweb.index import InvertedIndex
+from repro.util import counters as work
 
 
 def build_index(*texts):
@@ -136,6 +138,73 @@ class TestCooccurrence:
             ["departure", "city"], ["boston"], window=0) == {0}
 
 
+# --------------------------------------------------- brute-force references
+def scan_positions(words, phrase):
+    """Every start where ``words`` holds ``phrase`` (lower-cased) verbatim."""
+    phrase = [w.lower() for w in phrase]
+    n = len(phrase)
+    if not n:
+        return []
+    return [p for p in range(len(words) - n + 1)
+            if all(words[p + k] == phrase[k] for k in range(n))]
+
+
+def scan_docs(docs, phrase):
+    return {d.doc_id for d in docs if scan_positions(d.words, phrase)}
+
+
+def scan_cooccurs(doc, phrase_a, phrase_b, window):
+    """Two disjoint spans with at most ``window`` words strictly between."""
+    len_a, len_b = len(phrase_a), len(phrase_b)
+    for a in scan_positions(doc.words, phrase_a):
+        for b in scan_positions(doc.words, phrase_b):
+            if a + len_a <= b:
+                between = b - (a + len_a)
+            elif b + len_b <= a:
+                between = a - (b + len_b)
+            else:
+                continue
+            if between <= window:
+                return True
+    return False
+
+
+def reference_intersections(docs, phrase):
+    """One bump per word after the first, until the running intersection
+    of the words' document sets is empty; none for a one-word phrase."""
+    phrase = [w.lower() for w in phrase]
+    if len(phrase) < 2:
+        return 0
+
+    def containing(word):
+        return {d.doc_id for d in docs if word in d.words}
+
+    running, bumps = containing(phrase[0]), 0
+    for word in phrase[1:]:
+        if not running:
+            break
+        bumps += 1
+        running &= containing(word)
+    return bumps
+
+
+#: pages and phrases over a 3-5 letter alphabet, so repeated words,
+#: self-overlapping phrases ("a a a") and absent words are all common
+@st.composite
+def corpus_and_phrases(draw):
+    alphabet = "abcde"[:draw(st.integers(3, 5))]
+    word = st.sampled_from(alphabet)
+    mixed = st.builds(lambda w, up: w.upper() if up else w, word, st.booleans())
+    pages = draw(st.lists(st.lists(mixed, min_size=1, max_size=12),
+                          min_size=1, max_size=6))
+    # "z" never occurs in a page: the absent-word paths get drawn too
+    phrase = st.lists(st.one_of(mixed, st.just("z")), min_size=1, max_size=4)
+    phrases = draw(st.lists(phrase, min_size=1, max_size=4))
+    docs = [Document(i, f"u{i}", "t", " ".join(words))
+            for i, words in enumerate(pages)]
+    return docs, phrases
+
+
 class TestProperties:
     @given(st.lists(st.lists(st.sampled_from("abcde"), min_size=1, max_size=8),
                     min_size=1, max_size=8))
@@ -158,3 +227,54 @@ class TestProperties:
         narrow = index.cooccurrence_docs(["a"], ["b"], window)
         wide = index.cooccurrence_docs(["a"], ["b"], window + 1)
         assert narrow <= wide
+
+    # exactness: every phrase read equals a brute-force scan of each page's
+    # word list and bumps ``index.intersections`` by the reference rule
+    @given(corpus_and_phrases())
+    def test_phrase_positions_match_scan(self, drawn):
+        docs, phrases = drawn
+        index = InvertedIndex()
+        index.add_all(docs)
+        for phrase in phrases:
+            for doc in docs:
+                assert index.phrase_positions(phrase, doc.doc_id) == \
+                    scan_positions(doc.words, phrase)
+
+    @given(corpus_and_phrases())
+    def test_documents_with_phrase_match_scan(self, drawn):
+        docs, phrases = drawn
+        index = InvertedIndex()
+        index.add_all(docs)
+        for phrase in phrases:
+            with work.collecting(work.WorkCounters()) as counts:
+                found = index.documents_with_phrase(phrase)
+            assert found == scan_docs(docs, phrase)
+            assert counts.get("index.intersections") == \
+                reference_intersections(docs, phrase)
+
+    @given(corpus_and_phrases(), st.integers(0, 3))
+    def test_cooccurrence_docs_match_scan(self, drawn, window):
+        docs, phrases = drawn
+        index = InvertedIndex()
+        index.add_all(docs)
+        for phrase_a, phrase_b in zip(phrases, phrases[1:] + phrases[:1]):
+            with work.collecting(work.WorkCounters()) as counts:
+                found = index.cooccurrence_docs(phrase_a, phrase_b, window)
+            assert found == {d.doc_id for d in docs
+                             if scan_cooccurs(d, phrase_a, phrase_b, window)}
+            assert counts.get("index.intersections") == (
+                reference_intersections(docs, phrase_a)
+                + reference_intersections(docs, phrase_b) + 1)
+            assert counts.get("index.window_checks") == len(
+                scan_docs(docs, phrase_a) & scan_docs(docs, phrase_b))
+
+    @given(corpus_and_phrases())
+    def test_quoted_num_hits_match_scan(self, drawn):
+        docs, phrases = drawn
+        engine = SearchEngine(docs)
+        for phrase in phrases:
+            with work.collecting(work.WorkCounters()) as counts:
+                hits = engine.num_hits('"' + " ".join(phrase) + '"')
+            assert hits == len(scan_docs(docs, phrase))
+            assert counts.get("index.intersections") == \
+                reference_intersections(docs, phrase)

@@ -1,8 +1,14 @@
 """Tests for repro.text.postag: the Brill-style tagger."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.text.postag import BrillTagger, TaggedToken, default_tagger
+from repro.text.postag import (
+    BrillTagger,
+    ContextRule,
+    TaggedToken,
+    default_tagger,
+)
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +112,45 @@ class TestCustomisation:
 
     def test_empty_input(self, tagger):
         assert tagger.tag("") == []
+
+
+#: lexicon words that trigger every default rule ("to", determiners,
+#: participles, gerunds, nouns, verbs), capitalised unknown words,
+#: numbers and punctuation
+RULE_TOKENS = (
+    "to", "the", "a", "my", "search", "book", "city", "cities", "enter",
+    "used", "published", "departing", "flying", "is", "have",
+    "Boston", "Zyxo", "Delta", "Air", "42", "$5", "3rd", ",", ".", ":",
+)
+
+
+def unskipped_tags(tagger, tokens):
+    """The contextual pass without the rule skip: every rule scans every
+    position, starting from the tagger's own initial state."""
+    tags = [t.tag for t in BrillTagger(tagger.lexicon, rules=()).tag(tokens)]
+    for rule in tagger.rules:
+        for i, tag in enumerate(tags):
+            if tag == rule.from_tag and rule.condition(tags, tokens, i):
+                tags[i] = rule.to_tag
+    return tags
+
+
+class TestRuleSkip:
+    """Skipping a rule whose ``from_tag`` is absent changes no tag."""
+
+    @given(st.lists(st.sampled_from(RULE_TOKENS), max_size=10))
+    def test_matches_unskipped_rule_loop(self, tokens):
+        tagger = default_tagger()
+        assert [t.tag for t in tagger.tag(tokens)] == \
+            unskipped_tags(tagger, tokens)
+
+    def test_tag_created_by_earlier_rule_is_rewritten(self):
+        # "B" is absent from the initial tags: only a per-rule check lets
+        # the second rule see what the first one created
+        always = lambda tags, words, i: True
+        tagger = BrillTagger(
+            lexicon={"x": "A"},
+            rules=(ContextRule("A", "B", always, "A->B"),
+                   ContextRule("B", "C", always, "B->C")),
+        )
+        assert [t.tag for t in tagger.tag(["x", "x"])] == ["C", "C"]
