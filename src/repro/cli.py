@@ -211,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "as JSON to PATH")
     radd.add_argument("directory", help="existing registry directory")
     rshow = rsub.add_parser(
-        "show", help="verify a registry, derive and print its entries, "
-                     "and print its blocking ledger (exit 1 if damaged)")
+        "show", help="verify a registry, print its on-disk layout, derive "
+                     "and print its entries, and print its blocking "
+                     "ledger (exit 1 if damaged)")
     rshow.add_argument("directory", help="registry directory")
     rbatch = rsub.add_parser(
         "batch", help="run batch IceQ over the same interfaces and write "
@@ -1049,7 +1050,10 @@ def _registry_show(args) -> int:
 
     store = RegistryStore.load(args.directory)
     entries = store.entries
+    snapshot_format, deltas = store.layout()
     print(f"registry {args.directory}: intact")
+    print(f"  layout: snapshot format {snapshot_format} + {deltas} "
+          f"delta record{'' if deltas == 1 else 's'}")
     print(f"  domain: {store.domain}  threshold: {store.threshold}  "
           f"linkage: {store.linkage}")
     print(f"  interfaces: {len(store.interfaces)} "

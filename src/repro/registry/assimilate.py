@@ -193,6 +193,7 @@ class RegistryAssimilator:
         self.store = store
         self._index = BlockingIndex()
         self._registered: List[AttributeView] = []
+        self._ids = set(store.interface_ids())
         for view in store.registered_views():
             self._index.add(view)
             self._registered.append(view)
@@ -205,7 +206,7 @@ class RegistryAssimilator:
                 f"registry holds domain {store.domain!r}; interface "
                 f"{interface.interface_id!r} is domain {interface.domain!r}"
             )
-        if store.has_interface(interface.interface_id):
+        if interface.interface_id in self._ids:
             raise RegistryMismatchError(
                 f"interface {interface.interface_id!r} is already "
                 "assimilated"
@@ -234,6 +235,7 @@ class RegistryAssimilator:
         )
         store.stats.record(record)
         store.interfaces.append((interface.interface_id, new_views))
+        self._ids.add(interface.interface_id)
         for view in new_views:
             self._index.add(view)
             self._registered.append(view)

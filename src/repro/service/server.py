@@ -512,22 +512,24 @@ class MatchingService:
                     effective: WebIQConfig) -> RegistryStore:
         """Copy-on-write assimilation of the run's interfaces.
 
-        The parent's store is never touched: mutation happens on a deep
-        copy (``from_body(to_body())``) that only becomes visible if the
-        epoch publishes. Interfaces the registry already holds are
-        skipped — re-running a request must be idempotent.
+        The parent's store is never touched: mutation happens on a copy
+        (:meth:`RegistryStore.copy`) that only becomes visible if the
+        epoch publishes, and that keeps the parent's save watermark, so
+        persisting it appends one delta. Interfaces the registry already
+        holds are skipped — re-running a request must be idempotent.
         """
         if parent.registry is not None:
-            store = RegistryStore.from_body(parent.registry.to_body())
+            store = parent.registry.copy()
         else:
             store = RegistryStore(
                 domain=dataset.domain, threshold=effective.threshold,
                 linkage=effective.linkage, similarity=effective.similarity)
+        held = set(store.interface_ids())
         assimilator = RegistryAssimilator(store)
         for interface in dataset.interfaces:
-            if store.has_interface(interface.interface_id):
-                continue
-            assimilator.assimilate(interface)
+            if interface.interface_id not in held:
+                held.add(interface.interface_id)
+                assimilator.assimilate(interface)
         return store
 
     def _record(self, request_id: str, tenant: str, outcome: str,

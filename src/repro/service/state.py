@@ -10,15 +10,16 @@ or is dropped whole. Concretely an epoch bundles
   run), and
 - the registry store, when the service assimilates
   (:class:`~repro.registry.store.RegistryStore`, copied via
-  ``from_body(to_body())`` before any mutation).
+  :meth:`~repro.registry.store.RegistryStore.copy` before any mutation).
 
 A request never mutates its parent epoch: the pipeline *applies* the
 parent's preload into its own fresh ``CachingSearchEngine`` and captures
-a brand-new preload at the end; assimilation runs against a deep copy of
-the parent's store. So a crash (or deadline expiry, or shed) anywhere
-mid-request leaves nothing to undo — recovery is literally "do not call
-:meth:`WarmState.publish`", and no other tenant can ever observe the
-half-built epoch because it was never reachable from ``current``.
+a brand-new preload at the end; assimilation runs against a copy of the
+parent's store that shares only its frozen attribute views. So a crash
+(or deadline expiry, or shed) anywhere mid-request leaves nothing to
+undo — recovery is literally "do not call :meth:`WarmState.publish`",
+and no other tenant can ever observe the half-built epoch because it was
+never reachable from ``current``.
 
 Publication is serial (the service executes requests one at a time in
 admission order), so a publish whose parent is no longer ``current`` can

@@ -13,7 +13,7 @@ parsed body, so envelopes written with other whitespace (the ``indent=2``
 files of earlier revisions) still verify. It raises the caller's own
 error classes, so each store keeps its typed errors and the CLI exit
 codes built on them. Each caller owns its format number: the journal 1,
-the registry 2, bench artifacts 1.
+the registry 4, bench artifacts 1.
 """
 
 from __future__ import annotations
@@ -36,8 +36,12 @@ class Sealed(str):
     """The JSON text of a sealed envelope, already encoded by :func:`seal`.
 
     :func:`repro.util.atomicio.atomic_write_json` writes it as is, so
-    sealed files and plain dumps share one atomic write path.
+    sealed files and plain dumps share one atomic write path. ``crc`` is
+    the body's CRC, so a writer can remember what it sealed without
+    encoding the body again.
     """
+
+    crc: int
 
 
 def canonical(body: Any) -> str:
@@ -66,9 +70,10 @@ def seal(body: Dict[str, Any], fmt: int) -> Sealed:
     The result equals :func:`canonical` of :func:`envelope`.
     """
     encoded = canonical(body)
-    return Sealed(
-        f'{{"body":{encoded},"crc":{_crc32(encoded)},"format":{fmt}}}'
-    )
+    crc = _crc32(encoded)
+    sealed = Sealed(f'{{"body":{encoded},"crc":{crc},"format":{fmt}}}')
+    sealed.crc = crc
+    return sealed
 
 
 def read_sealed(
