@@ -36,7 +36,12 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.checkpoint.session import CheckpointSession, ReplayedUnit, UnitCapture
 from repro.core.attr_deep import AttrDeepValidator
 from repro.core.attr_surface import AttrSurfaceValidator, ClassifierConfig
-from repro.core.surface import SurfaceConfig, SurfaceDiscoverer, WebValidator
+from repro.core.surface import (
+    SurfaceConfig,
+    SurfaceDiscoverer,
+    SurfaceMemo,
+    WebValidator,
+)
 from repro.deepweb.models import Attribute, QueryInterface
 from repro.deepweb.source import DeepWebSource
 from repro.matching.similarity import label_cosine, label_vector, values_similar
@@ -222,6 +227,8 @@ class InstanceAcquirer:
         self._label_vectors: Dict[str, Tuple[Dict[str, int], float]] = {}
         # every donor's normalised forms, inverted; built lazily per run
         self._donor_forms: Optional[_DonorIndex] = None
+        # snippet extractions and label analyses; built lazily per run
+        self._surface_memo: Optional[SurfaceMemo] = None
         self.validation_cache = validation_cache
         self._discoverer = SurfaceDiscoverer(
             engine, config.surface, validation_cache=validation_cache,
@@ -279,8 +286,10 @@ class InstanceAcquirer:
                     pass  # exceptions with __slots__: crash stays unattributed
             raise
         finally:
-            # the donor index serves one run; free it before matching
+            # the donor index and the Surface memo serve one run; free
+            # them before matching
             self._donor_forms = None
+            self._surface_memo = None
 
     def _acquire(
         self,
@@ -293,6 +302,7 @@ class InstanceAcquirer:
     ) -> AcquisitionReport:
         self._interfaces = list(interfaces)
         self._donor_forms = None
+        self._surface_memo = None
         self._domain_keywords = list(domain_keywords)
         self._object_name = object_name
         report = AcquisitionReport(k=self.config.k)
@@ -388,7 +398,8 @@ class InstanceAcquirer:
             record.surface_attempted = True
             with self._subject(interface.interface_id, attribute.name):
                 result = self._discoverer.discover(
-                    attribute, self._domain_keywords, self._object_name
+                    attribute, self._domain_keywords, self._object_name,
+                    self._memo(),
                 )
             attribute.acquired.extend(result.instances)
             record.n_after_surface = self._acquired_count(attribute)
@@ -492,7 +503,8 @@ class InstanceAcquirer:
         donors = self._case2_donors(interface, attribute)
         if not donors:
             return
-        classifier = self._attr_surface.build_classifier(attribute, interface)
+        classifier = self._attr_surface.build_classifier(
+            attribute, interface, self._memo())
         if classifier is None:
             return
         have = {v.lower() for v in attribute.all_instances()}
@@ -657,6 +669,12 @@ class InstanceAcquirer:
         else:
             self._donor_forms.refresh()
         return self._donor_forms
+
+    def _memo(self) -> SurfaceMemo:
+        """The run's Surface memo, built on first use."""
+        if self._surface_memo is None:
+            self._surface_memo = self._discoverer.new_memo()
+        return self._surface_memo
 
     def _donor_candidates(self, interface: QueryInterface
                           ) -> Iterator[Tuple[QueryInterface, Attribute]]:

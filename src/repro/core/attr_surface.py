@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.surface import WebValidator
+from repro.core.surface import SurfaceMemo, WebValidator
 from repro.deepweb.models import Attribute, QueryInterface
 from repro.stats.entropy import best_threshold
 from repro.stats.naive_bayes import BinaryNaiveBayes
@@ -165,12 +165,14 @@ class AttrSurfaceValidator:
         self,
         target: Attribute,
         interface: QueryInterface,
+        memo: Optional[SurfaceMemo] = None,
     ) -> Optional[ValidationClassifier]:
         """Train the classifier for ``target`` from its own interface.
 
         Positives are ``target``'s instances; negatives come from the other
         attributes of the same interface (paper Figure 5a). Returns ``None``
-        when the interface cannot supply enough examples.
+        when the interface cannot supply enough examples. ``memo``, when
+        given, supplies the label analysis behind the validation phrases.
         """
         positives = target.all_instances()
         negatives: List[str] = []
@@ -183,7 +185,8 @@ class AttrSurfaceValidator:
             or len(negatives) < self._config.min_per_class
         ):
             return None
-        phrases = self._validator.validation_phrases(target.label)
+        analysis = memo.analysis(target.label) if memo is not None else None
+        phrases = self._validator.validation_phrases(target.label, analysis)
         classifier = ValidationClassifier(self._validator, phrases, self._config)
         classifier.train(positives, negatives)
         return classifier

@@ -44,6 +44,7 @@ __all__ = [
     "ExtractionQuery",
     "ExtractionQueryBuilder",
     "SnippetExtractor",
+    "SurfaceMemo",
     "WebValidator",
     "SurfaceDiscoverer",
     "SurfaceResult",
@@ -91,8 +92,6 @@ class SurfaceConfig:
     min_score: float = 0.0
     #: longest candidate accepted (characters); guards against parse runaway
     max_candidate_chars: int = 40
-    #: maximum NPs read off one completion list
-    max_list_items: int = 8
     #: at most this many candidates enter Web validation (each one costs
     #: several search-engine queries); extras are dropped in extraction order
     max_validated_candidates: int = 25
@@ -169,6 +168,8 @@ _LIST_SEPARATORS = {",", ";"}
 _LIST_CONJUNCTIONS = {"and", "or"}
 #: words that end a completion list even where an NP could syntactically start
 _LIST_STOPWORDS = {"other", "such", "more", "many", "all", "these", "those"}
+#: most NPs read off one completion list
+_MAX_LIST_ITEMS = 8
 
 
 class SnippetExtractor:
@@ -181,13 +182,13 @@ class SnippetExtractor:
     def extract(self, snippet: str, query: ExtractionQuery) -> List[str]:
         """Instance candidates from ``snippet`` for ``query`` (may be empty)."""
         tokens = self._tagger.tag(snippet)
-        positions = _find_cue(tokens, query.cue_words)
+        words = [t.word.lower() for t in tokens]
         candidates: List[str] = []
-        for pos in positions:
+        for pos in _find_cue(words, query.cue_words):
             if query.completion is Completion.AFTER:
                 start = pos + len(query.cue_words)
                 candidates.extend(
-                    self._read_list(tokens, start)
+                    self._read_list(tokens, words, start)
                     if query.is_set
                     else self._read_one(tokens, start)
                 )
@@ -196,15 +197,15 @@ class SnippetExtractor:
         return candidates
 
     # -------------------------------------------------------------- helpers
-    def _read_list(self, tokens: Sequence[TaggedToken], start: int,
-                   max_items: int = 8) -> List[str]:
+    def _read_list(self, tokens: Sequence[TaggedToken], words: Sequence[str],
+                   start: int) -> List[str]:
         from repro.text.chunker import noun_phrase_at
 
         out: List[str] = []
         i = start
         n = len(tokens)
-        while i < n and len(out) < max_items:
-            if tokens[i].word.lower() in _LIST_STOPWORDS:
+        while i < n and len(out) < _MAX_LIST_ITEMS:
+            if words[i] in _LIST_STOPWORDS:
                 break
             np = noun_phrase_at(tokens, i, allow_postmodifier=False)
             if np is None:
@@ -216,7 +217,7 @@ class SnippetExtractor:
             if i < n and tokens[i].word in _LIST_SEPARATORS:
                 i += 1
                 progressed = True
-            if i < n and tokens[i].word.lower() in _LIST_CONJUNCTIONS:
+            if i < n and words[i] in _LIST_CONJUNCTIONS:
                 i += 1
                 progressed = True
             if not progressed:
@@ -249,19 +250,67 @@ class SnippetExtractor:
         return []
 
 
-def _find_cue(tokens: Sequence[TaggedToken], cue: Tuple[str, ...]) -> List[int]:
-    """Start indices of the cue word sequence in the token stream.
+def _find_cue(words: Sequence[str], cue: Tuple[str, ...]) -> List[int]:
+    """Start indices of the cue word sequence in a snippet's lower-cased
+    token words.
 
     Matching skips nothing: the cue must appear as consecutive word tokens
     (punctuation between cue words breaks the match, as it should).
     ``cue`` is never empty: every extraction pattern has fixed cue words.
     """
-    words = [t.word.lower() for t in tokens]
     head, target, n = cue[0], list(cue), len(cue)
     return [
         i for i in range(len(words) - n + 1)
         if words[i] == head and words[i:i + n] == target
     ]
+
+
+class SurfaceMemo:
+    """Snippet extractions and label analyses of one acquisition run.
+
+    Within a run the same snippets come back for many attributes (labels
+    repeat across interfaces), and the same labels are analysed by both
+    Surface discovery and the Attr-Surface classifier. Both results are
+    pure functions of their keys, so the memo changes no decision and no
+    query: every ``engine.search`` still happens, only the tagging and
+    rule application behind a repeated ``(snippet, query)`` pair, and the
+    analysis of a repeated label, are skipped.
+
+    A memo holds the one extractor whose results it keeps; get one from
+    :meth:`SurfaceDiscoverer.new_memo`. It lives for one
+    :meth:`~repro.core.acquisition.InstanceAcquirer.acquire` call, or for
+    one :meth:`SurfaceDiscoverer.discover` call made outside a run (see
+    DESIGN.md §22).
+    """
+
+    __slots__ = ("_extractor", "_extractions", "_labels")
+
+    def __init__(self, extractor: SnippetExtractor) -> None:
+        self._extractor = extractor
+        self._extractions: Dict[Tuple[str, ExtractionQuery],
+                                Tuple[str, ...]] = {}
+        self._labels: Dict[str, LabelAnalysis] = {}
+
+    def extract(self, snippet: str, query: ExtractionQuery) -> List[str]:
+        """The extractor's ``extract(snippet, query)``, computed once per
+        pair; every call returns a fresh list."""
+        key = (snippet, query)
+        found = self._extractions.get(key)
+        if found is None:
+            found = self._extractions[key] = \
+                tuple(self._extractor.extract(snippet, query))
+        elif work.ACTIVE is not None:
+            work.ACTIVE.bump("surface.memo_hits")
+        return list(found)
+
+    def analysis(self, label: str) -> LabelAnalysis:
+        """``analyze_label(label)``, computed once per label."""
+        found = self._labels.get(label)
+        if found is None:
+            found = self._labels[label] = analyze_label(label)
+        elif work.ACTIVE is not None:
+            work.ACTIVE.bump("surface.memo_hits")
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +488,23 @@ class SurfaceDiscoverer:
         """The discoverer's validator (whose memo checkpointing journals)."""
         return self._validator
 
+    def new_memo(self) -> SurfaceMemo:
+        """An empty memo bound to this discoverer's extractor."""
+        return SurfaceMemo(self._extractor)
+
     def discover(
         self,
         attribute: Attribute,
         domain_keywords: Sequence[str] = (),
         object_name: str = "object",
+        memo: Optional[SurfaceMemo] = None,
     ) -> SurfaceResult:
         """Run extraction + verification for one attribute's label.
+
+        ``memo``, when given (from :meth:`new_memo`; the acquirer passes
+        one per run), supplies the label analysis and every snippet
+        extraction it already holds and keeps the new ones; without it the
+        call uses a memo of its own, so nothing outlives the call.
 
         With a provenance recorder attached, every surviving instance gets
         an :class:`~repro.obs.provenance.InstanceLineage` (extraction
@@ -457,7 +516,8 @@ class SurfaceDiscoverer:
         queries_before = self.engine.query_count
         provenance = self.provenance
         key = self._subject_key(attribute)
-        analysis = analyze_label(attribute.label)
+        memo = self.new_memo() if memo is None else memo
+        analysis = memo.analysis(attribute.label)
         if not analysis.has_noun_phrase:
             # §2.1: "If the label does not contain noun phrases, the
             # extraction phase terminates and returns an empty set."
@@ -466,7 +526,7 @@ class SurfaceDiscoverer:
         origins: Dict[str, Tuple[str, str, int]] = {}
         candidates = self._extract(
             analysis, domain_keywords, object_name,
-            origins if provenance is not None else None,
+            origins if provenance is not None else None, memo,
         )
         numeric = self._is_numeric_domain(candidates)
         if self.config.enable_outlier_removal:
@@ -537,8 +597,8 @@ class SurfaceDiscoverer:
 
     def _extract(self, analysis: LabelAnalysis,
                  domain_keywords: Sequence[str], object_name: str,
-                 origins: Optional[Dict[str, Tuple[str, str, int]]] = None,
-                 ) -> List[str]:
+                 origins: Optional[Dict[str, Tuple[str, str, int]]],
+                 memo: SurfaceMemo) -> List[str]:
         seen: Set[str] = set()
         ordered: List[str] = []
         label_low = clean_label(analysis.label).lower()
@@ -547,7 +607,7 @@ class SurfaceDiscoverer:
                 query.query, max_results=self.config.snippets_per_query
             )
             for hit in results:
-                for candidate in self._extractor.extract(hit.snippet, query):
+                for candidate in memo.extract(hit.snippet, query):
                     cleaned = candidate.strip()
                     low = cleaned.lower()
                     if (

@@ -5,9 +5,13 @@ import weakref
 
 import pytest
 
+from repro.core import surface
 from repro.core.acquisition import AcquisitionConfig, InstanceAcquirer
+from repro.core.pipeline import WebIQConfig, WebIQMatcher
+from repro.core.surface import SnippetExtractor, SurfaceMemo
 from repro.datasets import build_domain_dataset
 from repro.deepweb.models import AttributeKind
+from repro.util.errors import InjectedCrashError
 
 
 @pytest.fixture()
@@ -195,3 +199,87 @@ class TestLifecycle:
             assert ref() is None
         finally:
             gc.enable()
+
+
+@pytest.fixture()
+def recorded_memos(monkeypatch):
+    """Every Surface memo an acquisition run creates, kept alive after
+    the acquirer drops it."""
+    created = []
+
+    class Recorded(SurfaceMemo):
+        def __init__(self, extractor):
+            super().__init__(extractor)
+            created.append(self)
+
+    monkeypatch.setattr(surface, "SurfaceMemo", Recorded)
+    return created
+
+
+class TestSurfaceMemo:
+    def test_memo_is_dropped_when_acquire_returns(self, airfare,
+                                                  recorded_memos):
+        acquirer = InstanceAcquirer(airfare.engine, airfare.sources)
+        acquirer.acquire(airfare.interfaces, airfare.spec.keyword_terms(),
+                         airfare.spec.object_name)
+        assert acquirer._surface_memo is None
+        assert len(recorded_memos) == 1
+        assert recorded_memos[0]._extractions and recorded_memos[0]._labels
+
+    def test_memo_is_dropped_when_a_unit_raises(self, airfare, monkeypatch):
+        acquirer = InstanceAcquirer(airfare.engine, airfare.sources)
+        held = []
+
+        def crash(*args, **kwargs):
+            held.append(len(acquirer._surface_memo._extractions))
+            raise InjectedCrashError("injected")
+
+        # the first Attr-Deep unit crashes after Surface filled the memo
+        monkeypatch.setattr(acquirer._attr_deep, "validate", crash)
+        with pytest.raises(InjectedCrashError):
+            acquirer.acquire(airfare.interfaces,
+                             airfare.spec.keyword_terms(),
+                             airfare.spec.object_name)
+        assert held and held[0] > 0
+        assert acquirer._surface_memo is None
+
+    def test_each_run_starts_with_an_empty_memo(self, recorded_memos):
+        def run(domain):
+            dataset = build_domain_dataset(domain, n_interfaces=4, seed=1)
+            WebIQMatcher(WebIQConfig()).run(dataset)
+
+        run("book")
+        run("airfare")
+        assert len(recorded_memos) == 2
+        alone = recorded_memos[1]
+        run("airfare")
+        # the airfare memo after a book run holds exactly what an airfare
+        # run alone collects: nothing carried over
+        assert alone._extractions == recorded_memos[2]._extractions
+        assert alone._labels == recorded_memos[2]._labels
+        assert not (recorded_memos[0]._extractions.keys()
+                    & alone._extractions.keys())
+
+    def test_returned_lists_are_fresh(self, airfare):
+        discoverer = surface.SurfaceDiscoverer(airfare.engine)
+        memo = discoverer.new_memo()
+        query = next(
+            q for q in discoverer._builder.build(
+                memo.analysis("Departure city"))
+            if q.pattern == "s1")
+        snippet = "Fly from departure cities such as Boston, Chicago and LAX."
+        first = memo.extract(snippet, query)
+        assert first == ["Boston", "Chicago", "LAX"]
+        first.append("Paris")
+        first[0] = "Rome"
+        assert memo.extract(snippet, query) \
+            == ["Boston", "Chicago", "LAX"]
+
+    def test_memoized_extractions_equal_fresh_ones(self, recorded_memos):
+        dataset = build_domain_dataset("book", n_interfaces=8, seed=1)
+        WebIQMatcher(WebIQConfig()).run(dataset)
+        (memo,) = recorded_memos
+        assert memo._extractions
+        fresh = SnippetExtractor()
+        for (snippet, query), found in memo._extractions.items():
+            assert list(found) == fresh.extract(snippet, query)

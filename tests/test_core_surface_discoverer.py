@@ -100,3 +100,19 @@ class TestDomainDifficulty:
             Attribute(name="x", label="Zip"),
             ds.spec.keyword_terms(), ds.spec.object_name)
         assert len(result.instances) < 10
+
+
+class TestStandaloneKeepsNoMemo:
+    def test_repeated_discover_repeats_all_its_tagging(self, book_discoverer):
+        # outside an acquisition run each call's Surface memo ends with
+        # it: a second identical call tags every snippet again
+        from repro.util import counters as work
+
+        counts = []
+        for _ in range(2):
+            with work.collecting(work.WorkCounters()) as counters:
+                discover(book_discoverer, "Author")
+            counts.append(counters.as_dict())
+        assert counts[0]["tokenizer.calls"] > 0
+        for name in ("tokenizer.calls", "surface.memo_hits"):
+            assert counts[0].get(name) == counts[1].get(name), name

@@ -67,6 +67,14 @@ class TestSetPatterns:
         q = query_named("city", "s1")
         assert extractor.extract("Totally unrelated text.", q) == []
 
+    def test_a_list_is_read_up_to_eight_items(self, extractor):
+        q = query_named("city", "s1")
+        cities = ["Boston", "Chicago", "Denver", "Miami", "Dallas",
+                  "Seattle", "Atlanta", "Phoenix", "Houston", "Tampa"]
+        snippet = ("Cities such as " + ", ".join(cities[:-1])
+                   + " and " + cities[-1] + ".")
+        assert extractor.extract(snippet, q) == cities[:8]
+
     def test_multiple_cue_occurrences(self, extractor):
         q = query_named("city", "s1")
         snippet = ("Cities such as Boston are great. Cities such as Miami "
