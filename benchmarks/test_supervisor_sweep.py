@@ -49,11 +49,12 @@ def comparable(result):
 
 
 def corrupt_tail_record(directory):
-    records = sorted(
-        name for name in os.listdir(directory)
-        if name.startswith("record-") and name.endswith(".json"))
-    with open(os.path.join(directory, records[-1]), "w") as handle:
-        handle.write('{"format": 1, "crc": 0, "body"')
+    """Tear the journal's newest record line (simulated torn write)."""
+    with open(os.path.join(directory, "journal.log"), "r+b") as handle:
+        data = handle.read()
+        handle.seek(data.rstrip(b"\n").rfind(b"\n") + 1)
+        handle.truncate()
+        handle.write(b'{"format": 1, "crc": 0, "body"')
 
 
 @pytest.mark.benchmark(group="supervisor-sweep")

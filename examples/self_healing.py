@@ -50,11 +50,14 @@ def comparable(result):
 
 
 def tear_newest_record(directory):
-    records = sorted(name for name in os.listdir(directory)
-                     if name.startswith("record-"))
-    with open(os.path.join(directory, records[-1]), "w") as handle:
-        handle.write('{"torn')  # a torn write, mid-envelope
-    return records[-1]
+    """Cut the journal log's last line short: a torn write, mid-envelope.
+    Returns the torn record's index."""
+    with open(os.path.join(directory, "journal.log"), "r+b") as handle:
+        data = handle.read()
+        handle.seek(data.rstrip(b"\n").rfind(b"\n") + 1)
+        handle.truncate()
+        handle.write(b'{"torn')
+    return data.count(b"\n") - 1
 
 
 def main() -> None:
@@ -83,7 +86,8 @@ def main() -> None:
     def chaos(attempt_index, directory):
         if attempt_index == 1:
             torn = tear_newest_record(directory)
-            print(f"    [downtime after attempt 1] tore {torn}")
+            print(f"    [downtime after attempt 1] tore record {torn} "
+                  "in journal.log")
 
     config = WebIQConfig(
         checkpoint=CheckpointConfig(directory=journal),

@@ -4,8 +4,8 @@ WebIQ's acquisition phase is the expensive part of a run — and before
 this package, a process death mid-run lost all of it. The pieces:
 
 - :mod:`repro.checkpoint.journal` — :class:`RunJournal`, a write-ahead
-  journal appending one schema-versioned, CRC-guarded, atomically-written
-  record per completed unit of work;
+  log appending one schema-versioned, CRC-guarded, fsynced line per
+  completed unit of work;
 - :mod:`repro.checkpoint.session` — :class:`CheckpointSession`, which
   records fresh units and replays journaled ones without touching the
   search engine or any Deep-Web source, plus :class:`CheckpointConfig`

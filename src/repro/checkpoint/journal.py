@@ -1,40 +1,35 @@
-"""The write-ahead run journal: one CRC-guarded record per unit of work.
+"""The write-ahead run journal: one append-only log of CRC-guarded records.
 
 A journal is a directory::
 
-    <dir>/meta.json            # run identity (domain, seed, config coords)
-    <dir>/record-000000.json   # unit 0
-    <dir>/record-000001.json   # unit 1
-    ...
+    <dir>/meta.json     # run identity (domain, seed, config coords)
+    <dir>/journal.log   # one sealed record per line: unit 0, unit 1, ...
+    <dir>/quarantine/   # damaged tails cut off by salvage, if any
 
-Every file is a sealed envelope (:mod:`repro.util.envelope`), written as
-canonical compact JSON::
+``meta.json`` is a sealed envelope (:mod:`repro.util.envelope`) written by
+:func:`repro.util.atomicio.atomic_write_json`. Each log line is one
+envelope's canonical JSON, which is ASCII-only with newlines escaped, so
+no body can forge the framing. An append writes one line and fsyncs once:
+a crash between appends leaves a *complete prefix* of the run, and a death
+mid-append at worst a torn last line. That prefix property is what makes
+resume sound; the loader therefore enforces it militantly:
 
-    {"body":{...},"crc":<crc32 of canonical body JSON>,"format":1}
-
-via :func:`repro.util.atomicio.atomic_write_json` — temp file, fsync,
-``os.replace`` — so a crash between any two appends leaves a journal that
-is a *complete prefix* of the run: every record present is whole and
-verified, and no partial record can exist. That prefix property is what
-makes resume sound; the loader therefore enforces it militantly:
-
-- an unparseable or torn record file is :class:`JournalCorruptionError`
-  (naming the record index);
-- a CRC mismatch, an index that disagrees with the filename, a gap in the
-  sequence, or two records claiming the same unit of work are all
-  :class:`JournalCorruptionError`;
-- a record (or the meta file) written by a *newer* schema is
-  :class:`JournalFormatError` — old readers must refuse loudly, not
-  misread silently.
+- an unterminated or unparseable line, a CRC mismatch, a body ``index``
+  that is not the line number, and a missing or duplicate unit are
+  :class:`JournalCorruptionError` (naming the record index);
+- an envelope written by a *newer* schema is :class:`JournalFormatError`
+  — old readers must refuse loudly, not misread silently;
+- a format-1 journal (one file per record) is
+  :class:`JournalMismatchError`: journals are per-run state, so no reader
+  for the old layout is kept.
 
 The enforcement has an escape hatch for supervised recovery:
-:meth:`RunJournal.salvage` truncates a damaged journal to its longest
-valid prefix instead of refusing it — the damaged suffix is moved (never
-deleted) into ``<dir>/quarantine/`` and described by a typed
-:class:`SalvageReport`, after which :meth:`RunJournal.open` accepts the
-journal again and resume re-runs the trimmed units fresh. Only the meta
-file is beyond salvage: without a verified run identity the journal
-cannot say whose prefix it is.
+:meth:`RunJournal.salvage` copies the damaged tail into
+``<dir>/quarantine/``, truncates the log to its longest valid prefix and
+describes the cut in a typed :class:`SalvageReport`, after which
+:meth:`RunJournal.open` accepts the journal again and resume re-runs the
+trimmed units fresh. Only the meta file is beyond salvage: without a
+verified run identity the journal cannot say whose prefix it is.
 
 Record bodies are opaque to this module; their content is defined by
 :mod:`repro.checkpoint.session`. The ``unit`` key (a
@@ -44,13 +39,14 @@ interprets, for duplicate detection.
 
 from __future__ import annotations
 
+import hashlib
 import os
-import re
+import shutil
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.util.atomicio import _fsync_directory, atomic_write_json
-from repro.util.envelope import read_sealed, seal
+from repro.util.envelope import read_sealed, seal, verify_sealed
 from repro.util.errors import (
     JournalCorruptionError,
     JournalFormatError,
@@ -66,17 +62,18 @@ __all__ = [
 ]
 
 #: Schema version of journal envelopes (records and meta alike).
-JOURNAL_FORMAT = 1
+JOURNAL_FORMAT = 2
 
 META_FILENAME = "meta.json"
-#: Subdirectory (inside the journal) that salvage moves damaged records to.
+LOG_FILENAME = "journal.log"
+#: Subdirectory (inside the journal) that salvage copies damaged tails to.
 QUARANTINE_DIRNAME = "quarantine"
-_RECORD_PATTERN = re.compile(r"^record-(\d{6})\.json$")
 
 
 @dataclass(frozen=True)
 class QuarantinedRecord:
-    """One record file moved aside by :meth:`RunJournal.salvage`."""
+    """One line of a damaged tail cut off by :meth:`RunJournal.salvage`;
+    ``filename`` names the ``quarantine/`` file holding the tail."""
 
     filename: str
     reason: str
@@ -84,12 +81,12 @@ class QuarantinedRecord:
 
 @dataclass(frozen=True)
 class SalvageReport:
-    """What :meth:`RunJournal.salvage` kept, and what it moved aside."""
+    """What :meth:`RunJournal.salvage` kept, and what it cut off."""
 
     directory: str
     #: records in the surviving valid prefix
     kept_records: int
-    #: damaged/unreachable records moved to ``quarantine/``, in index order
+    #: one entry per line of the damaged tail, in log order
     quarantined: Tuple[QuarantinedRecord, ...] = ()
 
     @property
@@ -116,87 +113,87 @@ class SalvageReport:
         )
 
 
-def _record_filename(index: int) -> str:
-    return f"record-{index:06d}.json"
-
-
-def _scan_valid_prefix(
-    directory: str,
-) -> Tuple[
-    Dict[str, Any], List[Dict[str, Any]], List[Tuple[int, str]],
-    Optional[str],
+def _scan(directory: str) -> Tuple[
+    Dict[str, Any], List[Dict[str, Any]], int, bytes, Optional[str],
 ]:
-    """Walk the record chain, stopping (not raising) at the first damage.
+    """Walk the log's lines, stopping (not raising) at the first damage.
 
-    Returns ``(meta, prefix_bodies, ordered_files, reason)`` where
-    ``ordered_files`` is every on-disk record as ``(index, filename)`` in
-    index order and ``reason`` describes why the walk stopped (``None``
-    when the whole chain is valid). The prefix property means everything
-    past the first damaged record is unusable regardless of its own
-    integrity. Shared by :meth:`RunJournal.open` (which raises on the
-    damage), :meth:`RunJournal.salvage` (which moves the damaged suffix
-    aside) and the supervisor's spend accounting (which must count a torn
-    journal's surviving prefix without mutating it).
-
-    Raises :class:`JournalMismatchError` for a missing journal/meta and
-    :class:`JournalFormatError` for newer-format files — neither is
-    damage a prefix walk may paper over.
+    Returns ``(meta, records, end, tail, reason)``: the valid prefix, its
+    byte end, the bytes after it (all unusable, by the prefix property)
+    and why the walk stopped (``None``: the whole log is valid). A missing
+    journal, meta or log and a format-1 journal raise
+    :class:`JournalMismatchError`, and newer-format envelopes
+    :class:`JournalFormatError` — no damage a prefix walk may paper over.
     """
-    if not os.path.isdir(directory):
-        raise JournalMismatchError(
-            f"no journal at {directory} (not a directory)"
-        )
     meta_path = os.path.join(directory, META_FILENAME)
     if not os.path.exists(meta_path):
         raise JournalMismatchError(
-            f"no journal at {directory} (missing {META_FILENAME})"
-        )
-    meta = _read_envelope(meta_path, "journal meta")
+            f"no journal at {directory} (missing {META_FILENAME})")
+    meta = read_sealed(meta_path, "journal", JOURNAL_FORMAT,
+                       JournalCorruptionError, JournalFormatError,
+                       "journal meta")
+    if meta["format"] < JOURNAL_FORMAT:
+        raise JournalMismatchError(
+            f"journal at {directory} has format {meta['format']}, the old "
+            f"layout of one file per record; start the run afresh")
+    try:
+        with open(os.path.join(directory, LOG_FILENAME), "rb") as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        raise JournalMismatchError(
+            f"no journal at {directory} (missing {LOG_FILENAME})") from None
 
-    by_index: Dict[int, str] = {}
-    for name in sorted(os.listdir(directory)):
-        match = _RECORD_PATTERN.match(name)
-        if match:
-            by_index[int(match.group(1))] = name
-    ordered = [(index, by_index[index]) for index in sorted(by_index)]
-
-    bodies: List[Dict[str, Any]] = []
-    reason: Optional[str] = None
+    records: List[Dict[str, Any]] = []
     seen_units: Dict[Tuple[str, ...], int] = {}
-    for position, (index, name) in enumerate(ordered):
-        if index != position:
-            reason = f"sequence gap (expected record {position} next)"
+    end = 0
+    reason: Optional[str] = None
+    while end < len(data) and reason is None:
+        index = len(records)
+        line_end = data.find(b"\n", end)
+        if line_end < 0:
+            reason = f"record {index}: torn or unparseable (no line end)"
             break
         try:
-            body = _read_envelope(
-                os.path.join(directory, name), f"record {index}"
-            )
+            body = verify_sealed(
+                data[end:line_end], "journal", JOURNAL_FORMAT,
+                JournalCorruptionError, JournalFormatError, f"record {index}",
+            )["body"]
         except JournalCorruptionError as exc:
             reason = str(exc)
             break
         unit = tuple(body.get("unit", ()))
         if body.get("index") != index:
-            reason = f"body claims index {body.get('index')!r}"
+            reason = f"record {index}: body claims index {body.get('index')!r}"
         elif not unit:
-            reason = "missing unit key"
+            reason = f"record {index}: missing unit key"
         elif unit in seen_units:
-            reason = (
-                f"duplicate record for unit {list(unit)} "
-                f"(first at record {seen_units[unit]})"
-            )
-        if reason is not None:
-            break
-        seen_units[unit] = index
-        bodies.append(body)
-    return meta, bodies, ordered, reason
+            reason = (f"record {index}: duplicate record for unit "
+                      f"{list(unit)} (first at record {seen_units[unit]})")
+        else:
+            seen_units[unit] = index
+            records.append(body)
+            end = line_end + 1
+    return meta["body"], records, end, data[end:], reason
 
 
-def _read_envelope(path: str, what: str) -> Dict[str, Any]:
-    """Read and verify one envelope file (meta or record)."""
-    return read_sealed(
-        path, "journal", JOURNAL_FORMAT,
-        JournalCorruptionError, JournalFormatError, what,
-    )["body"]
+def _write_durably(path: str, data: bytes, flags: int) -> None:
+    """Write all of ``data`` to ``path`` opened with ``flags``, then fsync.
+
+    If the write or the fsync raises, the file is truncated back to its
+    size before the write, so a failed append leaves no partial line.
+    """
+    fd = os.open(path, os.O_WRONLY | flags, 0o644)
+    try:
+        start = os.lseek(fd, 0, os.SEEK_END)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+            os.fsync(fd)
+        except BaseException:
+            os.ftruncate(fd, start)
+            raise
+    finally:
+        os.close(fd)
 
 
 class RunJournal:
@@ -212,15 +209,17 @@ class RunJournal:
     # ------------------------------------------------------------- lifecycle
     @classmethod
     def create(cls, directory: str, meta: Dict[str, Any]) -> "RunJournal":
-        """Start a fresh journal in ``directory`` (wiping any stale one)."""
+        """Start a fresh journal in ``directory`` (wiping any stale one).
+
+        The log is emptied before the meta is written, so a crash in
+        between never pairs the new identity with stale records; the meta
+        write's directory fsync also makes the log's entry durable.
+        """
         os.makedirs(directory, exist_ok=True)
-        for name in os.listdir(directory):
-            if _RECORD_PATTERN.match(name) or name == META_FILENAME:
-                os.unlink(os.path.join(directory, name))
-        quarantine_dir = os.path.join(directory, QUARANTINE_DIRNAME)
-        if os.path.isdir(quarantine_dir):
-            for name in os.listdir(quarantine_dir):
-                os.unlink(os.path.join(quarantine_dir, name))
+        shutil.rmtree(os.path.join(directory, QUARANTINE_DIRNAME),
+                      ignore_errors=True)
+        _write_durably(os.path.join(directory, LOG_FILENAME), b"",
+                       os.O_CREAT | os.O_TRUNC)
         atomic_write_json(
             os.path.join(directory, META_FILENAME), seal(meta, JOURNAL_FORMAT)
         )
@@ -231,81 +230,81 @@ class RunJournal:
         """Load an existing journal, verifying every guarantee.
 
         The records come back in index order; any violation of the
-        complete-prefix property raises a typed :class:`JournalError`
-        subclass naming the offending record.
+        complete-prefix property — a torn last line included — raises a
+        typed :class:`JournalError` subclass naming the offending record.
         """
-        meta, records, ordered, reason = _scan_valid_prefix(directory)
+        meta, records, _, _, reason = _scan(directory)
         if reason is not None:
-            label = f"record {ordered[len(records)][0]}: "
-            raise JournalCorruptionError(
-                reason if reason.startswith(label) else label + reason
-            )
+            raise JournalCorruptionError(reason)
         return cls(directory, meta, records)
+
+    @classmethod
+    def valid_prefix(cls, directory: str) -> List[Dict[str, Any]]:
+        """The record bodies of the log's longest valid prefix, without
+        raising on (or touching) damage past it."""
+        return _scan(directory)[1]
 
     @classmethod
     def salvage(cls, directory: str) -> SalvageReport:
         """Truncate a damaged journal to its longest valid prefix.
 
-        Walks the record chain exactly as :meth:`open` does, but where
-        ``open`` raises, ``salvage`` *stops*: the first record that is
-        torn, CRC-mismatched, out of sequence, mis-indexed or duplicated
-        marks the end of the salvageable prefix, and every record file
-        from that point on is moved into ``<dir>/quarantine/`` (moved,
-        not deleted — the damage stays inspectable). After salvage,
-        :meth:`open` accepts the journal and resume re-runs the trimmed
-        units fresh.
+        Walks the log exactly as :meth:`open` does, but where ``open``
+        raises, ``salvage`` *stops*. The bytes from the first damaged line
+        on are first written verbatim and durably to one new file under
+        ``<dir>/quarantine/`` (the damage stays inspectable); then the log
+        is truncated to the last valid line end and fsynced. The file is
+        named by the tail's first record index and a digest of its bytes,
+        so an earlier salvage's tail is never overwritten.
 
         Two damages remain fatal: a torn/missing ``meta.json`` (the
-        journal cannot prove whose prefix it is —
-        :class:`JournalCorruptionError` / :class:`JournalMismatchError`),
-        and a record written by a newer schema
-        (:class:`JournalFormatError` — a new-format journal must not be
-        truncated by an old reader that cannot understand it).
+        journal cannot prove whose prefix it is), and a record written by
+        a newer schema (:class:`JournalFormatError` — a new-format journal
+        must not be truncated by an old reader that cannot understand it).
         """
-        _, bodies, ordered, reason = _scan_valid_prefix(directory)
-        kept = len(bodies)
-
+        _, records, end, tail, reason = _scan(directory)
+        kept = len(records)
         if reason is None:
             return SalvageReport(directory=directory, kept_records=kept)
 
         quarantine_dir = os.path.join(directory, QUARANTINE_DIRNAME)
         os.makedirs(quarantine_dir, exist_ok=True)
-        quarantined: List[QuarantinedRecord] = []
-        for index, name in ordered[kept:]:
-            record_reason = reason if not quarantined else (
-                f"follows truncation at record {kept}"
-            )
-            destination = os.path.join(quarantine_dir, name)
-            suffix = 0
-            while os.path.exists(destination):
-                suffix += 1
-                destination = os.path.join(
-                    quarantine_dir, f"{name}.{suffix}"
-                )
-            os.replace(os.path.join(directory, name), destination)
-            quarantined.append(QuarantinedRecord(name, record_reason))
+        digest = hashlib.sha256(tail).hexdigest()[:16]
+        name = f"tail-{kept:06d}-{digest}.log"
+        _write_durably(os.path.join(quarantine_dir, name), tail,
+                       os.O_CREAT | os.O_TRUNC)
         _fsync_directory(quarantine_dir)
         _fsync_directory(directory)
+        log = os.open(os.path.join(directory, LOG_FILENAME), os.O_WRONLY)
+        try:
+            os.ftruncate(log, end)
+            os.fsync(log)
+        finally:
+            os.close(log)
+        lines = tail.count(b"\n") + (not tail.endswith(b"\n"))
+        follows = f"follows truncation at record {kept}"
         return SalvageReport(
             directory=directory,
             kept_records=kept,
-            quarantined=tuple(quarantined),
+            quarantined=tuple(
+                QuarantinedRecord(name, follows if position else reason)
+                for position in range(lines)
+            ),
         )
 
     # ---------------------------------------------------------------- append
     def append(self, body: Dict[str, Any]) -> int:
         """Durably append one record; returns its boundary index.
 
-        The body is stamped with its index, CRC-sealed, and atomically
-        written — when this method returns, the record *is* on disk and a
-        crash at the very next instruction loses nothing.
+        The body is stamped with its index, CRC-sealed and written as one
+        line of the log, which is then fsynced — when this method returns,
+        the record *is* on disk and a crash at the very next instruction
+        loses nothing. An append that raises leaves no partial line.
         """
         index = len(self.records)
         body = dict(body, index=index)
-        atomic_write_json(
-            os.path.join(self.directory, _record_filename(index)),
-            seal(body, JOURNAL_FORMAT),
-        )
+        _write_durably(os.path.join(self.directory, LOG_FILENAME),
+                       (seal(body, JOURNAL_FORMAT) + "\n").encode("ascii"),
+                       os.O_APPEND)
         self.records.append(body)
         return index
 

@@ -53,6 +53,7 @@ __all__ = [
     "CheckpointSession",
     "ReplayedUnit",
     "open_session",
+    "record_round_trips",
 ]
 
 #: The mutable AcquisitionRecord fields a unit may change (journaled as a
@@ -64,6 +65,11 @@ RECORD_FIELDS = (
     "n_after_surface",
     "n_after_borrow",
 )
+
+
+def record_round_trips(body: Dict[str, Any]) -> int:
+    """Round trips a record's unit spent: probes for attr_deep, else queries."""
+    return body["probes"] if body["unit"][0] == "attr_deep" else body["queries"]
 
 
 @dataclass(frozen=True)
@@ -473,8 +479,7 @@ class CheckpointSession:
 
     def _tally(self, counter: Dict[str, int], body: Dict[str, Any]) -> None:
         phase = body["unit"][0]
-        trips = body["probes"] if phase == "attr_deep" else body["queries"]
-        counter[phase] = counter.get(phase, 0) + trips
+        counter[phase] = counter.get(phase, 0) + record_round_trips(body)
 
     def _snapshot_state(self) -> Dict[str, Any]:
         state: Dict[str, Any] = {}

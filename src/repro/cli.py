@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="journal directory (from run --checkpoint)")
     jsalvage = jsub.add_parser(
         "salvage", help="truncate a damaged journal to its longest valid "
-                        "prefix, moving torn records to quarantine/")
+                        "prefix, copying the torn tail to quarantine/")
     jsalvage.add_argument("directory",
                           help="journal directory (from run --checkpoint)")
 
@@ -879,21 +879,11 @@ def _cmd_request(args) -> int:
             "shed": 5, "crashed": 6}[response.outcome]
 
 
-def _journal_spend_of(records) -> int:
-    """Journaled round trips, by the checkpoint tally rule."""
-    spend = 0
-    for body in records:
-        if body["unit"][0] == "attr_deep":
-            spend += body["probes"]
-        else:
-            spend += body["queries"]
-    return spend
-
-
 def _cmd_journal(args) -> int:
     import os
 
     from repro.checkpoint import QUARANTINE_DIRNAME, RunJournal
+    from repro.checkpoint.session import record_round_trips
     from repro.util.errors import (
         JournalCorruptionError,
         JournalFormatError,
@@ -927,14 +917,17 @@ def _cmd_journal(args) -> int:
     quarantined = sum(
         1 for body in journal.records if body.get("quarantined"))
     line = (f"  records: {len(journal.records)} "
-            f"({_journal_spend_of(journal.records)} round trips journaled)")
+            f"({sum(map(record_round_trips, journal.records))} round trips "
+            f"journaled)")
     if skipped:
         line += f"; {skipped} skipped, {quarantined} of those quarantined"
     print(line)
     quarantine_dir = os.path.join(args.directory, QUARANTINE_DIRNAME)
-    if os.path.isdir(quarantine_dir) and os.listdir(quarantine_dir):
-        print(f"  quarantine/: {len(os.listdir(quarantine_dir))} damaged "
-              f"record files from earlier salvages")
+    tails = sorted(os.listdir(quarantine_dir)) \
+        if os.path.isdir(quarantine_dir) else []
+    if tails:
+        print(f"  quarantine/: {len(tails)} damaged tail(s) cut off by "
+              f"earlier salvages ({', '.join(tails)})")
     return 0
 
 

@@ -55,11 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.checkpoint.journal import (
-    RunJournal,
-    SalvageReport,
-    _scan_valid_prefix,
-)
+from repro.checkpoint.journal import RunJournal, SalvageReport
+from repro.checkpoint.session import record_round_trips
 from repro.util.errors import (
     DeadlineExceededError,
     InjectedCrashError,
@@ -510,8 +507,7 @@ class RunSupervisor:
 
     @staticmethod
     def _journal_spend(directory: str) -> int:
-        """Round trips durably journaled, by the checkpoint tally rule
-        (probe spend for Attr-Deep units, query spend otherwise).
+        """Round trips durably journaled, by :func:`record_round_trips`.
 
         Counts the journal's *valid prefix*: records past the first
         damaged one never count — they are exactly what salvage will
@@ -519,13 +515,7 @@ class RunSupervisor:
         prove was journaled.
         """
         try:
-            _, bodies, _, _ = _scan_valid_prefix(directory)
+            bodies = RunJournal.valid_prefix(directory)
         except JournalMismatchError:
             return 0
-        spend = 0
-        for body in bodies:
-            if body["unit"][0] == "attr_deep":
-                spend += body["probes"]
-            else:
-                spend += body["queries"]
-        return spend
+        return sum(record_round_trips(body) for body in bodies)

@@ -1,8 +1,9 @@
 """Atomic file writes: temp file + ``os.replace``, never a torn target.
 
-Every JSON artifact the library persists — dataset snapshots, run
-archives, sealed journal/registry/bench envelopes — goes through
-:func:`atomic_write_text` / :func:`atomic_write_json`. The content is
+Every whole-file JSON artifact the library persists — dataset snapshots,
+run archives, the journal's meta, sealed registry and bench envelopes —
+goes through :func:`atomic_write_text` / :func:`atomic_write_json`
+(the run journal's log is appended in place instead). The content is
 fully serialised in memory first, written to a temporary file *in the
 target's directory* (so the rename cannot cross filesystems), flushed
 and fsynced, and only then renamed over the target. A crash at any
@@ -11,10 +12,9 @@ never a truncated hybrid.
 
 After the rename the *parent directory* is fsynced too: ``os.replace``
 updates a directory entry, and on a power loss the entry itself can be
-lost even though the file's blocks are safe — leaving a journal whose
-newest record silently vanished. The directory fsync makes the rename
-durable, which is what lets the run journal promise "a crash loses at
-most the unit in flight".
+lost even though the file's blocks are safe — leaving a registry whose
+newest delta silently vanished. The directory fsync makes the rename
+durable.
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ The canonical encoding of a body is key-sorted compact JSON, and the CRC
 is taken over its UTF-8 bytes (:func:`record_crc`). :func:`seal` encodes
 the body once and builds the file text around that encoding.
 
-:func:`read_sealed` is the one verifier. It re-derives the CRC from the
-parsed body, so envelopes written with other whitespace (the ``indent=2``
-files of earlier revisions) still verify. It raises the caller's own
-error classes, so each store keeps its typed errors and the CLI exit
-codes built on them. Each caller owns its format number: the journal 1,
-the registry 4, bench artifacts 1.
+:func:`verify_sealed` is the one verifier: :func:`read_sealed` applies
+it to a file and the run journal to each line of its log. It re-derives
+the CRC from the parsed body, so envelopes written with other whitespace
+(the ``indent=2`` files of earlier revisions) still verify. It raises the
+caller's own error classes, so each store keeps its typed errors and the
+CLI exit codes built on them. Each caller owns its format number: the
+journal 2, the registry 4, bench artifacts 1.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "read_sealed",
     "record_crc",
     "seal",
+    "verify_sealed",
 ]
 
 
@@ -45,7 +47,11 @@ class Sealed(str):
 
 
 def canonical(body: Any) -> str:
-    """The canonical JSON the CRC is computed over (key-sorted, compact)."""
+    """The canonical JSON the CRC is computed over (key-sorted, compact).
+
+    It is ASCII-only and holds no newline (``json.dumps`` escapes both),
+    so a sealed envelope is one line of a log.
+    """
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
@@ -76,27 +82,34 @@ def seal(body: Dict[str, Any], fmt: int) -> Sealed:
     return sealed
 
 
-def read_sealed(
-    path: str,
-    kind: str,
-    max_format: int,
-    corrupt: Type[Exception],
-    newer: Type[Exception],
-    what: str = "",
-) -> Dict[str, Any]:
-    """Read and verify one sealed file; return its envelope dict.
-
-    ``what`` prefixes every error message (default: ``path``) and
-    ``kind`` names the store in format errors. A torn, non-UTF-8 or
-    unparseable file, a missing envelope key, a non-object body, a format
-    that is not an ``int`` of at least 1, and a CRC mismatch raise
-    ``corrupt``; a format above ``max_format`` raises ``newer``.
-    """
+def read_sealed(path: str, kind: str, max_format: int,
+                corrupt: Type[Exception], newer: Type[Exception],
+                what: str = "") -> Dict[str, Any]:
+    """Read one sealed file and verify it with :func:`verify_sealed`
+    (``what`` defaults to ``path``); an unreadable file raises ``corrupt``."""
     what = what or path
     try:
         with open(path, "rb") as handle:
-            payload = json.loads(handle.read().decode("utf-8"))
-    except (OSError, ValueError) as exc:
+            data = handle.read()
+    except OSError as exc:
+        raise corrupt(f"{what}: torn or unparseable ({exc})") from exc
+    return verify_sealed(data, kind, max_format, corrupt, newer, what)
+
+
+def verify_sealed(data: bytes, kind: str, max_format: int,
+                  corrupt: Type[Exception], newer: Type[Exception],
+                  what: str) -> Dict[str, Any]:
+    """Verify the bytes of one sealed envelope; return the envelope dict.
+
+    ``what`` prefixes every error message and ``kind`` names the store in
+    format errors. Torn, non-UTF-8 or unparseable bytes, a missing
+    envelope key, a non-object body, a format that is not an ``int`` of
+    at least 1, and a CRC mismatch raise ``corrupt``; a format above
+    ``max_format`` raises ``newer``.
+    """
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
         raise corrupt(f"{what}: torn or unparseable ({exc})") from exc
     if (
         not isinstance(payload, dict)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.checkpoint import JOURNAL_FORMAT, RunJournal
 from repro.resilience import KillSwitch, PreemptionPoint
-from repro.util.envelope import record_crc
+from repro.util.envelope import record_crc, seal
 from repro.util.errors import (
     JournalCorruptionError,
     JournalFormatError,
@@ -50,17 +50,57 @@ def make_journal(directory, n=3):
     return journal
 
 
-def record_path(directory, index):
-    return os.path.join(str(directory), f"record-{index:06d}.json")
+def write_format_1_journal(directory, meta=META):
+    """A journal in the old layout: sealed meta plus one file per record."""
+    os.makedirs(str(directory), exist_ok=True)
+    for name, body in (("meta.json", meta),
+                       ("record-000000.json", body_for(0))):
+        with open(os.path.join(str(directory), name), "w") as handle:
+            handle.write(seal(body, 1))
 
 
-def rewrite(path, mutate):
-    """Load an envelope file, apply ``mutate(envelope)``, write it back."""
-    with open(path) as handle:
-        envelope = json.load(handle)
+def log_path(directory):
+    return os.path.join(str(directory), "journal.log")
+
+
+def log_lines(directory):
+    """The log's lines, without their line ends."""
+    with open(log_path(directory), "rb") as handle:
+        return handle.read().decode("ascii").splitlines()
+
+
+def write_lines(directory, lines):
+    with open(log_path(directory), "w") as handle:
+        handle.write("".join(line + "\n" for line in lines))
+
+
+def set_line(directory, index, text):
+    """Overwrite record ``index``'s line, keeping the line framing."""
+    lines = log_lines(directory)
+    lines[index] = text
+    write_lines(directory, lines)
+
+
+def drop_line(directory, index):
+    lines = log_lines(directory)
+    del lines[index]
+    write_lines(directory, lines)
+
+
+def rewrite(directory, index, mutate):
+    """Load record ``index``'s envelope, apply ``mutate(envelope)``, write
+    it back in place (``index=None`` rewrites ``meta.json`` instead)."""
+    if index is None:
+        path = os.path.join(str(directory), "meta.json")
+        with open(path) as handle:
+            envelope = json.load(handle)
+        mutate(envelope)
+        with open(path, "w") as handle:
+            json.dump(envelope, handle)
+        return
+    envelope = json.loads(log_lines(directory)[index])
     mutate(envelope)
-    with open(path, "w") as handle:
-        json.dump(envelope, handle)
+    set_line(directory, index, json.dumps(envelope))
 
 
 def reseal(mutate):
@@ -91,18 +131,38 @@ class TestJournalRoundTrip:
         make_journal(tmp_path, n=5)
         fresh = RunJournal.create(str(tmp_path), dict(META))
         assert len(fresh) == 0
-        assert not os.path.exists(record_path(tmp_path, 0))
+        assert log_lines(tmp_path) == []
 
     def test_record_files_are_envelope_sealed(self, tmp_path):
         make_journal(tmp_path, n=1)
-        with open(record_path(tmp_path, 0)) as handle:
-            envelope = json.load(handle)
+        [line] = log_lines(tmp_path)
+        envelope = json.loads(line)
         assert envelope["format"] == JOURNAL_FORMAT
         assert envelope["crc"] == record_crc(envelope["body"])
+        assert line == seal(envelope["body"], JOURNAL_FORMAT)
 
     def test_empty_journal_opens(self, tmp_path):
         RunJournal.create(str(tmp_path), dict(META))
         assert len(RunJournal.open(str(tmp_path))) == 0
+
+    def test_append_is_one_fsync_and_no_rename(self, tmp_path, monkeypatch):
+        journal = make_journal(tmp_path, n=1)
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def spy_replace(*args, **kwargs):
+            calls.append("replace")
+            real_replace(*args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        journal.append(body_for(1))
+        assert calls == ["fsync"]
+        assert len(RunJournal.open(str(tmp_path))) == 2
 
 
 class TestJournalCorruption:
@@ -110,17 +170,15 @@ class TestJournalCorruption:
 
     def test_truncated_tail_record(self, tmp_path):
         make_journal(tmp_path, n=3)
-        path = record_path(tmp_path, 2)
-        with open(path) as handle:
-            content = handle.read()
-        with open(path, "w") as handle:
-            handle.write(content[: len(content) // 2])
+        with open(log_path(tmp_path), "r+b") as handle:
+            size = handle.seek(0, os.SEEK_END)
+            handle.truncate(size - len(log_lines(tmp_path)[2]) // 2)
         with pytest.raises(JournalCorruptionError, match="record 2"):
             RunJournal.open(str(tmp_path))
 
     def test_bit_flipped_payload_fails_crc(self, tmp_path):
         make_journal(tmp_path, n=3)
-        rewrite(record_path(tmp_path, 1),
+        rewrite(tmp_path, 1,
                 lambda env: env["body"].__setitem__("added", ["tampered"]))
         with pytest.raises(JournalCorruptionError,
                            match="record 1: CRC mismatch"):
@@ -128,7 +186,7 @@ class TestJournalCorruption:
 
     def test_flipped_crc_field(self, tmp_path):
         make_journal(tmp_path, n=2)
-        rewrite(record_path(tmp_path, 0),
+        rewrite(tmp_path, 0,
                 lambda env: env.__setitem__("crc", env["crc"] ^ 1))
         with pytest.raises(JournalCorruptionError,
                            match="record 0: CRC mismatch"):
@@ -136,14 +194,14 @@ class TestJournalCorruption:
 
     def test_future_format_record_is_rejected(self, tmp_path):
         make_journal(tmp_path, n=2)
-        rewrite(record_path(tmp_path, 1),
+        rewrite(tmp_path, 1,
                 lambda env: env.__setitem__("format", 99))
         with pytest.raises(JournalFormatError, match="newer"):
             RunJournal.open(str(tmp_path))
 
     def test_future_format_meta_is_rejected(self, tmp_path):
         make_journal(tmp_path, n=1)
-        rewrite(os.path.join(str(tmp_path), "meta.json"),
+        rewrite(tmp_path, None,
                 lambda env: env.__setitem__("format", JOURNAL_FORMAT + 1))
         with pytest.raises(JournalFormatError, match="journal meta"):
             RunJournal.open(str(tmp_path))
@@ -158,20 +216,21 @@ class TestJournalCorruption:
 
     def test_sequence_gap(self, tmp_path):
         make_journal(tmp_path, n=4)
-        os.unlink(record_path(tmp_path, 1))
-        with pytest.raises(JournalCorruptionError, match="sequence gap"):
+        drop_line(tmp_path, 1)
+        with pytest.raises(JournalCorruptionError,
+                           match="record 1: body claims index 2"):
             RunJournal.open(str(tmp_path))
 
     def test_body_index_disagrees_with_filename(self, tmp_path):
         make_journal(tmp_path, n=2)
-        rewrite(record_path(tmp_path, 1),
+        rewrite(tmp_path, 1,
                 reseal(lambda body: body.__setitem__("index", 7)))
         with pytest.raises(JournalCorruptionError, match="claims index 7"):
             RunJournal.open(str(tmp_path))
 
     def test_missing_unit_key(self, tmp_path):
         make_journal(tmp_path, n=1)
-        rewrite(record_path(tmp_path, 0),
+        rewrite(tmp_path, 0,
                 reseal(lambda body: body.pop("unit")))
         with pytest.raises(JournalCorruptionError, match="missing unit"):
             RunJournal.open(str(tmp_path))
@@ -179,6 +238,21 @@ class TestJournalCorruption:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(JournalMismatchError, match="no journal"):
             RunJournal.open(str(tmp_path / "nowhere"))
+
+    def test_format_1_directory_is_refused(self, tmp_path):
+        write_format_1_journal(tmp_path)
+        with pytest.raises(JournalMismatchError,
+                           match="format 1, the old layout"):
+            RunJournal.open(str(tmp_path))
+        with pytest.raises(JournalMismatchError,
+                           match="format 1, the old layout"):
+            RunJournal.salvage(str(tmp_path))
+
+    def test_missing_log(self, tmp_path):
+        make_journal(tmp_path, n=1)
+        os.unlink(log_path(tmp_path))
+        with pytest.raises(JournalMismatchError, match="journal.log"):
+            RunJournal.open(str(tmp_path))
 
     def test_missing_meta(self, tmp_path):
         make_journal(tmp_path, n=1)

@@ -306,13 +306,14 @@ class TestJournalCommands:
         return journal
 
     def _corrupt_tail(self, journal):
+        """Tear the log's last line; return the torn record's index."""
         import os
-        records = sorted(name for name in os.listdir(journal)
-                         if name.startswith("record-"))
-        path = os.path.join(journal, records[-1])
-        with open(path, "w") as handle:
-            handle.write('{"torn')
-        return records[-1]
+        with open(os.path.join(journal, "journal.log"), "r+b") as handle:
+            data = handle.read()
+            handle.seek(data.rstrip(b"\n").rfind(b"\n") + 1)
+            handle.truncate()
+            handle.write(b'{"torn')
+        return data.count(b"\n") - 1
 
     def test_inspect_intact_journal(self, capsys, tmp_path):
         journal = self._journal(tmp_path)
@@ -331,19 +332,44 @@ class TestJournalCommands:
         err = capsys.readouterr().err
         assert "damaged" in err
         assert f"journal salvage {journal}" in err
-        assert torn.split("-")[1].lstrip("0").rstrip(".json") in err
+        assert f"record {torn}: torn" in err
 
     def test_salvage_then_inspect_round_trip(self, capsys, tmp_path):
+        import os
         journal = self._journal(tmp_path)
         self._corrupt_tail(journal)
         capsys.readouterr()
         assert main(["journal", "salvage", journal]) == 0
         out = capsys.readouterr().out
         assert "salvaged journal" in out and "quarantined 1 record" in out
+        tails = os.listdir(os.path.join(journal, "quarantine"))
+        assert len(tails) == 1 and tails[0] in out
         assert main(["journal", "inspect", journal]) == 0
         out = capsys.readouterr().out
         assert "intact" in out
-        assert "quarantine/: 1 damaged record" in out
+        assert f"quarantine/: 1 damaged tail(s) cut off by earlier salvages " \
+            f"({tails[0]})" in out
+
+    def test_supervise_refuses_format_1_journal_without_retry(
+            self, tmp_path, monkeypatch):
+        from repro.core.pipeline import WebIQMatcher
+        from repro.util.errors import JournalMismatchError
+        from tests.test_checkpoint_journal import write_format_1_journal
+        journal = str(tmp_path / "journal")
+        write_format_1_journal(journal, {"domain": "book"})
+        attempts = []
+        real_run = WebIQMatcher.run
+
+        def counted(matcher, dataset, **kwargs):
+            attempts.append(None)
+            return real_run(matcher, dataset, **kwargs)
+
+        monkeypatch.setattr(WebIQMatcher, "run", counted)
+        with pytest.raises(JournalMismatchError,
+                           match="format 1, the old layout"):
+            main(self.RUN + ["--checkpoint", journal, "--resume",
+                             "--supervise"])
+        assert len(attempts) == 1
 
     def test_salvage_intact_journal_is_a_no_op(self, capsys, tmp_path):
         journal = self._journal(tmp_path)

@@ -14,7 +14,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench import (
@@ -83,6 +83,15 @@ class TestSealRoundTrip:
     def test_file_text_is_the_canonical_envelope(self, body, fmt):
         assert seal(body, fmt) == canonical(envelope(body, fmt))
 
+    @settings(max_examples=150, deadline=None)
+    @given(body=bodies, fmt=st.integers(min_value=1, max_value=3))
+    @example(body={"a\nb": ["c\r\nd", "\u2028\u00e9\U0001f600"]}, fmt=2)
+    def test_sealed_text_is_one_ascii_line(self, body, fmt):
+        # The run journal frames one envelope per line of its log.
+        text = seal(body, fmt)
+        assert text.isascii()
+        assert "\n" not in text and "\r" not in text
+
     def test_crc_matches_files_sealed_before_the_codec(self):
         assert record_crc(PINNED_BODY) == PINNED_CRC
         assert json.loads(seal(PINNED_BODY, 1))["crc"] == PINNED_CRC
@@ -111,10 +120,12 @@ class TestSealRoundTrip:
 
 # ------------------------------------------------- the three kinds of file
 def journal_file(tmp_path):
+    # The journal's one sealed file is its meta; its records are lines
+    # of journal.log, covered by tests/test_checkpoint_journal.py.
     directory = str(tmp_path / "journal")
     journal = RunJournal.create(directory, {"domain": "book"})
     journal.append({"unit": ["surface", "book-00", "title"]})
-    return os.path.join(directory, "record-000000.json"), \
+    return os.path.join(directory, "meta.json"), \
         lambda: RunJournal.open(directory)
 
 

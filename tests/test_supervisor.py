@@ -131,12 +131,12 @@ def assert_audited(result):
 
 
 def corrupt_tail_record(directory):
-    """Tear the journal's newest record file (simulated torn write)."""
-    records = sorted(
-        name for name in os.listdir(directory)
-        if name.startswith("record-") and name.endswith(".json"))
-    with open(os.path.join(directory, records[-1]), "w") as handle:
-        handle.write('{"format": 1, "crc": 0, "body"')
+    """Tear the journal's newest record line (simulated torn write)."""
+    with open(os.path.join(directory, "journal.log"), "r+b") as handle:
+        data = handle.read()
+        handle.seek(data.rstrip(b"\n").rfind(b"\n") + 1)
+        handle.truncate()
+        handle.write(b'{"format": 1, "crc": 0, "body"')
 
 
 class TestRestartPolicy:
