@@ -4,12 +4,18 @@
 ground truth, the synthetic Surface Web behind a search engine, and the
 probe-able Deep-Web sources — everything the WebIQ pipeline and the
 benchmarks consume.
+
+The Surface Web depends only on ``(domain, seed, corpus_config)``, not on
+the interfaces, and is only read once built. :func:`build_web` builds it
+alone, so a caller serving many runs of one domain (the matching service)
+builds it once and passes it to every :func:`build_domain_dataset` call as
+``web=``; each dataset still gets its own engine and query counter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional
 
 from repro.datasets.concepts import DomainSpec, domain_spec
 from repro.datasets.corpus import CorpusConfig, build_corpus
@@ -22,8 +28,9 @@ from repro.datasets.sources import SourceConfig, build_sources
 from repro.deepweb.models import QueryInterface
 from repro.deepweb.source import DeepWebSource
 from repro.surfaceweb.engine import SearchEngine
+from repro.surfaceweb.index import InvertedIndex
 
-__all__ = ["DomainDataset", "build_domain_dataset"]
+__all__ = ["DomainDataset", "build_domain_dataset", "build_web"]
 
 
 @dataclass
@@ -60,21 +67,39 @@ class DomainDataset:
             source.probe_count = 0
 
 
+def build_web(
+    domain: str,
+    seed: int = 0,
+    corpus_config: CorpusConfig = CorpusConfig(),
+) -> InvertedIndex:
+    """The indexed Surface Web of ``domain``; deterministic in all
+    arguments and, once returned, only ever read."""
+    index = InvertedIndex()
+    index.add_all(build_corpus(domain, seed, corpus_config))
+    return index
+
+
 def build_domain_dataset(
     domain: str,
     n_interfaces: int = 20,
     seed: int = 0,
     corpus_config: CorpusConfig = CorpusConfig(),
     source_config: SourceConfig = SourceConfig(),
+    web: Optional[InvertedIndex] = None,
 ) -> DomainDataset:
     """Build the full evaluation environment for ``domain``.
 
     Deterministic in all arguments; two calls with equal arguments yield
     interchangeable datasets (same interfaces, corpus and sources).
+    ``web``, when given, must be ``build_web(domain, seed, corpus_config)``
+    (built earlier and shared): the dataset searches it through a fresh
+    engine instead of building its own.
     """
     spec = domain_spec(domain)
     generated, truth = generate_interfaces(domain, n_interfaces, seed)
-    engine = SearchEngine(build_corpus(domain, seed, corpus_config))
+    if web is None:
+        web = build_web(domain, seed, corpus_config)
+    engine = SearchEngine(index=web)
     sources = build_sources(generated, domain, seed, source_config)
     return DomainDataset(
         domain=domain,

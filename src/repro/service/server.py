@@ -32,6 +32,13 @@ is exactly what it was, audited by the epoch-publication law. Execution
 is **serial in admission order** (concurrency lives at submission; the
 authoritative interleaving is the deterministic DRR dispatch order), so
 identical workloads produce identical epochs, ledgers and exports.
+
+The service also keeps one Surface Web per domain
+(:attr:`MatchingService.webs`): the indexed corpus depends only on
+``(domain, seed)`` and is only read, so every request for the domain
+searches it through its own fresh engine instead of re-generating it. A
+request with another seed replaces its domain's Web, which bounds the
+table by the number of domains.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint import CheckpointConfig, RunJournal
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
-from repro.datasets.dataset import build_domain_dataset
+from repro.datasets.dataset import build_domain_dataset, build_web
 from repro.io import run_result_to_dict
 from repro.perf.cache import CacheConfig, CachePreload
 from repro.registry.assimilate import RegistryAssimilator
@@ -54,6 +61,7 @@ from repro.service.admission import (
 )
 from repro.service.state import Epoch, WarmState
 from repro.supervisor import SupervisorConfig
+from repro.surfaceweb.index import InvertedIndex
 from repro.util.clock import DEEP_PROBE_SECONDS, SEARCH_QUERY_SECONDS
 from repro.util.errors import (
     AdmissionRejected,
@@ -266,6 +274,8 @@ class MatchingService:
         self.stats = ServiceStats()
         self.events: List[ServiceEvent] = []
         self.responses: Dict[str, MatchResponse] = {}
+        #: domain -> (seed, its built Surface Web), the last seed asked
+        self.webs: Dict[str, Tuple[int, InvertedIndex]] = {}
         self._on_event = on_event
         self._next_id = 1
 
@@ -394,7 +404,7 @@ class MatchingService:
             # *this* request, not the serve loop.
             dataset = build_domain_dataset(
                 request.domain, n_interfaces=request.n_interfaces,
-                seed=request.seed)
+                seed=request.seed, web=self._web(request.domain, request.seed))
             result = WebIQMatcher(effective).run(dataset, warm=preload)
             # Assimilation shares the crash domain: a registry that cannot
             # take this run's interfaces (another domain's registry, say)
@@ -459,6 +469,19 @@ class MatchingService:
             seconds=seconds)
         self.responses[request_id] = response
         return response
+
+    def _web(self, domain: str, seed: int) -> InvertedIndex:
+        """The domain's Surface Web for ``seed``, built on first use.
+
+        It enters the table only once built, so a failed build (an
+        unknown domain) leaves the table as it was.
+        """
+        held = self.webs.get(domain)
+        if held is not None and held[0] == seed:
+            return held[1]
+        web = build_web(domain, seed)
+        self.webs[domain] = (seed, web)
+        return web
 
     def _expire(self, request: MatchRequest, parent: Epoch,
                 effective: WebIQConfig, warm_start: bool,

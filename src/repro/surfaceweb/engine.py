@@ -11,7 +11,9 @@ Provides the three observables WebIQ needs:
   must co-occur within a small window rather than as one exact phrase.
 
 Every call increments :attr:`SearchEngine.query_count`; the WebIQ pipeline
-reads that counter to charge simulated latency for Figure 8.
+reads that counter to charge simulated latency for Figure 8. The counter
+lives on the engine, not the index, so engines sharing one built
+:class:`~repro.surfaceweb.index.InvertedIndex` count their queries apart.
 """
 
 from __future__ import annotations
@@ -45,15 +47,26 @@ class SearchResult:
 class SearchEngine:
     """Conjunctive phrase/term search with snippets and hit counts."""
 
-    def __init__(self, documents: Optional[Iterable[Document]] = None) -> None:
-        self.index = InvertedIndex()
+    def __init__(
+        self,
+        documents: Optional[Iterable[Document]] = None,
+        *,
+        index: Optional[InvertedIndex] = None,
+    ) -> None:
+        """Index ``documents``, or search the already built ``index``.
+
+        A built index is only read, so any number of engines can share
+        one Surface Web; each keeps its own :attr:`query_count`.
+        """
+        if index is None:
+            index = InvertedIndex()
+            if documents is not None:
+                index.add_all(documents)
+        elif documents is not None:
+            raise ValueError("pass documents or a built index, not both")
+        self.index = index
         self._parser = QueryParser()
         self.query_count = 0
-        if documents is not None:
-            self.index.add_all(documents)
-
-    def add_documents(self, documents: Iterable[Document]) -> None:
-        self.index.add_all(documents)
 
     @property
     def n_documents(self) -> int:
@@ -94,8 +107,9 @@ class SearchEngine:
         score = 0
         for phrase in parsed.phrases:
             score += 3 * len(self.index.phrase_positions(list(phrase), doc_id))
+        words = self.index.document(doc_id).words
         for term in parsed.required_terms + parsed.plain_terms:
-            score += len(self.index.phrase_positions([term], doc_id))
+            score += words.count(term.lower())
         return score
 
     def num_hits(self, query: str) -> int:

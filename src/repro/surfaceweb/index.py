@@ -1,39 +1,86 @@
-"""Positional inverted index over :class:`~repro.surfaceweb.document.Document`.
+"""Inverted index over :class:`~repro.surfaceweb.document.Document`.
 
-The index maps each term to postings ``{doc_id: [word positions]}``.
+The index maps each word to the pages that contain it, twice over: a
+bitmap (a Python ``int`` with bit ``doc_id`` set) that phrase queries
+intersect in C, and an ``array`` of doc-ids in the order the pages were
+added (in the narrowest typecode that holds them), from which term
+queries copy their result sets in C. It stores no word positions: a
+page's word list is already interned
+(:class:`~repro.surfaceweb.document.Document`), so the positions of a
+word on one page come from scanning that short list with C-level
+``list.index``. Most (word, page) pairs occur once, so a per-page
+position list would cost far more memory than it saves time; a third
+bitmap per word marks the pages that hold it more than once, and only
+there does a scan look past the first hit.
+
 Positions allow exact phrase matching (consecutive positions) and proximity
 co-occurrence tests, both of which the search engine needs: phrase matching
 for extraction/validation queries and proximity for the paper's
 "L x" proximity validation pattern.
+
+An index is built once (:meth:`InvertedIndex.add` / :meth:`add_all`) and
+then only read: one built index is shared by every
+:class:`~repro.surfaceweb.engine.SearchEngine` over the same Surface Web,
+so no read mutates it and no caller adds pages to an index it shares.
 """
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set
+from array import array
+from typing import Dict, Iterable, List, Sequence, Set
 
-from repro.surfaceweb.document import Document
+from repro.surfaceweb.document import Document, compact_typecode
 from repro.util import counters as work
 
 __all__ = ["InvertedIndex"]
 
 
 class InvertedIndex:
-    """In-memory positional inverted index."""
+    """In-memory inverted index at page level.
+
+    An index is built once, by :meth:`add`/:meth:`add_all`, and then
+    only read: engines and requests share it, so nothing may add pages
+    to an index that is in use.
+    """
 
     def __init__(self) -> None:
-        self._postings: Dict[str, Dict[int, List[int]]] = {}
+        #: word -> bitmap of the doc-ids containing it
+        self._bits: Dict[str, int] = {}
+        #: word -> bitmap of the doc-ids containing it twice or more; a
+        #: word absent here occurs at most once on every page
+        self._repeats: Dict[str, int] = {}
+        #: word -> the doc-ids containing it, in the order they were added
+        self._pages: Dict[str, array] = {}
         self._documents: Dict[int, Document] = {}
 
     # ------------------------------------------------------------------ build
     def add(self, document: Document) -> None:
-        """Index one document; re-adding a doc_id raises ``ValueError``."""
-        if document.doc_id in self._documents:
-            raise ValueError(f"duplicate doc_id {document.doc_id}")
-        self._documents[document.doc_id] = document
-        for pos, word in enumerate(document.words):
-            self._postings.setdefault(word, {}).setdefault(
-                document.doc_id, []
-            ).append(pos)
+        """Index one document; re-adding a doc_id raises ``ValueError``,
+        and so does a negative one (it has no bit in a bitmap)."""
+        doc_id = document.doc_id
+        if doc_id in self._documents:
+            raise ValueError(f"duplicate doc_id {doc_id}")
+        if doc_id < 0:
+            raise ValueError(f"negative doc_id {doc_id}")
+        self._documents[doc_id] = document
+        bit = 1 << doc_id
+        bits, repeats, pages = self._bits, self._repeats, self._pages
+        repeated: Dict[str, bool] = {}
+        for word in document.words:
+            repeated[word] = word in repeated
+        for word, again in repeated.items():
+            if word in bits:
+                bits[word] |= bit
+                try:
+                    pages[word].append(doc_id)
+                except OverflowError:  # wider than the list's typecode
+                    pages[word] = array(compact_typecode(doc_id), pages[word])
+                    pages[word].append(doc_id)
+            else:
+                bits[word] = bit
+                pages[word] = array(compact_typecode(doc_id), (doc_id,))
+            if again:
+                repeats[word] = repeats.get(word, 0) | bit
 
     def add_all(self, documents: Iterable[Document]) -> None:
         for document in documents:
@@ -46,76 +93,68 @@ class InvertedIndex:
 
     @property
     def vocabulary_size(self) -> int:
-        return len(self._postings)
+        return len(self._bits)
 
     def document(self, doc_id: int) -> Document:
         return self._documents[doc_id]
 
     def documents_with_term(self, term: str) -> Set[int]:
         """Doc-ids containing ``term`` (lower-cased exact match)."""
-        return set(self._postings.get(term.lower(), ()))
+        return set(self._pages.get(term.lower(), ()))
 
     def term_in_document(self, term: str, doc_id: int) -> bool:
-        """Does ``term`` occur in ``doc_id``? Direct postings lookup —
-        unlike :meth:`documents_with_term`, no postings set is materialised,
-        so membership tests on the search hot path stay O(1)."""
-        return doc_id in self._postings.get(term.lower(), ())
+        """Does ``term`` occur in ``doc_id``? One bit test — unlike
+        :meth:`documents_with_term`, no postings set is materialised,
+        so membership tests on the search hot path stay cheap."""
+        return doc_id in self._documents and bool(
+            self._bits.get(term.lower(), 0) >> doc_id & 1)
 
     def term_frequency(self, term: str) -> int:
         """Total occurrences of ``term`` across the corpus."""
-        return sum(len(v) for v in self._postings.get(term.lower(), {}).values())
+        word = term.lower()
+        return sum(self._documents[d].words.count(word)
+                   for d in self._pages.get(word, ()))
 
     def phrase_positions(self, phrase: Sequence[str], doc_id: int) -> List[int]:
         """Start word-positions of exact occurrences of ``phrase`` in a doc.
 
-        The first word's postings give the candidate starts; each is kept
-        when the page's word list, sliced there, equals the phrase. Postings
-        are built from :attr:`Document.words`, so the slice test is exactly
-        "every later word sits at its offset".
+        Each occurrence of the first word on the page is a candidate start;
+        it is kept when the page's word list, sliced there, equals the
+        phrase.
         """
         phrase = [w.lower() for w in phrase]
-        if not phrase:
+        document = self._documents.get(doc_id)
+        if (not phrase or document is None
+                or not self._bits.get(phrase[0], 0) >> doc_id & 1):
             return []
-        first = self._postings.get(phrase[0], {}).get(doc_id)
-        if first is None:
-            return []
-        if len(phrase) == 1:
-            return list(first)
-        words = self._documents[doc_id].words
-        n = len(phrase)
-        return [p for p in first if words[p:p + n] == phrase]
+        return _starts(document.words, phrase,
+                       self._repeats.get(phrase[0], 0) >> doc_id & 1)
 
     def documents_with_phrase(self, phrase: Sequence[str]) -> Set[int]:
         """Doc-ids containing ``phrase`` as consecutive words."""
         phrase = [w.lower() for w in phrase]
-        if not phrase:
+        if len(phrase) < 2:
+            return self.documents_with_term(phrase[0]) if phrase else set()
+        found = self._phrase_bits(phrase)
+        if not found:
             return set()
-        if len(phrase) == 1:
-            return self.documents_with_term(phrase[0])
-        # postings key views intersect in C, iterating the smaller side
-        candidates: Optional[AbstractSet[int]] = None
-        for word in phrase:
-            docs = self._postings.get(word, {}).keys()
-            if candidates is None:
-                candidates = docs
-            else:
-                if work.ACTIVE is not None:
-                    work.ACTIVE.bump("index.intersections")
-                candidates = candidates & docs
-            if not candidates:
-                return set()
-        assert candidates is not None
-        return {d for d in candidates if self._has_phrase(phrase, d)}
-
-    def _has_phrase(self, phrase: List[str], doc_id: int) -> bool:
-        """Does lower-cased ``phrase`` (two or more words, the first one
-        present in ``doc_id``) occur there? Stops at the first occurrence."""
-        words = self._documents[doc_id].words
-        n = len(phrase)
-        for p in self._postings[phrase[0]][doc_id]:
-            if words[p:p + n] == phrase:
-                return True
-        return False
+        # Every phrase word is present, so each has a page list; the
+        # rarest one enumerates the surviving bits. About half the
+        # survivors lack the phrase, and most of those hold its first
+        # word once: only a repeated first word needs a second scan.
+        rarest = min(map(self._pages.__getitem__, phrase), key=len)
+        first, n = phrase[0], len(phrase)
+        repeats = self._repeats.get(first, 0)
+        documents = self._documents
+        result: Set[int] = set()
+        for d in rarest:
+            if found >> d & 1:
+                words = documents[d].words
+                p = words.index(first)
+                if words[p:p + n] == phrase or (
+                        repeats >> d & 1 and _starts(words, phrase, True)):
+                    result.add(d)
+        return result
 
     def cooccurrence_docs(
         self,
@@ -130,21 +169,71 @@ class InvertedIndex:
         two occurrences must not overlap: a phrase nested inside the other
         (e.g. "city" within "new york city") is one mention, not two
         co-occurring ones.
+
+        Only pages holding every word of both phrases are read, and each
+        is phrase-checked once; the work counters read as if each
+        phrase's documents were found first and then intersected.
         """
-        docs_a = self.documents_with_phrase(phrase_a)
-        docs_b = self.documents_with_phrase(phrase_b)
-        result: Set[int] = set()
-        len_a, len_b = len(list(phrase_a)), len(list(phrase_b))
+        phrase_a = [w.lower() for w in phrase_a]
+        phrase_b = [w.lower() for w in phrase_b]
+        found = self._phrase_bits(phrase_a)
+        found &= self._phrase_bits(phrase_b)
         if work.ACTIVE is not None:
             work.ACTIVE.bump("index.intersections")
-        for doc_id in docs_a & docs_b:
-            pos_a = self.phrase_positions(phrase_a, doc_id)
-            pos_b = self.phrase_positions(phrase_b, doc_id)
+        result: Set[int] = set()
+        if not found:
+            return result
+        len_a, len_b = len(phrase_a), len(phrase_b)
+        rarest = min(map(self._pages.__getitem__, phrase_a + phrase_b),
+                     key=len)
+        repeats_a = self._repeats.get(phrase_a[0], 0)
+        repeats_b = self._repeats.get(phrase_b[0], 0)
+        documents = self._documents
+        for d in rarest:
+            if not found >> d & 1:
+                continue
+            words = documents[d].words
+            pos_a = _starts(words, phrase_a, repeats_a >> d & 1)
+            pos_b = pos_a and _starts(words, phrase_b, repeats_b >> d & 1)
+            if not pos_b:
+                continue
             if work.ACTIVE is not None:
                 work.ACTIVE.bump("index.window_checks")
             if _within_window(pos_a, len_a, pos_b, len_b, window):
-                result.add(doc_id)
+                result.add(d)
         return result
+
+    def _phrase_bits(self, phrase: List[str]) -> int:
+        """Bitmap of the pages holding every word of the lower-cased
+        ``phrase`` (0 when it is empty). The words' bitmaps intersect in
+        C, one ``index.intersections`` bump per word after the first; an
+        empty running intersection stops the walk, as a posting-set walk
+        would."""
+        if not phrase:
+            return 0
+        bits = self._bits
+        found = bits.get(phrase[0], 0)
+        for word in phrase[1:]:
+            if not found:
+                return 0
+            if work.ACTIVE is not None:
+                work.ACTIVE.bump("index.intersections")
+            found &= bits.get(word, 0)
+        return found
+
+
+def _starts(words: List[str], phrase: List[str], repeated: int) -> List[int]:
+    """Every start where ``words`` holds the lower-cased ``phrase``, whose
+    first word it contains: once, or more often when ``repeated``. The
+    occurrences are found by C-level scans of the page's word list."""
+    first, n = phrase[0], len(phrase)
+    starts: List[int] = []
+    p = -1
+    for _ in range(words.count(first) if repeated else 1):
+        p = words.index(first, p + 1)
+        if n == 1 or words[p:p + n] == phrase:
+            starts.append(p)
+    return starts
 
 
 def _within_window(

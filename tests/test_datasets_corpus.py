@@ -67,7 +67,7 @@ class TestBuildCorpus:
     def test_deterministic(self):
         a = build_corpus("auto", seed=5)
         b = build_corpus("auto", seed=5)
-        assert [d.text for d in a] == [d.text for d in b]
+        assert [d.tokens for d in a] == [d.tokens for d in b]
 
     def test_doc_ids_sequential_from_start(self):
         docs = build_corpus("auto", seed=5, start_doc_id=100)

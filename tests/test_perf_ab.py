@@ -1,4 +1,4 @@
-"""Tests for tools/perf_ab.py, the alternating A/B wall-clock gate.
+"""Tests for tools/perf_ab.py, the alternating A/B wall-clock and memory gate.
 
 The benchmark runs themselves are replaced by a stub ``perfbench/run.py``
 in each tree that prints a fixed result line, so the gate's ordering,
@@ -33,20 +33,25 @@ with open(log, "a") as handle:
 print("noise line")
 print(json.dumps({{"correct": {correct}, "attempted": 5, "failed": 0,
                   "metrics": {{"interfaces_per_kref":
-                               {{"value": {value}, "unit": "1/kref"}}}}}}))
+                               {{"value": {value}, "unit": "1/kref"}},
+                               "peak_rss_mb":
+                               {{"value": {rss}, "unit": "MB"}}}}}}))
 """
 
 
-def make_tree(root, name, value, correct=True, bound=None):
+def make_tree(root, name, value, correct=True, bound=None, rss=40.0,
+              rss_bound=None):
     tree = root / name
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(
-        STUB.format(value=value, correct="True" if correct else "False"))
+        STUB.format(value=value, rss=rss,
+                    correct="True" if correct else "False"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    if bound is not None:
-        for metric in spec["end_to_end"]:
-            if metric["name"] == "interfaces_per_kref":
-                metric["bound"] = bound
+    for metric in spec["end_to_end"]:
+        if metric["name"] == "interfaces_per_kref" and bound is not None:
+            metric["bound"] = bound
+        if metric["name"] == "peak_rss_mb" and rss_bound is not None:
+            metric["bound"] = rss_bound
     (tree / "BENCHMARK.json").write_text(json.dumps(spec))
     return tree
 
@@ -69,7 +74,8 @@ class TestGate:
         base = make_tree(tmp_path, "base", 40.0)
         candidate = make_tree(tmp_path, "candidate", 50.0)
         ratios = perf_ab.compare(base, candidate, "figure6-batch", 3)
-        assert ratios == [pytest.approx(1.25)] * 3
+        assert ratios["interfaces_per_kref"] == [pytest.approx(1.25)] * 3
+        assert ratios["peak_rss_mb"] == [pytest.approx(1.0)] * 3
         order = (tmp_path / "order.log").read_text().split()
         assert order == ["base", "candidate", "candidate", "base",
                          "base", "candidate"]
@@ -104,3 +110,45 @@ class TestGate:
         assert perf_ab.main(["--base", str(base), "--workload",
                              "registry-stream", "--pairs", "1"]) == 1
         assert "failed its checks" in capsys.readouterr().out
+
+
+class TestMemoryGate:
+    def test_rss_bound_comes_from_benchmark_json(self):
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        (bound,) = [m["bound"] for m in spec["end_to_end"]
+                    if m["name"] == "peak_rss_mb"]
+        assert perf_ab.max_rss_ratio(ROOT / "BENCHMARK.json") \
+            == pytest.approx(1 + bound)
+
+    def test_every_pair_prints_its_rss_ratio(self, tmp_path, capsys):
+        base = make_tree(tmp_path, "base", 40.0, rss=40.0)
+        candidate = make_tree(tmp_path, "candidate", 40.0, rss=42.0)
+        perf_ab.compare(base, candidate, "service-mixed", 2)
+        out = capsys.readouterr().out
+        assert out.count("peak_rss_mb base 40.000 candidate 42.000 "
+                         "ratio 1.050") == 2
+
+    def test_fatter_candidate_fails_even_when_faster(self, tmp_path, capsys,
+                                                     as_candidate):
+        base = make_tree(tmp_path, "base", 40.0, rss=40.0)
+        args = ["--base", str(base), "--workload", "service-mixed",
+                "--pairs", "2"]
+        as_candidate(make_tree(tmp_path, "fat", 60.0, rss=48.0))
+        assert perf_ab.main(args) == 1
+        out = capsys.readouterr().out
+        assert "median interfaces_per_kref ratio 1.500" in out
+        assert "median peak_rss_mb ratio 1.200 over 2 pairs" in out
+        assert "bound 1.100: FAILED" in out
+        as_candidate(make_tree(tmp_path, "lean", 40.0, rss=43.0))
+        assert perf_ab.main(args) == 0
+        assert "bound 1.100: ok" in capsys.readouterr().out
+
+    def test_candidate_cannot_loosen_its_rss_bound(self, tmp_path, capsys,
+                                                   as_candidate):
+        base = make_tree(tmp_path, "base", 40.0, rss=40.0)
+        # a 0.5 bound in the candidate's own file would let 1.2 pass
+        as_candidate(make_tree(tmp_path, "fat", 40.0, rss=48.0,
+                               rss_bound=0.5))
+        assert perf_ab.main(["--base", str(base), "--workload",
+                             "service-mixed", "--pairs", "1"]) == 1
+        assert "bound 1.100: FAILED" in capsys.readouterr().out

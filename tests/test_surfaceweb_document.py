@@ -24,6 +24,23 @@ class TestDocument:
         for pos, idx in enumerate(doc.word_token_index):
             assert doc.tokens[idx].lower() == doc.words[pos]
 
+    def test_word_token_index_is_a_compact_array(self):
+        short = make_doc("Make: Honda")
+        assert short.word_token_index.typecode == "B"
+        long = make_doc(", ".join(["Alpha", "beta"] * 100) + ", Gamma")
+        assert long.word_token_index.typecode == "H"
+        assert long.tokens[long.word_token_index[-1]] == "Gamma"
+
+    def test_text_is_not_kept(self):
+        doc = make_doc("Boston and Chicago")
+        assert not hasattr(doc, "text")
+        assert "text" not in repr(doc)
+
+    def test_equal_words_share_one_object(self):
+        a, b = make_doc("Boston rocks", 1), make_doc("BOSTON rules", 2)
+        assert a.words[0] is b.words[0]
+        assert a.tokens[0] is make_doc("Boston", 3).tokens[0]
+
     def test_punctuation_skipped_in_words(self):
         doc = make_doc("Make: Honda")
         assert doc.words == ["make", "honda"]

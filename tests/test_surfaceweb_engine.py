@@ -118,11 +118,3 @@ class TestQueryAccounting:
         engine.search("book")
         engine.reset_query_count()
         assert engine.query_count == 0
-
-
-class TestIncrementalAdd:
-    def test_add_documents_later(self):
-        engine = SearchEngine()
-        assert engine.n_documents == 0
-        engine.add_documents([Document(9, "u", "t", "late arrival")])
-        assert engine.num_hits("late") == 1

@@ -29,9 +29,23 @@ class TestBuild:
         with pytest.raises(ValueError):
             index.add(Document(1, "u2", "t", "y"))
 
+    def test_doc_ids_wider_than_the_first_ones(self):
+        # page lists start in the narrowest typecode and widen on demand
+        index = InvertedIndex()
+        for doc_id in (3, 300, 70_000):
+            index.add(Document(doc_id, "u", "t", "cheap flights"))
+        assert index.documents_with_term("cheap") == {3, 300, 70_000}
+        assert index.documents_with_phrase(["cheap", "flights"]) \
+            == {3, 300, 70_000}
+        assert index.term_in_document("flights", 70_000)
+
+    def test_negative_doc_id_rejected(self):
+        with pytest.raises(ValueError):
+            InvertedIndex().add(Document(-1, "u", "t", "x"))
+
     def test_document_lookup(self):
         index = build_index("hello world")
-        assert index.document(0).text == "hello world"
+        assert index.document(0).tokens == ["hello", "world"]
 
 
 class TestTermQueries:

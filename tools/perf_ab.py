@@ -10,15 +10,16 @@ the script makes ``--pairs`` pairs of untraced 10-second runs of
 ``perfbench/run.py --trace 0``, one in the base tree and one in the
 candidate tree, one process at a time. The tree that goes first alternates
 from pair to pair (the base in the first pair), so a host that speeds up
-or slows down during the job favours neither side. Each pair's ratio is
-the candidate's ``interfaces_per_kref`` over the base's; every ratio is
-printed, and the gate reads their median.
+or slows down during the job favours neither side. Each pair gives two
+ratios, candidate over base: ``interfaces_per_kref`` and ``peak_rss_mb``.
+Every ratio is printed, and the gate reads their medians.
 
-The exit code is 1 when a workload's median ratio falls below one minus
-the ``interfaces_per_kref`` bound in the base's BENCHMARK.json (0.25, so
-0.75), or when a run fails its own correctness checks; else 0. The bound
-is read from the base so that a change cannot loosen its own gate. Runs
-use the benchmark's default seed.
+The exit code is 1 when a workload's median ``interfaces_per_kref`` ratio
+falls below one minus that metric's bound in the base's BENCHMARK.json
+(0.25, so 0.75), when its median ``peak_rss_mb`` ratio exceeds one plus
+that metric's bound (0.1, so 1.1), or when a run fails its own
+correctness checks; else 0. The bounds are read from the base so that a
+change cannot loosen its own gate. Runs use the benchmark's default seed.
 """
 
 from __future__ import annotations
@@ -29,20 +30,31 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 METRIC = "interfaces_per_kref"
+#: the memory metric gated next to throughput; lower is better
+RSS = "peak_rss_mb"
 #: length of every benchmark run, in seconds
 SECONDS = 10.0
 
 
-def min_ratio(spec_path: Path) -> float:
-    """One minus BENCHMARK.json's bound on the gated metric."""
+def _bound(spec_path: Path, metric: str) -> float:
     spec = json.loads(spec_path.read_text(encoding="utf-8"))
     (bound,) = [item["bound"] for item in spec["end_to_end"]
-                if item["name"] == METRIC]
-    return 1.0 - bound
+                if item["name"] == metric]
+    return bound
+
+
+def min_ratio(spec_path: Path) -> float:
+    """One minus BENCHMARK.json's bound on the gated metric."""
+    return 1.0 - _bound(spec_path, METRIC)
+
+
+def max_rss_ratio(spec_path: Path) -> float:
+    """One plus BENCHMARK.json's bound on ``peak_rss_mb``."""
+    return 1.0 + _bound(spec_path, RSS)
 
 
 def pair_order(index: int) -> Tuple[str, str]:
@@ -50,8 +62,8 @@ def pair_order(index: int) -> Tuple[str, str]:
     return ("base", "candidate") if index % 2 == 0 else ("candidate", "base")
 
 
-def run_once(tree: Path, workload: str) -> float:
-    """One untraced benchmark run in ``tree``; its gated metric.
+def run_once(tree: Path, workload: str) -> Dict[str, float]:
+    """One untraced benchmark run in ``tree``; its gated metrics.
 
     Raises ``RuntimeError`` when the run exits non-zero or reports
     ``"correct": false``."""
@@ -68,32 +80,40 @@ def run_once(tree: Path, workload: str) -> float:
     if result["correct"] is not True:
         raise RuntimeError(f"{workload} in {tree} failed its checks:\n"
                            + "\n".join(lines[-20:]))
-    return float(result["metrics"][METRIC]["value"])
+    return {name: float(result["metrics"][name]["value"])
+            for name in (METRIC, RSS)}
 
 
 def compare(base: Path, candidate: Path, workload: str,
-            pairs: int) -> List[float]:
-    """Candidate/base ratios of ``pairs`` alternating pairs, printed as
-    they finish."""
+            pairs: int) -> Dict[str, List[float]]:
+    """Candidate/base ratios of ``pairs`` alternating pairs, per gated
+    metric, printed as they finish."""
     trees = {"base": base, "candidate": candidate}
-    ratios: List[float] = []
+    ratios: Dict[str, List[float]] = {METRIC: [], RSS: []}
     for index in range(pairs):
         order = pair_order(index)
         value = {side: run_once(trees[side], workload)
                  for side in order}
-        ratio = value["candidate"] / value["base"]
-        ratios.append(ratio)
+        parts = []
+        for name in (METRIC, RSS):
+            ratio = value["candidate"][name] / value["base"][name]
+            ratios[name].append(ratio)
+            parts.append(f"{name} base {value['base'][name]:.3f} "
+                         f"candidate {value['candidate'][name]:.3f} "
+                         f"ratio {ratio:.3f}")
         print(f"{workload} pair {index + 1} ({order[0]} first): "
-              f"base {value['base']:.3f} candidate {value['candidate']:.3f} "
-              f"{METRIC} ratio {ratio:.3f}", flush=True)
+              + "; ".join(parts), flush=True)
     return ratios
 
 
-def verdict(workload: str, ratios: Sequence[float], bound: float) -> bool:
-    """Print the workload's median ratio; is it at or above ``bound``?"""
+def verdict(workload: str, ratios: Sequence[float], bound: float,
+            metric: str = METRIC) -> bool:
+    """Print the workload's median ratio of ``metric``; is it on the
+    right side of ``bound``? (At or above it for throughput, at or below
+    it for ``peak_rss_mb``.)"""
     median = statistics.median(ratios)
-    ok = median >= bound
-    print(f"{workload} median {METRIC} ratio {median:.3f} over "
+    ok = median <= bound if metric == RSS else median >= bound
+    print(f"{workload} median {metric} ratio {median:.3f} over "
           f"{len(ratios)} pairs (min {min(ratios):.3f}, max "
           f"{max(ratios):.3f}); bound {bound:.3f}: "
           + ("ok" if ok else "FAILED"), flush=True)
@@ -110,7 +130,8 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     base = args.base.resolve()
-    bound = min_ratio(base / "BENCHMARK.json")
+    bounds = {METRIC: min_ratio(base / "BENCHMARK.json"),
+              RSS: max_rss_ratio(base / "BENCHMARK.json")}
 
     ok = True
     for workload in args.workload:
@@ -120,7 +141,8 @@ def main(argv=None) -> int:
             print(f"{workload}: {error}", flush=True)
             ok = False
             continue
-        ok = verdict(workload, ratios, bound) and ok
+        for name in (METRIC, RSS):
+            ok = verdict(workload, ratios[name], bounds[name], name) and ok
     return 0 if ok else 1
 
 
