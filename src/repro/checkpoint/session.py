@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.journal import RunJournal
-from repro.perf.cache import CachingSearchEngine, ValidationCache
+from repro.perf.cache import CachingSearchEngine, ValidationCache, dict_tail
 from repro.resilience.client import ResilientClient
 from repro.resilience.faults import FlakyDeepWebSource, KillSwitch
 from repro.surfaceweb.engine import SearchResult
@@ -394,9 +394,8 @@ class CheckpointSession:
         if self._probe_memo is not None:
             memo_delta = [
                 [list(key), verdict]
-                for key, verdict in list(
-                    self._probe_memo.items()
-                )[capture.memo_mark:]
+                for key, verdict in dict_tail(self._probe_memo,
+                                              capture.memo_mark)
             ]
         body = {
             "unit": list(capture.unit_key),

@@ -422,9 +422,10 @@ class WebIQMatcher:
         if cache_engine is not None:
             # The post-run cache content, as the warm-start input a later
             # run (or the matching service's next epoch) can be seeded
-            # with. Captured after everything that can touch the cache.
+            # with. Captured after everything that can touch the cache;
+            # what the run left unchanged is shared with ``warm``.
             cache_content = CachePreload.capture(cache_engine,
-                                                 validation_cache)
+                                                 validation_cache, warm)
         return WebIQRunResult(
             domain=dataset.domain,
             config=self.config,

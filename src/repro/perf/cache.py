@@ -40,6 +40,7 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.surfaceweb.engine import DEFAULT_PROXIMITY_WINDOW, SearchResult
@@ -52,6 +53,7 @@ __all__ = [
     "LRUCache",
     "CachingSearchEngine",
     "ValidationCache",
+    "dict_tail",
     "normalize_query",
 ]
 
@@ -68,6 +70,19 @@ def normalize_query(query: str) -> str:
     differing only there share one cache entry.
     """
     return " ".join(query.split()).lower()
+
+
+def dict_tail(mapping: Dict[Any, Any], mark: int) -> List[Tuple[Any, Any]]:
+    """The items of ``mapping`` inserted after its first ``mark``, in
+    insertion order.
+
+    Read from the end, so the cost follows the tail's length, not the
+    mapping's: the checkpoint layer calls this once per unit on memos
+    that keep growing for the whole run.
+    """
+    tail = list(islice(reversed(mapping.items()), len(mapping) - mark))
+    tail.reverse()
+    return tail
 
 
 @dataclass
@@ -140,6 +155,12 @@ class LRUCache:
 
     Reads refresh recency; writes beyond ``max_entries`` evict from the
     cold end. Eviction counts flow into the attached :class:`CacheStats`.
+    ``mutations`` counts every change of content (stores, replayed
+    stores, evictions, bulk loads) but not recency refreshes: it is what
+    :meth:`CachePreload.capture` reads to tell whether a warm run left
+    its preloaded content as it found it. :class:`CacheStats` cannot
+    tell that: journal replay and a trimming bulk load change content
+    without counting a store.
     """
 
     def __init__(self, max_entries: int, stats: Optional[CacheStats] = None) -> None:
@@ -148,6 +169,7 @@ class LRUCache:
         self.max_entries = max_entries
         self.stats = stats if stats is not None else CacheStats(max_entries)
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
+        self.mutations = 0
 
     def __len__(self) -> int:
         return len(self._data)
@@ -162,21 +184,16 @@ class LRUCache:
         return self._data[key]
 
     def put(self, key: Hashable, value: Any) -> None:
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
         self.stats.stores += 1
-        while len(self._data) > self.max_entries:
-            self._data.popitem(last=False)
-            self.stats.evictions += 1
+        self.stats.evictions += self._store(key, value)
 
     def keys(self) -> List[Hashable]:
-        """Keys from least- to most-recently used (for tests/inspection)."""
+        """Keys from least- to most-recently used."""
         return list(self._data)
 
-    def items(self) -> List[Tuple[Hashable, Any]]:
-        """Entries from least- to most-recently used (snapshot support)."""
-        return list(self._data.items())
+    def answers(self) -> Dict[Hashable, Any]:
+        """A plain key → value copy of the content (snapshot support)."""
+        return dict(self._data)
 
     # --------------------------------------------------- checkpoint support
     def touch(self, key: Hashable) -> None:
@@ -192,11 +209,41 @@ class LRUCache:
 
     def seed(self, key: Hashable, value: Any) -> None:
         """Replay a historical store: insert (evicting if full), no stats."""
+        self._store(key, value)
+
+    def load(self, order: Tuple[Hashable, ...],
+             answers: Dict[Hashable, Any]) -> None:
+        """Fill an empty cache in one step: ``order`` gives the keys cold
+        to hot, ``answers`` their values.
+
+        The result equals seeding every ``(key, answers[key])`` in order
+        (the cold end past ``max_entries`` is dropped the same way), with
+        no stats, at C speed.
+        """
+        if self._data:
+            raise ValueError("load needs an empty cache")
+        dropped = max(0, len(order) - self.max_entries)
+        kept = order[dropped:]
+        self._data = OrderedDict(zip(kept, map(answers.__getitem__, kept)))
+        self.mutations += 1 + dropped
+
+    def _store(self, key: Hashable, value: Any) -> int:
+        """Insert or overwrite ``key`` as the hottest entry; the number of
+        entries evicted to make room."""
         if key in self._data:
             self._data.move_to_end(key)
         self._data[key] = value
+        self.mutations += 1
+        return self._trim()
+
+    def _trim(self) -> int:
+        """Evict from the cold end down to ``max_entries``; how many went."""
+        evicted = 0
         while len(self._data) > self.max_entries:
             self._data.popitem(last=False)
+            evicted += 1
+        self.mutations += evicted
+        return evicted
 
 
 @dataclass(frozen=True)
@@ -307,14 +354,19 @@ class CachingSearchEngine:
         return value
 
     # ----------------------------------------- checkpoint/snapshot support
-    def snapshot_entries(self) -> List[Tuple[Tuple, Any]]:
-        """The cache's content in recency order (cold to hot).
+    def snapshot_order(self) -> Tuple[Tuple, ...]:
+        """The cache's keys in recency order (cold to hot).
 
-        :meth:`CachePreload.capture` snapshots this so a warm run starts
-        with the same content — and therefore the same hit/miss pattern —
-        the donor run ended with.
+        :meth:`CachePreload.capture` snapshots this (and, when the run
+        changed the content, :meth:`snapshot_answers`) so a warm run
+        starts with the same content — and therefore the same hit/miss
+        pattern — the donor run ended with.
         """
-        return self._cache.items()
+        return tuple(self._cache.keys())
+
+    def snapshot_answers(self) -> Dict[Tuple, Any]:
+        """A key → answer copy of the cache's content."""
+        return self._cache.answers()
 
     def replay_hit(self, key: Tuple) -> None:
         """Re-apply a journaled hit: recency only, no stats, no oplog."""
@@ -323,6 +375,16 @@ class CachingSearchEngine:
     def replay_store(self, key: Tuple, value: Any) -> None:
         """Re-apply a journaled store: content only, no stats, no oplog."""
         self._cache.seed(key, value)
+
+    def load_entries(self, order: Tuple[Tuple, ...],
+                     answers: Dict[Tuple, Any]) -> None:
+        """Bulk-fill the (empty) cache: :meth:`LRUCache.load`."""
+        self._cache.load(order, answers)
+
+    @property
+    def mutations(self) -> int:
+        """Content changes so far (:attr:`LRUCache.mutations`)."""
+        return self._cache.mutations
 
     def _note_obs(self, counter: str, kind: str, outcome: str) -> None:
         if self.obs is not None:
@@ -400,13 +462,13 @@ class ValidationCache:
         p, c, j = mark
         return {
             "phrase_hits": [
-                [k, v] for k, v in list(self.phrase_hits.items())[p:]
+                [k, v] for k, v in dict_tail(self.phrase_hits, p)
             ],
             "candidate_hits": [
-                [k, v] for k, v in list(self.candidate_hits.items())[c:]
+                [k, v] for k, v in dict_tail(self.candidate_hits, c)
             ],
             "joint_hits": [
-                [list(k), v] for k, v in list(self.joint_hits.items())[j:]
+                [list(k), v] for k, v in dict_tail(self.joint_hits, j)
             ],
         }
 
@@ -434,19 +496,25 @@ class CachePreload:
     the same code path, which is what makes their exports byte-identical
     by construction.
 
-    The snapshot is value-isolated from its donor (entry lists are
-    copied), so a later run can never mutate a published epoch through
-    it. ``fingerprint()`` gives a stable identity that enters the journal
-    meta of warm runs: resuming a warm journal with a *different* preload
-    is refused, because the replayed hit pattern would not match.
+    A preload is its key order (a tuple, cold to hot), a key → answer map
+    and a validation memo, and none of the three is ever written after
+    construction. That is what isolates it from the runs that read it:
+    :meth:`apply` loads copies into the run's own caches, and
+    :meth:`capture` shares a parent's map and memo with the child
+    preload when the run left them unchanged, so a chain of epochs that
+    add nothing holds one copy of the content, not one per epoch. The
+    answers themselves are never copied — nothing mutates a cached
+    answer. ``fingerprint()`` gives a stable identity that enters the
+    journal meta of warm runs: resuming a warm journal with a *different*
+    preload is refused, because the replayed hit pattern would not match.
     """
 
     def __init__(self, engine_entries=None, validation=None) -> None:
-        #: cache entries in recency order (cold to hot), as ``(key, value)``
-        self.engine_entries: List[Tuple[Tuple, Any]] = [
-            (key, list(value) if isinstance(value, list) else value)
-            for key, value in (engine_entries or [])
-        ]
+        """``engine_entries`` are ``(key, answer)`` pairs, cold to hot;
+        ``validation`` is copied."""
+        answers = dict(engine_entries or ())
+        self._order: Tuple[Tuple, ...] = tuple(answers)
+        self._answers: Dict[Tuple, Any] = answers
         #: the donor run's validation memo (marginal/joint hit counts)
         self.validation: ValidationCache = (
             validation.clone() if validation is not None else ValidationCache()
@@ -457,12 +525,31 @@ class CachePreload:
         cls,
         cache_engine: "CachingSearchEngine",
         validation_cache: Optional[ValidationCache] = None,
+        parent: Optional["CachePreload"] = None,
     ) -> "CachePreload":
-        """Snapshot a run's cache content (recency order preserved)."""
-        return cls(
-            engine_entries=cache_engine.snapshot_entries(),
-            validation=validation_cache,
-        )
+        """Snapshot a run's cache content (recency order preserved).
+
+        ``parent`` is the preload :meth:`apply` seeded the run with, if
+        any. What the run left unchanged is shared with it, not copied:
+        the answer map when the cache's only change of content was that
+        bulk load (a journal replay or a new answer counts as a change),
+        the validation memo when it did not grow (its entries are
+        written once, so an equal length means equal content).
+        """
+        preload = cls()
+        preload._order = cache_engine.snapshot_order()
+        # A bulk load that drops nothing counts one mutation (LRUCache.load).
+        if parent is not None and cache_engine.mutations == 1:
+            preload._answers = parent._answers
+        else:
+            preload._answers = cache_engine.snapshot_answers()
+        if validation_cache is not None:
+            if parent is not None and len(validation_cache) == len(
+                    parent.validation):
+                preload.validation = parent.validation
+            else:
+                preload.validation = validation_cache.clone()
+        return preload
 
     def apply(
         self,
@@ -471,15 +558,12 @@ class CachePreload:
     ) -> None:
         """Seed a fresh run's caches with this snapshot.
 
-        Seeding uses the replay path (content and recency only, no
-        stats): the warm run's :class:`CacheStats` start at zero and then
-        count *its own* hits against the preloaded content, exactly as a
-        long-lived cache would.
+        The engine's empty cache is bulk-loaded (content and recency only,
+        no stats): the warm run's :class:`CacheStats` start at zero and
+        then count *its own* hits against the preloaded content, exactly
+        as a long-lived cache would.
         """
-        for key, value in self.engine_entries:
-            cache_engine.replay_store(
-                key, list(value) if isinstance(value, list) else value
-            )
+        cache_engine.load_entries(self._order, self._answers)
         if validation_cache is not None:
             validation_cache.phrase_hits.update(self.validation.phrase_hits)
             validation_cache.candidate_hits.update(
@@ -488,12 +572,19 @@ class CachePreload:
             validation_cache.joint_hits.update(self.validation.joint_hits)
 
     @property
+    def engine_entries(self) -> List[Tuple[Tuple, Any]]:
+        """Cache entries in recency order (cold to hot), as ``(key,
+        value)`` pairs."""
+        return list(zip(self._order, map(self._answers.__getitem__,
+                                         self._order)))
+
+    @property
     def n_entries(self) -> int:
-        return len(self.engine_entries)
+        return len(self._order)
 
     @property
     def is_empty(self) -> bool:
-        return not self.engine_entries and not len(self.validation)
+        return not self._order and not len(self.validation)
 
     def fingerprint(self) -> int:
         """Stable identity of the snapshot (CRC over its canonical repr).
@@ -502,7 +593,7 @@ class CachePreload:
         one preload refuses to resume under another.
         """
         canon = repr((
-            [(key, value) for key, value in self.engine_entries],
+            self.engine_entries,
             sorted(self.validation.phrase_hits.items()),
             sorted(self.validation.candidate_hits.items()),
             sorted(self.validation.joint_hits.items()),

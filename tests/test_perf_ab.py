@@ -1,4 +1,5 @@
-"""Tests for tools/perf_ab.py, the alternating A/B wall-clock and memory gate.
+"""Tests for tools/perf_ab.py, the alternating A/B throughput, memory and
+latency gate.
 
 The benchmark runs themselves are replaced by a stub ``perfbench/run.py``
 in each tree that prints a fixed result line, so the gate's ordering,
@@ -35,23 +36,25 @@ print(json.dumps({{"correct": {correct}, "attempted": 5, "failed": 0,
                   "metrics": {{"interfaces_per_kref":
                                {{"value": {value}, "unit": "1/kref"}},
                                "peak_rss_mb":
-                               {{"value": {rss}, "unit": "MB"}}}}}}))
+                               {{"value": {rss}, "unit": "MB"}},
+                               "op_p50_ref":
+                               {{"value": {p50}, "unit": "ref"}}}}}}))
 """
 
 
 def make_tree(root, name, value, correct=True, bound=None, rss=40.0,
-              rss_bound=None):
+              rss_bound=None, p50=600.0, p50_bound=None):
     tree = root / name
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(
-        STUB.format(value=value, rss=rss,
+        STUB.format(value=value, rss=rss, p50=p50,
                     correct="True" if correct else "False"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    overrides = {"interfaces_per_kref": bound, "peak_rss_mb": rss_bound,
+                 "op_p50_ref": p50_bound}
     for metric in spec["end_to_end"]:
-        if metric["name"] == "interfaces_per_kref" and bound is not None:
-            metric["bound"] = bound
-        if metric["name"] == "peak_rss_mb" and rss_bound is not None:
-            metric["bound"] = rss_bound
+        if overrides.get(metric["name"]) is not None:
+            metric["bound"] = overrides[metric["name"]]
     (tree / "BENCHMARK.json").write_text(json.dumps(spec))
     return tree
 
@@ -117,7 +120,7 @@ class TestMemoryGate:
         spec = json.loads((ROOT / "BENCHMARK.json").read_text())
         (bound,) = [m["bound"] for m in spec["end_to_end"]
                     if m["name"] == "peak_rss_mb"]
-        assert perf_ab.max_rss_ratio(ROOT / "BENCHMARK.json") \
+        assert perf_ab.max_ratio(ROOT / "BENCHMARK.json", "peak_rss_mb") \
             == pytest.approx(1 + bound)
 
     def test_every_pair_prints_its_rss_ratio(self, tmp_path, capsys):
@@ -152,3 +155,46 @@ class TestMemoryGate:
         assert perf_ab.main(["--base", str(base), "--workload",
                              "service-mixed", "--pairs", "1"]) == 1
         assert "bound 1.100: FAILED" in capsys.readouterr().out
+
+
+class TestLatencyGate:
+    def test_p50_bound_comes_from_benchmark_json(self):
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        (bound,) = [m["bound"] for m in spec["end_to_end"]
+                    if m["name"] == "op_p50_ref"]
+        assert perf_ab.max_ratio(ROOT / "BENCHMARK.json", "op_p50_ref") \
+            == pytest.approx(1 + bound)
+
+    def test_every_pair_prints_its_p50_ratio(self, tmp_path, capsys):
+        base = make_tree(tmp_path, "base", 40.0, p50=600.0)
+        candidate = make_tree(tmp_path, "candidate", 40.0, p50=450.0)
+        ratios = perf_ab.compare(base, candidate, "service-mixed", 2)
+        assert ratios["op_p50_ref"] == [pytest.approx(0.75)] * 2
+        assert capsys.readouterr().out.count(
+            "op_p50_ref base 600.000 candidate 450.000 ratio 0.750") == 2
+
+    def test_slower_p50_fails_even_with_more_throughput(self, tmp_path,
+                                                        capsys, as_candidate):
+        base = make_tree(tmp_path, "base", 40.0, p50=600.0)
+        args = ["--base", str(base), "--workload", "service-mixed",
+                "--pairs", "2"]
+        as_candidate(make_tree(tmp_path, "laggy", 50.0, p50=780.0))
+        assert perf_ab.main(args) == 1
+        out = capsys.readouterr().out
+        assert "median interfaces_per_kref ratio 1.250" in out
+        assert "median op_p50_ref ratio 1.300 over 2 pairs" in out
+        assert "bound 1.250: FAILED" in out
+        as_candidate(make_tree(tmp_path, "brisk", 50.0, p50=720.0))
+        assert perf_ab.main(args) == 0
+        assert "median op_p50_ref ratio 1.200" in capsys.readouterr().out
+
+    def test_candidate_cannot_loosen_its_p50_bound(self, tmp_path, capsys,
+                                                   as_candidate):
+        base = make_tree(tmp_path, "base", 40.0, p50=600.0)
+        # a 1.0 bound in the candidate's own file would let 1.5 pass
+        as_candidate(make_tree(tmp_path, "laggy", 40.0, p50=900.0,
+                               p50_bound=1.0))
+        assert perf_ab.main(["--base", str(base), "--workload",
+                             "service-mixed", "--pairs", "1"]) == 1
+        assert "median op_p50_ref ratio 1.500 over 1 pairs (min 1.500, " \
+            "max 1.500); bound 1.250: FAILED" in capsys.readouterr().out

@@ -78,6 +78,38 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(max_entries=0)
 
+    @pytest.mark.parametrize("capacity", [1, 3, 5, 9])
+    def test_load_equals_seeding_every_entry_in_order(self, capacity):
+        order = ("a", "b", "c", "d", "e")
+        answers = {key: [key] for key in reversed(order)}
+        seeded, loaded = LRUCache(capacity), LRUCache(capacity)
+        for key in order:
+            seeded.seed(key, answers[key])
+        loaded.load(order, answers)
+        assert loaded.answers() == seeded.answers()
+        assert loaded.keys() == seeded.keys()
+        assert loaded.stats.evictions == seeded.stats.evictions == 0
+
+    def test_load_needs_an_empty_cache(self):
+        cache = LRUCache(max_entries=2)
+        cache.seed("a", 1)
+        with pytest.raises(ValueError):
+            cache.load(("b",), {"b": 2})
+
+    def test_mutations_count_content_changes_not_recency(self):
+        cache = LRUCache(max_entries=2)
+        cache.load(("a",), {"a": 1})
+        assert cache.mutations == 1
+        cache.get("a")
+        cache.touch("a")
+        assert cache.mutations == 1
+        cache.put("b", 2)
+        cache.seed("c", 3)      # evicts "a": a second change
+        assert cache.mutations == 4
+        trimmed = LRUCache(max_entries=1)
+        trimmed.load(("a", "b", "c"), {"a": 1, "b": 2, "c": 3})
+        assert trimmed.mutations == 3 and trimmed.keys() == ["c"]
+
 
 class TestCacheStats:
     def test_counters_and_hit_rate(self):
@@ -243,3 +275,91 @@ class TestValidationCache:
         queries_after_first = engine.query_count
         second.candidate_hits("boston")
         assert engine.query_count == queries_after_first
+
+    # -------------------------------------------- journal deltas (tails)
+    @staticmethod
+    def _grown(cache, start, stop):
+        for n in range(start, stop):
+            cache.phrase_hits[f"phrase {n}"] = n
+            cache.candidate_hits[f"candidate {n}"] = 10 * n
+            cache.joint_hits[(f"phrase {n}", f"candidate {n}", n % 2)] = n + 1
+
+    def test_delta_since_is_the_insertion_order_tail_of_each_map(self):
+        cache = ValidationCache()
+        self._grown(cache, 0, 5)
+        mark = cache.mark()
+        self._grown(cache, 5, 9)
+        cache.phrase_hits["late"] = 99  # maps may grow unevenly
+        delta = cache.delta_since(mark)
+        assert delta["phrase_hits"] == (
+            [[f"phrase {n}", n] for n in range(5, 9)] + [["late", 99]])
+        assert delta["candidate_hits"] == [
+            [f"candidate {n}", 10 * n] for n in range(5, 9)]
+        assert delta["joint_hits"] == [
+            [[f"phrase {n}", f"candidate {n}", n % 2], n + 1]
+            for n in range(5, 9)]
+
+    def test_delta_since_the_current_mark_is_empty(self):
+        cache = ValidationCache()
+        assert cache.delta_since(cache.mark()) == {
+            "phrase_hits": [], "candidate_hits": [], "joint_hits": []}
+        self._grown(cache, 0, 3)
+        assert not any(cache.delta_since(cache.mark()).values())
+
+    def test_merge_delta_rebuilds_equal_maps_in_equal_order(self):
+        cache = ValidationCache()
+        self._grown(cache, 0, 4)
+        before = cache.clone()
+        mark = cache.mark()
+        self._grown(cache, 4, 7)
+        before.merge_delta(cache.delta_since(mark))
+        for name in ("phrase_hits", "candidate_hits", "joint_hits"):
+            assert list(getattr(before, name).items()) \
+                == list(getattr(cache, name).items())
+
+
+class TestProbeMemoDelta:
+    """``commit_unit`` journals the probe memo's tail past the unit's mark."""
+
+    class _Attribute:
+        def __init__(self):
+            self.acquired = []
+
+    class _Record:
+        surface_attempted = borrow_deep_attempted = False
+        borrow_surface_attempted = False
+        n_after_surface = n_after_borrow = 0
+
+    def _session(self, tmp_path, memo):
+        from repro.checkpoint.journal import RunJournal
+        from repro.checkpoint.session import (
+            CheckpointReport,
+            CheckpointSession,
+        )
+
+        journal = RunJournal.create(str(tmp_path / "j"), {"domain": "book"})
+        session = CheckpointSession(
+            journal, CheckpointReport(str(tmp_path / "j"), resumed=False))
+        session.register_probe_memo(memo)
+        return session
+
+    def _commit(self, session, memo, keys):
+        unit = ("attr_deep", "book-00", "title")
+        attribute, record = self._Attribute(), self._Record()
+        capture = session.begin_unit(unit, attribute)
+        for key in keys:
+            memo[key] = len(key[-1]) % 2 == 0
+        session.commit_unit(capture, attribute, record)
+        return session.journal.records[-1]["probe_memo"]
+
+    def test_each_record_carries_exactly_the_unit_s_additions(self, tmp_path):
+        memo = {}
+        session = self._session(tmp_path, memo)
+        first = [("src-a", "title", "x"), ("src-a", "title", "yy")]
+        second = [("src-b", "author", "zzz"), ("src-a", "author", "w"),
+                  ("src-b", "title", "vv")]
+        assert self._commit(session, memo, first) == [
+            [list(key), len(key[-1]) % 2 == 0] for key in first]
+        assert self._commit(session, memo, second) == [
+            [list(key), len(key[-1]) % 2 == 0] for key in second]
+        assert self._commit(session, memo, []) == []

@@ -2,11 +2,20 @@
 
 import pytest
 
+from repro.checkpoint import CheckpointConfig
+from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
-from repro.perf.cache import CachePreload
+from repro.perf.cache import (
+    CacheConfig,
+    CachePreload,
+    CachingSearchEngine,
+    ValidationCache,
+)
 from repro.registry import RegistryStore, build_registry
 from repro.service import Epoch, WarmState
-from repro.util.errors import StaleEpochError
+from repro.surfaceweb.document import Document
+from repro.surfaceweb.engine import SearchEngine
+from repro.util.errors import PreemptionError, StaleEpochError
 
 
 def preload_with(entries):
@@ -103,3 +112,88 @@ class TestCachePreloadSymmetry:
         empty = CachePreload()
         assert empty.is_empty
         assert empty.n_entries == 0
+
+
+class TestEpochIsolation:
+    """Epochs share unchanged content, so isolation rests on nothing ever
+    writing a preload's order, answer map or validation memo."""
+
+    CACHED = WebIQConfig(cache=CacheConfig())
+
+    @staticmethod
+    def warm_run(domain, warm=None, config=CACHED):
+        dataset = build_domain_dataset(domain, 3, 1)
+        return WebIQMatcher(config).run(dataset, warm=warm).cache_content
+
+    @pytest.fixture(scope="class")
+    def parent(self):
+        return self.warm_run("book")
+
+    def test_a_run_that_applied_a_preload_cannot_change_it(self):
+        engine = SearchEngine([
+            Document(0, "u0", "t", "Authors such as King, Rowling."),
+            Document(1, "u1", "t", "Cities such as Boston, Chicago."),
+        ])
+        donor = CachingSearchEngine(engine)
+        donor.search("authors such as")
+        donor.num_hits("boston")
+        memo = ValidationCache()
+        memo.phrase_hits["authors"] = 1
+        parent = CachePreload.capture(donor, memo)
+        fingerprint, entries = parent.fingerprint(), parent.engine_entries
+
+        child_engine = CachingSearchEngine(engine)
+        child_memo = ValidationCache()
+        parent.apply(child_engine, child_memo)
+        child_engine.search("cities such as")         # a store
+        child_engine.search("authors such as")        # a hit (recency)
+        child_memo.phrase_hits["cities"] = 1          # memo growth
+        child_memo.joint_hits[("cities", "boston", 0)] = 1
+        child = CachePreload.capture(child_engine, child_memo, parent)
+
+        assert parent.fingerprint() == fingerprint
+        assert parent.engine_entries == entries
+        assert parent.n_entries == 2 and child.n_entries == 3
+        assert dict(parent.validation.phrase_hits) == {"authors": 1}
+
+    def test_a_trimming_load_is_a_change(self, parent):
+        # A run whose cache holds fewer entries than the parent drops the
+        # cold end on load and so must not share the parent's map, even
+        # though it counts no store and no eviction.
+        small = CachingSearchEngine(None, max_entries=10)
+        parent.apply(small)
+        child = CachePreload.capture(small, None, parent)
+        assert small.stats.stores == small.stats.evictions == 0
+        assert child._answers is not parent._answers
+        assert child.engine_entries == parent.engine_entries[-10:]
+
+    def test_a_run_that_adds_nothing_shares_the_parent_content(self, parent):
+        child = self.warm_run("book", warm=parent)
+        assert child._answers is parent._answers
+        assert child.validation is parent.validation
+        assert child.n_entries == parent.n_entries
+
+    def test_a_run_that_adds_entries_shares_nothing(self, parent):
+        child = self.warm_run("airfare", warm=parent)
+        assert child._answers is not parent._answers
+        assert child.validation is not parent.validation
+        assert child.n_entries > parent.n_entries
+        assert len(child.validation) > len(parent.validation)
+
+    @pytest.mark.parametrize("kill_at", [0, 21, 41])
+    def test_a_resumed_warm_run_captures_the_uninterrupted_preload(
+            self, parent, tmp_path, kill_at):
+        # Replay re-seeds the journaled stores without counting them in
+        # CacheStats; the capture must still see them as new content. At
+        # kill_at=41 (the run's last boundary) every store is a replay.
+        directory = str(tmp_path / "journal")
+        uninterrupted = self.warm_run("airfare", warm=parent)
+        with pytest.raises(PreemptionError):
+            self.warm_run("airfare", warm=parent, config=WebIQConfig(
+                cache=CacheConfig(),
+                checkpoint=CheckpointConfig(directory, kill_at=kill_at)))
+        resumed = self.warm_run("airfare", warm=parent, config=WebIQConfig(
+            cache=CacheConfig(),
+            checkpoint=CheckpointConfig(directory, resume=True)))
+        assert resumed.fingerprint() == uninterrupted.fingerprint()
+        assert resumed._answers is not parent._answers

@@ -10,16 +10,18 @@ the script makes ``--pairs`` pairs of untraced 10-second runs of
 ``perfbench/run.py --trace 0``, one in the base tree and one in the
 candidate tree, one process at a time. The tree that goes first alternates
 from pair to pair (the base in the first pair), so a host that speeds up
-or slows down during the job favours neither side. Each pair gives two
-ratios, candidate over base: ``interfaces_per_kref`` and ``peak_rss_mb``.
-Every ratio is printed, and the gate reads their medians.
+or slows down during the job favours neither side. Each pair gives three
+ratios, candidate over base: ``interfaces_per_kref``, ``peak_rss_mb`` and
+``op_p50_ref``. Every ratio is printed, and the gate reads their medians.
 
 The exit code is 1 when a workload's median ``interfaces_per_kref`` ratio
 falls below one minus that metric's bound in the base's BENCHMARK.json
 (0.25, so 0.75), when its median ``peak_rss_mb`` ratio exceeds one plus
-that metric's bound (0.1, so 1.1), or when a run fails its own
-correctness checks; else 0. The bounds are read from the base so that a
-change cannot loosen its own gate. Runs use the benchmark's default seed.
+that metric's bound (0.1, so 1.1), when its median ``op_p50_ref`` ratio
+exceeds one plus that metric's bound (0.25, so 1.25), or when a run fails
+its own correctness checks; else 0. The bounds are read from the base so
+that a change cannot loosen its own gate. Runs use the benchmark's default
+seed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ ROOT = Path(__file__).resolve().parent.parent
 METRIC = "interfaces_per_kref"
 #: the memory metric gated next to throughput; lower is better
 RSS = "peak_rss_mb"
+#: the median operation latency, in paced reference units; lower is better
+P50 = "op_p50_ref"
+#: every gated metric, in print order
+GATED = (METRIC, RSS, P50)
 #: length of every benchmark run, in seconds
 SECONDS = 10.0
 
@@ -52,9 +58,9 @@ def min_ratio(spec_path: Path) -> float:
     return 1.0 - _bound(spec_path, METRIC)
 
 
-def max_rss_ratio(spec_path: Path) -> float:
-    """One plus BENCHMARK.json's bound on ``peak_rss_mb``."""
-    return 1.0 + _bound(spec_path, RSS)
+def max_ratio(spec_path: Path, metric: str) -> float:
+    """One plus BENCHMARK.json's bound on a lower-is-better ``metric``."""
+    return 1.0 + _bound(spec_path, metric)
 
 
 def pair_order(index: int) -> Tuple[str, str]:
@@ -81,7 +87,7 @@ def run_once(tree: Path, workload: str) -> Dict[str, float]:
         raise RuntimeError(f"{workload} in {tree} failed its checks:\n"
                            + "\n".join(lines[-20:]))
     return {name: float(result["metrics"][name]["value"])
-            for name in (METRIC, RSS)}
+            for name in GATED}
 
 
 def compare(base: Path, candidate: Path, workload: str,
@@ -89,13 +95,13 @@ def compare(base: Path, candidate: Path, workload: str,
     """Candidate/base ratios of ``pairs`` alternating pairs, per gated
     metric, printed as they finish."""
     trees = {"base": base, "candidate": candidate}
-    ratios: Dict[str, List[float]] = {METRIC: [], RSS: []}
+    ratios: Dict[str, List[float]] = {name: [] for name in GATED}
     for index in range(pairs):
         order = pair_order(index)
         value = {side: run_once(trees[side], workload)
                  for side in order}
         parts = []
-        for name in (METRIC, RSS):
+        for name in GATED:
             ratio = value["candidate"][name] / value["base"][name]
             ratios[name].append(ratio)
             parts.append(f"{name} base {value['base'][name]:.3f} "
@@ -110,9 +116,9 @@ def verdict(workload: str, ratios: Sequence[float], bound: float,
             metric: str = METRIC) -> bool:
     """Print the workload's median ratio of ``metric``; is it on the
     right side of ``bound``? (At or above it for throughput, at or below
-    it for ``peak_rss_mb``.)"""
+    it for ``peak_rss_mb`` and ``op_p50_ref``.)"""
     median = statistics.median(ratios)
-    ok = median <= bound if metric == RSS else median >= bound
+    ok = median >= bound if metric == METRIC else median <= bound
     print(f"{workload} median {metric} ratio {median:.3f} over "
           f"{len(ratios)} pairs (min {min(ratios):.3f}, max "
           f"{max(ratios):.3f}); bound {bound:.3f}: "
@@ -130,8 +136,9 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     base = args.base.resolve()
-    bounds = {METRIC: min_ratio(base / "BENCHMARK.json"),
-              RSS: max_rss_ratio(base / "BENCHMARK.json")}
+    spec = base / "BENCHMARK.json"
+    bounds = {METRIC: min_ratio(spec), RSS: max_ratio(spec, RSS),
+              P50: max_ratio(spec, P50)}
 
     ok = True
     for workload in args.workload:
@@ -141,7 +148,7 @@ def main(argv=None) -> int:
             print(f"{workload}: {error}", flush=True)
             ok = False
             continue
-        for name in (METRIC, RSS):
+        for name in GATED:
             ok = verdict(workload, ratios[name], bounds[name], name) and ok
     return 0 if ok else 1
 
