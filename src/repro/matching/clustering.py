@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.deepweb.models import QueryInterface
+from repro.matching.blocking import candidate_partners
 from repro.matching.similarity import (
     AttributeView,
     SimilarityConfig,
@@ -69,9 +70,11 @@ class MatchResult:
 
     clusters: List[Cluster]
     threshold: float
-    #: number of pairwise similarity evaluations performed (the dominant
-    #: compute cost; the pipeline charges simulated 2006-hardware time per
-    #: evaluation for the Figure 8 overhead account)
+    #: the pair count the cost model charges: n(n−1)/2 over the matched
+    #: views, the pairwise evaluations a 2006 IceQ performs. The pipeline
+    #: charges simulated 2006-hardware time per pair for the Figure 8
+    #: overhead account; the blocked matrix scores fewer pairs, counted by
+    #: the ``similarity.evaluations`` work counter (DESIGN.md §25)
     similarity_evaluations: int
 
     def match_pairs(self) -> Set[FrozenSet[AttrKey]]:
@@ -97,10 +100,10 @@ def agglomerate(
     lowest ``(i, j)``") cannot drift between them.
 
     ``sims`` maps view-index pairs ``(i, j)`` with ``i < j`` to their
-    singleton similarity; an absent pair is 0.0, whether the caller
-    dropped it as zero (batch) or a blocking stage never evaluated it
-    (incremental). Returns the final clusters as sorted member-index
-    lists (ordered by smallest member index) plus the committed
+    singleton similarity; an absent pair is 0.0, whether an evaluation
+    scored it zero or the blocking index never proposed it. Returns the
+    final clusters as sorted member-index lists (ordered by smallest
+    member index) plus the committed
     :class:`~repro.obs.provenance.MergeStep` sequence. When
     ``provenance`` is given, each step is also recorded.
 
@@ -228,8 +231,8 @@ class IceQMatcher:
 
     A :class:`~repro.obs.provenance.ProvenanceRecorder` passed as
     ``provenance`` receives one :class:`~repro.obs.provenance.MatchExplanation`
-    per pairwise similarity evaluation (LabelSim/DomSim components, the
-    α/β blend, the threshold it was compared against) and one
+    per attribute pair (LabelSim/DomSim components, the α/β blend, the
+    threshold it was compared against) and one
     :class:`~repro.obs.provenance.MergeStep` per committed merge. The
     recorded ``sim`` is the very float the matcher clusters on, so
     explanations recompute exactly; recording changes no decision.
@@ -283,29 +286,49 @@ class IceQMatcher:
         views: Sequence[AttributeView],
         threshold: float = 0.0,
     ) -> Dict[Tuple[int, int], float]:
-        """Evaluate every singleton pair once; return the nonzero values
-        as ``{(i, j): Sim}`` with ``i < j`` — the sparse input
-        :func:`agglomerate` reads (absent = 0.0). Each evaluation is
-        explained to the attached provenance recorder, zeros included.
+        """The nonzero singleton similarities as ``{(i, j): Sim}`` with
+        ``i < j``, in ``(i, j)`` order — the sparse input
+        :func:`agglomerate` reads (absent = 0.0).
+
+        Views join a :class:`~repro.matching.blocking.BlockingIndex` one
+        at a time, and only the pairs it proposes are evaluated; every
+        other pair has ``Sim == 0`` exactly, so the dict equals the one
+        an all-pairs loop builds, key order included (DESIGN.md §25). The
+        attached provenance recorder still gets one explanation per pair
+        in ``(i, j)`` order: a skipped pair is explained by the components
+        an evaluation would have produced, ``LabelSim = DomSim = 0.0``.
         """
         n = len(views)
+        config = self.config
         provenance = self.provenance
+        partners = candidate_partners(views)
         sims: Dict[Tuple[int, int], float] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                label_sim, dom_sim, value = similarity_components(
-                    views[i], views[j], self.config
-                )
-                if value != 0.0:
-                    sims[(i, j)] = value
+        scored: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
+        for i, row in enumerate(partners):
+            view = views[i]
+            for j in row:
+                components = similarity_components(view, views[j], config)
+                if components[2] != 0.0:
+                    sims[(i, j)] = components[2]
                 if provenance is not None:
+                    scored[(i, j)] = components
+        if work.ACTIVE is not None:
+            evaluated = sum(len(row) for row in partners)
+            work.ACTIVE.bump("similarity.pairs_blocked",
+                             n * (n - 1) // 2 - evaluated)
+        if provenance is not None:
+            # the blend of a skipped pair, with the evaluation's float ops
+            skipped = (0.0, 0.0, config.alpha * 0.0 + config.beta * 0.0)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    label_sim, dom_sim, value = scored.get((i, j), skipped)
                     provenance.record_explanation(MatchExplanation(
                         a=views[i].key,
                         b=views[j].key,
                         label_sim=label_sim,
                         dom_sim=dom_sim,
-                        alpha=self.config.alpha,
-                        beta=self.config.beta,
+                        alpha=config.alpha,
+                        beta=config.beta,
                         sim=value,
                         threshold=threshold,
                     ))

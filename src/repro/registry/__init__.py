@@ -10,7 +10,7 @@ equivalence argument lives in DESIGN.md §15; the metamorphic suite
 ``tests/test_registry_equivalence.py`` enforces it byte for byte.
 """
 
-from repro.registry.blocking import AddRecord, BlockingIndex, BlockingStats
+from repro.registry.blocking import AddRecord, BlockingStats
 from repro.registry.store import (
     LOCK_FILENAME,
     REGISTRY_FILENAME,
@@ -28,7 +28,6 @@ from repro.registry.assimilate import (
 
 __all__ = [
     "AddRecord",
-    "BlockingIndex",
     "BlockingStats",
     "LOCK_FILENAME",
     "REGISTRY_FILENAME",

@@ -3,8 +3,8 @@
 A :meth:`RegistryAssimilator.assimilate` call does two things:
 
 1. **Block** — the new interface's views query the
-   :class:`~repro.registry.blocking.BlockingIndex` over all registered
-   views; only the candidate pairs get
+   :class:`~repro.matching.blocking.BlockingIndex` over all registered
+   views (the index batch IceQ uses too); only the candidate pairs get
    :func:`~repro.matching.similarity.similarity_components`. Skipped
    pairs are charged to the :class:`~repro.registry.blocking.BlockingStats`
    ledger. Pairs *within* the new interface are never evaluated at all:
@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.deepweb.models import QueryInterface
+from repro.matching.blocking import BlockingIndex, Signature
 from repro.matching.clustering import (
     Cluster,
     IceQMatcher,
@@ -50,7 +51,7 @@ from repro.matching.clustering import (
 from repro.matching.similarity import AttributeView, similarity_components
 from repro.matching.unify import unify_cluster
 from repro.obs.provenance import MergeStep
-from repro.registry.blocking import AddRecord, BlockingIndex
+from repro.registry.blocking import AddRecord
 from repro.registry.store import RegistryEntry, RegistryLock, RegistryStore
 from repro.util.errors import RegistryMismatchError, ValidationError
 
@@ -171,11 +172,15 @@ def induced_entries(store: RegistryStore) -> List[RegistryEntry]:
 def batch_induced_clusters(
     store: RegistryStore,
 ) -> Tuple[Tuple[AttrKey, ...], ...]:
-    """The batch-IceQ oracle: full O(n²) evaluation over the same views.
+    """Batch IceQ over the same views: one :class:`IceQMatcher` pass over
+    the canonical view order, scoring the pairs the shared blocking index
+    proposes (DESIGN.md §25).
 
-    Used by the equivalence suite and the ``registry batch`` CLI path;
-    must equal :func:`induced_clusters` on every store the assimilator
-    can produce.
+    Used by the equivalence suite, the ``registry-batch-equivalence``
+    invariant and the ``registry batch`` CLI path; must equal
+    :func:`induced_clusters` on every store the assimilator can produce.
+    It shares the blocking index with the assimilator, so the oracle
+    independent of blocking is the tests' all-pairs evaluation.
     """
     matcher = IceQMatcher(config=store.similarity, linkage=store.linkage)
     result = matcher.match_views(store.canonical_views(), store.threshold)
@@ -195,7 +200,7 @@ class RegistryAssimilator:
         self._registered: List[AttributeView] = []
         self._ids = set(store.interface_ids())
         for view in store.registered_views():
-            self._index.add(view)
+            self._index.add(Signature.of(view))
             self._registered.append(view)
 
     def assimilate(self, interface: QueryInterface) -> AddRecord:
@@ -212,12 +217,12 @@ class RegistryAssimilator:
                 "assimilated"
             )
         new_views = views_from_interfaces([interface])
+        signatures = [Signature.of(view) for view in new_views]
 
         evaluated = 0
         existing = len(self._registered)
-        for view in new_views:
-            candidate_ids = self._index.candidates(view)
-            for view_id in candidate_ids:
+        for view, signature in zip(new_views, signatures):
+            for view_id in self._index.candidates(signature):
                 other = self._registered[view_id]
                 _, _, value = similarity_components(
                     other, view, store.similarity)
@@ -236,8 +241,8 @@ class RegistryAssimilator:
         store.stats.record(record)
         store.interfaces.append((interface.interface_id, new_views))
         self._ids.add(interface.interface_id)
-        for view in new_views:
-            self._index.add(view)
+        for view, signature in zip(new_views, signatures):
+            self._index.add(signature)
             self._registered.append(view)
         return record
 

@@ -1,147 +1,23 @@
-"""The blocking stage: which (new, registered) pairs deserve a full
-similarity evaluation.
+"""The registry's blocking ledger: what each assimilation evaluated and
+what it skipped.
 
-``Sim = α·LabelSim + β·DomSim`` can only be positive when the pair shares
-observable evidence, and every kind of evidence the similarity reads is
-indexable:
-
-- **label tokens** — ``LabelSim`` is a cosine over
-  :func:`~repro.matching.similarity.normalize_label_words`; no shared
-  normalised token means a zero dot product;
-- **value signatures** — for non-numeric domains ``DomSim`` is containment
-  over ``strip().lower()``-normalised instance values, so a positive
-  overlap requires at least one shared signature *and* equal inferred
-  types (a type mismatch outside the numeric family zeroes the type
-  factor);
-- **the numeric family** — two numeric-typed domains compare by range
-  overlap, which can be positive without any shared literal value, so all
-  numeric-typed attributes share one bucket.
-
-A cross-interface pair matching none of the three postings therefore has
-``Sim == 0`` exactly — skipping its evaluation and treating the entry as
-0.0 in the merge loop is not an approximation. That soundness claim is
-what ``tests/test_registry_blocking.py`` attacks with seeded
-perturbations, and what lets the incremental assimilator promise
-byte-identical clusters while evaluating a fraction of the pairs.
-
-The index mirrors the postings idiom of
-:class:`repro.surfaceweb.index.InvertedIndex`: plain token -> sorted
-posting lists, built with ``setdefault``. Every skipped pair is charged to
-the :class:`BlockingStats` ledger so the InvariantChecker can audit
-``evaluated + blocked == n·|registry|`` for every assimilation.
+The blocking index itself lives in :mod:`repro.matching.blocking`, shared
+with batch IceQ; DESIGN.md §15 argues why a pair it does not propose has
+``Sim == 0`` exactly. Every skipped cross pair of an assimilation is
+charged to the :class:`BlockingStats` ledger, so the InvariantChecker can
+audit ``evaluated + blocked == n·|registry|`` for every add.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Any, Dict, List
 
-from repro.matching.similarity import AttributeView, normalize_label_words
-from repro.matching.types import infer_type
-from repro.util import counters as work
+# perfbench's tracer counts type inferences by patching ``infer_type`` in
+# this module, so the name stays importable here.
+from repro.matching.types import infer_type  # noqa: F401
 
-__all__ = ["AddRecord", "BlockingIndex", "BlockingStats"]
-
-AttrKey = Tuple[str, str]
-
-
-def label_tokens(view: AttributeView) -> Set[str]:
-    """The label's normalised token set — the LabelSim evidence."""
-    return set(normalize_label_words(view.label))
-
-
-def value_signatures(view: AttributeView) -> Set[str]:
-    """Normalised instance values — the non-numeric DomSim evidence.
-
-    Exactly the normalisation :func:`repro.matching.similarity.value_similarity`
-    applies, so a pair without a shared signature has zero containment.
-    """
-    return {value.strip().lower() for value in view.instances}
-
-
-@dataclass(frozen=True)
-class Signature:
-    """Everything the blocking index knows about one attribute view."""
-
-    key: AttrKey
-    tokens: frozenset
-    values: frozenset
-    #: inferred type name, or None without instances (DomSim = 0 then)
-    type_name: Any
-    numeric: bool
-
-    @classmethod
-    def of(cls, view: AttributeView) -> "Signature":
-        if view.instances:
-            inferred = infer_type(view.instances)
-            type_name: Any = inferred.value
-            numeric = inferred.is_numeric
-        else:
-            type_name = None
-            numeric = False
-        return cls(
-            key=view.key,
-            tokens=frozenset(label_tokens(view)),
-            values=frozenset(value_signatures(view)),
-            type_name=type_name,
-            numeric=numeric,
-        )
-
-
-class BlockingIndex:
-    """Inverted index over registered views' blocking evidence.
-
-    Candidate generation for a new view unions three posting families:
-    shared label token, shared ``(type, value-signature)`` pair, and the
-    all-numeric bucket (when the new view is itself numeric). Posting
-    lists hold view ids (positions in the registered-view sequence), so
-    candidates come back as a sorted id list.
-    """
-
-    def __init__(self) -> None:
-        self._signatures: List[Signature] = []
-        self._by_token: Dict[str, List[int]] = {}
-        self._by_value: Dict[Tuple[Any, str], List[int]] = {}
-        self._numeric: List[int] = []
-
-    def __len__(self) -> int:
-        return len(self._signatures)
-
-    def add(self, view: AttributeView) -> int:
-        """Index one registered view; returns its view id."""
-        view_id = len(self._signatures)
-        signature = Signature.of(view)
-        self._signatures.append(signature)
-        for token in signature.tokens:
-            self._by_token.setdefault(token, []).append(view_id)
-        if signature.type_name is not None and not signature.numeric:
-            for value in signature.values:
-                self._by_value.setdefault(
-                    (signature.type_name, value), []).append(view_id)
-        if signature.numeric:
-            self._numeric.append(view_id)
-        return view_id
-
-    def candidates(self, view: AttributeView) -> List[int]:
-        """Registered view ids that might have nonzero similarity to ``view``.
-
-        Over-generation is allowed (it only costs evaluations); missing a
-        pair that batch evaluation would score above zero is the bug the
-        soundness suite hunts.
-        """
-        if work.ACTIVE is not None:
-            work.ACTIVE.bump("blocking.probes")
-        signature = Signature.of(view)
-        found: Set[int] = set()
-        for token in signature.tokens:
-            found.update(self._by_token.get(token, ()))
-        if signature.type_name is not None and not signature.numeric:
-            for value in signature.values:
-                found.update(self._by_value.get(
-                    (signature.type_name, value), ()))
-        if signature.numeric:
-            found.update(self._numeric)
-        return sorted(found)
+__all__ = ["AddRecord", "BlockingStats"]
 
 
 @dataclass(frozen=True)

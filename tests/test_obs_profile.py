@@ -57,12 +57,18 @@ PINNED_WORK = {
     "index.intersections": 2500,
     "index.window_checks": 261,
     "pmi.phrase_queries": 829,
+    "similarity.evaluations": 42,
     "tokenizer.calls": 1604,
 }
 
 #: tokeniser calls of the same run before the run-scoped Surface memo:
 #: every memo hit skips exactly one tagging, so the two counts sum to it
 TOKENIZER_CALLS_UNMEMOIZED = 1685
+
+#: similarity evaluations of the same run before the blocked matrix: all
+#: n(n−1)/2 pairs of its 25 views; every pair the blocking index skips is
+#: one evaluation fewer, so the two counts sum to it
+SIMILARITY_PAIRS = 25 * 24 // 2
 
 
 def resilience_on():
@@ -174,9 +180,9 @@ class TestCounterBooksBalance:
         assert counter == dataset.engine.query_count
 
     def test_work_counters_pinned(self):
-        """The Surface-Web work of one profiled run, pinned: a change to
-        how the index, tokeniser or PMI scorer reads its data must leave
-        these counts exactly where they are."""
+        """The Surface-Web and matching work of one profiled run, pinned:
+        a change to how the index, tokeniser, PMI scorer or blocking index
+        reads its data must leave these counts exactly where they are."""
         config = WebIQConfig(obs=ObsConfig(profile=True))
         result = WebIQMatcher(config).run(build_domain_dataset("book", 5, 1))
         counts = result.obs.counters.as_dict()
@@ -184,6 +190,9 @@ class TestCounterBooksBalance:
         assert pinned == PINNED_WORK
         assert counts["tokenizer.calls"] + counts["surface.memo_hits"] \
             == TOKENIZER_CALLS_UNMEMOIZED
+        assert counts["similarity.evaluations"] \
+            + counts["similarity.pairs_blocked"] == SIMILARITY_PAIRS
+        assert result.match_result.similarity_evaluations == SIMILARITY_PAIRS
 
     def test_counters_off_by_default(self):
         config = WebIQConfig(obs=ObsConfig())

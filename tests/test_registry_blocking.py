@@ -4,7 +4,8 @@ The recall-1.0 oracle: for ANY pair of cross-interface attributes whose
 full similarity is positive, the blocking stage must propose the pair —
 at every clustering threshold on the Figure-6 grid, the clusters produced
 from the blocked (sparse) similarity matrix must equal full O(n²)
-evaluation's. Seeded label/domain perturbations (``datasets/perturb``)
+evaluation's, computed here with ``attribute_similarity`` over every
+pair. Seeded label/domain perturbations (``datasets/perturb``)
 push the vocabulary off the happy path: decorated labels ("City:*"),
 typos, stripped SELECT domains, shuffled attribute order.
 
@@ -27,9 +28,9 @@ from repro.datasets.perturb import (
     drop_select_instances,
     shuffle_attribute_order,
 )
-from repro.matching.clustering import IceQMatcher, agglomerate, views_from_interfaces
+from repro.matching.blocking import BlockingIndex, Signature
+from repro.matching.clustering import agglomerate, views_from_interfaces
 from repro.matching.similarity import AttributeView, attribute_similarity
-from repro.registry.blocking import BlockingIndex, label_tokens, value_signatures
 
 #: the Figure-6 threshold grid (repro.matching.threshold's default)
 TAU_GRID = tuple(i / 20 for i in range(11))
@@ -48,10 +49,10 @@ def blocked_pairs(views, index_cls=BlockingIndex):
     for interface_id in sorted(by_interface):
         arriving = by_interface[interface_id]
         for view in arriving:
-            for view_id in index.candidates(view):
+            for view_id in index.candidates(Signature.of(view)):
                 candidates.add(frozenset((registered[view_id].key, view.key)))
         for view in arriving:
-            index.add(view)
+            index.add(Signature.of(view))
             registered.append(view)
     return candidates
 
@@ -91,10 +92,11 @@ def counterexample_report(views):
     lines = ["blocking dropped a positive-similarity pair; minimal "
              "counterexample:"]
     for view in views:
+        signature = Signature.of(view)
         lines.append(
             f"  {view.interface_id}.{view.name} label={view.label!r} "
-            f"tokens={sorted(label_tokens(view))} "
-            f"values={sorted(value_signatures(view))[:5]}")
+            f"tokens={sorted(signature.tokens)} "
+            f"values={sorted(signature.values)[:5]}")
     for a, b in itertools.combinations(views, 2):
         sim = attribute_similarity(a, b)
         if sim > 0 and a.interface_id != b.interface_id:
@@ -133,7 +135,10 @@ class TestPerturbedSoundness:
     def test_blocked_matrix_clusters_equal_full_matrix_on_tau_grid(
             self, seed):
         """The cluster-level oracle: at every Figure-6 τ, clustering the
-        sparse (blocked) matrix equals clustering the dense one."""
+        sparse (blocked) matrix equals clustering the dense one. The dense
+        side evaluates every pair here with ``attribute_similarity``:
+        batch IceQ blocks through the same index, so it cannot be the
+        oracle."""
         dataset = build_domain_dataset("job", 4, seed % 13)
         add_label_noise(dataset, rate=0.3, seed=seed)
         drop_select_instances(dataset, rate=0.4, seed=seed)
@@ -148,11 +153,17 @@ class TestPerturbedSoundness:
             and frozenset((a.key, b.key)) in candidates
         }
 
-        matcher = IceQMatcher()
+        dense_sim = {
+            (i, j): attribute_similarity(a, b)
+            for i, a in enumerate(views)
+            for j, b in enumerate(views)
+            if i < j
+        }
+
         for tau in TAU_GRID:
             dense = [
-                sorted(m.key for m in cluster.members)
-                for cluster in matcher.match_views(views, tau).clusters
+                sorted(views[idx].key for idx in indices)
+                for indices in agglomerate(views, dense_sim, tau)[0]
             ]
             sparse = [
                 sorted(views[idx].key for idx in indices)
@@ -170,51 +181,65 @@ class TestPerturbedSoundness:
 class TestBlockingUnit:
     def test_shared_token_is_a_candidate(self):
         index = BlockingIndex()
-        index.add(AttributeView("i1", "a", "Departure city", ()))
+        index.add(Signature.of(AttributeView("i1", "a", "Departure city", ())))
         probe = AttributeView("i2", "b", "Arrival city", ())
-        assert index.candidates(probe) == [0]
+        assert index.candidates(Signature.of(probe)) == [0]
 
     def test_shared_value_signature_is_a_candidate(self):
         index = BlockingIndex()
-        index.add(AttributeView("i1", "a", "Carrier",
-                                ("Delta", "United")))
+        index.add(Signature.of(AttributeView("i1", "a", "Carrier",
+                                             ("Delta", "United"))))
         probe = AttributeView("i2", "b", "Airline", ("  united  ", "JetBlue"))
-        assert index.candidates(probe) == [0]
+        assert index.candidates(Signature.of(probe)) == [0]
 
     def test_numeric_family_shares_one_bucket(self):
         index = BlockingIndex()
-        index.add(AttributeView("i1", "a", "Price", ("$10", "$25")))
+        index.add(Signature.of(AttributeView("i1", "a", "Price",
+                                             ("$10", "$25"))))
         probe = AttributeView("i2", "b", "Amount", ("3", "7"))
         # no shared token, no shared literal value — but both numeric:
         # range overlap could still be positive, so they must meet
-        assert index.candidates(probe) == [0]
+        assert index.candidates(Signature.of(probe)) == [0]
 
     def test_unrelated_pair_is_blocked_and_has_zero_sim(self):
         a = AttributeView("i1", "a", "Airline", ("Delta",))
         b = AttributeView("i2", "b", "Carrier", ("Lufthansa",))
         index = BlockingIndex()
-        index.add(a)
-        assert index.candidates(b) == []
+        index.add(Signature.of(a))
+        assert index.candidates(Signature.of(b)) == []
         assert attribute_similarity(a, b) == 0.0
 
     def test_type_mismatch_without_tokens_is_blocked(self):
         a = AttributeView("i1", "a", "Code", ("XY12", "AB34"))
         b = AttributeView("i2", "b", "Count", ("3", "7"))
         index = BlockingIndex()
-        index.add(a)
-        assert index.candidates(b) == []
+        index.add(Signature.of(a))
+        assert index.candidates(Signature.of(b)) == []
         assert attribute_similarity(a, b) == 0.0
+
+    def test_signature_reads_the_view_features(self):
+        """A signature holds the facts ``similarity_components`` compares:
+        the label-vector keys, the normalised values and the inferred
+        type, read off the view's cached features."""
+        view = AttributeView("i1", "a", "The Departure Cities",
+                             (" Boston ", "CHICAGO", "boston"))
+        signature = Signature.of(view)
+        assert signature.tokens == frozenset(view.features.label_vector)
+        assert signature.tokens == {"departure", "city"}
+        assert signature.values is view.features.values
+        assert signature.domain_type is view.features.domain_type
+        assert Signature.of(AttributeView("i1", "b", "x", ())).domain_type \
+            is None
 
 
 class _LossyIndex(BlockingIndex):
     """A deliberately broken blocking rule: drops every candidate that
     was proposed on value or numeric evidence alone."""
 
-    def candidates(self, view):
-        tokens = label_tokens(view)
+    def candidates(self, signature):
         return [
-            vid for vid in super().candidates(view)
-            if tokens & self._signatures[vid].tokens
+            vid for vid in super().candidates(signature)
+            if signature.tokens & self._signatures[vid].tokens
         ]
 
 
@@ -241,7 +266,7 @@ class TestShrinker:
         assert a.interface_id != b.interface_id
         assert attribute_similarity(a, b) > 0
         # token overlap is absent — the dropped evidence was the values
-        assert not (label_tokens(a) & label_tokens(b))
+        assert not (Signature.of(a).tokens & Signature.of(b).tokens)
         report = counterexample_report(minimal)
         assert "missed pair" in report
 

@@ -5,7 +5,8 @@ of an interface set yields an induced matching **byte-identical** to
 batch IceQ over the same set — is enforced here three ways:
 
 - exhaustively over every permutation of a small domain;
-- sampled by seed over full 20-interface domains;
+- sampled by seed over full 20-interface domains, and against
+  clustering the all-pairs matrix, which no blocking index touches;
 - across the existing stack matrix (faults x cache x checkpoint)
   through the pipeline, asserting byte-identical induced
   match views, zero invariant violations, and zero provenance
@@ -26,7 +27,8 @@ from repro.io import (
     induced_matching_to_dict,
     run_result_to_dict,
 )
-from repro.matching.clustering import IceQMatcher
+from repro.matching.clustering import IceQMatcher, agglomerate
+from repro.matching.similarity import attribute_similarity
 from repro.obs import ObsConfig, check_run, diff_runs
 from repro.registry import (
     RegistryAssimilator,
@@ -135,6 +137,32 @@ class TestSampledPermutations:
         store, _ = build_registry(DOMAIN, shuffled)
         incremental, _ = induced_clusters(store)
         assert incremental == batch_induced_clusters(store)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1])
+    def test_incremental_and_batch_equal_all_pairs_evaluation(
+            self, threshold):
+        """The oracle independent of blocking: batch IceQ and the
+        assimilator share one blocking index, so both must also equal
+        clustering the matrix of every pair — same-interface pairs
+        included — evaluated with ``attribute_similarity``."""
+        shuffled = interfaces_for(self.N, seed=1)
+        random.Random(3).shuffle(shuffled)
+        store, _ = build_registry(
+            DOMAIN, shuffled,
+            store=RegistryStore(domain=DOMAIN, threshold=threshold))
+        views = store.canonical_views()
+        dense = {
+            (i, j): attribute_similarity(a, b)
+            for i, a in enumerate(views)
+            for j, b in enumerate(views)
+            if i < j
+        }
+        members, _ = agglomerate(views, dense, threshold)
+        expected = tuple(
+            tuple(sorted(views[idx].key for idx in indices))
+            for indices in members)
+        assert induced_clusters(store)[0] == expected
+        assert batch_induced_clusters(store) == expected
 
 
 def _matrix_configs(tmp_path):
