@@ -185,6 +185,7 @@ class InstanceAcquirer:
         clock: Optional[SimulatedClock] = None,
         obs: Optional[Observability] = None,
         checkpoint: Optional[CheckpointSession] = None,
+        memo: Optional[SurfaceMemo] = None,
     ) -> None:
         """``engine`` and ``sources`` may be the raw substrates or the
         drop-in resilient proxies from :mod:`repro.resilience`; pass the
@@ -206,7 +207,13 @@ class InstanceAcquirer:
         ``checkpoint``, when given, brackets every per-attribute unit of
         work: completed units are journaled durably, and on resume the
         journaled ones are replayed without issuing a single engine query
-        or source probe (see :mod:`repro.checkpoint`)."""
+        or source probe (see :mod:`repro.checkpoint`).
+
+        ``memo``, when given, is the Surface memo of the Web behind
+        ``engine``, shared with other runs over that Web (the matching
+        service keeps one per domain); every run reads and fills it. Without
+        it each :meth:`acquire` call builds a memo of its own and drops it
+        on return."""
         self.engine = engine
         self.sources = sources
         self.config = config
@@ -227,7 +234,9 @@ class InstanceAcquirer:
         self._label_vectors: Dict[str, Tuple[Dict[str, int], float]] = {}
         # every donor's normalised forms, inverted; built lazily per run
         self._donor_forms: Optional[_DonorIndex] = None
-        # snippet extractions and label analyses; built lazily per run
+        # snippet extractions and label analyses: the shared memo, or
+        # one built lazily per run
+        self._shared_memo = memo
         self._surface_memo: Optional[SurfaceMemo] = None
         self.validation_cache = validation_cache
         self._discoverer = SurfaceDiscoverer(
@@ -671,9 +680,12 @@ class InstanceAcquirer:
         return self._donor_forms
 
     def _memo(self) -> SurfaceMemo:
-        """The run's Surface memo, built on first use."""
+        """The run's Surface memo: the shared one, else one built on
+        first use."""
         if self._surface_memo is None:
-            self._surface_memo = self._discoverer.new_memo()
+            self._surface_memo = (self._discoverer.new_memo()
+                                  if self._shared_memo is None
+                                  else self._shared_memo)
         return self._surface_memo
 
     def _donor_candidates(self, interface: QueryInterface

@@ -351,6 +351,7 @@ class WebIQMatcher:
                     engine, sources, self.config.acquisition,
                     resilience=client, validation_cache=validation_cache,
                     clock=clock, obs=obs, checkpoint=session,
+                    memo=dataset.memo,
                 )
                 acquisition = acquirer.acquire(
                     dataset.interfaces,

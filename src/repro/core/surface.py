@@ -280,7 +280,9 @@ class SurfaceMemo:
     :meth:`SurfaceDiscoverer.new_memo`. It lives for one
     :meth:`~repro.core.acquisition.InstanceAcquirer.acquire` call, or for
     one :meth:`SurfaceDiscoverer.discover` call made outside a run (see
-    DESIGN.md §22).
+    DESIGN.md §22). The matching service instead keeps one memo per
+    domain Web, built over a default-tagger extractor, and every request
+    over that Web shares it (DESIGN.md §26).
     """
 
     __slots__ = ("_extractor", "_extractions", "_labels")

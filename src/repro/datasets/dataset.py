@@ -9,13 +9,16 @@ The Surface Web depends only on ``(domain, seed, corpus_config)``, not on
 the interfaces, and is only read once built. :func:`build_web` builds it
 alone, so a caller serving many runs of one domain (the matching service)
 builds it once and passes it to every :func:`build_domain_dataset` call as
-``web=``; each dataset still gets its own engine and query counter.
+``web=``; each dataset still gets its own engine and query counter. Such a
+caller may pass the Web's :class:`~repro.core.surface.SurfaceMemo` as
+``memo=`` too: snippet extractions are pure functions of the Web's
+snippets, so every run over the same Web can share them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.datasets.concepts import DomainSpec, domain_spec
 from repro.datasets.corpus import CorpusConfig, build_corpus
@@ -29,6 +32,9 @@ from repro.deepweb.models import QueryInterface
 from repro.deepweb.source import DeepWebSource
 from repro.surfaceweb.engine import SearchEngine
 from repro.surfaceweb.index import InvertedIndex
+
+if TYPE_CHECKING:  # the pipeline imports this module, not the reverse
+    from repro.core.surface import SurfaceMemo
 
 __all__ = ["DomainDataset", "build_domain_dataset", "build_web"]
 
@@ -44,6 +50,10 @@ class DomainDataset:
     engine: SearchEngine
     sources: Dict[str, DeepWebSource]
     seed: int
+    #: the Surface memo shared by every run over this dataset's Web, or
+    #: ``None`` for a memo per acquisition run (see build_domain_dataset)
+    memo: Optional["SurfaceMemo"] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def interfaces(self) -> List[QueryInterface]:
@@ -86,6 +96,7 @@ def build_domain_dataset(
     corpus_config: CorpusConfig = CorpusConfig(),
     source_config: SourceConfig = SourceConfig(),
     web: Optional[InvertedIndex] = None,
+    memo: Optional["SurfaceMemo"] = None,
 ) -> DomainDataset:
     """Build the full evaluation environment for ``domain``.
 
@@ -93,7 +104,9 @@ def build_domain_dataset(
     interchangeable datasets (same interfaces, corpus and sources).
     ``web``, when given, must be ``build_web(domain, seed, corpus_config)``
     (built earlier and shared): the dataset searches it through a fresh
-    engine instead of building its own.
+    engine instead of building its own. ``memo``, when given, must hold
+    extractions of that Web's snippets only (one memo per shared Web):
+    acquisition reads and fills it in place of a memo of its own.
     """
     spec = domain_spec(domain)
     generated, truth = generate_interfaces(domain, n_interfaces, seed)
@@ -109,4 +122,5 @@ def build_domain_dataset(
         engine=engine,
         sources=sources,
         seed=seed,
+        memo=memo,
     )

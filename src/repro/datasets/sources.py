@@ -21,12 +21,12 @@ Two realism knobs shape Attr-Deep's behaviour:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.datasets.concepts import Concept, DomainSpec, domain_spec
 from repro.datasets.interfaces import GeneratedInterface
 from repro.deepweb.models import AttributeKind
-from repro.deepweb.source import DeepWebSource
+from repro.deepweb.source import DeepWebSource, ValueRecognizer
 from repro.util.rng import derive_rng
 
 __all__ = ["SourceConfig", "build_source", "build_sources"]
@@ -43,7 +43,7 @@ class SourceConfig:
     required_source_rate: float = 0.1
 
 
-def _membership_recognizer(values: Tuple[str, ...]) -> Callable[[str], bool]:
+def _membership_recognizer(values: Tuple[str, ...]) -> ValueRecognizer:
     lowered = {v.lower() for v in values}
 
     def recognize(value: str) -> bool:
@@ -56,6 +56,22 @@ def _accept_all(_value: str) -> bool:
     return True
 
 
+def _recognizer(concept: Concept,
+                shared: Dict[str, ValueRecognizer]) -> ValueRecognizer:
+    """The recognizer of ``concept``'s value domain, made once per
+    ``shared`` table (one table serves the sources of one domain)."""
+    recognizer = shared.get(concept.name)
+    if recognizer is None:
+        if not concept.findable and concept.select_prob == 0.0:
+            # Generic free-text fields (keywords, description) accept
+            # anything.
+            recognizer = _accept_all
+        else:
+            recognizer = _membership_recognizer(concept.values)
+        shared[concept.name] = recognizer
+    return recognizer
+
+
 def build_source(
     gen: GeneratedInterface,
     spec: DomainSpec,
@@ -63,29 +79,36 @@ def build_source(
     config: SourceConfig = SourceConfig(),
 ) -> DeepWebSource:
     """Build the Deep-Web source behind one generated interface."""
+    return _build_source(gen, spec, seed, config, {})
+
+
+def _build_source(
+    gen: GeneratedInterface,
+    spec: DomainSpec,
+    seed: int,
+    config: SourceConfig,
+    shared: Dict[str, ValueRecognizer],
+) -> DeepWebSource:
     interface = gen.interface
     rng = derive_rng(seed, "source", interface.interface_id)
 
-    recognizers: Dict[str, Callable[[str], bool]] = {}
+    # Each attribute's concept and value pool, looked up once: the
+    # records below draw from the same pools in the same order.
+    recognizers: Dict[str, ValueRecognizer] = {}
+    columns: List[Tuple[str, Tuple[str, ...]]] = []
     for attribute in interface.attributes:
         concept = spec.concept(gen.concept_of[attribute.name])
-        if not concept.findable and concept.select_prob == 0.0:
-            # Generic free-text fields (keywords, description) accept anything.
-            recognizers[attribute.name] = _accept_all
-        else:
-            recognizers[attribute.name] = _membership_recognizer(concept.values)
+        recognizers[attribute.name] = _recognizer(concept, shared)
+        columns.append((attribute.name,
+                        concept.pool_values(gen.pool_of[attribute.name])))
 
-    records: List[Dict[str, str]] = []
     lo, hi = config.n_records
-    for _ in range(rng.randint(lo, hi)):
-        record: Dict[str, str] = {}
-        for attribute in interface.attributes:
-            if rng.random() >= config.record_fill_rate:
-                continue
-            concept = spec.concept(gen.concept_of[attribute.name])
-            pool = concept.pool_values(gen.pool_of[attribute.name])
-            record[attribute.name] = rng.choice(list(pool))
-        records.append(record)
+    fill_rate = config.record_fill_rate
+    draw, choice = rng.random, rng.choice
+    records: List[Dict[str, str]] = [
+        {name: choice(pool) for name, pool in columns if draw() < fill_rate}
+        for _ in range(rng.randint(lo, hi))
+    ]
 
     required: Set[str] = set()
     if rng.random() < config.required_source_rate:
@@ -114,7 +137,9 @@ def build_sources(
 ) -> Dict[str, DeepWebSource]:
     """Sources for all generated interfaces, keyed by interface id."""
     spec = domain_spec(domain)
+    shared: Dict[str, ValueRecognizer] = {}
     return {
-        gen.interface.interface_id: build_source(gen, spec, seed, config)
+        gen.interface.interface_id: _build_source(gen, spec, seed, config,
+                                                  shared)
         for gen in generated
     }

@@ -33,12 +33,16 @@ is **serial in admission order** (concurrency lives at submission; the
 authoritative interleaving is the deterministic DRR dispatch order), so
 identical workloads produce identical epochs, ledgers and exports.
 
-The service also keeps one Surface Web per domain
-(:attr:`MatchingService.webs`): the indexed corpus depends only on
-``(domain, seed)`` and is only read, so every request for the domain
-searches it through its own fresh engine instead of re-generating it. A
-request with another seed replaces its domain's Web, which bounds the
-table by the number of domains.
+The service also keeps one world per domain
+(:attr:`MatchingService.webs`): the Surface Web and its
+:class:`~repro.core.surface.SurfaceMemo`. The indexed corpus depends only
+on ``(domain, seed)`` and is only read, so every request for the domain
+searches it through its own fresh engine instead of re-generating it; the
+memo's snippet extractions and label analyses are pure functions of that
+Web's snippets, so every request reads and fills the same one instead of
+re-tagging them. A request with another seed replaces its domain's Web and
+memo together, which bounds the table by the number of domains. Each
+request still builds its own interfaces and Deep-Web sources.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint import CheckpointConfig, RunJournal
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
+from repro.core.surface import SnippetExtractor, SurfaceMemo
 from repro.datasets.dataset import build_domain_dataset, build_web
 from repro.io import run_result_to_dict
 from repro.perf.cache import CacheConfig, CachePreload
@@ -274,8 +279,9 @@ class MatchingService:
         self.stats = ServiceStats()
         self.events: List[ServiceEvent] = []
         self.responses: Dict[str, MatchResponse] = {}
-        #: domain -> (seed, its built Surface Web), the last seed asked
-        self.webs: Dict[str, Tuple[int, InvertedIndex]] = {}
+        #: domain -> (seed, its built Surface Web, that Web's Surface
+        #: memo), for the last seed asked
+        self.webs: Dict[str, Tuple[int, InvertedIndex, SurfaceMemo]] = {}
         self._on_event = on_event
         self._next_id = 1
 
@@ -402,9 +408,10 @@ class MatchingService:
             # Dataset construction is inside the crash domain on purpose:
             # a bad request (unknown domain, absurd sizes) must crash
             # *this* request, not the serve loop.
+            web, memo = self._world(request.domain, request.seed)
             dataset = build_domain_dataset(
                 request.domain, n_interfaces=request.n_interfaces,
-                seed=request.seed, web=self._web(request.domain, request.seed))
+                seed=request.seed, web=web, memo=memo)
             result = WebIQMatcher(effective).run(dataset, warm=preload)
             # Assimilation shares the crash domain: a registry that cannot
             # take this run's interfaces (another domain's registry, say)
@@ -470,18 +477,23 @@ class MatchingService:
         self.responses[request_id] = response
         return response
 
-    def _web(self, domain: str, seed: int) -> InvertedIndex:
-        """The domain's Surface Web for ``seed``, built on first use.
+    def _world(self, domain: str,
+               seed: int) -> Tuple[InvertedIndex, SurfaceMemo]:
+        """The domain's Surface Web for ``seed`` and its memo, built on
+        first use.
 
-        It enters the table only once built, so a failed build (an
-        unknown domain) leaves the table as it was.
+        The entry is made only once the Web is built, so a failed build
+        (an unknown domain) leaves the table as it was. A new seed
+        replaces the Web and the memo together: a memo only ever holds
+        extractions of its own Web's snippets.
         """
         held = self.webs.get(domain)
         if held is not None and held[0] == seed:
-            return held[1]
+            return held[1], held[2]
         web = build_web(domain, seed)
-        self.webs[domain] = (seed, web)
-        return web
+        memo = SurfaceMemo(SnippetExtractor())
+        self.webs[domain] = (seed, web, memo)
+        return web, memo
 
     def _expire(self, request: MatchRequest, parent: Epoch,
                 effective: WebIQConfig, warm_start: bool,

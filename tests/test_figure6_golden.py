@@ -9,7 +9,10 @@ Figure 7 ladder (the baseline is also Figure 6's IceQ column), and
 ``webiq+threshold`` is Figure 6 at the paper's second threshold τ = 0.1;
 all four come from :data:`repro.experiments._CONFIGS`, so the sealed runs
 are the ones the experiment tables print.
-A change that moves a digest on purpose must say so and re-seal it.
+Table 1's columns 2–5 are no part of any export; their rows are pinned
+exactly in :data:`TABLE1_CHARACTERISTICS`, next to the digests.
+A change that moves a digest or a row on purpose must say so and re-seal
+it.
 """
 
 import hashlib
@@ -19,7 +22,7 @@ import pytest
 
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import DOMAINS, build_domain_dataset
-from repro.experiments import _CONFIGS
+from repro.experiments import _CONFIGS, ExperimentSuite
 from repro.io import run_result_to_dict
 from repro.obs import ObsConfig
 
@@ -98,6 +101,16 @@ GOLDEN = {
         "0152690d85b7228cd66a9410d4b5daa67deb2a20260c1486147c6d728eabf6a2",
 }
 
+#: Table 1 columns 2-5 as ``ExperimentSuite.table1_characteristics``
+#: prints them: (domain, #attr, int_no_inst%, attr_no_inst%, findable%)
+TABLE1_CHARACTERISTICS = [
+    ("airfare", 10.9, 100.0, 30.7, 100.0),
+    ("auto", 6.0, 90.0, 43.2, 100.0),
+    ("book", 5.2, 100.0, 48.6, 92.2),
+    ("job", 5.3, 100.0, 79.2, 83.3),
+    ("realestate", 6.8, 95.0, 40.0, 80.8),
+]
+
 
 def export_digest(config: WebIQConfig, domain: str) -> str:
     run = WebIQMatcher(config).run(
@@ -119,3 +132,8 @@ def test_every_domain_is_sealed():
 @pytest.mark.parametrize("name, domain", sorted(GOLDEN))
 def test_export_matches_sealed_digest(name, domain):
     assert export_digest(CONFIGS[name](), domain) == GOLDEN[name, domain]
+
+
+def test_table1_characteristics_are_sealed():
+    suite = ExperimentSuite(seed=DATASET_SEED, n_interfaces=N_INTERFACES)
+    assert suite.table1_characteristics() == TABLE1_CHARACTERISTICS

@@ -1,10 +1,11 @@
-"""The service's Surface-Web table: one built Web per domain.
+"""The service's domain-world table: one built Web and memo per domain.
 
 A domain's indexed corpus depends only on ``(domain, seed)``, so the
 service builds it on a domain's first request and hands every later
-request for that domain a fresh engine over it. The table holds the last
-seed asked per domain, a failed build never enters it, and sharing the
-Web leaves every export byte-identical to a standalone run.
+request for that domain a fresh engine over it, together with the one
+Surface memo of that Web. The table holds the last seed asked per domain,
+a failed build never enters it, and sharing the Web and the memo leaves
+every export byte-identical to a standalone run.
 """
 
 import json
@@ -12,13 +13,16 @@ import json
 import pytest
 
 import repro.datasets.dataset as dataset_module
-from repro.core.pipeline import WebIQMatcher
+from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
 from repro.datasets.corpus import build_corpus
 from repro.datasets.dataset import build_web
 from repro.io import run_result_to_dict, strip_service_section
+from repro.matching.clustering import IceQMatcher
+from repro.resilience import FaultProfile, ResilienceConfig
 from repro.service import MatchRequest, MatchingService
 from repro.surfaceweb.engine import SearchEngine
+from repro.util.errors import InjectedCrashError
 
 N_INTERFACES = 2
 
@@ -37,9 +41,20 @@ def corpus_builds(monkeypatch):
     return calls
 
 
-def request(domain, seed=1, tenant="acme"):
+def request(domain, seed=1, tenant="acme", config=None):
     return MatchRequest(tenant=tenant, domain=domain,
-                        n_interfaces=N_INTERFACES, seed=seed)
+                        n_interfaces=N_INTERFACES, seed=seed,
+                        config=config or WebIQConfig())
+
+
+def served_export(response):
+    return json.dumps(strip_service_section(response.export),
+                      sort_keys=True)
+
+
+def memo_entries(memo):
+    """Extractions plus label analyses a memo holds."""
+    return len(memo._extractions) + len(memo._labels)
 
 
 def standalone_export(service, response, req):
@@ -65,36 +80,109 @@ class TestWebTable:
     def test_requests_share_the_domain_web(self):
         service = MatchingService()
         service.drive([request("book")])
-        web = service.webs["book"][1]
+        _, web, memo = service.webs["book"]
         service.drive([request("book", tenant="globex")])
-        assert service.webs["book"] == (1, web)
+        assert service.webs["book"] == (1, web, memo)
 
     def test_another_seed_replaces_the_domain_web(self, corpus_builds):
         service = MatchingService()
         service.drive([request("book"), request("auto")])
-        old = service.webs["book"][1]
+        _, old_web, old_memo = service.webs["book"]
+        auto = service.webs["auto"]
         responses = service.drive([request("book", seed=2)])
         assert responses[0].outcome == "completed"
         assert corpus_builds == [("book", 1), ("auto", 1), ("book", 2)]
-        seed, web = service.webs["book"]
-        assert seed == 2 and web is not old
+        seed, web, memo = service.webs["book"]
+        assert seed == 2 and web is not old_web and memo is not old_memo
+        assert memo_entries(memo) > 0
         assert sorted(service.webs) == ["auto", "book"]
+        assert service.webs["auto"] is auto
 
     def test_unknown_domain_crashes_alone(self, corpus_builds):
         service = MatchingService()
         service.drive([request("book")])
         before = dict(service.webs)
+        entries = memo_entries(before["book"][2])
         (crashed,) = service.drive([request("atlantis")])
         assert crashed.outcome == "crashed"
         assert "UnknownDomainError" in crashed.error
         assert service.webs == before
+        assert all(service.webs[d] is before[d] for d in before)
+        assert memo_entries(service.webs["book"][2]) == entries
         req = request("book", tenant="globex")
         (served,) = service.drive([req])
         assert served.outcome == "completed"
         # the failed build was attempted; book's Web was not rebuilt
         assert corpus_builds == [("book", 1), ("atlantis", 1)]
-        assert json.dumps(strip_service_section(served.export),
-                          sort_keys=True) \
+        assert served_export(served) \
+            == standalone_export(service, served, req)
+
+
+class TestSharedMemo:
+    def test_one_memo_per_domain(self):
+        service = MatchingService()
+        service.drive([request(d) for d in ["book", "auto"] * 2])
+        book, auto = service.webs["book"][2], service.webs["auto"][2]
+        assert book is not auto
+        assert memo_entries(book) > 0 and memo_entries(auto) > 0
+
+    @pytest.mark.parametrize("faults", [False, True],
+                             ids=["clean", "faulted"])
+    def test_later_requests_equal_standalone(self, faults):
+        # faults garble some snippets, so the memo also holds truncated
+        # variants that a later request may or may not see again
+        config = WebIQConfig(resilience=ResilienceConfig(
+            profile=FaultProfile(fault_rate=0.25, seed=11))) \
+            if faults else WebIQConfig()
+        service = MatchingService()
+        reqs = [request("book", config=config),
+                request("job", config=config),
+                request("book", tenant="globex", config=config),
+                request("book", tenant="initech", config=config)]
+        # one at a time: drive() answers in dispatch order, not in order
+        responses = [service.drive([req])[0] for req in reqs]
+        assert [r.outcome for r in responses] == ["completed"] * 4
+        for req, response in zip(reqs[2:], responses[2:]):
+            assert served_export(response) \
+                == standalone_export(service, response, req)
+
+    def test_second_identical_round_adds_no_entries(self):
+        service = MatchingService()
+        round_ = [request(d) for d in ("book", "auto", "job")]
+        service.drive(round_)
+        before = {d: memo_entries(service.webs[d][2])
+                  for d in ("book", "auto", "job")}
+        responses = service.drive(
+            [request(d, tenant="globex") for d in ("book", "auto", "job")])
+        assert [r.outcome for r in responses] == ["completed"] * 3
+        assert {d: memo_entries(service.webs[d][2])
+                for d in ("book", "auto", "job")} == before
+
+    def test_crashed_request_entries_leave_later_exports_unchanged(
+            self, monkeypatch):
+        service = MatchingService()
+        service.drive([request("book")])
+        memo = service.webs["book"][2]
+        entries = memo_entries(memo)
+
+        def crash(*args, **kwargs):
+            raise InjectedCrashError("injected")
+
+        # The crashing request acquires instances for more interfaces than
+        # the first one, filling the memo with new extractions, and then
+        # crashes in matching.
+        with monkeypatch.context() as patched:
+            patched.setattr(IceQMatcher, "match", crash)
+            (crashed,) = service.drive([MatchRequest(
+                tenant="globex", domain="book", n_interfaces=4, seed=1)])
+        assert crashed.outcome == "crashed"
+        assert memo_entries(memo) > entries
+        assert service.webs["book"][2] is memo
+        req = MatchRequest(tenant="initech", domain="book",
+                           n_interfaces=4, seed=1)
+        (served,) = service.drive([req])
+        assert served.outcome == "completed"
+        assert served_export(served) \
             == standalone_export(service, served, req)
 
 
