@@ -96,15 +96,16 @@ def emit_bench(
 
 
 #: Tolerance shorthands shared by the sweep benchmarks. Deterministic
-#: metrics gate tightly; wall-clock metrics gate very loosely, because a
-#: loaded CI runner can easily be several times slower without any code
-#: change — real slowdowns surface in the deterministic work metrics.
+#: metrics gate tightly. The bench-gated sweeps record wall-clock as
+#: ``info``: a loaded CI runner can easily be several times slower without
+#: any code change, and CI's ``bench-ab`` job gates wall time by
+#: alternating base/candidate runs instead. ``TOL_WALL`` remains for the
+#: ungated resume and supervisor sweeps.
 TOL_EXACT = {"rel": 0.0, "direction": "two_sided"}
 TOL_TIGHT = {"rel": 0.02, "direction": "two_sided"}
 TOL_COUNT = {"rel": 0.02, "direction": "lower_is_better"}
 TOL_SCORE = {"rel": 0.02, "direction": "higher_is_better"}
 TOL_WALL = {"rel": 10.0, "direction": "lower_is_better"}
-TOL_SPEEDUP = {"rel": 10.0, "direction": "higher_is_better"}
 TOL_INFO = {"rel": 0.0, "direction": "info"}
 
 

@@ -35,7 +35,7 @@ from repro.matching.similarity import attribute_similarity
 from repro.surfaceweb.engine import SearchEngine
 from repro.text.labels import analyze_label
 
-from .conftest import BENCH_SEED, TOL_TIGHT, TOL_WALL, emit_bench, print_table
+from .conftest import BENCH_SEED, TOL_INFO, TOL_TIGHT, emit_bench, print_table
 
 #: repetitions per operation; the median of 15 tolerates 7 outliers
 ROUNDS = 15
@@ -155,7 +155,7 @@ def test_microbench(auto_docs, auto_engine, airfare_views):
     metrics = dict(work)
     metrics.update(timings)
     tolerances = {name: TOL_TIGHT for name in work}
-    tolerances.update({name: TOL_WALL for name in timings})
+    tolerances.update({name: TOL_INFO for name in timings})
     emit_bench(
         "BENCH_MICRO_JSON",
         "microbench",

@@ -153,7 +153,7 @@ class UnitCapture:
     engine_before: int
     probes_before: int
     acquired_before: int
-    store_marks: Dict[str, Tuple[int, int, int]]
+    validation_mark: Tuple[int, int, int]
     memo_mark: int
     ops_mark: int
     #: resilience backoff seconds already accrued when the unit began —
@@ -200,7 +200,7 @@ class CheckpointSession:
         self._client: Optional[ResilientClient] = None
         self._flaky_sources: Dict[str, FlakyDeepWebSource] = {}
         # Memo stores (registered by the acquirer).
-        self._validation_stores: Dict[str, ValidationCache] = {}
+        self._validation: Optional[ValidationCache] = None
         self._probe_memo: Optional[Dict[tuple, bool]] = None
         # Live cache op-log (fresh units only; replay bypasses it).
         self._ops: List[Tuple] = []
@@ -235,10 +235,9 @@ class CheckpointSession:
         if cache_engine is not None:
             cache_engine.oplog = self._ops.append
 
-    def register_validation_store(self, name: str,
-                                  store: ValidationCache) -> None:
-        """Declare a cross-unit validation memo to journal under ``name``."""
-        self._validation_stores[name] = store
+    def register_validation_cache(self, cache: ValidationCache) -> None:
+        """Declare the run's validation memo (journaled as ``validation``)."""
+        self._validation = cache
 
     def register_probe_memo(self, memo: Dict[tuple, bool]) -> None:
         """Declare the Attr-Deep probe memo (the live dict)."""
@@ -291,13 +290,12 @@ class CheckpointSession:
         for field_name in RECORD_FIELDS:
             setattr(record, field_name, body["record"][field_name])
         for name, delta in body["stores"].items():
-            store = self._validation_stores.get(name)
-            if store is None:
+            if name != "validation" or self._validation is None:
                 raise JournalMismatchError(
                     f"record {body['index']}: journal carries validation "
                     f"store {name!r} this configuration does not have"
                 )
-            store.merge_delta(delta)
+            self._validation.merge_delta(delta)
         if body["probe_memo"]:
             if self._probe_memo is None:
                 raise JournalMismatchError(
@@ -361,10 +359,10 @@ class CheckpointSession:
             engine_before=self._engine_count(),
             probes_before=self._probe_count(),
             acquired_before=len(attribute.acquired),
-            store_marks={
-                name: store.mark()
-                for name, store in self._validation_stores.items()
-            },
+            validation_mark=(
+                self._validation.mark() if self._validation is not None
+                else (0, 0, 0)
+            ),
             memo_mark=(
                 len(self._probe_memo) if self._probe_memo is not None else 0
             ),
@@ -386,10 +384,10 @@ class CheckpointSession:
         again — deadlines preempt, they cannot livelock.
         """
         stores: Dict[str, Any] = {}
-        for name, store in self._validation_stores.items():
-            delta = store.delta_since(capture.store_marks[name])
+        if self._validation is not None:
+            delta = self._validation.delta_since(capture.validation_mark)
             if any(delta.values()):
-                stores[name] = delta
+                stores["validation"] = delta
         memo_delta: List[List[Any]] = []
         if self._probe_memo is not None:
             memo_delta = [

@@ -192,10 +192,9 @@ class InstanceAcquirer:
         proxies' shared ``resilience`` client to enable per-component
         budget attribution and graceful budget-exhaustion skipping.
 
-        ``validation_cache``, when given, is shared by Surface discovery
-        and the Attr-Surface classifier so they reuse each other's hit
-        counts; when ``None`` each validator keeps its own memo (the
-        uncached baseline behaviour).
+        ``validation_cache`` is the run's hit-count memo, shared by Surface
+        discovery and the Attr-Surface classifier so they reuse each
+        other's hit counts; without one the acquirer makes its own.
 
         ``clock``, when given, is charged each phase's simulated remote
         latency as the phase completes (the pipeline used to charge the
@@ -209,11 +208,9 @@ class InstanceAcquirer:
         journaled ones are replayed without issuing a single engine query
         or source probe (see :mod:`repro.checkpoint`).
 
-        ``memo``, when given, is the Surface memo of the Web behind
-        ``engine``, shared with other runs over that Web (the matching
-        service keeps one per domain); every run reads and fills it. Without
-        it each :meth:`acquire` call builds a memo of its own and drops it
-        on return."""
+        ``memo`` is the Surface memo of the Web behind ``engine``, shared
+        with every other run over that Web (each dataset keeps one); every
+        run reads and fills it. Without one the acquirer makes its own."""
         self.engine = engine
         self.sources = sources
         self.config = config
@@ -234,36 +231,23 @@ class InstanceAcquirer:
         self._label_vectors: Dict[str, Tuple[Dict[str, int], float]] = {}
         # every donor's normalised forms, inverted; built lazily per run
         self._donor_forms: Optional[_DonorIndex] = None
-        # snippet extractions and label analyses: the shared memo, or
-        # one built lazily per run
-        self._shared_memo = memo
-        self._surface_memo: Optional[SurfaceMemo] = None
+        # snippet extractions and label analyses of the Web behind engine
+        self.memo = SurfaceMemo() if memo is None else memo
+        # ValidationCache defines __len__: an empty one is falsy
+        if validation_cache is None:
+            validation_cache = ValidationCache()
         self.validation_cache = validation_cache
         self._discoverer = SurfaceDiscoverer(
             engine, config.surface, validation_cache=validation_cache,
             provenance=self.provenance,
         )
-        self._web_validator = WebValidator(engine, cache=validation_cache)
         self._attr_surface = AttrSurfaceValidator(
-            self._web_validator, config.classifier
+            WebValidator(engine, cache=validation_cache), config.classifier
         )
         self._attr_deep = AttrDeepValidator(sources)
         if checkpoint is not None:
-            # Cross-unit memo stores whose growth each unit must journal:
-            # with a shared validation cache there is one; without, the
-            # Surface discoverer and the Attr-Surface validator each keep
-            # a private memo that still spans units.
-            if validation_cache is not None:
-                checkpoint.register_validation_store(
-                    "validation", validation_cache
-                )
-            else:
-                checkpoint.register_validation_store(
-                    "validation:surface", self._discoverer.validator.cache
-                )
-                checkpoint.register_validation_store(
-                    "validation:attr_surface", self._web_validator.cache
-                )
+            # the cross-unit memos whose growth each unit must journal
+            checkpoint.register_validation_cache(validation_cache)
             checkpoint.register_probe_memo(self._attr_deep.probe_memo)
 
     def acquire(
@@ -295,10 +279,8 @@ class InstanceAcquirer:
                     pass  # exceptions with __slots__: crash stays unattributed
             raise
         finally:
-            # the donor index and the Surface memo serve one run; free
-            # them before matching
+            # the donor index serves one run; free it before matching
             self._donor_forms = None
-            self._surface_memo = None
 
     def _acquire(
         self,
@@ -311,7 +293,6 @@ class InstanceAcquirer:
     ) -> AcquisitionReport:
         self._interfaces = list(interfaces)
         self._donor_forms = None
-        self._surface_memo = None
         self._domain_keywords = list(domain_keywords)
         self._object_name = object_name
         report = AcquisitionReport(k=self.config.k)
@@ -408,7 +389,7 @@ class InstanceAcquirer:
             with self._subject(interface.interface_id, attribute.name):
                 result = self._discoverer.discover(
                     attribute, self._domain_keywords, self._object_name,
-                    self._memo(),
+                    self.memo,
                 )
             attribute.acquired.extend(result.instances)
             record.n_after_surface = self._acquired_count(attribute)
@@ -513,7 +494,7 @@ class InstanceAcquirer:
         if not donors:
             return
         classifier = self._attr_surface.build_classifier(
-            attribute, interface, self._memo())
+            attribute, interface, self.memo)
         if classifier is None:
             return
         have = {v.lower() for v in attribute.all_instances()}
@@ -678,15 +659,6 @@ class InstanceAcquirer:
         else:
             self._donor_forms.refresh()
         return self._donor_forms
-
-    def _memo(self) -> SurfaceMemo:
-        """The run's Surface memo: the shared one, else one built on
-        first use."""
-        if self._surface_memo is None:
-            self._surface_memo = (self._discoverer.new_memo()
-                                  if self._shared_memo is None
-                                  else self._shared_memo)
-        return self._surface_memo
 
     def _donor_candidates(self, interface: QueryInterface
                           ) -> Iterator[Tuple[QueryInterface, Attribute]]:

@@ -55,6 +55,7 @@ from repro.core.acquisition import (
     AcquisitionReport,
     InstanceAcquirer,
 )
+from repro.core.surface import SurfaceMemo
 from repro.datasets.dataset import DomainDataset
 from repro.matching.clustering import IceQMatcher, MatchResult
 from repro.matching.metrics import MatchMetrics, evaluate_matches
@@ -269,7 +270,6 @@ class WebIQMatcher:
         cache_stats: Optional[CacheStats] = None
         checkpoint_report: Optional[CheckpointReport] = None
         cache_engine: Optional[CachingSearchEngine] = None
-        validation_cache: Optional[ValidationCache] = None
         with ExitStack() as run_scope:
             if obs is not None:
                 run_scope.enter_context(
@@ -281,6 +281,11 @@ class WebIQMatcher:
                     # live outside the export payload.
                     run_scope.enter_context(collecting_counters(obs.counters))
             if self.config.webiq_enabled:
+                # The run's one hit-count memo, shared by Surface and
+                # Attr-Surface validation with or without a query cache.
+                validation_cache = ValidationCache()
+                if dataset.memo is None:
+                    dataset.memo = SurfaceMemo()
                 engine = dataset.engine
                 sources = dataset.sources
                 client: Optional[ResilientClient] = None
@@ -327,7 +332,6 @@ class WebIQMatcher:
                     )
                     engine = cache_engine
                     cache_stats = cache_engine.stats
-                    validation_cache = ValidationCache()
                     if warm is not None:
                         # Warm start: seed content and recency BEFORE any
                         # unit runs (and before journal replay, mirroring

@@ -36,7 +36,7 @@ from repro.stats.outliers import (
 from repro.stats.pmi import mean_pmi, pmi
 from repro.surfaceweb.engine import SearchEngine
 from repro.text.labels import LabelAnalysis, NounPhrase, analyze_label, clean_label
-from repro.text.postag import BrillTagger, TaggedToken, default_tagger
+from repro.text.postag import TaggedToken, default_tagger
 from repro.util import counters as work
 
 __all__ = [
@@ -176,8 +176,8 @@ class SnippetExtractor:
     """Applies an extraction rule to one snippet: find the cue phrase, then
     read the completion NP (or NP list) off the surrounding text."""
 
-    def __init__(self, tagger: Optional[BrillTagger] = None) -> None:
-        self._tagger = tagger or default_tagger()
+    def __init__(self) -> None:
+        self._tagger = default_tagger()
 
     def extract(self, snippet: str, query: ExtractionQuery) -> List[str]:
         """Instance candidates from ``snippet`` for ``query`` (may be empty)."""
@@ -266,29 +266,29 @@ def _find_cue(words: Sequence[str], cue: Tuple[str, ...]) -> List[int]:
 
 
 class SurfaceMemo:
-    """Snippet extractions and label analyses of one acquisition run.
+    """Snippet extractions and label analyses over one Surface Web.
 
-    Within a run the same snippets come back for many attributes (labels
-    repeat across interfaces), and the same labels are analysed by both
-    Surface discovery and the Attr-Surface classifier. Both results are
-    pure functions of their keys, so the memo changes no decision and no
+    The same snippets come back for many attributes (labels repeat across
+    interfaces), and the same labels are analysed by both Surface
+    discovery and the Attr-Surface classifier. Both results are pure
+    functions of their keys, so the memo changes no decision and no
     query: every ``engine.search`` still happens, only the tagging and
     rule application behind a repeated ``(snippet, query)`` pair, and the
     analysis of a repeated label, are skipped.
 
-    A memo holds the one extractor whose results it keeps; get one from
-    :meth:`SurfaceDiscoverer.new_memo`. It lives for one
-    :meth:`~repro.core.acquisition.InstanceAcquirer.acquire` call, or for
-    one :meth:`SurfaceDiscoverer.discover` call made outside a run (see
-    DESIGN.md §22). The matching service instead keeps one memo per
-    domain Web, built over a default-tagger extractor, and every request
-    over that Web shares it (DESIGN.md §26).
+    A memo belongs to one Web: every
+    :class:`~repro.datasets.DomainDataset` keeps one for its Web, and
+    every run over that dataset (or, in the matching service, over that
+    domain world) reads and fills it. A Web returns a finite set of
+    snippets, so the memo is bounded by its world (DESIGN.md §22, §26).
+    A standalone :meth:`SurfaceDiscoverer.discover` call without one
+    uses a memo of its own for the call.
     """
 
     __slots__ = ("_extractor", "_extractions", "_labels")
 
-    def __init__(self, extractor: SnippetExtractor) -> None:
-        self._extractor = extractor
+    def __init__(self) -> None:
+        self._extractor = SnippetExtractor()
         self._extractions: Dict[Tuple[str, ExtractionQuery],
                                 Tuple[str, ...]] = {}
         self._labels: Dict[str, LabelAnalysis] = {}
@@ -337,11 +337,12 @@ class WebValidator:
       that follows the cue, not only in first position.
 
     Marginal and joint hit counts are memoised in a
-    :class:`~repro.perf.cache.ValidationCache` — shared run-wide when the
-    caller passes one, so counts asked during Surface validation are free
-    again during Attr-Surface training and prediction. That reuse is a
-    large part of why the two-phase design "greatly reduces the number of
-    validation queries posed to search engines".
+    :class:`~repro.perf.cache.ValidationCache`. Every validator of one run
+    shares the run's (the acquirer passes it), so counts asked during
+    Surface validation are free again during Attr-Surface training and
+    prediction; a validator built without one keeps its own. That reuse
+    is a large part of why the two-phase design "greatly reduces the
+    number of validation queries posed to search engines".
     """
 
     #: window (words) within which a cue phrase and a candidate must co-occur
@@ -358,11 +359,6 @@ class WebValidator:
         self._engine = engine
         self.scoring = scoring
         self._cache = cache if cache is not None else ValidationCache()
-
-    @property
-    def cache(self) -> ValidationCache:
-        """The validator's hit-count memo (shared or private — see init)."""
-        return self._cache
 
     def validation_phrases(self, label: str,
                            analysis: Optional[LabelAnalysis] = None) -> List[str]:
@@ -472,7 +468,6 @@ class SurfaceDiscoverer:
         self,
         engine: SearchEngine,
         config: SurfaceConfig = SurfaceConfig(),
-        tagger: Optional[BrillTagger] = None,
         validation_cache: Optional[ValidationCache] = None,
         provenance: Optional[ProvenanceRecorder] = None,
     ) -> None:
@@ -480,19 +475,9 @@ class SurfaceDiscoverer:
         self.config = config
         self.provenance = provenance
         self._builder = ExtractionQueryBuilder()
-        self._extractor = SnippetExtractor(tagger)
         self._validator = WebValidator(
             engine, scoring=config.scoring, cache=validation_cache
         )
-
-    @property
-    def validator(self) -> WebValidator:
-        """The discoverer's validator (whose memo checkpointing journals)."""
-        return self._validator
-
-    def new_memo(self) -> SurfaceMemo:
-        """An empty memo bound to this discoverer's extractor."""
-        return SurfaceMemo(self._extractor)
 
     def discover(
         self,
@@ -503,10 +488,10 @@ class SurfaceDiscoverer:
     ) -> SurfaceResult:
         """Run extraction + verification for one attribute's label.
 
-        ``memo``, when given (from :meth:`new_memo`; the acquirer passes
-        one per run), supplies the label analysis and every snippet
-        extraction it already holds and keeps the new ones; without it the
-        call uses a memo of its own, so nothing outlives the call.
+        ``memo``, when given (the acquirer passes its Web's), supplies the
+        label analysis and every snippet extraction it already holds and
+        keeps the new ones; without it the call uses a memo of its own, so
+        nothing outlives the call.
 
         With a provenance recorder attached, every surviving instance gets
         an :class:`~repro.obs.provenance.InstanceLineage` (extraction
@@ -518,7 +503,7 @@ class SurfaceDiscoverer:
         queries_before = self.engine.query_count
         provenance = self.provenance
         key = self._subject_key(attribute)
-        memo = self.new_memo() if memo is None else memo
+        memo = SurfaceMemo() if memo is None else memo
         analysis = memo.analysis(attribute.label)
         if not analysis.has_noun_phrase:
             # §2.1: "If the label does not contain noun phrases, the

@@ -9,10 +9,13 @@ The Surface Web depends only on ``(domain, seed, corpus_config)``, not on
 the interfaces, and is only read once built. :func:`build_web` builds it
 alone, so a caller serving many runs of one domain (the matching service)
 builds it once and passes it to every :func:`build_domain_dataset` call as
-``web=``; each dataset still gets its own engine and query counter. Such a
-caller may pass the Web's :class:`~repro.core.surface.SurfaceMemo` as
-``memo=`` too: snippet extractions are pure functions of the Web's
-snippets, so every run over the same Web can share them.
+``web=``; each dataset still gets its own engine and query counter.
+
+Every dataset keeps one :class:`~repro.core.surface.SurfaceMemo` for its
+Web (``DomainDataset.memo``): snippet extractions are pure functions of the
+Web's snippets, so every run over the same Web shares them. A caller that
+shares a Web passes that Web's memo as ``memo=``; otherwise the first
+pipeline run attaches one.
 """
 
 from __future__ import annotations
@@ -50,8 +53,8 @@ class DomainDataset:
     engine: SearchEngine
     sources: Dict[str, DeepWebSource]
     seed: int
-    #: the Surface memo shared by every run over this dataset's Web, or
-    #: ``None`` for a memo per acquisition run (see build_domain_dataset)
+    #: the Surface memo shared by every run over this dataset's Web;
+    #: ``WebIQMatcher.run`` attaches one while it is ``None``
     memo: Optional["SurfaceMemo"] = field(
         default=None, repr=False, compare=False)
 
@@ -105,8 +108,8 @@ def build_domain_dataset(
     ``web``, when given, must be ``build_web(domain, seed, corpus_config)``
     (built earlier and shared): the dataset searches it through a fresh
     engine instead of building its own. ``memo``, when given, must hold
-    extractions of that Web's snippets only (one memo per shared Web):
-    acquisition reads and fills it in place of a memo of its own.
+    extractions of that Web's snippets only (one memo per shared Web);
+    without it the dataset's first run attaches a memo of its own.
     """
     spec = domain_spec(domain)
     generated, truth = generate_interfaces(domain, n_interfaces, seed)

@@ -13,8 +13,9 @@ already asked. This module makes that redundancy free:
   (:class:`CacheStats`);
 - :class:`ValidationCache` — the run-wide memo of marginal and joint hit
   counts that every :class:`~repro.core.surface.WebValidator` of one
-  pipeline run shares, so phrase/candidate/joint counts are reused across
-  attributes, interfaces, and classifier training vs. prediction;
+  pipeline run shares, cached or not, so phrase/candidate/joint counts
+  are reused across attributes, interfaces, and classifier training vs.
+  prediction;
 - :class:`CacheConfig` — the pipeline-facing knobs.
 
 **Layering.** The cache sits *above* the resilience layer::
@@ -414,11 +415,12 @@ class ValidationCache:
 
     One instance is shared by every :class:`~repro.core.surface.WebValidator`
     of a pipeline run (the Surface discoverer's and the Attr-Surface
-    classifier's), replacing the per-validator dicts that used to silo the
-    counts: a phrase marginal asked during Surface validation is now free
-    when Attr-Surface training asks it again. Keys are lower-cased; joints
-    key on ``(phrase, candidate, proximity)`` because the adjacency and
-    windowed queries answer different questions.
+    classifier's), with or without a :class:`CacheConfig`: a phrase
+    marginal asked during Surface validation is free when Attr-Surface
+    training asks it again. The memo keeps raw counts, so validators with
+    different scoring rules share counts, not scores. Keys are
+    lower-cased; joints key on ``(phrase, candidate, proximity)`` because
+    the adjacency and windowed queries answer different questions.
     """
 
     def __init__(self) -> None:
@@ -524,7 +526,7 @@ class CachePreload:
     def capture(
         cls,
         cache_engine: "CachingSearchEngine",
-        validation_cache: Optional[ValidationCache] = None,
+        validation_cache: ValidationCache,
         parent: Optional["CachePreload"] = None,
     ) -> "CachePreload":
         """Snapshot a run's cache content (recency order preserved).
@@ -543,18 +545,17 @@ class CachePreload:
             preload._answers = parent._answers
         else:
             preload._answers = cache_engine.snapshot_answers()
-        if validation_cache is not None:
-            if parent is not None and len(validation_cache) == len(
-                    parent.validation):
-                preload.validation = parent.validation
-            else:
-                preload.validation = validation_cache.clone()
+        if parent is not None and len(validation_cache) == len(
+                parent.validation):
+            preload.validation = parent.validation
+        else:
+            preload.validation = validation_cache.clone()
         return preload
 
     def apply(
         self,
         cache_engine: "CachingSearchEngine",
-        validation_cache: Optional[ValidationCache] = None,
+        validation_cache: ValidationCache,
     ) -> None:
         """Seed a fresh run's caches with this snapshot.
 
@@ -564,12 +565,9 @@ class CachePreload:
         as a long-lived cache would.
         """
         cache_engine.load_entries(self._order, self._answers)
-        if validation_cache is not None:
-            validation_cache.phrase_hits.update(self.validation.phrase_hits)
-            validation_cache.candidate_hits.update(
-                self.validation.candidate_hits
-            )
-            validation_cache.joint_hits.update(self.validation.joint_hits)
+        validation_cache.phrase_hits.update(self.validation.phrase_hits)
+        validation_cache.candidate_hits.update(self.validation.candidate_hits)
+        validation_cache.joint_hits.update(self.validation.joint_hits)
 
     @property
     def engine_entries(self) -> List[Tuple[Tuple, Any]]:

@@ -53,7 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint import CheckpointConfig, RunJournal
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
-from repro.core.surface import SnippetExtractor, SurfaceMemo
+from repro.core.surface import SurfaceMemo
 from repro.datasets.dataset import build_domain_dataset, build_web
 from repro.io import run_result_to_dict
 from repro.perf.cache import CacheConfig, CachePreload
@@ -491,7 +491,7 @@ class MatchingService:
         if held is not None and held[0] == seed:
             return held[1], held[2]
         web = build_web(domain, seed)
-        memo = SurfaceMemo(SnippetExtractor())
+        memo = SurfaceMemo()
         self.webs[domain] = (seed, web, memo)
         return web, memo
 

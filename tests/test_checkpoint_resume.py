@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro.checkpoint import CheckpointConfig
+from repro.checkpoint import CheckpointConfig, RunJournal
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
 from repro.io import RUN_RESULT_FORMAT, dump_run_result, run_result_to_dict
@@ -298,6 +298,27 @@ class TestResumeRefusals:
         with pytest.raises(JournalMismatchError, match="cache_entries"):
             run_once("book", 1, "plain",
                      CheckpointConfig(directory=directory, resume=True))
+
+    def test_resume_of_a_per_validator_store_refused(self, tmp_path):
+        # Runs once journaled each validator's private hit-count memo as
+        # "validation:surface" / "validation:attr_surface"; every run now
+        # has one shared memo, journaled as "validation" alone.
+        source = str(tmp_path / "journal")
+        run_once("book", 1, "plain", CheckpointConfig(directory=source))
+        journal = RunJournal.open(source)
+        forged = RunJournal.create(str(tmp_path / "forged"), journal.meta)
+        for body in journal.records:
+            body = {key: value for key, value in body.items()
+                    if key != "index"}
+            body["stores"] = {f"{name}:surface": delta
+                              for name, delta in body["stores"].items()}
+            forged.append(body)
+        assert any(body["stores"] for body in forged.records)
+        with pytest.raises(JournalMismatchError,
+                           match="'validation:surface'"):
+            run_once("book", 1, "plain",
+                     CheckpointConfig(directory=str(tmp_path / "forged"),
+                                      resume=True))
 
     def test_resume_under_observability_refused(self, tmp_path):
         directory = str(tmp_path / "journal")

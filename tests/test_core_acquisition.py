@@ -1,7 +1,9 @@
 """Tests for the §5 acquisition policy."""
 
 import gc
+import json
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -9,9 +11,11 @@ from repro.core import surface
 from repro.core.acquisition import AcquisitionConfig, InstanceAcquirer
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.core.surface import SnippetExtractor, SurfaceMemo
-from repro.datasets import build_domain_dataset
+from repro.datasets import DOMAINS, build_domain_dataset
+from repro.io import run_result_to_dict
+from repro.perf.cache import ValidationCache, normalize_query
+from repro.surfaceweb.engine import SearchEngine
 from repro.deepweb.models import AttributeKind
-from repro.util.errors import InjectedCrashError
 
 
 @pytest.fixture()
@@ -201,68 +205,55 @@ class TestLifecycle:
             gc.enable()
 
 
-@pytest.fixture()
-def recorded_memos(monkeypatch):
-    """Every Surface memo an acquisition run creates, kept alive after
-    the acquirer drops it."""
-    created = []
+class TestSharedValidationCache:
+    """Surface and Attr-Surface validation share one hit-count memo per
+    run, with or without a query cache."""
 
-    class Recorded(SurfaceMemo):
-        def __init__(self, extractor):
-            super().__init__(extractor)
-            created.append(self)
+    def test_an_uncached_run_asks_each_hit_count_once(self, monkeypatch):
+        built, asked = [], Counter()
+        init = ValidationCache.__init__
+        num_hits = SearchEngine.num_hits
+        proximity = SearchEngine.num_hits_proximity
 
-    monkeypatch.setattr(surface, "SurfaceMemo", Recorded)
-    return created
+        def recorded_init(cache):
+            init(cache)
+            built.append(cache)
+
+        def counted_num_hits(engine, query):
+            asked["num_hits", normalize_query(query)] += 1
+            return num_hits(engine, query)
+
+        def counted_proximity(engine, phrase_a, phrase_b, *args, **kwargs):
+            asked["proximity", normalize_query(phrase_a),
+                  normalize_query(phrase_b), args, tuple(kwargs.items())] += 1
+            return proximity(engine, phrase_a, phrase_b, *args, **kwargs)
+
+        monkeypatch.setattr(ValidationCache, "__init__", recorded_init)
+        monkeypatch.setattr(SearchEngine, "num_hits", counted_num_hits)
+        monkeypatch.setattr(SearchEngine, "num_hits_proximity",
+                            counted_proximity)
+        for domain in DOMAINS:
+            built.clear()
+            asked.clear()
+            dataset = build_domain_dataset(domain, n_interfaces=6, seed=1)
+            result = WebIQMatcher(WebIQConfig()).run(dataset)
+            assert result.acquisition.attr_surface_queries > 0, domain
+            (cache,) = built
+            # A label phrase that is also some candidate's text is one
+            # question kept under two keys of the one memo (phrase and
+            # candidate marginals): the only text that may come twice.
+            both = {("num_hits", f'"{text}"') for text
+                    in cache.phrase_hits.keys() & cache.candidate_hits.keys()}
+            repeated = {key: n for key, n in asked.items() if n > 1}
+            assert asked, domain
+            assert set(repeated) <= both and set(repeated.values()) <= {2}, \
+                (domain, repeated)
 
 
 class TestSurfaceMemo:
-    def test_memo_is_dropped_when_acquire_returns(self, airfare,
-                                                  recorded_memos):
-        acquirer = InstanceAcquirer(airfare.engine, airfare.sources)
-        acquirer.acquire(airfare.interfaces, airfare.spec.keyword_terms(),
-                         airfare.spec.object_name)
-        assert acquirer._surface_memo is None
-        assert len(recorded_memos) == 1
-        assert recorded_memos[0]._extractions and recorded_memos[0]._labels
-
-    def test_memo_is_dropped_when_a_unit_raises(self, airfare, monkeypatch):
-        acquirer = InstanceAcquirer(airfare.engine, airfare.sources)
-        held = []
-
-        def crash(*args, **kwargs):
-            held.append(len(acquirer._surface_memo._extractions))
-            raise InjectedCrashError("injected")
-
-        # the first Attr-Deep unit crashes after Surface filled the memo
-        monkeypatch.setattr(acquirer._attr_deep, "validate", crash)
-        with pytest.raises(InjectedCrashError):
-            acquirer.acquire(airfare.interfaces,
-                             airfare.spec.keyword_terms(),
-                             airfare.spec.object_name)
-        assert held and held[0] > 0
-        assert acquirer._surface_memo is None
-
-    def test_each_run_starts_with_an_empty_memo(self, recorded_memos):
-        def run(domain):
-            dataset = build_domain_dataset(domain, n_interfaces=4, seed=1)
-            WebIQMatcher(WebIQConfig()).run(dataset)
-
-        run("book")
-        run("airfare")
-        assert len(recorded_memos) == 2
-        alone = recorded_memos[1]
-        run("airfare")
-        # the airfare memo after a book run holds exactly what an airfare
-        # run alone collects: nothing carried over
-        assert alone._extractions == recorded_memos[2]._extractions
-        assert alone._labels == recorded_memos[2]._labels
-        assert not (recorded_memos[0]._extractions.keys()
-                    & alone._extractions.keys())
-
     def test_returned_lists_are_fresh(self, airfare):
         discoverer = surface.SurfaceDiscoverer(airfare.engine)
-        memo = discoverer.new_memo()
+        memo = SurfaceMemo()
         query = next(
             q for q in discoverer._builder.build(
                 memo.analysis("Departure city"))
@@ -275,10 +266,26 @@ class TestSurfaceMemo:
         assert memo.extract(snippet, query) \
             == ["Boston", "Chicago", "LAX"]
 
-    def test_memoized_extractions_equal_fresh_ones(self, recorded_memos):
+    def test_runs_over_one_dataset_share_its_memo(self):
+        dataset = build_domain_dataset("book", n_interfaces=6, seed=1)
+        first = WebIQMatcher(WebIQConfig()).run(dataset)
+        memo = dataset.memo
+        held = (dict(memo._extractions), dict(memo._labels))
+        second = WebIQMatcher(WebIQConfig()).run(dataset)
+        fresh = WebIQMatcher(WebIQConfig()).run(
+            build_domain_dataset("book", n_interfaces=6, seed=1))
+        assert dataset.memo is memo
+        assert (memo._extractions, memo._labels) == held
+        export = json.dumps(run_result_to_dict(second), sort_keys=True)
+        assert export == json.dumps(run_result_to_dict(fresh),
+                                    sort_keys=True)
+        assert export == json.dumps(run_result_to_dict(first),
+                                    sort_keys=True)
+
+    def test_memoized_extractions_equal_fresh_ones(self):
         dataset = build_domain_dataset("book", n_interfaces=8, seed=1)
         WebIQMatcher(WebIQConfig()).run(dataset)
-        (memo,) = recorded_memos
+        memo = dataset.memo
         assert memo._extractions
         fresh = SnippetExtractor()
         for (snippet, query), found in memo._extractions.items():

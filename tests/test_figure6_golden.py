@@ -40,25 +40,25 @@ CONFIGS = {
 
 GOLDEN = {
     ("default", "airfare"):
-        "b57ac79a6ce4131a6f880dae371d238c13b5fa519a0099c60fefc76d3be7846f",
+        "5468b95580c859c101b216bb1f14cb4880933ce8d15a6e7f37f0503e14553218",
     ("default", "auto"):
-        "c38a4623b8d80fdc718d247a9a66d3aab7449c9be3454475fcfdebc30d15c831",
+        "800d9003ca5b2dbf3ee1150d27d18978b900b2dc50daeb37624d91a30db76992",
     ("default", "book"):
-        "8a656b34b24947636bd8f62d39df7d405e1b03284c349600a70cc52e74f3c5c6",
+        "b16be3caf2b64b5cc3c90dd415711dd3e7a4c17a8a10a54b060713b3819b0f98",
     ("default", "job"):
-        "d80b29db662958b39edd2994093465ddf40c32808163445c3adb7d9e8b22a15c",
+        "265eb73a22887786a8808858b76e0c77732d90e81a41b5fc2540cae0f98dd871",
     ("default", "realestate"):
-        "f44647239aa1f64c460a858de2d24c38920de5181d52f5675a9d66a4cd623737",
+        "0f03b8f9eafa6c16adc6648b48ee481c013c47f00c3295dbddfcabcc68f7a259",
     ("observed", "airfare"):
-        "34446d8452c26ec6980a704b15ced952e7615ff48539aa75a4fffdb5c6659b54",
+        "12e2b758b8a23293d6fad0eb0cee684bfdb88eff9dfdd46924ba1aef085e67d1",
     ("observed", "auto"):
-        "e72aaa7541a58d7efe2c912dc14bf38f5b3f38bea6e5e7c124341d5774533bb5",
+        "dd7b0f1fb4f8823b413f82880b49a955b751f09ee2b2cc32763ce23aac9e1ae6",
     ("observed", "book"):
-        "8074522b68494ea5e1787ff7f9c057a425d7f3f6394ad92f83616e249efd5162",
+        "5f5d2d157f75507951b4cc83a603ff53029ce4d69a34006b31869e20badff6f0",
     ("observed", "job"):
-        "4ffcb30bc29dec847b730861349cbd741e0f4b750167baf55f0bc432d79bc91a",
+        "16130f44b704f6244524819aa499cb68b38b19aec505c476058b9a5c4aea9e24",
     ("observed", "realestate"):
-        "9b0898c3728f70b837198e9f6bc88ccc6bc8e24242381e1c252945b6a8196515",
+        "c1484b3beef000c9bcd722ee30d77f69366aa4b6949dbef333acc8789924d6f5",
     ("baseline", "airfare"):
         "ee88dfa8539e17003e19b1831089c4e56e2b61bbe580470921ea29e7ac4eb115",
     ("baseline", "auto"):
@@ -90,15 +90,15 @@ GOLDEN = {
     ("surface+deep", "realestate"):
         "eb9b1fbe99fa7ba638511e5039c678147b9dea077b81e1c8065a6fd4a7173c36",
     ("webiq+threshold", "airfare"):
-        "955516f385877669a9315c9660d6d39db1a80ba341bebe60b25b68b0a19a4b02",
+        "cd760a1206ed5552e178622c68b6471e71d8676a0370de8c0e8bfe3ba29f877b",
     ("webiq+threshold", "auto"):
-        "256ef811583254a487a9f5124e17648f2cc2575a2899f2957cbf2dae2f0a91fb",
+        "b49ef6dcf9fb3728ff8fae891e58406f5f8454801ea5a314885d3b2a75ce40d3",
     ("webiq+threshold", "book"):
-        "4f8ed206dba831bddace0bec1bd24a8733d0cac6c23383e547f33abe9233ac2c",
+        "af16aface3d025d80e2b21164cb64ee303d68f0c05fd05244e0a4f576d3f7e7a",
     ("webiq+threshold", "job"):
-        "cb0f80c3b13f624eff1c90520e68aa96121b1613c67ef359f8da392a6329bc61",
+        "f68dc3bd4476388180398de38ae2bdca0b5a90654efb9bc52d8e60bffbab82d8",
     ("webiq+threshold", "realestate"):
-        "0152690d85b7228cd66a9410d4b5daa67deb2a20260c1486147c6d728eabf6a2",
+        "c424700582a1693581ab21e44bb52a4767eee43cb99e7247225a689282961ae9",
 }
 
 #: Table 1 columns 2-5 as ``ExperimentSuite.table1_characteristics``

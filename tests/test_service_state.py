@@ -161,8 +161,9 @@ class TestEpochIsolation:
         # cold end on load and so must not share the parent's map, even
         # though it counts no store and no eviction.
         small = CachingSearchEngine(None, max_entries=10)
-        parent.apply(small)
-        child = CachePreload.capture(small, None, parent)
+        memo = ValidationCache()
+        parent.apply(small, memo)
+        child = CachePreload.capture(small, memo, parent)
         assert small.stats.stores == small.stats.evictions == 0
         assert child._answers is not parent._answers
         assert child.engine_entries == parent.engine_entries[-10:]
