@@ -7,8 +7,9 @@ attribute)`` iteration — with :meth:`~CheckpointSession.replay_unit` /
 
 - **Fresh unit** (journal exhausted): ``begin_unit`` marks every counter
   and memo store, the real work runs, ``commit_unit`` captures the deltas
-  — instances added, record fields, engine/probe round trips, validation
-  and probe-memo growth, cache content ops — plus a snapshot of the
+  — instances added, record fields, engine/probe round trips, growth of
+  the run's question memo (searches and hit counts) and of the probe
+  memo, cache content ops — plus a snapshot of the
   resilience/cache counters, and durably appends the record. The armed
   :class:`~repro.resilience.KillSwitch`, if any, fires *after* the append:
   the journal boundary is exactly where the process may die.
@@ -37,10 +38,15 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.journal import RunJournal
-from repro.perf.cache import CachingSearchEngine, ValidationCache, dict_tail
+from repro.perf.cache import (
+    CachingSearchEngine,
+    ValidationCache,
+    decode_results,
+    dict_tail,
+    encode_results,
+)
 from repro.resilience.client import ResilientClient
 from repro.resilience.faults import FlakyDeepWebSource, KillSwitch
-from repro.surfaceweb.engine import SearchResult
 from repro.util.errors import (
     DeadlineExceededError,
     JournalCorruptionError,
@@ -162,15 +168,11 @@ class UnitCapture:
 
 
 def _encode_value(kind: str, value: Any) -> Any:
-    if kind == "search":
-        return [[r.doc_id, r.url, r.title, r.snippet] for r in value]
-    return value
+    return encode_results(value) if kind == "search" else value
 
 
 def _decode_value(kind: str, raw: Any) -> Any:
-    if kind == "search":
-        return [SearchResult(*item) for item in raw]
-    return raw
+    return decode_results(raw) if kind == "search" else raw
 
 
 def _encode_op(op: Tuple) -> List[Any]:
@@ -236,7 +238,8 @@ class CheckpointSession:
             cache_engine.oplog = self._ops.append
 
     def register_validation_cache(self, cache: ValidationCache) -> None:
-        """Declare the run's validation memo (journaled as ``validation``)."""
+        """Declare the run's memo of Surface questions (journaled as
+        ``validation``)."""
         self._validation = cache
 
     def register_probe_memo(self, memo: Dict[tuple, bool]) -> None:

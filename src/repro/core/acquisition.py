@@ -192,9 +192,10 @@ class InstanceAcquirer:
         proxies' shared ``resilience`` client to enable per-component
         budget attribution and graceful budget-exhaustion skipping.
 
-        ``validation_cache`` is the run's hit-count memo, shared by Surface
-        discovery and the Attr-Surface classifier so they reuse each
-        other's hit counts; without one the acquirer makes its own.
+        ``validation_cache`` is the run's memo of Surface questions
+        (extraction searches and hit counts), shared by Surface discovery
+        and the Attr-Surface classifier so neither re-asks what the run
+        already asked; without one the acquirer makes its own.
 
         ``clock``, when given, is charged each phase's simulated remote
         latency as the phase completes (the pipeline used to charge the

@@ -281,8 +281,9 @@ class WebIQMatcher:
                     # live outside the export payload.
                     run_scope.enter_context(collecting_counters(obs.counters))
             if self.config.webiq_enabled:
-                # The run's one hit-count memo, shared by Surface and
-                # Attr-Surface validation with or without a query cache.
+                # The run's one memo of Surface questions (extraction
+                # searches and hit counts), shared by Surface and
+                # Attr-Surface with or without a query cache.
                 validation_cache = ValidationCache()
                 if dataset.memo is None:
                     dataset.memo = SurfaceMemo()

@@ -25,7 +25,7 @@ from repro.obs.provenance import (
     ProvenanceRecorder,
     ValidationEvidence,
 )
-from repro.perf.cache import ValidationCache
+from repro.perf.cache import ValidationCache, normalize_query
 from repro.stats.outliers import (
     STRING_STATISTIC_NAMES,
     discordancy_outliers,
@@ -34,7 +34,7 @@ from repro.stats.outliers import (
     string_test_statistics,
 )
 from repro.stats.pmi import mean_pmi, pmi
-from repro.surfaceweb.engine import SearchEngine
+from repro.surfaceweb.engine import SearchEngine, SearchResult
 from repro.text.labels import LabelAnalysis, NounPhrase, analyze_label, clean_label
 from repro.text.postag import TaggedToken, default_tagger
 from repro.util import counters as work
@@ -272,9 +272,10 @@ class SurfaceMemo:
     interfaces), and the same labels are analysed by both Surface
     discovery and the Attr-Surface classifier. Both results are pure
     functions of their keys, so the memo changes no decision and no
-    query: every ``engine.search`` still happens, only the tagging and
-    rule application behind a repeated ``(snippet, query)`` pair, and the
-    analysis of a repeated label, are skipped.
+    query: only the tagging and rule application behind a repeated
+    ``(snippet, query)`` pair, and the analysis of a repeated label, are
+    skipped. (A repeated search is the run's
+    :class:`~repro.perf.cache.ValidationCache`'s to answer.)
 
     A memo belongs to one Web: every
     :class:`~repro.datasets.DomainDataset` keeps one for its Web, and
@@ -340,9 +341,11 @@ class WebValidator:
     :class:`~repro.perf.cache.ValidationCache`. Every validator of one run
     shares the run's (the acquirer passes it), so counts asked during
     Surface validation are free again during Attr-Surface training and
-    prediction; a validator built without one keeps its own. That reuse
-    is a large part of why the two-phase design "greatly reduces the
-    number of validation queries posed to search engines".
+    prediction; a validator built without one keeps its own. A phrase
+    marginal and a candidate marginal of the same text are one question
+    under one key. That reuse is a large part of why the two-phase design
+    "greatly reduces the number of validation queries posed to search
+    engines".
     """
 
     #: window (words) within which a cue phrase and a candidate must co-occur
@@ -382,10 +385,10 @@ class WebValidator:
         The first phrase (the label) is scored with the adjacency query
         "L x"; the cue phrases are scored with windowed co-occurrence.
         """
-        hits_x = self.candidate_hits(candidate)
+        hits_x = self.marginal_hits(candidate)
         vector = []
         for i, phrase in enumerate(phrases):
-            hits_v = self._hits_phrase(phrase)
+            hits_v = self.marginal_hits(phrase)
             joint = self._joint(phrase, candidate, proximity=i != 0)
             if self.scoring == "hits":
                 vector.append(float(joint))
@@ -418,23 +421,16 @@ class WebValidator:
         """Mean PMI across phrases — the candidate's validation score."""
         return mean_pmi(self.score_vector(phrases, candidate))
 
-    def _hits_phrase(self, phrase: str) -> int:
-        hits = self._cache.phrase_hits
-        if phrase not in hits:
+    def marginal_hits(self, text: str) -> int:
+        """Cached NumHits of a validation phrase or a candidate (its
+        popularity marginal), keyed by the normalised text."""
+        key = normalize_query(text)
+        hits = self._cache.marginal_hits
+        if key not in hits:
             if work.ACTIVE is not None:
                 work.ACTIVE.bump("pmi.phrase_queries")
-            hits[phrase] = self._engine.num_hits(f'"{phrase}"')
-        return hits[phrase]
-
-    def candidate_hits(self, candidate: str) -> int:
-        """Cached NumHits of a candidate (its popularity marginal)."""
-        low = candidate.lower()
-        hits = self._cache.candidate_hits
-        if low not in hits:
-            if work.ACTIVE is not None:
-                work.ACTIVE.bump("pmi.phrase_queries")
-            hits[low] = self._engine.num_hits(f'"{low}"')
-        return hits[low]
+            hits[key] = self._engine.num_hits(f'"{key}"')
+        return hits[key]
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +467,17 @@ class SurfaceDiscoverer:
         validation_cache: Optional[ValidationCache] = None,
         provenance: Optional[ProvenanceRecorder] = None,
     ) -> None:
+        """``validation_cache`` is the run's memo of Surface questions:
+        extraction searches and hit counts alike (one of its own when
+        not given)."""
         self.engine = engine
         self.config = config
         self.provenance = provenance
         self._builder = ExtractionQueryBuilder()
+        self._cache = (validation_cache if validation_cache is not None
+                       else ValidationCache())
         self._validator = WebValidator(
-            engine, scoring=config.scoring, cache=validation_cache
+            engine, scoring=config.scoring, cache=self._cache
         )
 
     def discover(
@@ -491,7 +492,8 @@ class SurfaceDiscoverer:
         ``memo``, when given (the acquirer passes its Web's), supplies the
         label analysis and every snippet extraction it already holds and
         keeps the new ones; without it the call uses a memo of its own, so
-        nothing outlives the call.
+        no extraction outlives the call. (Searches and hit counts live in
+        the discoverer's ``ValidationCache``.)
 
         With a provenance recorder attached, every surviving instance gets
         an :class:`~repro.obs.provenance.InstanceLineage` (extraction
@@ -590,10 +592,7 @@ class SurfaceDiscoverer:
         ordered: List[str] = []
         label_low = clean_label(analysis.label).lower()
         for query in self._builder.build(analysis, domain_keywords, object_name):
-            results = self.engine.search(
-                query.query, max_results=self.config.snippets_per_query
-            )
-            for hit in results:
+            for hit in self._search(query.query):
                 for candidate in memo.extract(hit.snippet, query):
                     cleaned = candidate.strip()
                     low = cleaned.lower()
@@ -610,6 +609,22 @@ class SurfaceDiscoverer:
                         origins[cleaned] = (
                             query.pattern, query.query, hit.doc_id)
         return ordered
+
+    def _search(self, query: str) -> Tuple[SearchResult, ...]:
+        """The snippets of one extraction query, asked once per run.
+
+        A repeated label poses the same extraction queries again; the
+        run's memo answers them with what the first asking received.
+        """
+        key = (normalize_query(query), self.config.snippets_per_query)
+        searches = self._cache.searches
+        found = searches.get(key)
+        if found is None:
+            found = searches[key] = tuple(self.engine.search(
+                query, max_results=self.config.snippets_per_query))
+        elif work.ACTIVE is not None:
+            work.ACTIVE.bump("surface.search_memo_hits")
+        return found
 
     def _is_numeric_domain(self, candidates: Sequence[str]) -> bool:
         if not candidates:
@@ -679,7 +694,7 @@ class SurfaceDiscoverer:
             return candidates
         by_popularity = sorted(
             candidates,
-            key=lambda c: (-self._validator.candidate_hits(c), c.lower()),
+            key=lambda c: (-self._validator.marginal_hits(c), c.lower()),
         )
         return by_popularity[: self.config.max_validated_candidates]
 

@@ -11,16 +11,18 @@ already asked. This module makes that redundancy free:
   ``search`` / ``num_hits`` / ``num_hits_proximity`` by normalised query
   key in a bounded LRU, with hit/miss/eviction accounting
   (:class:`CacheStats`);
-- :class:`ValidationCache` — the run-wide memo of marginal and joint hit
-  counts that every :class:`~repro.core.surface.WebValidator` of one
-  pipeline run shares, cached or not, so phrase/candidate/joint counts
-  are reused across attributes, interfaces, and classifier training vs.
-  prediction;
+- :class:`ValidationCache` — the run-wide memo of every Surface question
+  (extraction searches, marginal and joint hit counts) that one pipeline
+  run asks, cached or not, so each distinct question costs one round
+  trip per run across attributes, interfaces, and classifier training
+  vs. prediction;
 - :class:`CacheConfig` — the pipeline-facing knobs.
 
-**Layering.** The cache sits *above* the resilience layer::
+**Layering.** The cache sits *above* the resilience layer, and the run's
+:class:`ValidationCache` above the cache::
 
-    CachingSearchEngine -> ResilientSearchEngine -> FlakySearchEngine -> engine
+    ValidationCache -> CachingSearchEngine -> ResilientSearchEngine
+        -> FlakySearchEngine -> engine
 
 A cache hit therefore never reaches :class:`~repro.resilience.ResilientClient`:
 it consumes no query budget, charges no retry or backoff accounting, and
@@ -31,9 +33,11 @@ system answering from its own cache instead of the network.
 exhausted, breaker open, budget spent — the resilient proxy's neutral
 ``[]``/``0``) and a garbled answer (truncated payload that slipped through
 as a "success") describe the Web's mood, not the query's answer; caching
-one would pin a transient failure for the rest of the run. The wrapper
-detects both through the resilient proxy's ``last_degraded`` flag and the
-flaky wrapper's ``garbled_count``, and simply declines to store.
+one would pin a transient failure for every later run the cache serves.
+The wrapper detects both through the resilient proxy's ``last_degraded``
+flag and the flaky wrapper's ``garbled_count``, and simply declines to
+store. (Within one run the :class:`ValidationCache` keeps what the run
+received, degraded or not: a repeat would have met the same fault fate.)
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.surfaceweb.engine import DEFAULT_PROXIMITY_WINDOW, SearchResult
 
@@ -54,7 +58,9 @@ __all__ = [
     "LRUCache",
     "CachingSearchEngine",
     "ValidationCache",
+    "decode_results",
     "dict_tail",
+    "encode_results",
     "normalize_query",
 ]
 
@@ -84,6 +90,17 @@ def dict_tail(mapping: Dict[Any, Any], mark: int) -> List[Tuple[Any, Any]]:
     tail = list(islice(reversed(mapping.items()), len(mapping) - mark))
     tail.reverse()
     return tail
+
+
+def encode_results(results: Sequence[SearchResult]) -> List[List[Any]]:
+    """Search results as JSON-ready ``[doc_id, url, title, snippet]``
+    lists (the journal's codec for cache ops and memo deltas alike)."""
+    return [[r.doc_id, r.url, r.title, r.snippet] for r in results]
+
+
+def decode_results(raw: List[List[Any]]) -> List[SearchResult]:
+    """Inverse of :func:`encode_results`."""
+    return [SearchResult(*item) for item in raw]
 
 
 @dataclass
@@ -411,77 +428,102 @@ class CachingSearchEngine:
 
 
 class ValidationCache:
-    """Run-wide memo of validation hit counts.
+    """Run-wide memo of the Surface Web questions a run asks.
 
-    One instance is shared by every :class:`~repro.core.surface.WebValidator`
-    of a pipeline run (the Surface discoverer's and the Attr-Surface
-    classifier's), with or without a :class:`CacheConfig`: a phrase
-    marginal asked during Surface validation is free when Attr-Surface
-    training asks it again. The memo keeps raw counts, so validators with
-    different scoring rules share counts, not scores. Keys are
-    lower-cased; joints key on ``(phrase, candidate, proximity)`` because
-    the adjacency and windowed queries answer different questions.
+    One instance serves every Surface question of a pipeline run, with
+    or without a :class:`CacheConfig`: the Surface discoverer's
+    extraction searches and the hit counts of every
+    :class:`~repro.core.surface.WebValidator` (the discoverer's and the
+    Attr-Surface classifier's). A question asked once is never sent
+    again in the run: a marginal asked during Surface validation is free
+    when Attr-Surface training asks it again, and a repeated label's
+    extraction queries reuse the snippets the first asking returned.
+
+    The memo keeps what the run received, including a degraded answer:
+    an engine fault's fate depends only on the call's content and retry
+    attempt, so a repeat would have met the same fate (DESIGN.md §27).
+
+    Three maps, each written once per key and never overwritten:
+
+    - ``marginal_hits``: ``NumHits`` of one text (a validation phrase or
+      a candidate — one question, one key), by normalised text;
+    - ``joint_hits``: by ``(phrase, candidate, proximity)``, because the
+      adjacency and windowed queries answer different questions;
+    - ``searches``: extraction-search snippets as a tuple of
+      :class:`~repro.surfaceweb.engine.SearchResult`, by ``(normalised
+      query, max_results)``.
+
+    Validators with different scoring rules share counts, not scores.
     """
 
     def __init__(self) -> None:
-        self.phrase_hits: Dict[str, int] = {}
-        self.candidate_hits: Dict[str, int] = {}
+        self.marginal_hits: Dict[str, int] = {}
         self.joint_hits: Dict[Tuple[str, str, int], int] = {}
+        self.searches: Dict[Tuple[str, int], Tuple[SearchResult, ...]] = {}
 
     def __len__(self) -> int:
         return (
-            len(self.phrase_hits)
-            + len(self.candidate_hits)
+            len(self.marginal_hits)
             + len(self.joint_hits)
+            + len(self.searches)
         )
 
     def clone(self) -> "ValidationCache":
         """An independent copy (a :class:`CachePreload` holds one, so later
-        growth of the donor run's memo cannot leak into the preload)."""
+        growth of the donor run's memo cannot leak into the preload).
+        Answers are shared, not copied: nothing mutates one."""
         copy = ValidationCache()
-        copy.phrase_hits = dict(self.phrase_hits)
-        copy.candidate_hits = dict(self.candidate_hits)
-        copy.joint_hits = dict(self.joint_hits)
+        copy.update(self)
         return copy
+
+    def update(self, other: "ValidationCache") -> None:
+        """Add every entry of ``other`` (a preload's memo) to this one."""
+        self.marginal_hits.update(other.marginal_hits)
+        self.joint_hits.update(other.joint_hits)
+        self.searches.update(other.searches)
 
     # --------------------------------------------------- checkpoint support
     #
     # Entries are memo-style (written once, never overwritten), so the
-    # counts added by one unit of work are exactly the insertion-order
+    # entries added by one unit of work are exactly the insertion-order
     # tail of each dict past a pre-unit length mark. The checkpoint layer
     # journals that tail and merges it back on replay.
 
     def mark(self) -> Tuple[int, int, int]:
         """Position marker: the three dict lengths as of now."""
         return (
-            len(self.phrase_hits),
-            len(self.candidate_hits),
+            len(self.marginal_hits),
             len(self.joint_hits),
+            len(self.searches),
         )
 
     def delta_since(self, mark: Tuple[int, int, int]) -> Dict[str, list]:
-        """Entries added after ``mark``, JSON-ready (joint keys as lists)."""
-        p, c, j = mark
+        """Entries added after ``mark``, JSON-ready (joint keys as lists,
+        searches as ``[query, max_results, results]`` with
+        :func:`encode_results`)."""
+        m, j, s = mark
         return {
-            "phrase_hits": [
-                [k, v] for k, v in dict_tail(self.phrase_hits, p)
-            ],
-            "candidate_hits": [
-                [k, v] for k, v in dict_tail(self.candidate_hits, c)
+            "marginal_hits": [
+                [k, v] for k, v in dict_tail(self.marginal_hits, m)
             ],
             "joint_hits": [
                 [list(k), v] for k, v in dict_tail(self.joint_hits, j)
+            ],
+            "searches": [
+                [query, max_results, encode_results(results)]
+                for (query, max_results), results
+                in dict_tail(self.searches, s)
             ],
         }
 
     def merge_delta(self, payload: Dict[str, list]) -> None:
         """Inverse of :func:`delta_since`: re-insert a journaled tail."""
-        for key, value in payload["phrase_hits"]:
-            self.phrase_hits[key] = value
-        for key, value in payload["candidate_hits"]:
-            self.candidate_hits[key] = value
+        for key, value in payload["marginal_hits"]:
+            self.marginal_hits[key] = value
         for (phrase, candidate, window), value in payload["joint_hits"]:
             self.joint_hits[(phrase, candidate, window)] = value
+        for query, max_results, raw in payload["searches"]:
+            self.searches[(query, max_results)] = tuple(decode_results(raw))
 
 
 class CachePreload:
@@ -517,7 +559,7 @@ class CachePreload:
         answers = dict(engine_entries or ())
         self._order: Tuple[Tuple, ...] = tuple(answers)
         self._answers: Dict[Tuple, Any] = answers
-        #: the donor run's validation memo (marginal/joint hit counts)
+        #: the donor run's validation memo (searches and hit counts)
         self.validation: ValidationCache = (
             validation.clone() if validation is not None else ValidationCache()
         )
@@ -565,9 +607,7 @@ class CachePreload:
         as a long-lived cache would.
         """
         cache_engine.load_entries(self._order, self._answers)
-        validation_cache.phrase_hits.update(self.validation.phrase_hits)
-        validation_cache.candidate_hits.update(self.validation.candidate_hits)
-        validation_cache.joint_hits.update(self.validation.joint_hits)
+        validation_cache.update(self.validation)
 
     @property
     def engine_entries(self) -> List[Tuple[Tuple, Any]]:
@@ -592,8 +632,8 @@ class CachePreload:
         """
         canon = repr((
             self.engine_entries,
-            sorted(self.validation.phrase_hits.items()),
-            sorted(self.validation.candidate_hits.items()),
+            sorted(self.validation.marginal_hits.items()),
             sorted(self.validation.joint_hits.items()),
+            sorted(self.validation.searches.items()),
         ))
         return zlib.crc32(canon.encode("utf-8"))

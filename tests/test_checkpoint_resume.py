@@ -15,6 +15,7 @@ zero-respend claim from the raw substrate counters.
 """
 
 import json
+import os
 
 import pytest
 
@@ -24,7 +25,11 @@ from repro.datasets import build_domain_dataset
 from repro.io import RUN_RESULT_FORMAT, dump_run_result, run_result_to_dict
 from repro.obs import ObsConfig, check_run, diff_runs
 from repro.perf import CacheConfig
+from repro.perf.cache import normalize_query
 from repro.resilience import BreakerPolicy, FaultProfile, ResilienceConfig
+from repro.surfaceweb.engine import SearchEngine
+from repro.text.labels import clean_label
+from repro.util.envelope import seal
 from repro.util.errors import (
     JournalMismatchError,
     PreemptionError,
@@ -269,6 +274,61 @@ class TestResumeSemantics:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestSearchMemoResume:
+    """Extraction searches are journaled in the run's memo (format 3)."""
+
+    def test_kill_after_a_repeated_label_re_searches_nothing_held(
+            self, tmp_path, monkeypatch):
+        dataset = build_domain_dataset("book", N_INTERFACES, 1)
+        labels = {
+            (interface.interface_id, attribute.name):
+                clean_label(attribute.label).lower()
+            for interface in dataset.interfaces
+            for attribute in interface.attributes
+        }
+        base_result = WebIQMatcher(WebIQConfig(checkpoint=CheckpointConfig(
+            directory=str(tmp_path / "uninterrupted")))).run(dataset)
+        records = RunJournal.open(str(tmp_path / "uninterrupted")).records
+        surface = [(index, labels[tuple(body["unit"][1:])])
+                   for index, body in enumerate(records)
+                   if body["unit"][0] == "surface" and not body["skipped"]]
+        # the first Surface unit whose label an earlier unit already asked
+        kill_at = next(index for k, (index, label) in enumerate(surface)
+                       if label in {seen for _, seen in surface[:k]})
+        held_labels = {label for index, label in surface if index <= kill_at}
+        assert any(label in held_labels
+                   for index, label in surface if index > kill_at)
+        held = {
+            tuple(query[:2])
+            for body in records[:kill_at + 1]
+            for query in body["stores"].get("validation", {}).get(
+                "searches", ())
+        }
+        assert held
+
+        directory = str(tmp_path / "journal")
+        with pytest.raises(PreemptionError):
+            run_once("book", 1, "plain",
+                     CheckpointConfig(directory=directory, kill_at=kill_at))
+        asked = []
+        search = SearchEngine.search
+
+        def recorded_search(engine, query, max_results=10):
+            asked.append((normalize_query(query), max_results))
+            return search(engine, query, max_results)
+
+        monkeypatch.setattr(SearchEngine, "search", recorded_search)
+        _, resumed, _ = run_once(
+            "book", 1, "plain",
+            CheckpointConfig(directory=directory, resume=True))
+        assert asked, "the resumed process ran no fresh Surface unit"
+        assert not held & set(asked)
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        dump_run_result(base_result, str(a))
+        dump_run_result(resumed, str(b))
+        assert a.read_bytes() == b.read_bytes()
+
+
 class TestResumeRefusals:
     """A journal that does not match the run is refused, never misread."""
 
@@ -319,6 +379,17 @@ class TestResumeRefusals:
             run_once("book", 1, "plain",
                      CheckpointConfig(directory=str(tmp_path / "forged"),
                                       resume=True))
+
+    def test_resume_of_a_format_2_journal_refused(self, tmp_path):
+        # Format-2 records journal two marginal maps and no searches.
+        directory = str(tmp_path / "journal")
+        run_once("book", 1, "plain", CheckpointConfig(directory=directory))
+        meta = RunJournal.open(directory).meta
+        with open(os.path.join(directory, "meta.json"), "w") as handle:
+            handle.write(seal(meta, 2))
+        with pytest.raises(JournalMismatchError, match="format 2"):
+            run_once("book", 1, "plain",
+                     CheckpointConfig(directory=directory, resume=True))
 
     def test_resume_under_observability_refused(self, tmp_path):
         directory = str(tmp_path / "journal")

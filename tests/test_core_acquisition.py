@@ -206,18 +206,25 @@ class TestLifecycle:
 
 
 class TestSharedValidationCache:
-    """Surface and Attr-Surface validation share one hit-count memo per
+    """Every Surface question of a run (extraction searches, and the hit
+    counts of Surface and Attr-Surface validation) shares one memo per
     run, with or without a query cache."""
 
     def test_an_uncached_run_asks_each_hit_count_once(self, monkeypatch):
         built, asked = [], Counter()
         init = ValidationCache.__init__
+        search = SearchEngine.search
         num_hits = SearchEngine.num_hits
         proximity = SearchEngine.num_hits_proximity
 
         def recorded_init(cache):
             init(cache)
             built.append(cache)
+
+        def counted_search(engine, query, *args, **kwargs):
+            asked["search", normalize_query(query), args,
+                  tuple(kwargs.items())] += 1
+            return search(engine, query, *args, **kwargs)
 
         def counted_num_hits(engine, query):
             asked["num_hits", normalize_query(query)] += 1
@@ -229,25 +236,25 @@ class TestSharedValidationCache:
             return proximity(engine, phrase_a, phrase_b, *args, **kwargs)
 
         monkeypatch.setattr(ValidationCache, "__init__", recorded_init)
+        monkeypatch.setattr(SearchEngine, "search", counted_search)
         monkeypatch.setattr(SearchEngine, "num_hits", counted_num_hits)
         monkeypatch.setattr(SearchEngine, "num_hits_proximity",
                             counted_proximity)
-        for domain in DOMAINS:
+        # job's 20 interfaces repeat the most labels, and a validation
+        # phrase there ("education") is also a candidate's text
+        for domain, n_interfaces in [(d, 6) for d in DOMAINS] + [("job", 20)]:
             built.clear()
             asked.clear()
-            dataset = build_domain_dataset(domain, n_interfaces=6, seed=1)
+            dataset = build_domain_dataset(domain, n_interfaces, seed=1)
             result = WebIQMatcher(WebIQConfig()).run(dataset)
             assert result.acquisition.attr_surface_queries > 0, domain
             (cache,) = built
-            # A label phrase that is also some candidate's text is one
-            # question kept under two keys of the one memo (phrase and
-            # candidate marginals): the only text that may come twice.
-            both = {("num_hits", f'"{text}"') for text
-                    in cache.phrase_hits.keys() & cache.candidate_hits.keys()}
+            assert cache.searches and cache.marginal_hits, domain
+            kinds = {key[0] for key in asked}
+            assert kinds == {"search", "num_hits", "proximity"}, domain
             repeated = {key: n for key, n in asked.items() if n > 1}
-            assert asked, domain
-            assert set(repeated) <= both and set(repeated.values()) <= {2}, \
-                (domain, repeated)
+            assert not repeated, (domain, n_interfaces, repeated)
+            assert sum(asked.values()) == dataset.engine.query_count
 
 
 class TestSurfaceMemo:

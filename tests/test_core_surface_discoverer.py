@@ -105,9 +105,13 @@ class TestDomainDifficulty:
 class TestStandaloneKeepsNoMemo:
     def test_repeated_discover_repeats_all_its_tagging(self, book_discoverer):
         # outside an acquisition run each call's Surface memo ends with
-        # it: a second identical call tags every snippet again
+        # it: a second identical call tags every snippet again. The
+        # discoverer's ValidationCache (searches and hit counts) does
+        # persist, so a first, uncounted call fills it whatever ran
+        # before in this module.
         from repro.util import counters as work
 
+        discover(book_discoverer, "Author")
         counts = []
         for _ in range(2):
             with work.collecting(work.WorkCounters()) as counters:

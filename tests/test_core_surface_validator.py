@@ -56,7 +56,7 @@ class TestScoring:
         # popularity must not produce a score.
         validator = WebValidator(engine)
         phrases = validator.validation_phrases("make")
-        assert validator.candidate_hits("Economy") >= 3
+        assert validator.marginal_hits("Economy") >= 3
         assert validator.confidence(phrases, "Economy") == 0.0
 
     def test_score_vector_dimension(self, engine):
@@ -83,7 +83,7 @@ class TestCaching:
 
     def test_candidate_cache_shared_across_attributes(self, engine):
         validator = WebValidator(engine)
-        validator.candidate_hits("Honda")
+        validator.marginal_hits("Honda")
         baseline = engine.query_count
-        validator.candidate_hits("honda")  # case-insensitive cache key
+        validator.marginal_hits("honda")  # case-insensitive cache key
         assert engine.query_count == baseline

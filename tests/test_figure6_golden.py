@@ -40,25 +40,25 @@ CONFIGS = {
 
 GOLDEN = {
     ("default", "airfare"):
-        "5468b95580c859c101b216bb1f14cb4880933ce8d15a6e7f37f0503e14553218",
+        "735a7028f5cdc37120c649528eb5b294e7e8c6162832cef2ad9719761344ceaa",
     ("default", "auto"):
-        "800d9003ca5b2dbf3ee1150d27d18978b900b2dc50daeb37624d91a30db76992",
+        "b2b04e6e78dc32729484e2139c30c4aa91b73a6e0da2d64b7ce69bde05152f0c",
     ("default", "book"):
-        "b16be3caf2b64b5cc3c90dd415711dd3e7a4c17a8a10a54b060713b3819b0f98",
+        "243a9ed2058057a3a8e9990d885d86bb5e564f077b17d185d42e429b4c4a89c1",
     ("default", "job"):
-        "265eb73a22887786a8808858b76e0c77732d90e81a41b5fc2540cae0f98dd871",
+        "2d297b18db394785f680a3d25fe389b999a31ab02a51597a9b21d318820f6b1e",
     ("default", "realestate"):
-        "0f03b8f9eafa6c16adc6648b48ee481c013c47f00c3295dbddfcabcc68f7a259",
+        "31a4c1ab8693e16487779060baadd61ac9e592a249a64e5e9cd022e46f53f64b",
     ("observed", "airfare"):
-        "12e2b758b8a23293d6fad0eb0cee684bfdb88eff9dfdd46924ba1aef085e67d1",
+        "99de292d0de7566596c344b6f2106c3ebae10ab9e908590dd263c7ab671be7c0",
     ("observed", "auto"):
-        "dd7b0f1fb4f8823b413f82880b49a955b751f09ee2b2cc32763ce23aac9e1ae6",
+        "b2ae06236f55968fcb08dd624004bcb2d20bcd0ec5b30f46a405be0dc51c2c55",
     ("observed", "book"):
-        "5f5d2d157f75507951b4cc83a603ff53029ce4d69a34006b31869e20badff6f0",
+        "d6ba600823ccf43bf31a0b5a9cc6a96fcf4f49972695fabceade9f0cc15feb59",
     ("observed", "job"):
-        "16130f44b704f6244524819aa499cb68b38b19aec505c476058b9a5c4aea9e24",
+        "23fa8b92756a3e17d087a96c4fc13107bba2c991f9a83a94af243b7e0de3c901",
     ("observed", "realestate"):
-        "c1484b3beef000c9bcd722ee30d77f69366aa4b6949dbef333acc8789924d6f5",
+        "a7994bb1cca15c61ebcae19ed749fda554619e317c1621162ba0459453fda9cf",
     ("baseline", "airfare"):
         "ee88dfa8539e17003e19b1831089c4e56e2b61bbe580470921ea29e7ac4eb115",
     ("baseline", "auto"):
@@ -70,35 +70,35 @@ GOLDEN = {
     ("baseline", "realestate"):
         "ca7232d9545a5621a3d5f0683e67b8931dbe01db0b33b51f6dfe56a13656a8a3",
     ("surface", "airfare"):
-        "13d4cadc216f9877d8da9bb750e23f03fa159d27080d269244a411eff216f7d3",
+        "266c730495ec9bc83f928135e1b978c17fe3d5b985cdefed373bbd33eeb95280",
     ("surface", "auto"):
-        "2d63f6124f74f019b2160eaeec219eb7073c1ce2313a9a5798bd7cbef61e5d2c",
+        "951d9ad1f37ebb995809c89014ba16f3e96d265bee58fcb6553171658264b4c5",
     ("surface", "book"):
-        "22577824d4b30e94ed016fec059ca827a93b3b8943674b32162a8189308464da",
+        "ef4a950956b357ad0b45213deda54308d6e23ac63f91d768be466883051afb0e",
     ("surface", "job"):
-        "a7454983fd03d39d4b033d5c82460e9cc7273c46088b67300cda3da6d5d71a2a",
+        "8763ac37052e76ad346243c1eb678869925403f44040c133d4da8b89293c3ad8",
     ("surface", "realestate"):
-        "3ac0d97e339b79945ed91c466c8166ce7b6c5b2594bec6405c22bda4ee433bb7",
+        "e371ef3a5448172569e04963906d7fb9f598984cee01c30b0455563a276ae833",
     ("surface+deep", "airfare"):
-        "28b8d6379b235316ce46ba627f3ce442bcc0f9aa0a736d566848d2c9792de013",
+        "e62bb6d5492d9f6d99d3e71bf07f332625db09f5924f3a38d2059e875968eba1",
     ("surface+deep", "auto"):
-        "f4d16f1b86f20bd9d34331ecaa988ff164d749cc97c5897e2ac042b3d0e3aadf",
+        "8fdbcb3022df4293ffebd4095773415b4d1265598d84ac89776aebbf0f17f5bf",
     ("surface+deep", "book"):
-        "1621653fea55c1b8011a02128c4c405323ceabc5a675a014254cdd49aa09aa12",
+        "f50c8c647d1f07d96b2cc0f4fe2c9c43fe3b5f376895161a045122361ecfb8a5",
     ("surface+deep", "job"):
-        "b66481aa75ee9098ca30939729ee3bcecbb38144b60873d8b90039d8a65fe08b",
+        "3b8420697589c70c517b9dcf0a34e27d530ae157fa8f787f6de49e35f67d2fd0",
     ("surface+deep", "realestate"):
-        "eb9b1fbe99fa7ba638511e5039c678147b9dea077b81e1c8065a6fd4a7173c36",
+        "ca53917662684c8d32846859f2658b7316546717c51596d367b884280d6ce3f6",
     ("webiq+threshold", "airfare"):
-        "cd760a1206ed5552e178622c68b6471e71d8676a0370de8c0e8bfe3ba29f877b",
+        "5288b66c9465a98482a49ca9106463614e3cc201712732947e510ca8207af613",
     ("webiq+threshold", "auto"):
-        "b49ef6dcf9fb3728ff8fae891e58406f5f8454801ea5a314885d3b2a75ce40d3",
+        "3fe21785f9298e4f8dc67db109e9e4abf1a9991854cd6cec0aa601a4218d164a",
     ("webiq+threshold", "book"):
-        "af16aface3d025d80e2b21164cb64ee303d68f0c05fd05244e0a4f576d3f7e7a",
+        "3e44ebb0638c0b7e97078ea1fe84a1d9298b7136bdb0b7f8e178136defc28b02",
     ("webiq+threshold", "job"):
-        "f68dc3bd4476388180398de38ae2bdca0b5a90654efb9bc52d8e60bffbab82d8",
+        "d2b18c7dfe234670c07234518d15c41000151a72fab344e4d16dc3c24478e91f",
     ("webiq+threshold", "realestate"):
-        "c424700582a1693581ab21e44bb52a4767eee43cb99e7247225a689282961ae9",
+        "fb1b4b8ba5ff3020e3feb230175943070a5e984f2eefeaf87409e73366b0907f",
 }
 
 #: Table 1 columns 2-5 as ``ExperimentSuite.table1_characteristics``

@@ -6,6 +6,8 @@ charge); only clean answers are stored (degraded and garbled ones are
 refused); eviction is LRU with full accounting.
 """
 
+import json
+
 import pytest
 
 from repro.perf import (
@@ -24,7 +26,7 @@ from repro.resilience import (
     ResilientSearchEngine,
 )
 from repro.surfaceweb.document import Document
-from repro.surfaceweb.engine import SearchEngine
+from repro.surfaceweb.engine import SearchEngine, SearchResult
 
 
 def make_engine():
@@ -259,9 +261,9 @@ def _no_breaker():
 class TestValidationCache:
     def test_len_spans_all_three_maps(self):
         cache = ValidationCache()
-        cache.phrase_hits["a"] = 1
-        cache.candidate_hits["b"] = 2
+        cache.marginal_hits["a"] = 1
         cache.joint_hits[("a", "b", 0)] = 3
+        cache.searches[("a", 10)] = ()
         assert len(cache) == 3
 
     def test_shared_across_validators(self):
@@ -271,38 +273,47 @@ class TestValidationCache:
         cache = ValidationCache()
         first = WebValidator(engine, cache=cache)
         second = WebValidator(engine, cache=cache)
-        first.candidate_hits("boston")
+        first.marginal_hits("boston")
         queries_after_first = engine.query_count
-        second.candidate_hits("boston")
+        second.marginal_hits("boston")
         assert engine.query_count == queries_after_first
 
     # -------------------------------------------- journal deltas (tails)
     @staticmethod
-    def _grown(cache, start, stop):
+    def _results(n):
+        return tuple(SearchResult(i, f"u{i}", f"t{i}", f"snippet {n} {i}")
+                     for i in range(n % 3))
+
+    @classmethod
+    def _grown(cls, cache, start, stop):
         for n in range(start, stop):
-            cache.phrase_hits[f"phrase {n}"] = n
-            cache.candidate_hits[f"candidate {n}"] = 10 * n
+            cache.marginal_hits[f"text {n}"] = n
             cache.joint_hits[(f"phrase {n}", f"candidate {n}", n % 2)] = n + 1
+            cache.searches[(f"query {n}", 10)] = cls._results(n)
 
     def test_delta_since_is_the_insertion_order_tail_of_each_map(self):
         cache = ValidationCache()
         self._grown(cache, 0, 5)
         mark = cache.mark()
         self._grown(cache, 5, 9)
-        cache.phrase_hits["late"] = 99  # maps may grow unevenly
+        cache.marginal_hits["late"] = 99  # maps may grow unevenly
         delta = cache.delta_since(mark)
-        assert delta["phrase_hits"] == (
-            [[f"phrase {n}", n] for n in range(5, 9)] + [["late", 99]])
-        assert delta["candidate_hits"] == [
-            [f"candidate {n}", 10 * n] for n in range(5, 9)]
+        assert delta["marginal_hits"] == (
+            [[f"text {n}", n] for n in range(5, 9)] + [["late", 99]])
         assert delta["joint_hits"] == [
             [[f"phrase {n}", f"candidate {n}", n % 2], n + 1]
             for n in range(5, 9)]
+        assert delta["searches"] == [
+            [f"query {n}", 10,
+             [[r.doc_id, r.url, r.title, r.snippet]
+              for r in self._results(n)]]
+            for n in range(5, 9)]
+        assert json.loads(json.dumps(delta)) == delta
 
     def test_delta_since_the_current_mark_is_empty(self):
         cache = ValidationCache()
         assert cache.delta_since(cache.mark()) == {
-            "phrase_hits": [], "candidate_hits": [], "joint_hits": []}
+            "marginal_hits": [], "joint_hits": [], "searches": []}
         self._grown(cache, 0, 3)
         assert not any(cache.delta_since(cache.mark()).values())
 
@@ -312,8 +323,8 @@ class TestValidationCache:
         before = cache.clone()
         mark = cache.mark()
         self._grown(cache, 4, 7)
-        before.merge_delta(cache.delta_since(mark))
-        for name in ("phrase_hits", "candidate_hits", "joint_hits"):
+        before.merge_delta(json.loads(json.dumps(cache.delta_since(mark))))
+        for name in ("marginal_hits", "joint_hits", "searches"):
             assert list(getattr(before, name).items()) \
                 == list(getattr(cache, name).items())
 

@@ -3,8 +3,10 @@
 The central contract of :mod:`repro.perf`: wrapping the engine in the
 query cache must leave every payload of a pipeline run — acquired
 instances, clusters, accuracy metrics — bit-identical to the uncached
-run, on a pristine Web and on a faulty one. Only the accounting (query
-counts, overhead, backoff) may shrink.
+run, on a pristine Web and on a faulty one. Every run asks each Surface
+question once through its own memo, so a cold run's round trips are the
+same with and without the cache; the cache pays off across runs, where a
+warm rerun asks nothing at all.
 
 Under faults the guarantee needs the load-dependent safety valves out of
 the way: query budgets unbounded and the breaker threshold out of reach.
@@ -18,6 +20,8 @@ the cross-layer conservation laws must hold in the exact configurations
 whose payload equality this module certifies.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
@@ -25,6 +29,7 @@ from repro.datasets import build_domain_dataset
 from repro.io import run_result_to_dict
 from repro.obs import NO_PROVENANCE_DIVERGENCE, ObsConfig, check_run, diff_runs
 from repro.perf import CacheConfig
+from repro.perf.cache import normalize_query
 from repro.resilience import BreakerPolicy, FaultProfile, ResilienceConfig
 
 DOMAIN = "book"
@@ -32,11 +37,40 @@ N_INTERFACES = 6
 SEED = 3
 
 
-def run_once(cache, resilience=None):
-    """One full pipeline run; returns (payload, result, real_queries)."""
+def record_round_trips(engine, asked):
+    """Count each raw round trip of ``engine`` in ``asked`` by its
+    ``(kind, normalised query, ...)`` key."""
+    search, num_hits = engine.search, engine.num_hits
+    proximity = engine.num_hits_proximity
+
+    def recorded_search(query, max_results=10):
+        asked["search", normalize_query(query), max_results] += 1
+        return search(query, max_results)
+
+    def recorded_num_hits(query):
+        asked["num_hits", normalize_query(query)] += 1
+        return num_hits(query)
+
+    def recorded_proximity(phrase_a, phrase_b, window):
+        asked["proximity", normalize_query(phrase_a),
+              normalize_query(phrase_b), window] += 1
+        return proximity(phrase_a, phrase_b, window)
+
+    engine.search = recorded_search
+    engine.num_hits = recorded_num_hits
+    engine.num_hits_proximity = recorded_proximity
+
+
+def run_once(cache, resilience=None, asked=None, warm=None):
+    """One full pipeline run; returns (payload, result, real_queries).
+
+    ``asked``, when given, is a :class:`~collections.Counter` that counts
+    the run's raw round trips by question."""
     dataset = build_domain_dataset(DOMAIN, N_INTERFACES, SEED)
+    if asked is not None:
+        record_round_trips(dataset.engine, asked)
     config = WebIQConfig(resilience=resilience, cache=cache, obs=ObsConfig())
-    result = WebIQMatcher(config).run(dataset)
+    result = WebIQMatcher(config).run(dataset, warm=warm)
     invariants = check_run(result)
     assert invariants.ok, invariants.summary()
     payload = {
@@ -70,16 +104,41 @@ def faulty_resilience():
     )
 
 
+def assert_each_question_once(uncached_asked, cached_asked,
+                              uncached_queries, cached_queries):
+    """Both cold runs ask each question once, and the same questions."""
+    for asked in (uncached_asked, cached_asked):
+        repeated = [key for key, n in asked.items() if n > 1]
+        assert not repeated, repeated[:5]
+    assert cached_asked == uncached_asked
+    assert cached_queries == uncached_queries \
+        == sum(uncached_asked.values()) > 0
+
+
+def assert_warm_rerun_is_free(cached_result, resilience=None):
+    """A rerun warmed with the cold run's cache content asks nothing."""
+    warm, warm_result, warm_queries = run_once(
+        cache=CacheConfig(), resilience=resilience,
+        warm=cached_result.cache_content)
+    assert warm_queries == 0
+    return warm
+
+
 class TestEquivalencePristine:
-    def test_payload_identical_and_queries_reduced(self):
-        uncached, uncached_result, uncached_queries = run_once(cache=None)
-        cached, cached_result, cached_queries = run_once(cache=CacheConfig())
+    def test_payload_identical_and_each_question_asked_once(self):
+        uncached_asked, cached_asked = Counter(), Counter()
+        uncached, uncached_result, uncached_queries = run_once(
+            cache=None, asked=uncached_asked)
+        cached, cached_result, cached_queries = run_once(
+            cache=CacheConfig(), asked=cached_asked)
 
         assert cached == uncached
         assert uncached_result.cache is None
         assert cached_result.cache is not None
-        assert cached_result.cache.hits > 0
-        assert cached_queries < uncached_queries
+        assert_each_question_once(uncached_asked, cached_asked,
+                                  uncached_queries, cached_queries)
+        assert cached_result.cache.misses == cached_queries
+        assert assert_warm_rerun_is_free(cached_result) == uncached
 
     def test_cached_run_is_deterministic(self):
         first, first_result, first_queries = run_once(cache=CacheConfig())
@@ -100,16 +159,24 @@ class TestEquivalencePristine:
 
 class TestEquivalenceUnderFaults:
     def test_payload_identical_under_faults(self):
+        uncached_asked, cached_asked = Counter(), Counter()
         uncached, uncached_result, uncached_queries = run_once(
-            cache=None, resilience=faulty_resilience())
+            cache=None, resilience=faulty_resilience(), asked=uncached_asked)
         cached, cached_result, cached_queries = run_once(
-            cache=CacheConfig(), resilience=faulty_resilience())
+            cache=CacheConfig(), resilience=faulty_resilience(),
+            asked=cached_asked)
 
         # The runs saw real faults — this is not the pristine case again.
         assert uncached_result.degradation.total_faults > 0
         assert cached == uncached
-        assert cached_result.cache.hits > 0
-        assert cached_queries < uncached_queries
+        # A faulted attempt is charged as a round trip without reaching
+        # the raw engine, so ``asked`` counts only the attempts that got
+        # through: at most one per question.
+        for asked in (uncached_asked, cached_asked):
+            assert max(asked.values()) == 1
+        assert cached_asked == uncached_asked
+        assert cached_queries == uncached_queries
+        assert_warm_rerun_is_free(cached_result, faulty_resilience())
 
     def test_degraded_and_garbled_answers_stay_uncached(self):
         _, cached_result, _ = run_once(

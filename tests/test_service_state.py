@@ -138,7 +138,7 @@ class TestEpochIsolation:
         donor.search("authors such as")
         donor.num_hits("boston")
         memo = ValidationCache()
-        memo.phrase_hits["authors"] = 1
+        memo.marginal_hits["authors"] = 1
         parent = CachePreload.capture(donor, memo)
         fingerprint, entries = parent.fingerprint(), parent.engine_entries
 
@@ -147,14 +147,14 @@ class TestEpochIsolation:
         parent.apply(child_engine, child_memo)
         child_engine.search("cities such as")         # a store
         child_engine.search("authors such as")        # a hit (recency)
-        child_memo.phrase_hits["cities"] = 1          # memo growth
+        child_memo.marginal_hits["cities"] = 1        # memo growth
         child_memo.joint_hits[("cities", "boston", 0)] = 1
         child = CachePreload.capture(child_engine, child_memo, parent)
 
         assert parent.fingerprint() == fingerprint
         assert parent.engine_entries == entries
         assert parent.n_entries == 2 and child.n_entries == 3
-        assert dict(parent.validation.phrase_hits) == {"authors": 1}
+        assert dict(parent.validation.marginal_hits) == {"authors": 1}
 
     def test_a_trimming_load_is_a_change(self, parent):
         # A run whose cache holds fewer entries than the parent drops the
