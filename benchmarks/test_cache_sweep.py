@@ -1,14 +1,15 @@
-"""Cache sweep: what the shared query cache saves, and that it costs nothing.
+"""Cache sweep: what the run's memo saves, and that it costs nothing.
 
-One domain's pipeline runs with the query cache off and on, then once more
-warmed with the cached run's content. The cached run must be
+One domain's pipeline runs with the cache switch off and on, then once
+more warmed with the cached run's memo. The cached run must be
 *bit-identical* in every payload — acquired instances, clusters, metrics.
 Every run asks each Surface question once through its own memo
 (extraction searches and hit counts alike), so both cold runs send the
-same questions, each once, and the cache adds nothing within a run; its
-job is the warm start, where a rerun sends no round trip at all (paper §5
-charges each one 0.1–0.5 s, so saved queries are saved Figure 8
-minutes). Process wall-clock is measured and printed for reference only.
+same questions, each once; the cached run's ``cache_hits`` counts the
+repeats its memo answered. The warm start is where the memo pays across
+runs: a rerun sends no round trip at all (paper §5 charges each one
+0.1–0.5 s, so saved queries are saved Figure 8 minutes). Process
+wall-clock is measured and printed for reference only.
 
 The measured numbers are exported as ``BENCH_cache.json`` (path override:
 ``BENCH_CACHE_JSON``) as a versioned bench envelope (:mod:`repro.bench`)
@@ -44,16 +45,15 @@ from .conftest import (
 
 #: the full 20-interface evaluation set of the domain with the paper's
 #: most label-redundant interfaces — repeated labels re-ask the same
-#: extraction and validation queries, which is the redundancy the cache
+#: extraction and validation queries, which is the redundancy the memo
 #: exists to absorb
 DOMAIN = "job"
 N_INTERFACES = 20
 
 
 def record_round_trips(engine, asked):
-    """Append each real round trip's cache key, ``(kind, normalised
-    query, ...)`` as :class:`~repro.perf.CachingSearchEngine` forms it,
-    to ``asked``."""
+    """Append each real round trip's key, ``(kind, normalised query,
+    ...)``, to ``asked``."""
     search, num_hits = engine.search, engine.num_hits
     proximity = engine.num_hits_proximity
 
@@ -148,8 +148,9 @@ def test_cache_sweep(benchmark):
     assert not diff.provenance_diverged, diff.summary()
     assert NO_PROVENANCE_DIVERGENCE in diff.summary()
 
-    # Each cold run's real round trips, recorded below the cache, ask
-    # each question once, and the two runs ask the same questions.
+    # Each cold run's real round trips, recorded below the memo, ask
+    # each question once, and the two runs ask the same questions: every
+    # memo miss is one round trip.
     for run_asked, queries in ((uncached_asked, uncached_queries),
                                (asked, cached_queries)):
         assert len(run_asked) == queries
@@ -157,10 +158,10 @@ def test_cache_sweep(benchmark):
             key for key, n in Counter(run_asked).items() if n > 1)
         assert not repeated, repeated[:5]
     assert Counter(asked) == Counter(uncached_asked)
-    assert cached_queries == uncached_queries
+    assert cached_queries == uncached_queries == stats.misses
 
-    # The cache's own job: a rerun warmed with the cached run's content
-    # sends no round trip.
+    # The warm start: a rerun warmed with the cached run's memo sends no
+    # round trip.
     assert warm_queries == 0
 
     # Simulated overhead (Figure 8's currency) can only shrink.

@@ -1,8 +1,8 @@
 """The matching service with two tenants: quotas, deadlines, warm epochs.
 
 A single long-lived :class:`~repro.service.MatchingService` serves every
-tenant from shared warm state — each completed run publishes its query
-cache as a new epoch, so the *first* run pays the full Web-access bill
+tenant from shared warm state — each completed run publishes its memo
+of Surface questions as a new epoch, so the *first* run pays the full Web-access bill
 and everyone after starts warm. Admission control keeps tenants honest:
 
 1. ``acme`` runs cold, then warm — watch the simulated-seconds collapse;

@@ -19,9 +19,10 @@ resume sound; the loader therefore enforces it militantly:
   :class:`JournalCorruptionError` (naming the record index);
 - an envelope written by a *newer* schema is :class:`JournalFormatError`
   — old readers must refuse loudly, not misread silently;
-- a format-1 journal (one file per record) and a format-2 journal (whose
+- a format-1 journal (one file per record), a format-2 journal (whose
   records journal hit counts under two marginal keys and no extraction
-  searches) are :class:`JournalMismatchError`: journals are per-run
+  searches) and a format-3 journal (whose records replay the query
+  cache's ops) are :class:`JournalMismatchError`: journals are per-run
   state, so no reader for an old format is kept.
 
 The enforcement has an escape hatch for supervised recovery:
@@ -63,7 +64,7 @@ __all__ = [
 ]
 
 #: Schema version of journal envelopes (records and meta alike).
-JOURNAL_FORMAT = 3
+JOURNAL_FORMAT = 4
 
 META_FILENAME = "meta.json"
 LOG_FILENAME = "journal.log"
@@ -122,7 +123,7 @@ def _scan(directory: str) -> Tuple[
     Returns ``(meta, records, end, tail, reason)``: the valid prefix, its
     byte end, the bytes after it (all unusable, by the prefix property)
     and why the walk stopped (``None``: the whole log is valid). A missing
-    journal, meta or log and a format-1 or format-2 journal raise
+    journal, meta or log and a journal of format 1 to 3 raise
     :class:`JournalMismatchError`, and newer-format envelopes
     :class:`JournalFormatError` — no damage a prefix walk may paper over.
     """
@@ -139,8 +140,9 @@ def _scan(directory: str) -> Tuple[
             "file per record; start the run afresh")
     if meta["format"] < JOURNAL_FORMAT:
         raise JournalMismatchError(
-            f"journal at {directory} has format {meta['format']}, whose "
-            "records lack the run's search memo; start the run afresh")
+            f"journal at {directory} has format {meta['format']}, an old "
+            "record schema (format 2 lacks the run's search memo, format 3 "
+            "replays the removed query cache); start the run afresh")
     try:
         with open(os.path.join(directory, LOG_FILENAME), "rb") as handle:
             data = handle.read()

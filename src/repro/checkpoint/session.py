@@ -9,22 +9,22 @@ attribute)`` iteration — with :meth:`~CheckpointSession.replay_unit` /
   and memo store, the real work runs, ``commit_unit`` captures the deltas
   — instances added, record fields, engine/probe round trips, growth of
   the run's question memo (searches and hit counts) and of the probe
-  memo, cache content ops — plus a snapshot of the
-  resilience/cache counters, and durably appends the record. The armed
+  memo — plus a snapshot of the resilience and memo counters, and
+  durably appends the record. The armed
   :class:`~repro.resilience.KillSwitch`, if any, fires *after* the append:
   the journal boundary is exactly where the process may die.
 - **Replayed unit** (journal has a record left): the recorded effects are
   re-applied without touching the search engine or any Deep-Web source —
   zero transport calls, by construction. When the *last* record replays,
   the killed process's substrate state (degradation report, budgets,
-  breakers, backoff and fault RNG positions, cache stats) is restored in
+  breakers, backoff and fault RNG positions, memo stats) is restored in
   one shot, so the first fresh unit continues exactly where the killed
   run stopped.
 
 **Why resumed runs are byte-identical.** Every source of downstream
 divergence is either a pure function of recorded inputs (discovery,
 validation, clustering), a journaled delta (acquired values, memo
-stores, cache content), or a restored stream position (backoff jitter,
+stores), or a restored stream position (backoff jitter,
 per-source fault fates — engine fates are content-keyed and need no
 position at all). The simulated clock is *recomputed*, not restored:
 phase charges accumulate per-unit deltas, replayed ones from the journal
@@ -38,18 +38,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.checkpoint.journal import RunJournal
-from repro.perf.cache import (
-    CachingSearchEngine,
-    ValidationCache,
-    decode_results,
-    dict_tail,
-    encode_results,
-)
+from repro.perf.cache import ValidationCache, dict_tail
 from repro.resilience.client import ResilientClient
 from repro.resilience.faults import FlakyDeepWebSource, KillSwitch
 from repro.util.errors import (
     DeadlineExceededError,
-    JournalCorruptionError,
     JournalMismatchError,
 )
 
@@ -161,24 +154,9 @@ class UnitCapture:
     acquired_before: int
     validation_mark: Tuple[int, int, int]
     memo_mark: int
-    ops_mark: int
     #: resilience backoff seconds already accrued when the unit began —
     #: the unit's wall-clock deadline charge includes its backoff delta
     backoff_before: float = 0.0
-
-
-def _encode_value(kind: str, value: Any) -> Any:
-    return encode_results(value) if kind == "search" else value
-
-
-def _decode_value(kind: str, raw: Any) -> Any:
-    return decode_results(raw) if kind == "search" else raw
-
-
-def _encode_op(op: Tuple) -> List[Any]:
-    if op[0] == "h":
-        return ["h", list(op[1])]
-    return ["s", list(op[1]), _encode_value(op[1][0], op[2])]
 
 
 class CheckpointSession:
@@ -198,14 +176,11 @@ class CheckpointSession:
         # stack is built).
         self._engine: Any = None
         self._sources: Dict[str, Any] = {}
-        self._cache_engine: Optional[CachingSearchEngine] = None
         self._client: Optional[ResilientClient] = None
         self._flaky_sources: Dict[str, FlakyDeepWebSource] = {}
         # Memo stores (registered by the acquirer).
         self._validation: Optional[ValidationCache] = None
         self._probe_memo: Optional[Dict[tuple, bool]] = None
-        # Live cache op-log (fresh units only; replay bypasses it).
-        self._ops: List[Tuple] = []
         # Supervision hooks (attached via supervise(); all inert without).
         self._quarantine: frozenset = frozenset()
         self._unit_faults: Any = None
@@ -219,7 +194,6 @@ class CheckpointSession:
         self,
         engine: Any,
         sources: Dict[str, Any],
-        cache_engine: Optional[CachingSearchEngine] = None,
         client: Optional[ResilientClient] = None,
         flaky_sources: Optional[Dict[str, FlakyDeepWebSource]] = None,
     ) -> None:
@@ -231,15 +205,12 @@ class CheckpointSession:
         """
         self._engine = engine
         self._sources = dict(sources)
-        self._cache_engine = cache_engine
         self._client = client
         self._flaky_sources = dict(flaky_sources or {})
-        if cache_engine is not None:
-            cache_engine.oplog = self._ops.append
 
     def register_validation_cache(self, cache: ValidationCache) -> None:
-        """Declare the run's memo of Surface questions (journaled as
-        ``validation``)."""
+        """Declare the run's memo of Surface questions (its growth is
+        journaled as ``validation``, its stats in the state snapshot)."""
         self._validation = cache
 
     def register_probe_memo(self, memo: Dict[tuple, bool]) -> None:
@@ -307,13 +278,6 @@ class CheckpointSession:
                 )
             for raw_key, verdict in body["probe_memo"]:
                 self._probe_memo[tuple(raw_key)] = verdict
-        if body["cache_ops"]:
-            if self._cache_engine is None:
-                raise JournalMismatchError(
-                    f"record {body['index']}: journal carries cache ops "
-                    "but this run has no query cache"
-                )
-            self._apply_cache_ops(body["index"], body["cache_ops"])
 
         self.report.replayed_records += 1
         self._tally(self.report.replayed_queries_by_component, body)
@@ -325,25 +289,6 @@ class CheckpointSession:
             # accounting, if the journal covers the whole run).
             self._restore_state(body["state"])
         return ReplayedUnit(queries=body["queries"], probes=body["probes"])
-
-    def _apply_cache_ops(self, index: int, ops: List[List[Any]]) -> None:
-        assert self._cache_engine is not None
-        for op in ops:
-            try:
-                if op[0] == "h":
-                    self._cache_engine.replay_hit(tuple(op[1]))
-                elif op[0] == "s":
-                    key = tuple(op[1])
-                    self._cache_engine.replay_store(
-                        key, _decode_value(key[0], op[2])
-                    )
-                else:
-                    raise KeyError(op[0])
-            except KeyError as exc:
-                raise JournalCorruptionError(
-                    f"record {index}: unreplayable cache op {op[:2]!r} "
-                    f"({exc})"
-                ) from exc
 
     # ---------------------------------------------------------- fresh units
     def begin_unit(self, unit_key: Tuple[str, str, str], attribute,
@@ -369,7 +314,6 @@ class CheckpointSession:
             memo_mark=(
                 len(self._probe_memo) if self._probe_memo is not None else 0
             ),
-            ops_mark=len(self._ops),
             backoff_before=self._client_backoff(),
         )
 
@@ -411,7 +355,6 @@ class CheckpointSession:
             "probes": self._probe_count() - capture.probes_before,
             "stores": stores,
             "probe_memo": memo_delta,
-            "cache_ops": [_encode_op(op) for op in self._ops[capture.ops_mark:]],
             "state": self._snapshot_state(),
         }
         index = self.journal.append(body)
@@ -485,8 +428,8 @@ class CheckpointSession:
         state: Dict[str, Any] = {}
         if self._client is not None:
             state["client"] = self._client.state_payload()
-        if self._cache_engine is not None:
-            state["cache_stats"] = self._cache_engine.stats.state_payload()
+        if self._validation is not None:
+            state["cache_stats"] = self._validation.stats.state_payload()
         if self._flaky_sources:
             state["source_draws"] = {
                 source_id: flaky.draws
@@ -505,12 +448,12 @@ class CheckpointSession:
             self._client.restore_state(client_state)
         cache_state = state.get("cache_stats")
         if cache_state is not None:
-            if self._cache_engine is None:
+            if self._validation is None:
                 raise JournalMismatchError(
-                    "journal carries cache stats but this run has no "
-                    "query cache"
+                    "journal carries memo stats but this run has no "
+                    "Surface memo"
                 )
-            self._cache_engine.stats.restore_state(cache_state)
+            self._validation.stats.restore_state(cache_state)
         for source_id, draws in state.get("source_draws", {}).items():
             flaky = self._flaky_sources.get(source_id)
             if flaky is None:

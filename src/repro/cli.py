@@ -89,11 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print the full degradation report")
     run.add_argument("--cache", action=argparse.BooleanOptionalAction,
                      default=True,
-                     help="memoise repeated search-engine queries "
-                          "(default on; --no-cache issues every query)")
-    run.add_argument("--cache-size", type=int, default=None, metavar="N",
-                     help="LRU capacity of the query cache "
-                          "(default 65536 entries)")
+                     help="report the Surface memo's hits and misses "
+                          "(default on; every run asks each Surface "
+                          "question once either way)")
     run.add_argument("--trace", metavar="PATH",
                      help="trace the run and write the trace + metrics "
                           "as deterministic JSON")
@@ -391,18 +389,10 @@ def _resilience_config(args):
 def _cache_config(args):
     """Build the run's CacheConfig from CLI flags, or None."""
     if not args.cache:
-        if args.cache_size is not None:
-            raise SystemExit(
-                "repro run: error: --cache-size conflicts with --no-cache")
         return None
-    from repro.perf import DEFAULT_CACHE_ENTRIES, CacheConfig
+    from repro.perf import CacheConfig
 
-    size = args.cache_size if args.cache_size is not None \
-        else DEFAULT_CACHE_ENTRIES
-    if size < 1:
-        raise SystemExit(
-            f"repro run: error: --cache-size must be at least 1, got {size}")
-    return CacheConfig(max_entries=size)
+    return CacheConfig()
 
 
 def _obs_config(args):

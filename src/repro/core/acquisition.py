@@ -565,7 +565,7 @@ class InstanceAcquirer:
         """Replay this unit from the journal, if a record is pending.
 
         A replayed unit applies its recorded effects (acquired values,
-        record fields, memo/cache growth) and reports its recorded cost —
+        record fields, memo growth) and reports its recorded cost —
         without a single engine query or source probe.
         """
         if self.checkpoint is None:

@@ -133,12 +133,14 @@ class ValidationClassifier:
         """``(score_vector, thresholded_features, posterior)`` for a
         candidate — the full evidence behind one prediction.
 
-        Every hit count is memoised in the validator's cache, so explaining
-        a candidate the classifier already scored issues zero queries.
+        Every hit count is memoised in the run's memo, so explaining a
+        candidate the classifier already scored reads the memo alone: zero
+        queries, and no hit counted (provenance must not move the run's
+        cache account).
         """
         if not self._trained:
             raise ValidationError("classifier has not been trained")
-        vector = self._validator.score_vector(self._phrases, candidate)
+        vector = self._validator.recorded_vector(self._phrases, candidate)
         features = self._featurize(vector)
         return vector, features, self._model.posterior_positive(features)
 

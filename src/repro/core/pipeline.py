@@ -19,16 +19,18 @@ accounts, and the resulting :class:`~repro.resilience.DegradationReport`
 rides on the run result — Figure 8's overhead then reflects what surviving
 a flaky Web actually costs.
 
-When a :class:`~repro.perf.CacheConfig` is attached, the search engine is
-additionally wrapped in a :class:`~repro.perf.CachingSearchEngine` sitting
-*above* the resilient proxy: cache hits never reach the retry loop, so
-they consume no query budget, charge no latency, and leave the stopwatch
-untouched — only real round trips bill. The resulting
-:class:`~repro.perf.CacheStats` rides on the run result.
+Every run memoises its Surface questions in one
+:class:`~repro.perf.ValidationCache` sitting *above* the resilient proxy:
+memo hits never reach the retry loop, so they consume no query budget,
+charge no latency, and leave the stopwatch untouched — only real round
+trips bill. When a :class:`~repro.perf.CacheConfig` is attached, the
+memo's :class:`~repro.perf.CacheStats` and its content (a
+:class:`~repro.perf.CachePreload`) ride on the run result, and the run
+may be warm-started from an earlier run's content.
 
 When an :class:`~repro.obs.ObsConfig` is attached, the run is traced: a
 root ``run`` span with one child span per pipeline phase, observed
-pass-through layers above the cache (``entry``) and above the resilient
+pass-through layers below the memo (``entry``) and above the resilient
 proxy (``transport``), and metrics counters everywhere the other layers
 make a decision. The resulting :class:`~repro.obs.Observability` bundle
 rides on the run result, where the
@@ -74,7 +76,6 @@ from repro.perf.cache import (
     CacheConfig,
     CachePreload,
     CacheStats,
-    CachingSearchEngine,
     ValidationCache,
 )
 from repro.resilience.client import (
@@ -119,9 +120,10 @@ class WebIQConfig:
     #: fault injection + retry/breaker/budget policy; ``None`` (default)
     #: runs against the pristine substrates exactly as before
     resilience: Optional[ResilienceConfig] = None
-    #: query-result caching; ``None`` (default) issues every query for
-    #: real. Cached runs are payload-identical to uncached ones — only the
-    #: query counts and overhead accounts shrink.
+    #: the memo's account and warm starts; ``None`` (default) reports
+    #: no cache section. Every run asks each Surface question once either
+    #: way, so cached and uncached runs send the same round trips and
+    #: are payload-identical; only a warm-started run asks less.
     cache: Optional[CacheConfig] = None
     #: run tracing + metrics; ``None`` (default) observes nothing and
     #: leaves the run bit-identical to an uninstrumented one.
@@ -171,7 +173,8 @@ class WebIQRunResult:
     stopwatch: StopwatchReport
     #: present iff the run executed under a resilience configuration
     degradation: Optional[DegradationReport] = None
-    #: present iff the run executed with the query cache enabled
+    #: present iff the run executed with ``config.cache``: the memo's
+    #: hits and misses
     cache: Optional[CacheStats] = None
     #: present iff the run executed with observability enabled
     obs: Optional[Observability] = None
@@ -186,10 +189,10 @@ class WebIQRunResult:
     #: In-memory only — excluded from JSON exports, which must stay
     #: byte-identical with and without a registry attached.
     registry: Optional["RegistryReport"] = None
-    #: present iff the run executed with the query cache enabled: the
-    #: post-run cache content as a :class:`~repro.perf.CachePreload`, for
-    #: warm-starting a later run. In-memory only — the export's ``cache``
-    #: section carries the stats, never the content.
+    #: present iff the run executed with ``config.cache``: the post-run
+    #: memo as a :class:`~repro.perf.CachePreload`, for warm-starting a
+    #: later run. In-memory only — the export's ``cache`` section carries
+    #: the stats, never the content.
     cache_content: Optional[CachePreload] = None
     #: present iff the run was executed by the matching service
     #: (:mod:`repro.service`), which attaches its per-request coordinates
@@ -217,20 +220,20 @@ class WebIQMatcher:
         """Execute one full run; the dataset is reset first, so runs with
         different configurations over the same dataset are independent.
 
-        ``warm``, when given, seeds the run's query cache and validation
-        memo with a :class:`~repro.perf.CachePreload` captured from an
-        earlier run *before* any unit executes — the warm run hits where
-        the donor run paid, and its export is byte-identical to any other
-        run of the same configuration given the same preload (the
-        matching service's equivalence oracle). Requires ``config.cache``:
-        warm content without a cache to hold it would silently be ignored,
-        which is exactly the kind of divergence this layer exists to
-        refuse.
+        ``warm``, when given, seeds the run's memo with a
+        :class:`~repro.perf.CachePreload` captured from an earlier run
+        *before* any unit executes — the warm run hits where the donor
+        run paid, and its export is byte-identical to any other run of
+        the same configuration given the same preload (the matching
+        service's equivalence oracle). Requires ``config.cache``: a warm
+        run that reported no cache account and returned no content would
+        hide what the preload changed, which is exactly the kind of
+        divergence this layer exists to refuse.
         """
         if warm is not None and self.config.cache is None:
             raise ValidationError(
-                "a warm CachePreload requires config.cache: without a "
-                "query cache there is nowhere to seed the warm content"
+                "a warm CachePreload requires config.cache: without it the "
+                "run reports no cache account for the warm content"
             )
         dataset.clear_acquired()
         dataset.reset_counters()
@@ -267,9 +270,8 @@ class WebIQMatcher:
 
         acquisition: Optional[AcquisitionReport] = None
         degradation: Optional[DegradationReport] = None
-        cache_stats: Optional[CacheStats] = None
         checkpoint_report: Optional[CheckpointReport] = None
-        cache_engine: Optional[CachingSearchEngine] = None
+        validation_cache: Optional[ValidationCache] = None
         with ExitStack() as run_scope:
             if obs is not None:
                 run_scope.enter_context(
@@ -283,8 +285,17 @@ class WebIQMatcher:
             if self.config.webiq_enabled:
                 # The run's one memo of Surface questions (extraction
                 # searches and hit counts), shared by Surface and
-                # Attr-Surface with or without a query cache.
+                # Attr-Surface. It sits ABOVE the resilient proxy: a hit
+                # is served before the retry loop runs, so it consumes no
+                # query budget and charges no latency or backoff.
                 validation_cache = ValidationCache()
+                if warm is not None:
+                    # Warm start: seed the memo BEFORE any unit runs (and
+                    # before journal replay, mirroring the donor run,
+                    # where the preload also preceded every journaled
+                    # unit). Stats stay at zero — the warm run counts its
+                    # own hits against the preloaded content.
+                    warm.apply(validation_cache)
                 if dataset.memo is None:
                     dataset.memo = SurfaceMemo()
                 engine = dataset.engine
@@ -318,37 +329,18 @@ class WebIQMatcher:
                     }
                 if obs is not None:
                     # Transport layer: everything crossing here heads for
-                    # the (possibly flaky) Web — cache hits never do.
+                    # the (possibly flaky) Web.
                     engine = ObservedSearchEngine(engine, obs, LAYER_TRANSPORT)
                     sources = {
                         source_id: ObservedDeepWebSource(source, obs)
                         for source_id, source in sources.items()
                     }
-                if self.config.cache is not None:
-                    # The cache sits ABOVE the resilient proxy: a hit is
-                    # served before the retry loop runs, so it consumes no
-                    # query budget and charges no latency or backoff.
-                    cache_engine = CachingSearchEngine(
-                        engine, self.config.cache.max_entries, obs=obs
-                    )
-                    engine = cache_engine
-                    cache_stats = cache_engine.stats
-                    if warm is not None:
-                        # Warm start: seed content and recency BEFORE any
-                        # unit runs (and before journal replay, mirroring
-                        # the donor run, where the preload also preceded
-                        # every journaled op). Stats stay at zero — the
-                        # warm run counts its own hits against the
-                        # preloaded content.
-                        warm.apply(cache_engine, validation_cache)
-                if obs is not None:
-                    # Entry layer: every call a component issues, whether
-                    # the cache answers it or not.
+                    # Entry layer: every call the memo sends on, one per
+                    # memo miss.
                     engine = ObservedSearchEngine(engine, obs, LAYER_ENTRY)
                 if session is not None:
                     session.attach_substrates(
                         engine, sources,
-                        cache_engine=cache_engine,
                         client=client,
                         flaky_sources=flaky_sources,
                     )
@@ -424,14 +416,15 @@ class WebIQMatcher:
                     ),
                     directory=self.config.registry,
                 )
+        cache_stats: Optional[CacheStats] = None
         cache_content: Optional[CachePreload] = None
-        if cache_engine is not None:
-            # The post-run cache content, as the warm-start input a later
-            # run (or the matching service's next epoch) can be seeded
-            # with. Captured after everything that can touch the cache;
-            # what the run left unchanged is shared with ``warm``.
-            cache_content = CachePreload.capture(cache_engine,
-                                                 validation_cache, warm)
+        if self.config.cache is not None and validation_cache is not None:
+            # The post-run memo, as the warm-start input a later run (or
+            # the matching service's next epoch) can be seeded with.
+            # Captured after everything that can touch the memo; what the
+            # run left unchanged is shared with ``warm``.
+            cache_stats = validation_cache.stats
+            cache_content = CachePreload.capture(validation_cache, warm)
         return WebIQRunResult(
             domain=dataset.domain,
             config=self.config,
@@ -471,13 +464,13 @@ class WebIQMatcher:
 
         Resume refuses a journal whose meta differs in any key: replaying
         a ``book`` journal into an ``airfare`` run, or a cached journal
-        into an uncached one, would silently corrupt the result.
+        (which restores the memo's stats) into an uncached one, would
+        silently corrupt the result.
         Deliberately excluded: ``kill_at`` / ``preempt_at`` (injected
         hostility), observability (read-only), and ``registry``
         (post-run bookkeeping that cannot change a run byte). A warm preload *is* run
         identity (it decides which queries hit), so warm runs carry its
-        fingerprint — and cold runs omit the key entirely, keeping their
-        journals byte-compatible with earlier revisions.
+        fingerprint, and cold runs omit the key entirely.
         """
         cfg = self.config
         meta: Dict[str, object] = {
@@ -490,9 +483,7 @@ class WebIQMatcher:
             "threshold": cfg.threshold,
             "linkage": cfg.linkage,
             "k": cfg.acquisition.k,
-            "cache_entries": (
-                cfg.cache.max_entries if cfg.cache is not None else None
-            ),
+            "cache": cfg.cache is not None,
             "resilience": None,
         }
         if warm is not None:

@@ -385,15 +385,34 @@ class WebValidator:
         The first phrase (the label) is scored with the adjacency query
         "L x"; the cue phrases are scored with windowed co-occurrence.
         """
-        hits_x = self.marginal_hits(candidate)
+        return self._vector(phrases, candidate, self.marginal_hits,
+                            self._joint)
+
+    def recorded_vector(self, phrases: Sequence[str],
+                        candidate: str) -> List[float]:
+        """:meth:`score_vector` of a candidate already scored, read from
+        the memo alone: no query, and no hit in the memo's stats, so
+        re-deriving evidence for provenance leaves the run's account as
+        it was. A count never asked raises ``KeyError``."""
+        memo = self._cache
+        return self._vector(
+            phrases, candidate,
+            lambda text: memo.marginal_hits[normalize_query(text)],
+            lambda phrase, cand, proximity: memo.joint_hits[
+                (phrase, cand.lower(), int(proximity))],
+        )
+
+    def _vector(self, phrases: Sequence[str], candidate: str,
+                marginal, joint) -> List[float]:
+        hits_x = marginal(candidate)
         vector = []
         for i, phrase in enumerate(phrases):
-            hits_v = self.marginal_hits(phrase)
-            joint = self._joint(phrase, candidate, proximity=i != 0)
+            hits_v = marginal(phrase)
+            count = joint(phrase, candidate, i != 0)
             if self.scoring == "hits":
-                vector.append(float(joint))
+                vector.append(float(count))
             else:
-                vector.append(pmi(joint, hits_v, hits_x))
+                vector.append(pmi(count, hits_v, hits_x))
         return vector
 
     def _joint(self, phrase: str, candidate: str, proximity: bool) -> int:
@@ -405,17 +424,21 @@ class WebValidator:
         system would cache these search-engine round trips identically.
         """
         key = (phrase, candidate.lower(), int(proximity))
-        joints = self._cache.joint_hits
-        if key not in joints:
-            if work.ACTIVE is not None:
-                work.ACTIVE.bump("pmi.phrase_queries")
-            if proximity:
-                count = self._engine.num_hits_proximity(
-                    phrase, candidate, window=self.CUE_WINDOW)
-            else:
-                count = self._engine.num_hits(f'"{phrase} {candidate}"')
-            joints[key] = count
-        return joints[key]
+        memo = self._cache
+        count = memo.joint_hits.get(key)
+        if count is not None:
+            memo.stats.note_hit("joint")
+            return count
+        memo.stats.note_miss("joint")
+        if work.ACTIVE is not None:
+            work.ACTIVE.bump("pmi.phrase_queries")
+        if proximity:
+            count = self._engine.num_hits_proximity(
+                phrase, candidate, window=self.CUE_WINDOW)
+        else:
+            count = self._engine.num_hits(f'"{phrase} {candidate}"')
+        memo.joint_hits[key] = count
+        return count
 
     def confidence(self, phrases: Sequence[str], candidate: str) -> float:
         """Mean PMI across phrases — the candidate's validation score."""
@@ -425,12 +448,16 @@ class WebValidator:
         """Cached NumHits of a validation phrase or a candidate (its
         popularity marginal), keyed by the normalised text."""
         key = normalize_query(text)
-        hits = self._cache.marginal_hits
-        if key not in hits:
-            if work.ACTIVE is not None:
-                work.ACTIVE.bump("pmi.phrase_queries")
-            hits[key] = self._engine.num_hits(f'"{key}"')
-        return hits[key]
+        memo = self._cache
+        count = memo.marginal_hits.get(key)
+        if count is not None:
+            memo.stats.note_hit("marginal")
+            return count
+        memo.stats.note_miss("marginal")
+        if work.ACTIVE is not None:
+            work.ACTIVE.bump("pmi.phrase_queries")
+        count = memo.marginal_hits[key] = self._engine.num_hits(f'"{key}"')
+        return count
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +644,16 @@ class SurfaceDiscoverer:
         run's memo answers them with what the first asking received.
         """
         key = (normalize_query(query), self.config.snippets_per_query)
-        searches = self._cache.searches
-        found = searches.get(key)
+        memo = self._cache
+        found = memo.searches.get(key)
         if found is None:
-            found = searches[key] = tuple(self.engine.search(
+            memo.stats.note_miss("search")
+            found = memo.searches[key] = tuple(self.engine.search(
                 query, max_results=self.config.snippets_per_query))
-        elif work.ACTIVE is not None:
-            work.ACTIVE.bump("surface.search_memo_hits")
+        else:
+            memo.stats.note_hit("search")
+            if work.ACTIVE is not None:
+                work.ACTIVE.bump("surface.search_memo_hits")
         return found
 
     def _is_numeric_domain(self, candidates: Sequence[str]) -> bool:

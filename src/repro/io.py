@@ -194,15 +194,11 @@ def degradation_report_to_dict(report: DegradationReport) -> Dict[str, Any]:
 
 
 def cache_stats_to_dict(stats: CacheStats) -> Dict[str, Any]:
-    """The query cache's account of round trips saved."""
+    """The memo's account of questions answered and sent on."""
     return {
-        "max_entries": stats.max_entries,
         "hits": stats.hits,
         "misses": stats.misses,
         "hit_rate": stats.hit_rate,
-        "evictions": stats.evictions,
-        "stores": stats.stores,
-        "uncacheable": stats.uncacheable,
         "hits_by_kind": dict(stats.hits_by_kind),
         "misses_by_kind": dict(stats.misses_by_kind),
     }

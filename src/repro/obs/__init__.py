@@ -6,12 +6,12 @@ what it sees into three artifacts:
 - a deterministic **trace** (:class:`~repro.obs.trace.Tracer`) — phase
   spans and per-call events timestamped from the run's simulated clock;
 - a **metrics registry** (:class:`~repro.obs.metrics.MetricsRegistry`) —
-  labelled counters/gauges/histograms over calls, round trips, retries
-  and cache outcomes;
+  labelled counters/gauges/histograms over calls, round trips and
+  retries;
 - an **invariant report**
   (:class:`~repro.obs.invariants.InvariantChecker`) — cross-layer
   conservation laws relating the trace and metrics to the stopwatch,
-  degradation and cache accounting, making every run a correctness test
+  degradation and memo accounting, making every run a correctness test
   of the whole stack;
 - a **decision provenance** record
   (:class:`~repro.obs.provenance.ProvenanceRecorder`) — the full lineage

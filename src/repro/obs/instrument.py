@@ -9,25 +9,27 @@ through every call.
 :class:`ObservedSearchEngine` and :class:`ObservedDeepWebSource` are
 transparent pass-through layers inserted at two depths of the Web stack::
 
-    ObservedSearchEngine(layer="entry")      # what components ask for
-      CachingSearchEngine                    # may answer from memory
-        ObservedSearchEngine(layer="transport")   # what escapes the cache
+    ValidationCache                          # the run's memo answers repeats
+      ObservedSearchEngine(layer="entry")    # what the memo sends on
+        ObservedSearchEngine(layer="transport")   # what heads for the Web
           ResilientSearchEngine -> FlakySearchEngine -> SearchEngine
 
-The entry layer counts every call a component issues; the transport layer
+The entry layer counts every call the memo sends on; the transport layer
 counts the calls that actually head for the (possibly flaky) Web and, by
 differencing the substrate's ``query_count``/``probe_count`` around each
 call, how many *real round trips* the call cost (retries included). Those
 two independent tallies are what give the
 :class:`~repro.obs.invariants.InvariantChecker` its conservation laws:
-entry calls must equal cache hits + misses, transport calls must equal
-cache misses, transport round trips must equal the stopwatch's per-account
-query counts and the resilience budgets' spend.
+entry calls must equal memo misses and transport calls, transport round
+trips must equal the stopwatch's per-account query counts and the
+resilience budgets' spend. (With nothing between them the two layers now
+see the same calls; they stay separate because the observed exports
+record both.)
 
 The wrappers are strictly read-only observers: they consume no randomness,
 swallow no exceptions, and forward every attribute they do not define
-(``last_degraded``, breaker handles, ...) to the wrapped layer, so cached
-and resilient behaviour is bit-identical with or without them.
+(breaker handles, ...) to the wrapped layer, so resilient behaviour is
+bit-identical with or without them.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ __all__ = [
     "LAYER_TRANSPORT",
 ]
 
-#: Layer label of the wrapper components talk to (above any cache).
+#: Layer label of the wrapper the run's memo talks to.
 LAYER_ENTRY = "entry"
 #: Layer label of the wrapper directly above the resilient proxy /
-#: raw substrate (below any cache): everything here goes to the "Web".
+#: raw substrate: everything here goes to the "Web".
 LAYER_TRANSPORT = "transport"
 
 #: Component label outside any phase scope.
@@ -175,8 +177,8 @@ class ObservedSearchEngine:
 
     ``layer`` labels where in the stack this wrapper sits (see module
     docs). Round trips are measured by differencing the underlying
-    ``query_count`` around the call, so a cache hit below reports 0 and a
-    retried call reports every attempt.
+    ``query_count`` around the call, so a retried call reports every
+    attempt.
     """
 
     def __init__(self, inner, obs: Observability, layer: str) -> None:
@@ -217,7 +219,7 @@ class ObservedSearchEngine:
         )
 
     def __getattr__(self, name: str):
-        # Forward everything else (``last_degraded``, ...) untouched so the
+        # Forward everything else (breaker handles, ...) untouched so the
         # wrapper is invisible to the layers above and below.
         return getattr(self.inner, name)
 

@@ -7,17 +7,18 @@ underlying traffic from different layers:
   seconds *and* round-trip counts, charged per phase);
 - the resilience layer's :class:`~repro.resilience.DegradationReport`
   (faults, retries, give-ups, breaker trips, budget spend);
-- the perf layer's :class:`~repro.perf.CacheStats` (hits, misses, stores);
-- the :mod:`repro.obs` trace/metrics (per-call counts at the cache entry
-  and at the transport layer, with measured round-trip deltas).
+- the run memo's :class:`~repro.perf.CacheStats` (hits and misses, per
+  map);
+- the :mod:`repro.obs` trace/metrics (per-call counts below the memo and
+  at the transport layer, with measured round-trip deltas).
 
 None of them is derived from another: the stopwatch differences substrate
 counters per phase, the degradation report counts retry-loop decisions,
-the cache counts lookups, and the observed wrappers count individual
+the memo counts its lookups, and the observed wrappers count individual
 calls. When the stack is wired correctly they must agree exactly — every
-call entering the cache is a hit or a miss, every miss reaches the
-transport, every transport round trip is charged to the stopwatch and to
-the component's budget, every raised fault ends in a retry, a give-up or a
+memo miss is one engine call, every engine call reaches the transport,
+every transport round trip is charged to the stopwatch and to the
+component's budget, every raised fault ends in a retry, a give-up or a
 breaker trip. :class:`InvariantChecker` asserts those identities, turning
 any benchmark or test run into a whole-stack correctness check: a single
 missed or double-counted call anywhere breaks a conservation law.
@@ -113,7 +114,7 @@ class InvariantChecker:
             self._check_phase_spans(report, obs, result)
             self._check_profile_time_conservation(report, obs)
         if cache is not None:
-            self._check_cache_store_accounting(report, cache)
+            self._check_cache_kind_accounting(report, cache)
         if obs is not None:
             self._check_cache_layer_conservation(report, obs, cache)
         if obs is not None and result.acquisition is not None:
@@ -213,14 +214,17 @@ class InvariantChecker:
                 message.replace("profile-time-conservation: ", ""),
             )
 
-    def _check_cache_store_accounting(self, report: InvariantReport,
-                                      cache) -> None:
-        name = "cache-store-accounting"
+    def _check_cache_kind_accounting(self, report: InvariantReport,
+                                     cache) -> None:
+        name = "cache-kind-accounting"
         report.checked.append(name)
         self._equal(
-            report, name,
-            cache.stores + cache.uncacheable, cache.misses,
-            "stores + uncacheable", "misses",
+            report, name, sum(cache.hits_by_kind.values()), cache.hits,
+            "memo hits by kind", "memo hits",
+        )
+        self._equal(
+            report, name, sum(cache.misses_by_kind.values()), cache.misses,
+            "memo misses by kind", "memo misses",
         )
 
     def _check_cache_layer_conservation(self, report: InvariantReport,
@@ -233,34 +237,15 @@ class InvariantChecker:
             name = "cache-entry-conservation"
             report.checked.append(name)
             self._equal(
-                report, name, entry_calls, cache.hits + cache.misses,
-                "entry-layer engine calls", "cache hits + misses",
+                report, name, entry_calls, cache.misses,
+                "entry-layer engine calls", "memo misses",
             )
-            name = "cache-miss-passthrough"
-            report.checked.append(name)
-            self._equal(
-                report, name, transport_calls, cache.misses,
-                "transport-layer engine calls", "cache misses",
-            )
-            name = "cache-metrics-consistency"
-            report.checked.append(name)
-            self._equal(
-                report, name,
-                obs.metrics.sum_counters("cache.lookups", outcome="hit"),
-                cache.hits, "cache.lookups{hit}", "CacheStats.hits",
-            )
-            self._equal(
-                report, name,
-                obs.metrics.sum_counters("cache.lookups", outcome="miss"),
-                cache.misses, "cache.lookups{miss}", "CacheStats.misses",
-            )
-        else:
-            name = "uncached-passthrough"
-            report.checked.append(name)
-            self._equal(
-                report, name, entry_calls, transport_calls,
-                "entry-layer engine calls", "transport-layer engine calls",
-            )
+        name = "uncached-passthrough"
+        report.checked.append(name)
+        self._equal(
+            report, name, entry_calls, transport_calls,
+            "entry-layer engine calls", "transport-layer engine calls",
+        )
 
     def _check_round_trip_conservation(self, report: InvariantReport,
                                        obs: Observability, result) -> None:

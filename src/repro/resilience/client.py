@@ -638,33 +638,11 @@ class ResilientSearchEngine:
     cannot complete come back as the harmless neutral element of each
     query type — no results, zero hits — so Surface and Attr-Surface
     simply see an unhelpful Web rather than an exception.
-    ``last_degraded`` records, per call, whether that neutral substitution
-    happened; cache layers above read it to avoid memoising a degraded
-    answer as if it were the query's real one.
-
-    ``last_degraded`` is **thread-local** (the same treatment
-    ``ResilientClient.current_attempt`` gets): one proxy may be
-    shared by concurrent tenants with different budgets, and a plain
-    instance attribute would let tenant B's budget-exhausted degradation
-    flip the flag between tenant A's fetch and A's cleanliness check —
-    the cache above then refuses to memoise A's perfectly clean answer
-    and A pays for the same query twice. Each thread sees only its own
-    calls' flag.
     """
 
     def __init__(self, inner, client: ResilientClient) -> None:
         self.inner = inner
         self.client = client
-        self._local = threading.local()
-
-    @property
-    def last_degraded(self) -> bool:
-        """Did *this thread's* most recent query degrade to neutral?"""
-        return getattr(self._local, "last_degraded", False)
-
-    @last_degraded.setter
-    def last_degraded(self, value: bool) -> None:
-        self._local.last_degraded = value
 
     @property
     def query_count(self) -> int:
@@ -678,19 +656,15 @@ class ResilientSearchEngine:
         return self.inner.n_documents
 
     def search(self, query: str, max_results: int = 10) -> List[SearchResult]:
-        self.last_degraded = False
         try:
             return self.client.call(lambda: self.inner.search(query, max_results))
         except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
-            self.last_degraded = True
             return []
 
     def num_hits(self, query: str) -> int:
-        self.last_degraded = False
         try:
             return self.client.call(lambda: self.inner.num_hits(query))
         except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
-            self.last_degraded = True
             return 0
 
     def num_hits_proximity(
@@ -699,13 +673,11 @@ class ResilientSearchEngine:
         phrase_b: str,
         window: int = DEFAULT_PROXIMITY_WINDOW,
     ) -> int:
-        self.last_degraded = False
         try:
             return self.client.call(
                 lambda: self.inner.num_hits_proximity(phrase_a, phrase_b, window)
             )
         except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
-            self.last_degraded = True
             return 0
 
 

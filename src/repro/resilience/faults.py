@@ -235,8 +235,7 @@ class FlakySearchEngine:
     the current resilient call (wire it to
     :attr:`~repro.resilience.client.ResilientClient.current_attempt`) so
     that retrying a faulted query re-rolls its fate while re-*issuing* the
-    query later replays it. ``garbled_count`` counts silently-corrupted
-    answers; cache layers read it to refuse to memoise them.
+    query later replays it.
     """
 
     def __init__(
@@ -250,7 +249,6 @@ class FlakySearchEngine:
         self.inner = inner
         self.profile = profile
         self.on_fault = on_fault
-        self.garbled_count = 0
         self._scope = scope
         self._attempt_provider = attempt_provider
 
@@ -310,10 +308,7 @@ class FlakySearchEngine:
         kind = self.profile.draw(rng)
         if kind is not None and self.on_fault is not None:
             self.on_fault(kind)
-        if kind is None:
-            return kind
-        if kind is FaultKind.GARBLED:
-            self.garbled_count += 1
+        if kind is None or kind is FaultKind.GARBLED:
             return kind
         self.inner.query_count += 1  # the failed round trip still happened
         raise error_for_fault(kind, f"search engine {where}")
@@ -338,7 +333,6 @@ class FlakyDeepWebSource:
         self.inner = inner
         self.profile = profile
         self.on_fault = on_fault
-        self.garbled_count = 0
         #: legacy sequential stream, used only outside any unit scope
         self._rng = derive_rng(
             profile.seed, "faults", "source", inner.interface.interface_id
@@ -427,6 +421,5 @@ class FlakyDeepWebSource:
             )
         page = self.inner.submit(values)
         if kind is FaultKind.GARBLED:
-            self.garbled_count += 1
             return ResponsePage(page.url, garble_text(page.text))
         return page

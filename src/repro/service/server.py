@@ -1,8 +1,8 @@
 """The long-lived matching service: warm runs, provably standalone-equal.
 
 One :class:`MatchingService` instance loads nothing up front and keeps
-everything it learns: each completed request's post-run cache content
-(engine answers + validation tallies) publishes as a new
+everything it learns: each completed request's post-run memo (Surface
+searches and hit counts) publishes as a new
 :class:`~repro.service.state.Epoch`, so the next tenant's run starts
 warm. The headline guarantee is the **equivalence oracle**: an admitted
 request's export is byte-identical (after stripping the
@@ -123,7 +123,7 @@ class MatchRequest:
     domain: str
     n_interfaces: int = 4
     seed: int = 7
-    #: the run configuration; the service forces the query cache on and,
+    #: the run configuration; the service forces the cache switch on and,
     #: for deadline requests, attaches a checkpoint spool + supervisor
     config: WebIQConfig = field(default_factory=WebIQConfig)
     #: simulated-seconds budget for the whole run; ``None`` = no deadline

@@ -5,16 +5,15 @@ state a request *reads* is an immutable :class:`Epoch`, and the state a
 request *produces* becomes a new epoch that either publishes atomically
 or is dropped whole. Concretely an epoch bundles
 
-- the warm query-cache content (a :class:`~repro.perf.CachePreload` —
-  engine answers plus validation tallies captured from the publishing
-  run), and
+- the warm memo content (a :class:`~repro.perf.CachePreload` — the
+  Surface searches and hit counts captured from the publishing run), and
 - the registry store, when the service assimilates
   (:class:`~repro.registry.store.RegistryStore`, copied via
   :meth:`~repro.registry.store.RegistryStore.copy` before any mutation).
 
 A request never mutates its parent epoch: the pipeline *applies* the
-parent's preload into its own fresh ``CachingSearchEngine`` and captures
-a brand-new preload at the end; assimilation runs against a copy of the
+parent's preload into its own fresh ``ValidationCache`` and captures a
+new preload at the end (sharing the parent's when it added nothing); assimilation runs against a copy of the
 parent's store that shares only its frozen attribute views. So a crash
 (or deadline expiry, or shed) anywhere mid-request leaves nothing to
 undo — recovery is literally "do not call :meth:`WarmState.publish`",
@@ -52,7 +51,7 @@ class Epoch:
     epoch_id: int
     #: the epoch this one was derived from (``None`` for the boot epoch)
     parent_id: Optional[int]
-    #: warm query-cache content readers apply into their own engines
+    #: warm memo content readers apply into their own memos
     warm: CachePreload
     #: registry snapshot (``None`` until an assimilating request publishes)
     registry: Optional[RegistryStore]

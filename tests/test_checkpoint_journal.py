@@ -38,7 +38,6 @@ def body_for(index):
         "probes": 0,
         "stores": {},
         "probe_memo": [],
-        "cache_ops": [],
         "state": {},
     }
 

@@ -355,7 +355,7 @@ class TestResumeRefusals:
     def test_resume_across_cache_configs_refused(self, tmp_path):
         directory = str(tmp_path / "journal")
         run_once("book", 1, "cache", CheckpointConfig(directory=directory))
-        with pytest.raises(JournalMismatchError, match="cache_entries"):
+        with pytest.raises(JournalMismatchError, match="keys: cache"):
             run_once("book", 1, "plain",
                      CheckpointConfig(directory=directory, resume=True))
 
@@ -389,6 +389,19 @@ class TestResumeRefusals:
             handle.write(seal(meta, 2))
         with pytest.raises(JournalMismatchError, match="format 2"):
             run_once("book", 1, "plain",
+                     CheckpointConfig(directory=directory, resume=True))
+
+    def test_resume_of_a_format_3_journal_refused(self, tmp_path):
+        # Format-3 records carry the query cache's ops and its LRU size
+        # in the meta; nothing reads them any more.
+        directory = str(tmp_path / "journal")
+        run_once("book", 1, "cache", CheckpointConfig(directory=directory))
+        meta = RunJournal.open(directory).meta
+        meta["cache_entries"] = meta.pop("cache") and 65536
+        with open(os.path.join(directory, "meta.json"), "w") as handle:
+            handle.write(seal(meta, 3))
+        with pytest.raises(JournalMismatchError, match="format 3"):
+            run_once("book", 1, "cache",
                      CheckpointConfig(directory=directory, resume=True))
 
     def test_resume_under_observability_refused(self, tmp_path):

@@ -30,11 +30,11 @@ class TestParser:
 
     def test_cache_flags(self):
         args = build_parser().parse_args(["run"])
-        assert args.cache is True and args.cache_size is None
+        assert args.cache is True
         args = build_parser().parse_args(["run", "--no-cache"])
         assert args.cache is False
-        args = build_parser().parse_args(["run", "--cache-size", "512"])
-        assert args.cache_size == 512
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--cache-size", "512"])
 
 
 class TestCommands:
@@ -92,11 +92,6 @@ class TestCommands:
         b = json.loads(uncached.read_text())
         assert a["metrics"] == b["metrics"]
         assert a["clusters"] == b["clusters"]
-
-    def test_cache_size_conflicts_with_no_cache(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--domain", "book", "--interfaces", "5",
-                  "--no-cache", "--cache-size", "10"])
 
     def test_discover(self, capsys):
         assert main(["discover", "--domain", "book", "--interfaces", "5",

@@ -93,6 +93,15 @@ class TestCheckerDetectsCorruption:
         report = check_run(result)
         assert not report.ok
 
+    def test_phantom_memo_miss_is_caught(self):
+        # Consistent per-kind books, but one more miss than the memo
+        # sent to the engine: only the restated entry law can see it.
+        result = self.make_result()
+        result.cache.note_miss("marginal")
+        report = check_run(result)
+        assert report.violations_for("cache-entry-conservation")
+        assert not report.violations_for("cache-kind-accounting")
+
     def test_unclosed_span_is_caught(self):
         result = self.make_result()
         result.obs.tracer.roots[0].seq_end = None

@@ -1,23 +1,18 @@
-"""Tests for repro.perf: LRU cache, stats accounting, caching engine.
+"""Tests for repro.perf: the run's memo of Surface questions and its stats.
 
-The cache's contract: hits return the exact value the wrapped engine would
-return, without reaching it (no query_count movement, no budget or latency
-charge); only clean answers are stored (degraded and garbled ones are
-refused); eviction is LRU with full accounting.
+The memo's contract: a repeated question is answered with the exact value
+the engine returned the first time, without reaching it (no query_count
+movement, no budget or latency charge); what the run received is kept,
+degraded and garbled answers included; every lookup is a hit or a miss,
+and a miss is one engine call.
 """
 
 import json
 
 import pytest
 
-from repro.perf import (
-    CacheConfig,
-    CacheStats,
-    CachingSearchEngine,
-    LRUCache,
-    ValidationCache,
-    normalize_query,
-)
+from repro.core.surface import SurfaceConfig, SurfaceDiscoverer, WebValidator
+from repro.perf import CacheStats, ValidationCache, normalize_query
 from repro.resilience import (
     FaultProfile,
     FlakySearchEngine,
@@ -46,206 +41,30 @@ class TestNormalizeQuery:
         assert normalize_query("boston") == "boston"
 
 
-class TestLRUCache:
-    def test_eviction_is_least_recently_used(self):
-        cache = LRUCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")          # refresh "a": now "b" is coldest
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert cache.stats.evictions == 1
-
-    def test_keys_order_cold_to_hot(self):
-        cache = LRUCache(max_entries=3)
-        for key in ("a", "b", "c"):
-            cache.put(key, key)
-        cache.get("a")
-        assert cache.keys() == ["b", "c", "a"]
-
-    def test_overwrite_refreshes_without_growth(self):
-        cache = LRUCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)      # overwrite, no eviction
-        assert len(cache) == 2
-        assert cache.stats.evictions == 0
-        cache.put("c", 3)       # "b" is now the cold one
-        assert "b" not in cache
-        assert cache.get("a") == 10
-
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            LRUCache(max_entries=0)
-
-    @pytest.mark.parametrize("capacity", [1, 3, 5, 9])
-    def test_load_equals_seeding_every_entry_in_order(self, capacity):
-        order = ("a", "b", "c", "d", "e")
-        answers = {key: [key] for key in reversed(order)}
-        seeded, loaded = LRUCache(capacity), LRUCache(capacity)
-        for key in order:
-            seeded.seed(key, answers[key])
-        loaded.load(order, answers)
-        assert loaded.answers() == seeded.answers()
-        assert loaded.keys() == seeded.keys()
-        assert loaded.stats.evictions == seeded.stats.evictions == 0
-
-    def test_load_needs_an_empty_cache(self):
-        cache = LRUCache(max_entries=2)
-        cache.seed("a", 1)
-        with pytest.raises(ValueError):
-            cache.load(("b",), {"b": 2})
-
-    def test_mutations_count_content_changes_not_recency(self):
-        cache = LRUCache(max_entries=2)
-        cache.load(("a",), {"a": 1})
-        assert cache.mutations == 1
-        cache.get("a")
-        cache.touch("a")
-        assert cache.mutations == 1
-        cache.put("b", 2)
-        cache.seed("c", 3)      # evicts "a": a second change
-        assert cache.mutations == 4
-        trimmed = LRUCache(max_entries=1)
-        trimmed.load(("a", "b", "c"), {"a": 1, "b": 2, "c": 3})
-        assert trimmed.mutations == 3 and trimmed.keys() == ["c"]
-
-
 class TestCacheStats:
     def test_counters_and_hit_rate(self):
-        stats = CacheStats(max_entries=10)
+        stats = CacheStats()
         assert stats.hit_rate == 0.0
-        stats.note_miss("num_hits")
-        stats.note_hit("num_hits")
+        stats.note_miss("marginal")
+        stats.note_hit("marginal")
         stats.note_hit("search")
         assert stats.lookups == 3
         assert stats.hit_rate == pytest.approx(2 / 3)
-        assert stats.hits_by_kind == {"num_hits": 1, "search": 1}
-        assert stats.misses_by_kind == {"num_hits": 1}
+        assert stats.hits_by_kind == {"marginal": 1, "search": 1}
+        assert stats.misses_by_kind == {"marginal": 1}
 
     def test_summary_is_one_line(self):
-        summary = CacheStats(max_entries=10).summary()
+        summary = CacheStats().summary()
         assert "\n" not in summary
         assert "hit" in summary
 
-
-class TestCacheConfig:
-    def test_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            CacheConfig(max_entries=0)
-
-
-class TestCachingSearchEngine:
-    def test_hit_skips_the_engine(self):
-        caching = CachingSearchEngine(make_engine())
-        first = caching.num_hits("boston")
-        count_after_miss = caching.query_count
-        second = caching.num_hits("boston")
-        assert second == first
-        assert caching.query_count == count_after_miss
-        assert caching.stats.hits == 1
-        assert caching.stats.misses == 1
-
-    def test_normalized_variants_share_one_entry(self):
-        caching = CachingSearchEngine(make_engine())
-        caching.num_hits("Boston")
-        caching.num_hits("  boston ")
-        caching.num_hits("BOSTON")
-        assert caching.stats.misses == 1
-        assert caching.stats.hits == 2
-        assert caching.query_count == 1
-
-    def test_methods_and_arguments_key_separately(self):
-        caching = CachingSearchEngine(make_engine())
-        caching.num_hits("boston")
-        caching.search("boston")
-        caching.search("boston", max_results=3)
-        caching.num_hits_proximity("cities", "boston")
-        caching.num_hits_proximity("cities", "boston", window=2)
-        assert caching.stats.misses == 5
-        assert caching.stats.hits == 0
-
-    def test_answers_match_the_engine_exactly(self):
-        engine = make_engine()
-        caching = CachingSearchEngine(make_engine())
-        for query in ("boston", "cities", "no such term"):
-            assert caching.num_hits(query) == engine.num_hits(query)
-            assert caching.num_hits(query) == engine.num_hits(query)  # hit
-            assert caching.search(query) == engine.search(query)
-        assert caching.num_hits_proximity("cities", "boston") == \
-            engine.num_hits_proximity("cities", "boston")
-
-    def test_capacity_one_thrashes_but_stays_correct(self):
-        caching = CachingSearchEngine(make_engine(), max_entries=1)
-        a = caching.num_hits("boston")
-        b = caching.num_hits("chicago")   # evicts boston
-        assert caching.num_hits("boston") == a
-        assert caching.num_hits("chicago") == b
-        assert caching.stats.evictions >= 2
-
-    def test_degraded_answer_is_not_cached(self):
-        # A dead engine (every call times out, zero retries, so the
-        # resilient proxy degrades to neutral 0) must not have its neutral
-        # answer memoised: once the Web recovers, the query gets re-asked.
-        profile = FaultProfile(fault_rate=1.0, timeout_weight=1.0,
-                               transient_weight=0.0, rate_limit_weight=0.0,
-                               garbled_weight=0.0)
-        client = ResilientClient(ResilienceConfig(
-            profile=profile,
-            retry=_no_retry(),
-            breaker=_no_breaker(),
-        ))
-        flaky = FlakySearchEngine(
-            make_engine(), profile,
-            attempt_provider=lambda: client.current_attempt)
-        resilient = ResilientSearchEngine(flaky, client)
-        caching = CachingSearchEngine(resilient)
-
-        assert caching.num_hits("boston") == 0
-        assert caching.stats.uncacheable == 1
-        assert caching.stats.stores == 0
-        caching.num_hits("boston")
-        assert caching.stats.hits == 0          # re-asked, not served stale
-        assert caching.stats.misses == 2
-
-    def test_garbled_answer_is_not_cached(self):
-        # Garbled num_hits "succeeds" with 0 — a corrupted payload, not an
-        # answer. It must be re-fetched, never memoised.
-        profile = FaultProfile(fault_rate=1.0, timeout_weight=0.0,
-                               transient_weight=0.0, rate_limit_weight=0.0,
-                               garbled_weight=1.0)
-        flaky = FlakySearchEngine(make_engine(), profile)
-        caching = CachingSearchEngine(flaky)
-
-        assert caching.num_hits("boston") == 0
-        assert caching.stats.uncacheable == 1
-        assert caching.stats.stores == 0
-        assert caching.num_hits("boston") == 0
-        assert caching.stats.hits == 0
-        assert caching.stats.misses == 2
-
-    def test_clean_answers_are_cached_even_on_flaky_stacks(self):
-        profile = FaultProfile(fault_rate=0.0)
-        client = ResilientClient(ResilienceConfig(profile=profile))
-        flaky = FlakySearchEngine(
-            make_engine(), profile,
-            attempt_provider=lambda: client.current_attempt)
-        caching = CachingSearchEngine(ResilientSearchEngine(flaky, client))
-        caching.num_hits("boston")
-        caching.num_hits("boston")
-        assert caching.stats.hits == 1
-        assert caching.stats.stores == 1
-
-    def test_facade_delegates_bookkeeping(self):
-        engine = make_engine()
-        caching = CachingSearchEngine(engine)
-        assert caching.n_documents == engine.n_documents
-        caching.num_hits("boston")
-        assert engine.query_count == 1
-        caching.reset_query_count()
-        assert engine.query_count == 0
+    def test_state_round_trips(self):
+        stats = CacheStats()
+        stats.note_miss("joint")
+        stats.note_hit("search")
+        restored = CacheStats()
+        restored.restore_state(json.loads(json.dumps(stats.state_payload())))
+        assert restored == stats
 
 
 def _no_retry():
@@ -267,8 +86,6 @@ class TestValidationCache:
         assert len(cache) == 3
 
     def test_shared_across_validators(self):
-        from repro.core.surface import WebValidator
-
         engine = make_engine()
         cache = ValidationCache()
         first = WebValidator(engine, cache=cache)
@@ -277,6 +94,105 @@ class TestValidationCache:
         queries_after_first = engine.query_count
         second.marginal_hits("boston")
         assert engine.query_count == queries_after_first
+
+    # ------------------------------------------------ lookups and stats
+    def test_hit_skips_the_engine(self):
+        engine = make_engine()
+        memo = ValidationCache()
+        validator = WebValidator(engine, cache=memo)
+        first = validator.marginal_hits("boston")
+        count_after_miss = engine.query_count
+        assert validator.marginal_hits("boston") == first
+        assert engine.query_count == count_after_miss == 1
+        assert memo.stats.hits == memo.stats.misses == 1
+
+    def test_normalized_variants_share_one_entry(self):
+        engine = make_engine()
+        memo = ValidationCache()
+        validator = WebValidator(engine, cache=memo)
+        for text in ("Boston", "  boston ", "BOSTON"):
+            validator.marginal_hits(text)
+        assert memo.stats.misses_by_kind == {"marginal": 1}
+        assert memo.stats.hits_by_kind == {"marginal": 2}
+        assert engine.query_count == 1
+
+    def test_methods_and_arguments_key_separately(self):
+        engine = make_engine()
+        memo = ValidationCache()
+        validator = WebValidator(engine, cache=memo)
+        validator.score_vector(["cities", "cities such as"], "boston")
+        narrow = SurfaceDiscoverer(
+            engine, SurfaceConfig(snippets_per_query=3), memo)
+        wide = SurfaceDiscoverer(
+            engine, SurfaceConfig(snippets_per_query=5), memo)
+        for discoverer in (narrow, wide, narrow):
+            discoverer._search('"cities such as"')
+        # Three marginals (the candidate and both phrases), the adjacency
+        # and the windowed joint, and one search per snippet count.
+        assert memo.stats.misses_by_kind == {
+            "marginal": 3, "joint": 2, "search": 2}
+        assert memo.stats.hits_by_kind == {"search": 1}
+        assert engine.query_count == memo.stats.misses == len(memo)
+
+    def test_answers_match_the_engine_exactly(self):
+        engine = make_engine()
+        validator = WebValidator(make_engine(), cache=ValidationCache())
+        for query in ("boston", "cities", "no such term"):
+            for _ in range(2):  # a miss, then a hit
+                assert validator.marginal_hits(query) == \
+                    engine.num_hits(f'"{query}"')
+        discoverer = SurfaceDiscoverer(make_engine())
+        assert list(discoverer._search("cities")) == engine.search(
+            "cities", max_results=discoverer.config.snippets_per_query)
+
+    def test_degraded_answer_is_kept(self):
+        # A dead engine (every call times out, zero retries, so the
+        # resilient proxy degrades to neutral 0): the memo keeps the
+        # neutral answer, and a repeat reads it without a round trip.
+        profile = FaultProfile(fault_rate=1.0, timeout_weight=1.0,
+                               transient_weight=0.0, rate_limit_weight=0.0,
+                               garbled_weight=0.0)
+        client = ResilientClient(ResilienceConfig(
+            profile=profile, retry=_no_retry(), breaker=_no_breaker()))
+        flaky = FlakySearchEngine(
+            make_engine(), profile,
+            attempt_provider=lambda: client.current_attempt)
+        memo = ValidationCache()
+        validator = WebValidator(ResilientSearchEngine(flaky, client),
+                                 cache=memo)
+
+        assert validator.marginal_hits("boston") == 0
+        assert sum(client.report.giveups_by_component.values()) == 1
+        spent = flaky.query_count
+        assert validator.marginal_hits("boston") == 0
+        assert flaky.query_count == spent
+        assert memo.marginal_hits == {"boston": 0}
+        assert (memo.stats.hits, memo.stats.misses) == (1, 1)
+
+    def test_garbled_answer_is_kept(self):
+        # Garbled num_hits "succeeds" with 0 — a corrupted payload. The
+        # memo keeps it like any answer the run received.
+        profile = FaultProfile(fault_rate=1.0, timeout_weight=0.0,
+                               transient_weight=0.0, rate_limit_weight=0.0,
+                               garbled_weight=1.0)
+        flaky = FlakySearchEngine(make_engine(), profile)
+        memo = ValidationCache()
+        validator = WebValidator(flaky, cache=memo)
+
+        assert validator.marginal_hits("boston") == 0
+        assert validator.marginal_hits("boston") == 0
+        assert flaky.query_count == 1
+        assert memo.marginal_hits == {"boston": 0}
+        assert (memo.stats.hits, memo.stats.misses) == (1, 1)
+
+    def test_clone_and_update_copy_entries_not_stats(self):
+        memo = ValidationCache()
+        WebValidator(make_engine(), cache=memo).marginal_hits("boston")
+        copy = memo.clone()
+        assert copy.marginal_hits == memo.marginal_hits
+        assert copy.stats == CacheStats()
+        copy.update(memo)
+        assert copy.stats == CacheStats()
 
     # -------------------------------------------- journal deltas (tails)
     @staticmethod

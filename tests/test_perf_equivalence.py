@@ -1,18 +1,17 @@
 """Cache-equivalence properties: cached runs change cost, never answers.
 
-The central contract of :mod:`repro.perf`: wrapping the engine in the
-query cache must leave every payload of a pipeline run — acquired
-instances, clusters, accuracy metrics — bit-identical to the uncached
-run, on a pristine Web and on a faulty one. Every run asks each Surface
-question once through its own memo, so a cold run's round trips are the
-same with and without the cache; the cache pays off across runs, where a
-warm rerun asks nothing at all.
+The central contract of :mod:`repro.perf`: turning the cache on must
+leave every payload of a pipeline run — acquired instances, clusters,
+accuracy metrics — bit-identical to the uncached run, on a pristine Web
+and on a faulty one. Every run asks each Surface question once through
+its own memo, so a cold run's round trips are the same with and without
+the cache; the cache pays off across runs, where a warm rerun seeded
+with the donor's memo asks nothing at all.
 
-Under faults the guarantee needs the load-dependent safety valves out of
-the way: query budgets unbounded and the breaker threshold out of reach.
-Budgets and breakers react to *traffic volume*, which is exactly what the
-cache changes; with them active, a cached run can legitimately keep a
-source alive that an uncached run tripped. See DESIGN.md.
+Under faults the comparisons park the load-dependent safety valves:
+query budgets unbounded and the breaker threshold out of reach. Budgets
+and breakers react to *traffic volume*, which is what a warm start
+changes. See DESIGN.md.
 
 Every run here executes instrumented and is audited by the
 :class:`~repro.obs.InvariantChecker` before any equivalence assertion:
@@ -21,6 +20,7 @@ whose payload equality this module certifies.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -30,7 +30,12 @@ from repro.io import run_result_to_dict
 from repro.obs import NO_PROVENANCE_DIVERGENCE, ObsConfig, check_run, diff_runs
 from repro.perf import CacheConfig
 from repro.perf.cache import normalize_query
-from repro.resilience import BreakerPolicy, FaultProfile, ResilienceConfig
+from repro.resilience import (
+    BreakerPolicy,
+    FaultProfile,
+    ResilienceConfig,
+    RetryPolicy,
+)
 
 DOMAIN = "book"
 N_INTERFACES = 6
@@ -178,13 +183,42 @@ class TestEquivalenceUnderFaults:
         assert cached_queries == uncached_queries
         assert_warm_rerun_is_free(cached_result, faulty_resilience())
 
-    def test_degraded_and_garbled_answers_stay_uncached(self):
-        _, cached_result, _ = run_once(
-            cache=CacheConfig(), resilience=faulty_resilience())
-        stats = cached_result.cache
-        # Every answer was either stored or deliberately refused; nothing
-        # fell through the accounting.
-        assert stats.stores + stats.uncacheable == stats.misses
+    def test_degraded_answers_outlive_the_run(self):
+        # No retries: a raised fault is given up on at once, so the
+        # donor's memo holds the resilient proxy's neutral answers.
+        no_retry = replace(faulty_resilience(),
+                           retry=RetryPolicy(max_attempts=1))
+        _, donor, _ = run_once(cache=CacheConfig(), resilience=no_retry)
+        assert sum(donor.degradation.giveups_by_component.values()) > 0
+        memo = donor.cache_content.validation
+        # A cold run's every miss added one memo entry; nothing fell
+        # through the accounting.
+        assert donor.cache.misses == len(memo)
+        assert donor.cache.misses_by_kind == {
+            "search": len(memo.searches),
+            "marginal": len(memo.marginal_hits),
+            "joint": len(memo.joint_hits),
+        }
+        # The memo kept answers the faults spoiled (given up on, or
+        # garbled), not only clean ones.
+        pristine = build_domain_dataset(DOMAIN, N_INTERFACES, SEED).engine
+        spoiled = {
+            key: count for key, count in memo.marginal_hits.items()
+            if count != pristine.num_hits(f'"{key}"')
+        }
+        assert spoiled
+
+        # A warm run with the same profile answers those questions from
+        # the preload: no round trip, the donor's answer kept.
+        _, warm, warm_queries = run_once(
+            cache=CacheConfig(), resilience=no_retry,
+            warm=donor.cache_content)
+        assert warm_queries == 0
+        assert warm.cache.misses == 0
+        assert warm.cache.hits_by_kind["marginal"] >= len(spoiled)
+        warm_memo = warm.cache_content.validation
+        for key, count in spoiled.items():
+            assert warm_memo.marginal_hits[key] == count
 
     def test_faulty_runs_deterministic(self):
         first, _, first_queries = run_once(

@@ -634,110 +634,3 @@ class TestPipelineBudgetDegradation:
         assert degradation.attributes_skipped
         # partial results, not a crash
         assert 0.0 < result.metrics.f1 <= 1.0
-
-
-class TestPerTenantProxyIsolation:
-    """``ResilientSearchEngine.last_degraded`` must be thread-local.
-
-    The matching service shares one resilient proxy between concurrently
-    submitting tenants with *different* budgets. ``last_degraded`` is the
-    cache layer's cleanliness signal: if tenant B's budget-exhausted
-    degradation can flip the flag between tenant A's fetch and A's
-    cleanliness check, the cache above refuses to memoise A's perfectly
-    clean answer — and A re-spends a real round trip on its next
-    identical query. That is spend cross-contamination, and this test
-    failed before the flag became thread-local (mirroring the PR-7
-    ``current_attempt`` fix).
-
-    The interleaving is event-orchestrated, not a real race: tenant A's
-    call deterministically parks inside the inner engine until tenant B's
-    degraded call has come and gone.
-    """
-
-    class _BlockingEngine:
-        """Inner engine that parks A's search until B has degraded."""
-
-        def __init__(self, inner, a_inside, b_done):
-            self.inner = inner
-            self.a_inside = a_inside
-            self.b_done = b_done
-
-        def search(self, query, max_results=10):
-            self.a_inside.set()
-            assert self.b_done.wait(5.0), "tenant B never ran"
-            return self.inner.search(query, max_results)
-
-        def __getattr__(self, name):
-            return getattr(self.inner, name)
-
-    def _interleaved_engine(self):
-        from repro.resilience import Budget
-
-        a_inside = threading.Event()
-        b_done = threading.Event()
-        client = ResilientClient(ResilienceConfig())
-        # Per-tenant budgets, injected under the tenants' component names:
-        # B's pool is already empty, so B's very first call degrades.
-        client._budgets["tenant_b"] = Budget(limit=0)
-        engine = ResilientSearchEngine(
-            self._BlockingEngine(make_engine(), a_inside, b_done), client)
-        return engine, client, a_inside, b_done
-
-    def test_other_tenants_degradation_does_not_contaminate(self):
-        engine, client, a_inside, b_done = self._interleaved_engine()
-        outcome = {}
-
-        def tenant_a():
-            with client.component("tenant_a"):
-                results = engine.search('"such as"')
-                # The cleanliness check the cache layer performs,
-                # immediately after the fetch, on A's own thread:
-                outcome["degraded"] = engine.last_degraded
-                outcome["results"] = results
-
-        thread = threading.Thread(target=tenant_a)
-        thread.start()
-        try:
-            assert a_inside.wait(5.0), "tenant A never reached the engine"
-            with client.component("tenant_b"):
-                assert engine.num_hits("boston") == 0  # budget-degraded
-                assert engine.last_degraded is True
-        finally:
-            b_done.set()
-            thread.join(5.0)
-
-        assert outcome["results"] == make_engine().search('"such as"')
-        # Pre-fix this read True: B's degradation, observed from A's
-        # thread, poisoned A's clean fetch.
-        assert outcome["degraded"] is False
-        assert client.report.budgets_exhausted == ["tenant_b"]
-
-    def test_clean_answer_is_cached_despite_interleaved_degradation(self):
-        from repro.perf import CachingSearchEngine
-
-        engine, client, a_inside, b_done = self._interleaved_engine()
-        caching = CachingSearchEngine(engine)
-        spent = {}
-
-        def tenant_a():
-            with client.component("tenant_a"):
-                caching.search('"such as"')
-                # Identical repeat: a stored answer costs zero round trips.
-                before = caching.query_count
-                caching.search('"such as"')
-                spent["extra_round_trips"] = caching.query_count - before
-
-        thread = threading.Thread(target=tenant_a)
-        thread.start()
-        try:
-            assert a_inside.wait(5.0), "tenant A never reached the engine"
-            with client.component("tenant_b"):
-                caching.num_hits("boston")
-        finally:
-            b_done.set()
-            thread.join(5.0)
-
-        # Pre-fix: B's flag flip made the cache refuse A's clean answer,
-        # so the repeat query re-spent a real round trip (1, not 0).
-        assert spent["extra_round_trips"] == 0
-        assert caching.stats.hits >= 1

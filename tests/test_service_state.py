@@ -4,13 +4,9 @@ import pytest
 
 from repro.checkpoint import CheckpointConfig
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
+from repro.core.surface import WebValidator
 from repro.datasets import build_domain_dataset
-from repro.perf.cache import (
-    CacheConfig,
-    CachePreload,
-    CachingSearchEngine,
-    ValidationCache,
-)
+from repro.perf.cache import CacheConfig, CachePreload, ValidationCache
 from repro.registry import RegistryStore, build_registry
 from repro.service import Epoch, WarmState
 from repro.surfaceweb.document import Document
@@ -18,8 +14,10 @@ from repro.surfaceweb.engine import SearchEngine
 from repro.util.errors import PreemptionError, StaleEpochError
 
 
-def preload_with(entries):
-    return CachePreload(engine_entries=entries)
+def preload_with(marginals):
+    memo = ValidationCache()
+    memo.marginal_hits.update(marginals)
+    return CachePreload(memo)
 
 
 class TestEpochLifecycle:
@@ -35,7 +33,7 @@ class TestEpochLifecycle:
         warm = WarmState()
         parent = warm.begin("r0001")
         epoch = warm.publish(
-            parent, warm=preload_with([(("search", "q", 10), [])]),
+            parent, warm=preload_with({"q": 3}),
             published_by="r0001")
         assert epoch.epoch_id == 1
         assert epoch.parent_id == 0
@@ -102,11 +100,28 @@ class TestCachePreloadSymmetry:
     """The warm-start primitive itself: capture == apply, by fingerprint."""
 
     def test_fingerprint_is_content_addressed(self):
-        a = preload_with([(("num_hits", "x"), 4)])
-        b = preload_with([(("num_hits", "x"), 4)])
-        c = preload_with([(("num_hits", "y"), 4)])
+        a = preload_with({"x": 4})
+        b = preload_with({"x": 4})
+        c = preload_with({"y": 4})
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
+
+    def test_a_shared_child_reuses_the_parent_fingerprint(self, monkeypatch):
+        parent = preload_with({"x": 4, "y": 2})
+        fingerprint = parent.fingerprint()
+        run_memo = ValidationCache()
+        parent.apply(run_memo)
+        child = CachePreload.capture(run_memo, parent)
+        assert child.validation is parent.validation
+        assert fingerprint == CachePreload(run_memo).fingerprint()
+        # The shared child never builds the canonical repr again.
+        built = []
+        monkeypatch.setattr("repro.perf.cache.repr",
+                            lambda obj: built.append(obj) or "",
+                            raising=False)
+        assert child.fingerprint() == fingerprint
+        assert parent.fingerprint() == fingerprint
+        assert built == []
 
     def test_empty_preload_properties(self):
         empty = CachePreload()
@@ -116,7 +131,7 @@ class TestCachePreloadSymmetry:
 
 class TestEpochIsolation:
     """Epochs share unchanged content, so isolation rests on nothing ever
-    writing a preload's order, answer map or validation memo."""
+    writing a preload's memo."""
 
     CACHED = WebIQConfig(cache=CacheConfig())
 
@@ -134,49 +149,31 @@ class TestEpochIsolation:
             Document(0, "u0", "t", "Authors such as King, Rowling."),
             Document(1, "u1", "t", "Cities such as Boston, Chicago."),
         ])
-        donor = CachingSearchEngine(engine)
-        donor.search("authors such as")
-        donor.num_hits("boston")
         memo = ValidationCache()
-        memo.marginal_hits["authors"] = 1
-        parent = CachePreload.capture(donor, memo)
-        fingerprint, entries = parent.fingerprint(), parent.engine_entries
+        WebValidator(engine, cache=memo).marginal_hits("authors")
+        parent = CachePreload.capture(memo)
+        fingerprint = parent.fingerprint()
 
-        child_engine = CachingSearchEngine(engine)
         child_memo = ValidationCache()
-        parent.apply(child_engine, child_memo)
-        child_engine.search("cities such as")         # a store
-        child_engine.search("authors such as")        # a hit (recency)
-        child_memo.marginal_hits["cities"] = 1        # memo growth
+        parent.apply(child_memo)
+        validator = WebValidator(engine, cache=child_memo)
+        validator.marginal_hits("authors")            # a hit
+        validator.marginal_hits("cities")             # memo growth
         child_memo.joint_hits[("cities", "boston", 0)] = 1
-        child = CachePreload.capture(child_engine, child_memo, parent)
+        child = CachePreload.capture(child_memo, parent)
 
         assert parent.fingerprint() == fingerprint
-        assert parent.engine_entries == entries
-        assert parent.n_entries == 2 and child.n_entries == 3
+        assert CachePreload(parent.validation).fingerprint() == fingerprint
+        assert parent.n_entries == 1 and child.n_entries == 3
         assert dict(parent.validation.marginal_hits) == {"authors": 1}
-
-    def test_a_trimming_load_is_a_change(self, parent):
-        # A run whose cache holds fewer entries than the parent drops the
-        # cold end on load and so must not share the parent's map, even
-        # though it counts no store and no eviction.
-        small = CachingSearchEngine(None, max_entries=10)
-        memo = ValidationCache()
-        parent.apply(small, memo)
-        child = CachePreload.capture(small, memo, parent)
-        assert small.stats.stores == small.stats.evictions == 0
-        assert child._answers is not parent._answers
-        assert child.engine_entries == parent.engine_entries[-10:]
 
     def test_a_run_that_adds_nothing_shares_the_parent_content(self, parent):
         child = self.warm_run("book", warm=parent)
-        assert child._answers is parent._answers
         assert child.validation is parent.validation
         assert child.n_entries == parent.n_entries
 
     def test_a_run_that_adds_entries_shares_nothing(self, parent):
         child = self.warm_run("airfare", warm=parent)
-        assert child._answers is not parent._answers
         assert child.validation is not parent.validation
         assert child.n_entries > parent.n_entries
         assert len(child.validation) > len(parent.validation)
@@ -184,9 +181,9 @@ class TestEpochIsolation:
     @pytest.mark.parametrize("kill_at", [0, 21, 41])
     def test_a_resumed_warm_run_captures_the_uninterrupted_preload(
             self, parent, tmp_path, kill_at):
-        # Replay re-seeds the journaled stores without counting them in
-        # CacheStats; the capture must still see them as new content. At
-        # kill_at=41 (the run's last boundary) every store is a replay.
+        # Replay merges the journaled memo growth without counting it in
+        # CacheStats; the capture must still see it as new content. At
+        # kill_at=41 (the run's last boundary) every entry is a replay.
         directory = str(tmp_path / "journal")
         uninterrupted = self.warm_run("airfare", warm=parent)
         with pytest.raises(PreemptionError):
@@ -197,4 +194,4 @@ class TestEpochIsolation:
             cache=CacheConfig(),
             checkpoint=CheckpointConfig(directory, resume=True)))
         assert resumed.fingerprint() == uninterrupted.fingerprint()
-        assert resumed._answers is not parent._answers
+        assert resumed.validation is not parent.validation
