@@ -1,15 +1,14 @@
 """Cache sweep: what the run's memo saves, and that it costs nothing.
 
-One domain's pipeline runs with the cache switch off and on, then once
-more warmed with the cached run's memo. The cached run must be
-*bit-identical* in every payload — acquired instances, clusters, metrics.
-Every run asks each Surface question once through its own memo
-(extraction searches and hit counts alike), so both cold runs send the
-same questions, each once; the cached run's ``cache_hits`` counts the
-repeats its memo answered. The warm start is where the memo pays across
-runs: a rerun sends no round trip at all (paper §5 charges each one
-0.1–0.5 s, so saved queries are saved Figure 8 minutes). Process
-wall-clock is measured and printed for reference only.
+One domain's pipeline runs cold, then once more warmed with the cold
+run's memo. Every run asks each Surface question once through its own
+memo (extraction searches and hit counts alike), so the cold run sends
+each question once; its ``cache_hits`` counts the repeats its memo
+answered. The warm start is where the memo pays across runs: a rerun
+sends no round trip at all (paper §5 charges each one 0.1–0.5 s, so
+saved queries are saved Figure 8 minutes), and it must be
+*bit-identical* in every payload — acquired instances, clusters,
+metrics. Process wall-clock is measured and printed for reference only.
 
 The measured numbers are exported as ``BENCH_cache.json`` (path override:
 ``BENCH_CACHE_JSON``) as a versioned bench envelope (:mod:`repro.bench`)
@@ -30,7 +29,6 @@ from repro.obs import (
     build_profile,
     diff_runs,
 )
-from repro.perf import CacheConfig
 from repro.perf.cache import normalize_query
 
 from .conftest import (
@@ -75,12 +73,12 @@ def record_round_trips(engine, asked):
     engine.num_hits_proximity = recorded_proximity
 
 
-def run_once(cache, asked=None, warm=None):
+def run_once(asked=None, warm=None):
     dataset = build_domain_dataset(DOMAIN, N_INTERFACES, BENCH_SEED)
     if asked is not None:
         record_round_trips(dataset.engine, asked)
     started = time.perf_counter()
-    result = WebIQMatcher(WebIQConfig(cache=cache, obs=ObsConfig())).run(
+    result = WebIQMatcher(WebIQConfig(obs=ObsConfig())).run(
         dataset, warm=warm)
     elapsed = time.perf_counter() - started
     payload = {
@@ -105,24 +103,18 @@ def run_once(cache, asked=None, warm=None):
 
 @pytest.mark.benchmark(group="cache-sweep")
 def test_cache_sweep(benchmark):
-    uncached_asked, asked = [], []
-    uncached_payload, uncached_result, uncached_queries, uncached_secs = \
-        run_once(cache=None, asked=uncached_asked)
+    asked = []
     cached_payload, cached_result, cached_queries, cached_secs = \
-        run_once(cache=CacheConfig(), asked=asked)
+        run_once(asked=asked)
 
-    benchmark.pedantic(lambda: run_once(cache=CacheConfig()),
-                       rounds=1, iterations=1)
+    benchmark.pedantic(run_once, rounds=1, iterations=1)
 
     warm_payload, warm_result, warm_queries, warm_secs = run_once(
-        cache=CacheConfig(), warm=cached_result.cache_content)
+        warm=cached_result.cache_content)
 
     stats = cached_result.cache
     rows = [
-        ("uncached", uncached_queries, "-",
-         f"{uncached_result.stopwatch.total_minutes:.3f}",
-         f"{uncached_secs:.2f}", f"{uncached_result.metrics.f1:.3f}"),
-        ("cached", cached_queries, stats.hits,
+        ("cold", cached_queries, stats.hits,
          f"{cached_result.stopwatch.total_minutes:.3f}",
          f"{cached_secs:.2f}", f"{cached_result.metrics.f1:.3f}"),
         ("warm", warm_queries, warm_result.cache.hits,
@@ -136,37 +128,30 @@ def test_cache_sweep(benchmark):
         rows,
     )
 
-    # The cache may never change an answer, only avoid re-asking.
-    assert cached_payload == uncached_payload
+    # The memo may never change an answer, only avoid re-asking.
+    assert warm_payload == cached_payload
 
-    # Stronger than answer equality: the cached run must have made every
+    # Stronger than answer equality: the warm run must have made every
     # decision for the same recorded reason — the run diff may find no
-    # provenance divergence between the cached and uncached runs.
+    # provenance divergence between the cold and warm runs.
     diff = diff_runs(
-        run_result_to_dict(uncached_result), run_result_to_dict(cached_result)
+        run_result_to_dict(cached_result), run_result_to_dict(warm_result)
     )
     assert not diff.provenance_diverged, diff.summary()
     assert NO_PROVENANCE_DIVERGENCE in diff.summary()
 
-    # Each cold run's real round trips, recorded below the memo, ask
-    # each question once, and the two runs ask the same questions: every
-    # memo miss is one round trip.
-    for run_asked, queries in ((uncached_asked, uncached_queries),
-                               (asked, cached_queries)):
-        assert len(run_asked) == queries
-        repeated = sorted(
-            key for key, n in Counter(run_asked).items() if n > 1)
-        assert not repeated, repeated[:5]
-    assert Counter(asked) == Counter(uncached_asked)
-    assert cached_queries == uncached_queries == stats.misses
+    # The cold run's real round trips, recorded below the memo, ask each
+    # question once: every memo miss is one round trip.
+    assert len(asked) == cached_queries == stats.misses
+    repeated = sorted(key for key, n in Counter(asked).items() if n > 1)
+    assert not repeated, repeated[:5]
 
-    # The warm start: a rerun warmed with the cached run's memo sends no
-    # round trip.
+    # The warm start: a rerun warmed with the cold run's memo sends no
+    # round trip, so its simulated overhead (Figure 8's currency) can
+    # only shrink.
     assert warm_queries == 0
-
-    # Simulated overhead (Figure 8's currency) can only shrink.
-    assert cached_result.stopwatch.total_seconds <= \
-        uncached_result.stopwatch.total_seconds
+    assert warm_result.stopwatch.total_seconds <= \
+        cached_result.stopwatch.total_seconds
 
     emit_bench(
         "BENCH_CACHE_JSON",
@@ -177,28 +162,21 @@ def test_cache_sweep(benchmark):
             "seed": BENCH_SEED,
         },
         metrics={
-            "uncached_queries": uncached_queries,
             "cached_queries": cached_queries,
             "warm_queries": warm_queries,
             "cache_hits": stats.hits,
             "cache_misses": stats.misses,
-            "uncached_overhead_minutes":
-                uncached_result.stopwatch.total_minutes,
             "cached_overhead_minutes": cached_result.stopwatch.total_minutes,
             "f1": cached_result.metrics.f1,
-            "uncached_wall_seconds": uncached_secs,
             "cached_wall_seconds": cached_secs,
         },
         tolerances={
-            "uncached_queries": TOL_COUNT,
             "cached_queries": TOL_COUNT,
             "warm_queries": TOL_COUNT,
             "cache_hits": TOL_TIGHT,
             "cache_misses": TOL_COUNT,
-            "uncached_overhead_minutes": TOL_COUNT,
             "cached_overhead_minutes": TOL_COUNT,
             "f1": TOL_SCORE,
-            "uncached_wall_seconds": TOL_INFO,
             "cached_wall_seconds": TOL_INFO,
         },
         # the deterministic run fingerprint: a digest drift between two

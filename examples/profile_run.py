@@ -48,7 +48,7 @@ def main() -> None:
     print("\nRound trips by component:")
     for name, component in det["components"].items():
         print(f"  {name:<14} {component['round_trips']:>6} round trips "
-              f"({component['entry_calls']} entry calls)")
+              f"({component['calls']} calls)")
 
     hottest = hottest_paths(profile, limit=1)[0]
     total = det["clock"]["total_seconds"]

@@ -32,7 +32,7 @@ from repro.obs import (
     ObsConfig,
     check_run,
 )
-from repro.perf import CacheConfig, CacheStats
+from repro.perf import CacheStats
 from repro.resilience import (
     DegradationReport,
     FaultProfile,
@@ -66,7 +66,6 @@ __all__ = [
     "FaultProfile",
     "ResilienceConfig",
     "DegradationReport",
-    "CacheConfig",
     "CacheStats",
     "ObsConfig",
     "Observability",

@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.checkpoint.journal import RunJournal
 from repro.perf.cache import ValidationCache, dict_tail
 from repro.resilience.client import ResilientClient
-from repro.resilience.faults import FlakyDeepWebSource, KillSwitch
+from repro.resilience.faults import KillSwitch
 from repro.util.errors import (
     DeadlineExceededError,
     JournalMismatchError,
@@ -177,7 +177,6 @@ class CheckpointSession:
         self._engine: Any = None
         self._sources: Dict[str, Any] = {}
         self._client: Optional[ResilientClient] = None
-        self._flaky_sources: Dict[str, FlakyDeepWebSource] = {}
         # Memo stores (registered by the acquirer).
         self._validation: Optional[ValidationCache] = None
         self._probe_memo: Optional[Dict[tuple, bool]] = None
@@ -195,7 +194,6 @@ class CheckpointSession:
         engine: Any,
         sources: Dict[str, Any],
         client: Optional[ResilientClient] = None,
-        flaky_sources: Optional[Dict[str, FlakyDeepWebSource]] = None,
     ) -> None:
         """Point the session at the run's layer stack.
 
@@ -206,7 +204,6 @@ class CheckpointSession:
         self._engine = engine
         self._sources = dict(sources)
         self._client = client
-        self._flaky_sources = dict(flaky_sources or {})
 
     def register_validation_cache(self, cache: ValidationCache) -> None:
         """Declare the run's memo of Surface questions (its growth is
@@ -430,11 +427,6 @@ class CheckpointSession:
             state["client"] = self._client.state_payload()
         if self._validation is not None:
             state["cache_stats"] = self._validation.stats.state_payload()
-        if self._flaky_sources:
-            state["source_draws"] = {
-                source_id: flaky.draws
-                for source_id, flaky in sorted(self._flaky_sources.items())
-            }
         return state
 
     def _restore_state(self, state: Dict[str, Any]) -> None:
@@ -454,17 +446,6 @@ class CheckpointSession:
                     "Surface memo"
                 )
             self._validation.stats.restore_state(cache_state)
-        for source_id, draws in state.get("source_draws", {}).items():
-            flaky = self._flaky_sources.get(source_id)
-            if flaky is None:
-                raise JournalMismatchError(
-                    f"journal carries fault-stream state for source "
-                    f"{source_id!r} this run does not wrap"
-                )
-            # Fault streams are partitioned per unit and start at position
-            # 0 whenever their unit runs, so there is nothing to
-            # fast-forward — only the accounting counter is restored.
-            flaky.draws = draws
 
 
 def open_session(config: CheckpointConfig, meta: Dict[str, Any],
@@ -473,8 +454,8 @@ def open_session(config: CheckpointConfig, meta: Dict[str, Any],
 
     On resume the on-disk meta must match the run's identity coordinates
     exactly — resuming a ``book`` journal into an ``airfare`` run, or a
-    cached journal into an uncached run, is refused with the differing
-    keys named.
+    journal written with a different fault profile, is refused with the
+    differing keys named.
     """
     if config.resume:
         journal = RunJournal.open(config.directory)

@@ -87,11 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cap on search-engine round trips per component")
     run.add_argument("--degradation", action="store_true",
                      help="print the full degradation report")
-    run.add_argument("--cache", action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="report the Surface memo's hits and misses "
-                          "(default on; every run asks each Surface "
-                          "question once either way)")
     run.add_argument("--trace", metavar="PATH",
                      help="trace the run and write the trace + metrics "
                           "as deterministic JSON")
@@ -386,15 +381,6 @@ def _resilience_config(args):
     )
 
 
-def _cache_config(args):
-    """Build the run's CacheConfig from CLI flags, or None."""
-    if not args.cache:
-        return None
-    from repro.perf import CacheConfig
-
-    return CacheConfig()
-
-
 def _obs_config(args):
     """Build the run's ObsConfig from CLI flags, or None."""
     if not (args.trace or args.metrics or args.report or args.explain
@@ -485,7 +471,6 @@ def _cmd_run(args) -> int:
         enable_attr_surface=not (args.baseline or args.no_attr_surface),
         threshold=args.threshold,
         resilience=_resilience_config(args),
-        cache=_cache_config(args),
         obs=_obs_config(args),
         checkpoint=_checkpoint_config(args),
         supervisor=_supervisor_config(args),
@@ -702,7 +687,7 @@ def _scripted_request(entry, position: int):
 
 def _service_run_config(*, threshold=0.0, fault_rate=0.0, fault_seed=0,
                         probe_budget=None, query_budget=None):
-    """A WebIQConfig for a service request (cache is forced on anyway)."""
+    """A WebIQConfig for a service request."""
     resilience = None
     if fault_rate > 0.0 or probe_budget is not None \
             or query_budget is not None:

@@ -23,16 +23,15 @@ Every run memoises its Surface questions in one
 :class:`~repro.perf.ValidationCache` sitting *above* the resilient proxy:
 memo hits never reach the retry loop, so they consume no query budget,
 charge no latency, and leave the stopwatch untouched — only real round
-trips bill. When a :class:`~repro.perf.CacheConfig` is attached, the
-memo's :class:`~repro.perf.CacheStats` and its content (a
-:class:`~repro.perf.CachePreload`) ride on the run result, and the run
-may be warm-started from an earlier run's content.
+trips bill. The memo's :class:`~repro.perf.CacheStats` and its content
+(a :class:`~repro.perf.CachePreload`) ride on the run result, and the
+run may be warm-started from an earlier run's content.
 
 When an :class:`~repro.obs.ObsConfig` is attached, the run is traced: a
-root ``run`` span with one child span per pipeline phase, observed
-pass-through layers below the memo (``entry``) and above the resilient
-proxy (``transport``), and metrics counters everywhere the other layers
-make a decision. The resulting :class:`~repro.obs.Observability` bundle
+root ``run`` span with one child span per pipeline phase, one observed
+pass-through layer between the memo and the resilient proxy (and one per
+Deep-Web source), and metrics counters everywhere the other layers make
+a decision. The resulting :class:`~repro.obs.Observability` bundle
 rides on the run result, where the
 :class:`~repro.obs.InvariantChecker` can audit it against the stopwatch,
 degradation and cache accounting. Observation is strictly read-only: with
@@ -65,19 +64,12 @@ from repro.matching.similarity import SimilarityConfig
 from repro.registry.assimilate import RegistryReport, build_registry
 from repro.registry.store import RegistryStore
 from repro.obs.instrument import (
-    LAYER_ENTRY,
-    LAYER_TRANSPORT,
     Observability,
     ObsConfig,
     ObservedDeepWebSource,
     ObservedSearchEngine,
 )
-from repro.perf.cache import (
-    CacheConfig,
-    CachePreload,
-    CacheStats,
-    ValidationCache,
-)
+from repro.perf.cache import CachePreload, CacheStats, ValidationCache
 from repro.resilience.client import (
     DegradationReport,
     ResilienceConfig,
@@ -120,11 +112,6 @@ class WebIQConfig:
     #: fault injection + retry/breaker/budget policy; ``None`` (default)
     #: runs against the pristine substrates exactly as before
     resilience: Optional[ResilienceConfig] = None
-    #: the memo's account and warm starts; ``None`` (default) reports
-    #: no cache section. Every run asks each Surface question once either
-    #: way, so cached and uncached runs send the same round trips and
-    #: are payload-identical; only a warm-started run asks less.
-    cache: Optional[CacheConfig] = None
     #: run tracing + metrics; ``None`` (default) observes nothing and
     #: leaves the run bit-identical to an uninstrumented one.
     obs: Optional[ObsConfig] = None
@@ -173,8 +160,8 @@ class WebIQRunResult:
     stopwatch: StopwatchReport
     #: present iff the run executed under a resilience configuration
     degradation: Optional[DegradationReport] = None
-    #: present iff the run executed with ``config.cache``: the memo's
-    #: hits and misses
+    #: present iff the run acquired instances (``config.webiq_enabled``):
+    #: the memo's hits and misses
     cache: Optional[CacheStats] = None
     #: present iff the run executed with observability enabled
     obs: Optional[Observability] = None
@@ -189,9 +176,9 @@ class WebIQRunResult:
     #: In-memory only — excluded from JSON exports, which must stay
     #: byte-identical with and without a registry attached.
     registry: Optional["RegistryReport"] = None
-    #: present iff the run executed with ``config.cache``: the post-run
-    #: memo as a :class:`~repro.perf.CachePreload`, for warm-starting a
-    #: later run. In-memory only — the export's ``cache`` section carries
+    #: present iff the run acquired instances: the post-run memo as a
+    #: :class:`~repro.perf.CachePreload`, for warm-starting a later run.
+    #: In-memory only — the export's ``cache`` section carries
     #: the stats, never the content.
     cache_content: Optional[CachePreload] = None
     #: present iff the run was executed by the matching service
@@ -225,16 +212,9 @@ class WebIQMatcher:
         *before* any unit executes — the warm run hits where the donor
         run paid, and its export is byte-identical to any other run of
         the same configuration given the same preload (the matching
-        service's equivalence oracle). Requires ``config.cache``: a warm
-        run that reported no cache account and returned no content would
-        hide what the preload changed, which is exactly the kind of
-        divergence this layer exists to refuse.
+        service's equivalence oracle). A run that acquires nothing has
+        no memo and ignores it.
         """
-        if warm is not None and self.config.cache is None:
-            raise ValidationError(
-                "a warm CachePreload requires config.cache: without it the "
-                "run reports no cache account for the warm content"
-            )
         dataset.clear_acquired()
         dataset.reset_counters()
         clock = SimulatedClock()
@@ -301,7 +281,6 @@ class WebIQMatcher:
                 engine = dataset.engine
                 sources = dataset.sources
                 client: Optional[ResilientClient] = None
-                flaky_sources: Dict[str, FlakyDeepWebSource] = {}
                 if self.config.resilience is not None:
                     client = ResilientClient(self.config.resilience, obs=obs)
                     profile = self.config.resilience.profile
@@ -313,37 +292,27 @@ class WebIQMatcher:
                         ),
                         client,
                     )
-                    # The flaky wrappers are kept by id: a resumed run must
-                    # fast-forward each source's fault-fate stream to where
-                    # the killed process left it.
-                    flaky_sources = {
-                        source_id: FlakyDeepWebSource(
-                            source, profile,
-                            on_fault=client.note_injected_fault,
+                    sources = {
+                        source_id: ResilientDeepWebSource(
+                            FlakyDeepWebSource(
+                                source, profile,
+                                on_fault=client.note_injected_fault,
+                            ),
+                            client,
                         )
                         for source_id, source in sources.items()
                     }
-                    sources = {
-                        source_id: ResilientDeepWebSource(flaky, client)
-                        for source_id, flaky in flaky_sources.items()
-                    }
                 if obs is not None:
-                    # Transport layer: everything crossing here heads for
-                    # the (possibly flaky) Web.
-                    engine = ObservedSearchEngine(engine, obs, LAYER_TRANSPORT)
+                    # One observer per substrate, directly below the memo:
+                    # every engine call crossing here is a memo miss
+                    # heading for the (possibly flaky) Web.
+                    engine = ObservedSearchEngine(engine, obs)
                     sources = {
                         source_id: ObservedDeepWebSource(source, obs)
                         for source_id, source in sources.items()
                     }
-                    # Entry layer: every call the memo sends on, one per
-                    # memo miss.
-                    engine = ObservedSearchEngine(engine, obs, LAYER_ENTRY)
                 if session is not None:
-                    session.attach_substrates(
-                        engine, sources,
-                        client=client,
-                        flaky_sources=flaky_sources,
-                    )
+                    session.attach_substrates(engine, sources, client=client)
                 acquirer = InstanceAcquirer(
                     engine, sources, self.config.acquisition,
                     resilience=client, validation_cache=validation_cache,
@@ -418,7 +387,7 @@ class WebIQMatcher:
                 )
         cache_stats: Optional[CacheStats] = None
         cache_content: Optional[CachePreload] = None
-        if self.config.cache is not None and validation_cache is not None:
+        if validation_cache is not None:
             # The post-run memo, as the warm-start input a later run (or
             # the matching service's next epoch) can be seeded with.
             # Captured after everything that can touch the memo; what the
@@ -463,9 +432,8 @@ class WebIQMatcher:
         """The run-identity coordinates a journal is only valid for.
 
         Resume refuses a journal whose meta differs in any key: replaying
-        a ``book`` journal into an ``airfare`` run, or a cached journal
-        (which restores the memo's stats) into an uncached one, would
-        silently corrupt the result.
+        a ``book`` journal into an ``airfare`` run would silently corrupt
+        the result.
         Deliberately excluded: ``kill_at`` / ``preempt_at`` (injected
         hostility), observability (read-only), and ``registry``
         (post-run bookkeeping that cannot change a run byte). A warm preload *is* run
@@ -483,7 +451,6 @@ class WebIQMatcher:
             "threshold": cfg.threshold,
             "linkage": cfg.linkage,
             "k": cfg.acquisition.k,
-            "cache": cfg.cache is not None,
             "resilience": None,
         }
         if warm is not None:

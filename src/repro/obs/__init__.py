@@ -30,8 +30,6 @@ run.
 """
 
 from repro.obs.instrument import (
-    LAYER_ENTRY,
-    LAYER_TRANSPORT,
     Observability,
     ObsConfig,
     ObservedDeepWebSource,
@@ -89,8 +87,6 @@ __all__ = [
     "Observability",
     "ObservedSearchEngine",
     "ObservedDeepWebSource",
-    "LAYER_ENTRY",
-    "LAYER_TRANSPORT",
     "Tracer",
     "Span",
     "TraceEvent",

@@ -7,24 +7,20 @@ in the stack can attribute what it sees without threading extra arguments
 through every call.
 
 :class:`ObservedSearchEngine` and :class:`ObservedDeepWebSource` are
-transparent pass-through layers inserted at two depths of the Web stack::
+transparent pass-through layers, one per substrate, directly above the
+resilient proxies::
 
-    ValidationCache                          # the run's memo answers repeats
-      ObservedSearchEngine(layer="entry")    # what the memo sends on
-        ObservedSearchEngine(layer="transport")   # what heads for the Web
-          ResilientSearchEngine -> FlakySearchEngine -> SearchEngine
+    ValidationCache                  # the run's memo answers repeats
+      ObservedSearchEngine           # every memo miss, heading for the Web
+        ResilientSearchEngine -> FlakySearchEngine -> SearchEngine
 
-The entry layer counts every call the memo sends on; the transport layer
-counts the calls that actually head for the (possibly flaky) Web and, by
-differencing the substrate's ``query_count``/``probe_count`` around each
-call, how many *real round trips* the call cost (retries included). Those
-two independent tallies are what give the
-:class:`~repro.obs.invariants.InvariantChecker` its conservation laws:
-entry calls must equal memo misses and transport calls, transport round
-trips must equal the stopwatch's per-account query counts and the
-resilience budgets' spend. (With nothing between them the two layers now
-see the same calls; they stay separate because the observed exports
-record both.)
+Each wrapper counts the calls that head for the (possibly flaky) Web and,
+by differencing the substrate's ``query_count``/``probe_count`` around
+each call, how many *real round trips* the call cost (retries included).
+Those tallies give the :class:`~repro.obs.invariants.InvariantChecker`
+its conservation laws: observed engine calls must equal memo misses, and
+observed round trips must equal the stopwatch's per-account query counts
+and the resilience budgets' spend.
 
 The wrappers are strictly read-only observers: they consume no randomness,
 swallow no exceptions, and forward every attribute they do not define
@@ -51,15 +47,7 @@ __all__ = [
     "Observability",
     "ObservedSearchEngine",
     "ObservedDeepWebSource",
-    "LAYER_ENTRY",
-    "LAYER_TRANSPORT",
 ]
-
-#: Layer label of the wrapper the run's memo talks to.
-LAYER_ENTRY = "entry"
-#: Layer label of the wrapper directly above the resilient proxy /
-#: raw substrate: everything here goes to the "Web".
-LAYER_TRANSPORT = "transport"
 
 #: Component label outside any phase scope.
 DEFAULT_COMPONENT = "web"
@@ -69,9 +57,8 @@ DEFAULT_COMPONENT = "web"
 class ObsConfig:
     """Pipeline-facing observability knobs (attach to ``WebIQConfig.obs``).
 
-    ``trace_calls`` controls the per-call trace events (the bulkiest part
-    of a trace); metrics counters and phase spans are always recorded.
-    ``provenance`` turns the decision-provenance recorder on (default) or
+    Metrics counters, phase spans and per-call trace events are always
+    recorded. ``provenance`` turns the decision-provenance recorder on (default) or
     off; ``provenance_capacity`` bounds each of its ring buffers so an
     arbitrarily large run cannot exhaust memory. ``profile`` additionally
     collects hot-path work counters (:mod:`repro.util.counters`) for the
@@ -79,7 +66,6 @@ class ObsConfig:
     run exports are bit-identical with it on or off.
     """
 
-    trace_calls: bool = True
     provenance: bool = True
     provenance_capacity: int = DEFAULT_PROVENANCE_CAPACITY
     profile: bool = False
@@ -132,34 +118,28 @@ class Observability:
     # ------------------------------------------------------------ recording
     def record_call(
         self,
-        layer: str,
         substrate: str,
         method: str,
         round_trips: int,
         **attrs: Any,
     ) -> None:
-        """One observed Web-stack call: a counter bump and (optionally) a
-        trace event, attributed to the active component."""
+        """One observed Web-stack call: a counter bump and a trace event,
+        attributed to the active component."""
         component = self.active_component
         self.metrics.counter(
-            "web.calls", layer=layer, substrate=substrate, component=component
+            "web.calls", substrate=substrate, component=component
         ).inc()
         self.metrics.counter(
-            "web.round_trips",
-            layer=layer,
-            substrate=substrate,
-            component=component,
+            "web.round_trips", substrate=substrate, component=component
         ).inc(round_trips)
-        if self.config.trace_calls:
-            self.tracer.event(
-                "web_call",
-                layer=layer,
-                substrate=substrate,
-                method=method,
-                component=component,
-                round_trips=round_trips,
-                **attrs,
-            )
+        self.tracer.event(
+            "web_call",
+            substrate=substrate,
+            method=method,
+            component=component,
+            round_trips=round_trips,
+            **attrs,
+        )
 
     def summary(self) -> str:
         """One CLI-ready line for the run's trace + metrics volume."""
@@ -175,16 +155,14 @@ class Observability:
 class ObservedSearchEngine:
     """Engine-shaped pass-through that reports every call to ``obs``.
 
-    ``layer`` labels where in the stack this wrapper sits (see module
-    docs). Round trips are measured by differencing the underlying
+    Round trips are measured by differencing the underlying
     ``query_count`` around the call, so a retried call reports every
     attempt.
     """
 
-    def __init__(self, inner, obs: Observability, layer: str) -> None:
+    def __init__(self, inner, obs: Observability) -> None:
         self.inner = inner
         self.obs = obs
-        self.layer = layer
 
     # ------------------------------------------------------- engine facade
     @property
@@ -228,7 +206,6 @@ class ObservedSearchEngine:
         before = self.inner.query_count
         result = fn()
         self.obs.record_call(
-            layer=self.layer,
             substrate="engine",
             method=method,
             round_trips=self.inner.query_count - before,
@@ -239,11 +216,9 @@ class ObservedSearchEngine:
 class ObservedDeepWebSource:
     """Source-shaped pass-through reporting every probe to ``obs``."""
 
-    def __init__(self, inner, obs: Observability,
-                 layer: str = LAYER_TRANSPORT) -> None:
+    def __init__(self, inner, obs: Observability) -> None:
         self.inner = inner
         self.obs = obs
-        self.layer = layer
 
     # ------------------------------------------------------- source facade
     @property
@@ -269,7 +244,6 @@ class ObservedDeepWebSource:
         before = self.inner.probe_count
         result = self.inner.submit(values)
         self.obs.record_call(
-            layer=self.layer,
             substrate="source",
             method="submit",
             round_trips=self.inner.probe_count - before,

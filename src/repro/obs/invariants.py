@@ -9,16 +9,16 @@ underlying traffic from different layers:
   (faults, retries, give-ups, breaker trips, budget spend);
 - the run memo's :class:`~repro.perf.CacheStats` (hits and misses, per
   map);
-- the :mod:`repro.obs` trace/metrics (per-call counts below the memo and
-  at the transport layer, with measured round-trip deltas).
+- the :mod:`repro.obs` trace/metrics (per-call counts of one observer
+  per substrate, directly below the memo, with measured round-trip
+  deltas).
 
 None of them is derived from another: the stopwatch differences substrate
 counters per phase, the degradation report counts retry-loop decisions,
 the memo counts its lookups, and the observed wrappers count individual
 calls. When the stack is wired correctly they must agree exactly — every
-memo miss is one engine call, every engine call reaches the transport,
-every transport round trip is charged to the stopwatch and to the
-component's budget, every raised fault ends in a retry, a give-up or a
+memo miss is one observed engine call, every observed round trip is
+charged to the stopwatch and to the component's budget, every raised fault ends in a retry, a give-up or a
 breaker trip. :class:`InvariantChecker` asserts those identities, turning
 any benchmark or test run into a whole-stack correctness check: a single
 missed or double-counted call anywhere breaks a conservation law.
@@ -34,12 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
-from repro.obs.instrument import (
-    DEFAULT_COMPONENT,
-    LAYER_ENTRY,
-    LAYER_TRANSPORT,
-    Observability,
-)
+from repro.obs.instrument import DEFAULT_COMPONENT, Observability
 from repro.obs.provenance import PRUNE_STAGES, ProvenanceRecorder
 
 __all__ = ["InvariantViolation", "InvariantReport", "InvariantChecker", "check_run"]
@@ -102,7 +97,6 @@ class InvariantChecker:
         obs: Optional[Observability] = getattr(result, "obs", None)
         cache = result.cache
         degradation = result.degradation
-        trace_calls = obs is not None and obs.config.trace_calls
         domain = getattr(result, "domain", None) or "?"
         seed = getattr(result, "seed", None)
         self._context = (
@@ -115,8 +109,8 @@ class InvariantChecker:
             self._check_profile_time_conservation(report, obs)
         if cache is not None:
             self._check_cache_kind_accounting(report, cache)
-        if obs is not None:
-            self._check_cache_layer_conservation(report, obs, cache)
+        if obs is not None and cache is not None:
+            self._check_cache_entry_conservation(report, obs, cache)
         if obs is not None and result.acquisition is not None:
             self._check_round_trip_conservation(report, obs, result)
         if result.acquisition is not None:
@@ -125,9 +119,8 @@ class InvariantChecker:
             self._check_fault_fate_conservation(report, degradation)
             self._check_budget_conservation(report, result, obs)
         if obs is not None and degradation is not None:
-            self._check_retry_conservation(report, obs, degradation,
-                                           trace_calls)
-        if trace_calls:
+            self._check_retry_conservation(report, obs, degradation)
+        if obs is not None:
             self._check_trace_metrics_consistency(report, obs)
         provenance = obs.provenance if obs is not None else None
         if provenance is not None:
@@ -227,24 +220,15 @@ class InvariantChecker:
             "memo misses by kind", "memo misses",
         )
 
-    def _check_cache_layer_conservation(self, report: InvariantReport,
+    def _check_cache_entry_conservation(self, report: InvariantReport,
                                         obs: Observability, cache) -> None:
-        entry_calls = obs.metrics.sum_counters(
-            "web.calls", layer=LAYER_ENTRY, substrate="engine")
-        transport_calls = obs.metrics.sum_counters(
-            "web.calls", layer=LAYER_TRANSPORT, substrate="engine")
-        if cache is not None:
-            name = "cache-entry-conservation"
-            report.checked.append(name)
-            self._equal(
-                report, name, entry_calls, cache.misses,
-                "entry-layer engine calls", "memo misses",
-            )
-        name = "uncached-passthrough"
+        name = "cache-entry-conservation"
         report.checked.append(name)
         self._equal(
-            report, name, entry_calls, transport_calls,
-            "entry-layer engine calls", "transport-layer engine calls",
+            report, name,
+            obs.metrics.sum_counters("web.calls", substrate="engine"),
+            cache.misses,
+            "observed engine calls", "memo misses",
         )
 
     def _check_round_trip_conservation(self, report: InvariantReport,
@@ -258,7 +242,7 @@ class InvariantChecker:
             ("attr_deep", "source"),
         ):
             traced = obs.metrics.sum_counters(
-                "web.round_trips", layer=LAYER_TRANSPORT,
+                "web.round_trips",
                 substrate=substrate, component=component,
             )
             self._equal(
@@ -267,13 +251,12 @@ class InvariantChecker:
                 f"stopwatch queries[{component}]",
             )
         stray = obs.metrics.sum_counters(
-            "web.round_trips", layer=LAYER_TRANSPORT,
-            component=DEFAULT_COMPONENT,
+            "web.round_trips", component=DEFAULT_COMPONENT,
         )
         if stray:
             self._fail(
                 report, name,
-                f"{stray} transport round trips outside any component scope",
+                f"{stray} observed round trips outside any component scope",
             )
 
     def _check_stopwatch_accounting(self, report: InvariantReport,
@@ -335,8 +318,7 @@ class InvariantChecker:
             )
         if obs is not None:
             traced_probes = obs.metrics.sum_counters(
-                "web.round_trips", layer=LAYER_TRANSPORT,
-                substrate="source", component="attr_deep",
+                "web.round_trips", substrate="source", component="attr_deep",
             )
             self._equal(
                 report, name, traced_probes, spent.get("attr_deep", 0),
@@ -344,8 +326,7 @@ class InvariantChecker:
             )
 
     def _check_retry_conservation(self, report: InvariantReport,
-                                  obs: Observability, degradation,
-                                  trace_calls: bool) -> None:
+                                  obs: Observability, degradation) -> None:
         name = "retry-conservation"
         report.checked.append(name)
         counted = obs.metrics.sum_counters("resilience.retries")
@@ -364,53 +345,48 @@ class InvariantChecker:
                 f"retry counter[{component}]",
                 f"degradation retries[{component}]",
             )
-        if trace_calls:
-            self._equal(
-                report, name, obs.tracer.count_events("retry"),
-                degradation.total_retries,
-                "traced retry events", "degradation retries",
-            )
-            self._equal(
-                report, name, obs.tracer.count_events("fault"),
-                sum(degradation.faults_by_component.values()),
-                "traced fault events", "degradation faults caught",
-            )
-            self._equal(
-                report, name, obs.tracer.count_events("giveup"),
-                sum(degradation.giveups_by_component.values()),
-                "traced give-up events", "degradation give-ups",
-            )
-            self._equal(
-                report, name, obs.tracer.count_events("breaker_trip"),
-                sum(degradation.breaker_trips.values()),
-                "traced breaker trips", "degradation breaker trips",
-            )
+        self._equal(
+            report, name, obs.tracer.count_events("retry"),
+            degradation.total_retries,
+            "traced retry events", "degradation retries",
+        )
+        self._equal(
+            report, name, obs.tracer.count_events("fault"),
+            sum(degradation.faults_by_component.values()),
+            "traced fault events", "degradation faults caught",
+        )
+        self._equal(
+            report, name, obs.tracer.count_events("giveup"),
+            sum(degradation.giveups_by_component.values()),
+            "traced give-up events", "degradation give-ups",
+        )
+        self._equal(
+            report, name, obs.tracer.count_events("breaker_trip"),
+            sum(degradation.breaker_trips.values()),
+            "traced breaker trips", "degradation breaker trips",
+        )
 
     def _check_trace_metrics_consistency(self, report: InvariantReport,
                                          obs: Observability) -> None:
         name = "trace-metrics-consistency"
         report.checked.append(name)
-        for layer in (LAYER_ENTRY, LAYER_TRANSPORT):
-            for substrate in ("engine", "source"):
-                events = obs.tracer.count_events(
-                    "web_call", layer=layer, substrate=substrate)
-                calls = obs.metrics.sum_counters(
-                    "web.calls", layer=layer, substrate=substrate)
-                self._equal(
-                    report, name, events, calls,
-                    f"web_call events[{layer}/{substrate}]",
-                    f"web.calls counter[{layer}/{substrate}]",
-                )
-                traced_rt = obs.tracer.sum_event_attr(
-                    "round_trips", "web_call",
-                    layer=layer, substrate=substrate)
-                counted_rt = obs.metrics.sum_counters(
-                    "web.round_trips", layer=layer, substrate=substrate)
-                self._equal(
-                    report, name, traced_rt, counted_rt,
-                    f"traced round trips[{layer}/{substrate}]",
-                    f"web.round_trips counter[{layer}/{substrate}]",
-                )
+        for substrate in ("engine", "source"):
+            events = obs.tracer.count_events("web_call", substrate=substrate)
+            calls = obs.metrics.sum_counters("web.calls", substrate=substrate)
+            self._equal(
+                report, name, events, calls,
+                f"web_call events[{substrate}]",
+                f"web.calls counter[{substrate}]",
+            )
+            traced_rt = obs.tracer.sum_event_attr(
+                "round_trips", "web_call", substrate=substrate)
+            counted_rt = obs.metrics.sum_counters(
+                "web.round_trips", substrate=substrate)
+            self._equal(
+                report, name, traced_rt, counted_rt,
+                f"traced round trips[{substrate}]",
+                f"web.round_trips counter[{substrate}]",
+            )
 
     def _check_lineage_conservation(self, report: InvariantReport,
                                     provenance: ProvenanceRecorder,
@@ -527,7 +503,7 @@ class InvariantChecker:
 
     def _check_checkpoint_replay_isolation(self, report: InvariantReport,
                                            checkpoint) -> None:
-        """Replayed units consume zero transport calls.
+        """Replayed units consume zero Web round trips.
 
         The raw substrate counters see only what *this* process sent over
         the wire — which must be exactly the fresh units' spend. Any

@@ -3,7 +3,7 @@
 The :class:`MetricsRegistry` is the numeric half of :mod:`repro.obs` — the
 trace says *what happened in which order*, the registry says *how many and
 how much*. Instruments are identified by a name plus a frozen label set
-(``counter("web.calls", layer="transport", component="surface")``),
+(``counter("web.calls", substrate="engine", component="surface")``),
 mirroring how deployed metric systems key time series; the invariant
 checker then aggregates over label dimensions to cross-check the trace,
 the cache statistics, the degradation report and the stopwatch against

@@ -39,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.obs.instrument import LAYER_ENTRY, LAYER_TRANSPORT
 from repro.obs.trace import Span, Tracer
 from repro.util.atomicio import atomic_write_json, atomic_write_text
 from repro.util.envelope import record_crc
@@ -197,21 +196,17 @@ def _phase_rollup(tracer: Tracer) -> Dict[str, Dict[str, Any]]:
 
 
 def _component_rollup(metrics) -> Dict[str, Dict[str, int]]:
-    """Per-component entry/transport call and round-trip totals."""
+    """Per-component observed call and round-trip totals."""
     components: Dict[str, Dict[str, int]] = {}
     for labels in metrics.counter_labels("web.calls"):
         component = labels.get("component", "?")
         if component not in components:
             components[component] = {
-                "entry_calls": metrics.sum_counters(
-                    "web.calls", layer=LAYER_ENTRY, component=component
-                ),
-                "transport_calls": metrics.sum_counters(
-                    "web.calls", layer=LAYER_TRANSPORT, component=component
+                "calls": metrics.sum_counters(
+                    "web.calls", component=component
                 ),
                 "round_trips": metrics.sum_counters(
-                    "web.round_trips", layer=LAYER_TRANSPORT,
-                    component=component,
+                    "web.round_trips", component=component
                 ),
             }
     return {name: components[name] for name in sorted(components)}

@@ -1,7 +1,7 @@
 """Decision provenance: why every instance and every match exists.
 
-The trace (:mod:`repro.obs.trace`) records what the pipeline *did* at the
-transport layer — calls, round trips, retries. This module records what it
+The trace (:mod:`repro.obs.trace`) records what the pipeline *did* on
+the Web — calls, round trips, retries. This module records what it
 *decided* and why, which is the evidence the paper's evaluation reasons
 about (Figures 6–8, Table 1) and the substance an operator needs to audit
 a match:

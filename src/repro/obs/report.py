@@ -20,9 +20,9 @@ same run are byte-identical.
   first diverging decision so a bisecting investigation starts at the
   right record rather than at "the run is different".
 
-The benchmarks assert cached-vs-uncached and fault-0-vs-clean runs show
-**no provenance divergence**: those layers must change the accounting,
-never the decisions.
+The tests and benchmarks assert cold-vs-warm and fault-0-vs-clean runs
+show **no provenance divergence**: a warm start and the resilience layer
+must change the accounting, never the decisions.
 """
 
 from __future__ import annotations

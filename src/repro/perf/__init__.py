@@ -9,7 +9,6 @@ real round trips only.
 """
 
 from repro.perf.cache import (
-    CacheConfig,
     CachePreload,
     CacheStats,
     ValidationCache,
@@ -17,7 +16,6 @@ from repro.perf.cache import (
 )
 
 __all__ = [
-    "CacheConfig",
     "CachePreload",
     "CacheStats",
     "ValidationCache",

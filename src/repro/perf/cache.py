@@ -13,14 +13,18 @@ already asked. This module makes that redundancy free:
   attributes, interfaces, and classifier training vs. prediction; it
   counts its own hits and misses per map (:class:`CacheStats`);
 - :class:`CachePreload` — one run's memo, frozen, to warm-start a later
-  run: the warm run asks nothing its donor already asked;
-- :class:`CacheConfig` — the pipeline-facing switch.
+  run: the warm run asks nothing its donor already asked.
+
+Every run that acquires instances reports its memo's stats and returns
+its content; a run with no acquisition (the IceQ baseline) has no memo.
 
 **Layering.** The memo is the only cache, and it sits above every
 engine layer::
 
     ValidationCache -> ResilientSearchEngine -> FlakySearchEngine -> engine
 
+(An observed run inserts one :class:`~repro.obs.ObservedSearchEngine`
+directly below the memo, so every observed engine call is a memo miss.)
 A memo hit therefore never reaches :class:`~repro.resilience.ResilientClient`:
 it consumes no query budget, charges no retry or backoff accounting, and
 adds nothing to Figure 8's overhead — exactly the behaviour of a real
@@ -39,6 +43,7 @@ a question with the donor's degraded answer, without asking it again
 
 from __future__ import annotations
 
+import copy
 import zlib
 from dataclasses import dataclass, field
 from itertools import islice
@@ -47,7 +52,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.surfaceweb.engine import SearchResult
 
 __all__ = [
-    "CacheConfig",
     "CachePreload",
     "CacheStats",
     "ValidationCache",
@@ -148,23 +152,11 @@ class CacheStats:
         self.misses_by_kind = dict(payload["misses_by_kind"])
 
 
-@dataclass(frozen=True)
-class CacheConfig:
-    """The pipeline's cache switch (attach to ``WebIQConfig.cache``).
-
-    Every run memoises its Surface questions; with a ``CacheConfig``
-    attached the run also reports the memo's :class:`CacheStats` and
-    returns its content as a :class:`CachePreload`, and it may be
-    warm-started from one.
-    """
-
-
 class ValidationCache:
     """Run-wide memo of the Surface Web questions a run asks.
 
-    One instance serves every Surface question of a pipeline run, with
-    or without a :class:`CacheConfig`: the Surface discoverer's
-    extraction searches and the hit counts of every
+    One instance serves every Surface question of a pipeline run: the
+    Surface discoverer's extraction searches and the hit counts of every
     :class:`~repro.core.surface.WebValidator` (the discoverer's and the
     Attr-Surface classifier's). A question asked once is never sent
     again in the run: a marginal asked during Surface validation is free
@@ -311,14 +303,10 @@ class CachePreload:
         content), and the child shares the parent's memo and fingerprint
         instead of copying them.
         """
-        preload = cls()
         if parent is not None and len(validation_cache) == len(
                 parent.validation):
-            preload.validation = parent.validation
-            preload._fingerprint = parent._fingerprint
-        else:
-            preload.validation = validation_cache.clone()
-        return preload
+            return copy.copy(parent)
+        return cls(validation_cache)
 
     def apply(self, validation_cache: ValidationCache) -> None:
         """Seed a fresh run's memo with this snapshot.

@@ -28,9 +28,9 @@ whether a given query faults depends only on the query itself and on how
 many times it has been retried within one resilient call — never on what
 other queries were issued before it. Re-issuing a query replays the same
 fate sequence. This keeps fault behaviour stable under call reordering and
-composes with the :mod:`repro.perf` cache: answering a repeated query from
-the cache cannot shift the fate of the queries that still reach the
-engine, so cached and uncached runs see the same Web. Deep-Web sources
+composes with the :mod:`repro.perf` memo: answering a repeated query from
+the memo cannot shift the fate of the queries that still reach the
+engine, so cold and warm runs see the same Web. Deep-Web sources
 keep sequential streams (probes are stateful submissions), partitioned
 per ``(source, checkpoint unit)``: inside a unit scope (see
 :mod:`repro.resilience.context`) the stream is derived from the unit key
@@ -341,11 +341,6 @@ class FlakyDeepWebSource:
         #: position 0 when its unit first probes this source, making fates
         #: a pure function of ``(seed, source, unit, draw index)``.
         self._unit_rngs: Dict[UnitKey, object] = {}
-        #: total fate draws consumed, across all streams. Not the same as
-        #: ``probe_count`` (a submission rejected for an unknown attribute
-        #: name draws a fate but counts no probe); journaled as a counter
-        #: for accounting — per-unit streams need no fast-forward.
-        self.draws = 0
 
     # ------------------------------------------------------- source facade
     @property
@@ -375,24 +370,6 @@ class FlakyDeepWebSource:
     def recognizes(self, attribute_name: str, value: str) -> bool:
         return self.inner.recognizes(attribute_name, value)
 
-    def fast_forward(self, draws: int) -> None:
-        """Advance a fresh *legacy* stream past ``draws`` historical fates.
-
-        Only meaningful for standalone (outside-unit-scope) use, where the
-        sequential per-source stream still applies: each historical fate
-        is re-drawn and discarded. Pipeline runs draw from per-unit
-        streams that need no re-positioning, so resume no longer calls
-        this.
-        """
-        if self.draws:
-            raise ValueError(
-                "fast_forward needs a fresh fault stream "
-                f"(already drew {self.draws})"
-            )
-        for _ in range(draws):
-            self.profile.draw(self._rng)
-        self.draws = draws
-
     def _fate_rng(self):
         """This thread's fate stream: per-unit inside a unit scope (derived
         fresh from the unit key on first use), the legacy sequential
@@ -410,7 +387,6 @@ class FlakyDeepWebSource:
         return rng
 
     def submit(self, values: Mapping[str, str]) -> ResponsePage:
-        self.draws += 1
         kind = self.profile.draw(self._fate_rng())
         if kind is not None and self.on_fault is not None:
             self.on_fault(kind)

@@ -56,7 +56,7 @@ from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.core.surface import SurfaceMemo
 from repro.datasets.dataset import build_domain_dataset, build_web
 from repro.io import run_result_to_dict
-from repro.perf.cache import CacheConfig, CachePreload
+from repro.perf.cache import CachePreload
 from repro.registry.assimilate import RegistryAssimilator
 from repro.registry.store import RegistryLock, RegistryStore
 from repro.service.admission import (
@@ -123,8 +123,8 @@ class MatchRequest:
     domain: str
     n_interfaces: int = 4
     seed: int = 7
-    #: the run configuration; the service forces the cache switch on and,
-    #: for deadline requests, attaches a checkpoint spool + supervisor
+    #: the run configuration; the service clears its registry and, for
+    #: deadline requests, attaches a checkpoint spool + supervisor
     config: WebIQConfig = field(default_factory=WebIQConfig)
     #: simulated-seconds budget for the whole run; ``None`` = no deadline
     deadline_seconds: Optional[float] = None
@@ -356,15 +356,11 @@ class MatchingService:
     def effective_config(self, request: MatchRequest) -> WebIQConfig:
         """The config a request actually runs with.
 
-        The cache is forced on (a cold service run is just a warm run
-        with an empty preload — one code path); the registry knob is
-        cleared (the service owns registry persistence, copy-on-write);
-        a deadline attaches a per-request checkpoint spool and a run
+        The registry knob is cleared (the service owns registry
+        persistence, copy-on-write); a deadline attaches a per-request checkpoint spool and a run
         supervisor budget so expiry preempts at a journal boundary.
         """
         cfg = request.config
-        if cfg.cache is None:
-            cfg = replace(cfg, cache=CacheConfig())
         if cfg.registry is not None:
             cfg = replace(cfg, registry=None)
         if request.deadline_seconds is not None and cfg.checkpoint is None:

@@ -6,7 +6,7 @@ is byte-identical to the uninterrupted run — same instances, clusters,
 metrics, stopwatch accounts, degradation report and cache stats — while
 re-spending **zero** engine queries or source probes on replayed units.
 
-The primary configuration (faults + cache, the full stack) is swept over
+The primary configuration (faults, the full stack) is swept over
 *every* boundary; the other stack combinations and the domain × seed
 grid are swept over sampled boundaries (first, middle, last). Every
 resumed run is additionally audited by the cross-layer
@@ -24,7 +24,6 @@ from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
 from repro.io import RUN_RESULT_FORMAT, dump_run_result, run_result_to_dict
 from repro.obs import ObsConfig, check_run, diff_runs
-from repro.perf import CacheConfig
 from repro.perf.cache import normalize_query
 from repro.resilience import BreakerPolicy, FaultProfile, ResilienceConfig
 from repro.surfaceweb.engine import SearchEngine
@@ -52,19 +51,15 @@ def faulty_resilience(**overrides):
 
 
 COMBOS = {
-    "faults+cache": lambda: (faulty_resilience(), CacheConfig()),
-    "faults": lambda: (faulty_resilience(), None),
-    "cache": lambda: (None, CacheConfig()),
-    "plain": lambda: (None, None),
+    "faults": faulty_resilience,
+    "plain": lambda: None,
 }
 
 
 def run_once(domain, seed, combo, checkpoint=None):
     """One pipeline run; returns (canonical payload, result, dataset)."""
-    resilience, cache = COMBOS[combo]()
     dataset = build_domain_dataset(domain, N_INTERFACES, seed)
-    config = WebIQConfig(resilience=resilience, cache=cache,
-                         checkpoint=checkpoint)
+    config = WebIQConfig(resilience=COMBOS[combo](), checkpoint=checkpoint)
     result = WebIQMatcher(config).run(dataset)
     return canonical(dataset, result), result, dataset
 
@@ -146,15 +141,15 @@ class TestKillSweepPrimary:
     """Every boundary of the full stack (faults + cache) is a safe death."""
 
     def test_every_boundary_resumes_byte_identical(self, tmp_path):
-        base_payload, base_result = baseline("book", 1, "faults+cache")
+        base_payload, base_result = baseline("book", 1, "faults")
         _, probe, _ = run_once(
-            "book", 1, "faults+cache",
+            "book", 1, "faults",
             CheckpointConfig(directory=str(tmp_path / "probe")))
         boundaries = probe.checkpoint.boundaries
         assert boundaries > 10
         for kill_at in range(boundaries):
             payload, result, dataset = kill_and_resume(
-                tmp_path, "book", 1, "faults+cache", kill_at)
+                tmp_path, "book", 1, "faults", kill_at)
             assert payload == base_payload, f"diverged after kill at {kill_at}"
             audit = check_run(result)
             assert audit.ok, f"kill at {kill_at}: {audit.summary()}"
@@ -167,13 +162,13 @@ class TestKillSweepPrimary:
 
     def test_kill_at_last_boundary_resumes_with_zero_fresh_units(
             self, tmp_path):
-        base_payload, _ = baseline("book", 1, "faults+cache")
+        base_payload, _ = baseline("book", 1, "faults")
         _, probe, _ = run_once(
-            "book", 1, "faults+cache",
+            "book", 1, "faults",
             CheckpointConfig(directory=str(tmp_path / "probe")))
         last = probe.checkpoint.boundaries - 1
         payload, result, dataset = kill_and_resume(
-            tmp_path, "book", 1, "faults+cache", last)
+            tmp_path, "book", 1, "faults", last)
         assert payload == base_payload
         assert result.checkpoint.fresh_records == 0
         assert dataset.engine.query_count == 0
@@ -182,7 +177,7 @@ class TestKillSweepPrimary:
 class TestKillSweepGrid:
     """Sampled boundaries across stack combos, domains and seeds."""
 
-    @pytest.mark.parametrize("combo", ("faults", "cache", "plain"))
+    @pytest.mark.parametrize("combo", sorted(COMBOS))
     def test_sampled_boundaries_per_combo(self, tmp_path, combo):
         base_payload, _ = baseline("book", 1, combo)
         _, probe, _ = run_once(
@@ -199,14 +194,14 @@ class TestKillSweepGrid:
     @pytest.mark.parametrize("domain", DOMAINS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_domain_seed_grid(self, tmp_path, domain, seed):
-        base_payload, _ = baseline(domain, seed, "faults+cache")
+        base_payload, _ = baseline(domain, seed, "faults")
         _, probe, _ = run_once(
-            domain, seed, "faults+cache",
+            domain, seed, "faults",
             CheckpointConfig(directory=str(tmp_path / "probe")))
         n = probe.checkpoint.boundaries
         for kill_at in {0, n // 2, n - 1}:
             payload, result, _ = kill_and_resume(
-                tmp_path, domain, seed, "faults+cache", kill_at)
+                tmp_path, domain, seed, "faults", kill_at)
             assert payload == base_payload, f"diverged after kill at {kill_at}"
             audit = check_run(result)
             assert audit.ok, f"kill at {kill_at}: {audit.summary()}"
@@ -216,11 +211,11 @@ class TestResumeSemantics:
     def test_no_drift_between_uninterrupted_and_resumed_exports(
             self, tmp_path):
         _, base_result, _ = run_once(
-            "book", 1, "faults+cache",
+            "book", 1, "faults",
             CheckpointConfig(directory=str(tmp_path / "uninterrupted")))
         n = base_result.checkpoint.boundaries
         _, resumed, _ = kill_and_resume(
-            tmp_path, "book", 1, "faults+cache", n // 2)
+            tmp_path, "book", 1, "faults", n // 2)
         diff = diff_runs(run_result_to_dict(base_result),
                          run_result_to_dict(resumed))
         assert diff.identical, diff.summary()
@@ -228,21 +223,21 @@ class TestResumeSemantics:
 
     def test_chained_kills(self, tmp_path):
         """Kill, resume, kill again later, resume again: still identical."""
-        base_payload, _ = baseline("book", 1, "faults+cache")
+        base_payload, _ = baseline("book", 1, "faults")
         directory = str(tmp_path / "journal")
         _, probe, _ = run_once(
-            "book", 1, "faults+cache",
+            "book", 1, "faults",
             CheckpointConfig(directory=str(tmp_path / "probe")))
         n = probe.checkpoint.boundaries
         with pytest.raises(PreemptionError):
-            run_once("book", 1, "faults+cache",
+            run_once("book", 1, "faults",
                      CheckpointConfig(directory=directory, kill_at=n // 3))
         with pytest.raises(PreemptionError):
-            run_once("book", 1, "faults+cache",
+            run_once("book", 1, "faults",
                      CheckpointConfig(directory=directory, resume=True,
                                       kill_at=2 * n // 3))
         payload, result, _ = run_once(
-            "book", 1, "faults+cache",
+            "book", 1, "faults",
             CheckpointConfig(directory=directory, resume=True))
         assert payload == base_payload
         assert check_run(result).ok
@@ -250,10 +245,10 @@ class TestResumeSemantics:
     def test_resume_of_complete_journal_does_no_fresh_work(self, tmp_path):
         directory = str(tmp_path / "journal")
         base_payload, _, _ = run_once(
-            "book", 1, "faults+cache",
+            "book", 1, "faults",
             CheckpointConfig(directory=directory))
         payload, result, dataset = run_once(
-            "book", 1, "faults+cache",
+            "book", 1, "faults",
             CheckpointConfig(directory=directory, resume=True))
         assert payload == base_payload
         assert result.checkpoint.fresh_records == 0
@@ -263,11 +258,11 @@ class TestResumeSemantics:
     def test_resumed_dump_byte_identical_to_uninterrupted_dump(
             self, tmp_path):
         _, base_result, _ = run_once(
-            "book", 1, "faults+cache",
+            "book", 1, "faults",
             CheckpointConfig(directory=str(tmp_path / "uninterrupted")))
         n = base_result.checkpoint.boundaries
         _, resumed, _ = kill_and_resume(
-            tmp_path, "book", 1, "faults+cache", n // 2)
+            tmp_path, "book", 1, "faults", n // 2)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         dump_run_result(base_result, str(a))
         dump_run_result(resumed, str(b))
@@ -352,9 +347,16 @@ class TestResumeRefusals:
             run_once("airfare", 1, "plain",
                      CheckpointConfig(directory=directory, resume=True))
 
-    def test_resume_across_cache_configs_refused(self, tmp_path):
+    def test_resume_with_a_cache_key_refused(self, tmp_path):
+        # Format-4 journals once recorded the cache switch in their meta;
+        # every run now reports its memo, so no run's meta has the key.
         directory = str(tmp_path / "journal")
-        run_once("book", 1, "cache", CheckpointConfig(directory=directory))
+        run_once("book", 1, "plain", CheckpointConfig(directory=directory))
+        meta = RunJournal.open(directory).meta
+        assert "cache" not in meta
+        meta["cache"] = True
+        with open(os.path.join(directory, "meta.json"), "w") as handle:
+            handle.write(seal(meta, 4))
         with pytest.raises(JournalMismatchError, match="keys: cache"):
             run_once("book", 1, "plain",
                      CheckpointConfig(directory=directory, resume=True))
@@ -395,13 +397,13 @@ class TestResumeRefusals:
         # Format-3 records carry the query cache's ops and its LRU size
         # in the meta; nothing reads them any more.
         directory = str(tmp_path / "journal")
-        run_once("book", 1, "cache", CheckpointConfig(directory=directory))
+        run_once("book", 1, "plain", CheckpointConfig(directory=directory))
         meta = RunJournal.open(directory).meta
-        meta["cache_entries"] = meta.pop("cache") and 65536
+        meta["cache_entries"] = 65536
         with open(os.path.join(directory, "meta.json"), "w") as handle:
             handle.write(seal(meta, 3))
         with pytest.raises(JournalMismatchError, match="format 3"):
-            run_once("book", 1, "cache",
+            run_once("book", 1, "plain",
                      CheckpointConfig(directory=directory, resume=True))
 
     def test_resume_under_observability_refused(self, tmp_path):

@@ -208,7 +208,8 @@ class TestLifecycle:
 class TestSharedValidationCache:
     """Every Surface question of a run (extraction searches, and the hit
     counts of Surface and Attr-Surface validation) shares one memo per
-    run, with or without a query cache."""
+    run; the only other memo a run builds is its frozen copy, the
+    returned ``cache_content``."""
 
     def test_an_uncached_run_asks_each_hit_count_once(self, monkeypatch):
         built, asked = [], Counter()
@@ -248,7 +249,9 @@ class TestSharedValidationCache:
             dataset = build_domain_dataset(domain, n_interfaces, seed=1)
             result = WebIQMatcher(WebIQConfig()).run(dataset)
             assert result.acquisition.attr_surface_queries > 0, domain
-            (cache,) = built
+            cache, captured = built
+            assert result.cache_content.validation is captured
+            assert result.cache is cache.stats
             assert cache.searches and cache.marginal_hits, domain
             kinds = {key[0] for key in asked}
             assert kinds == {"search", "num_hits", "proximity"}, domain

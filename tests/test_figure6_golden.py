@@ -40,25 +40,25 @@ CONFIGS = {
 
 GOLDEN = {
     ("default", "airfare"):
-        "735a7028f5cdc37120c649528eb5b294e7e8c6162832cef2ad9719761344ceaa",
+        "2d84aee3308e2cf2deb1c525fa0451298f3acb51e4a1ab855cc534ee34675ff4",
     ("default", "auto"):
-        "b2b04e6e78dc32729484e2139c30c4aa91b73a6e0da2d64b7ce69bde05152f0c",
+        "57beb47bc26f3dde1d62645e1c49146dcadadaf68bbe474e60f2528e89b8df20",
     ("default", "book"):
-        "243a9ed2058057a3a8e9990d885d86bb5e564f077b17d185d42e429b4c4a89c1",
+        "6cb2017512176536f7e56c31309e8d73f4060584763e7be16b299f0667a553c8",
     ("default", "job"):
-        "2d297b18db394785f680a3d25fe389b999a31ab02a51597a9b21d318820f6b1e",
+        "6bdfbf37b5e2679a9e50dde5de95a602abfa25baba6ce50b4e19aad0c2a5298e",
     ("default", "realestate"):
-        "31a4c1ab8693e16487779060baadd61ac9e592a249a64e5e9cd022e46f53f64b",
+        "ead4de7f91e712450d5c2309426a7e9d2aed77893773c6c1f136bab160f18924",
     ("observed", "airfare"):
-        "99de292d0de7566596c344b6f2106c3ebae10ab9e908590dd263c7ab671be7c0",
+        "455a56c78db88b7351d69df7ce4c7b852f9165c6e86ea008b1f11a58aa397194",
     ("observed", "auto"):
-        "b2ae06236f55968fcb08dd624004bcb2d20bcd0ec5b30f46a405be0dc51c2c55",
+        "a11d39d6f91ad9982518406ef143c3dad26a68c3f67c9d6f64f1b98eec3068b7",
     ("observed", "book"):
-        "d6ba600823ccf43bf31a0b5a9cc6a96fcf4f49972695fabceade9f0cc15feb59",
+        "664f440248f9b44d53a97e15a241e7749b0a44ed01faaf0856d63f2cbbe2cb99",
     ("observed", "job"):
-        "23fa8b92756a3e17d087a96c4fc13107bba2c991f9a83a94af243b7e0de3c901",
+        "f7f86e2644e91aa2892a9b0b75f780c0c4c3c89900dc57bb5f85f39f00443dcb",
     ("observed", "realestate"):
-        "a7994bb1cca15c61ebcae19ed749fda554619e317c1621162ba0459453fda9cf",
+        "b72ece9924abe2da894c7ed4f2cefb597aea8982cb76d52e20aa32a18901ab4e",
     ("baseline", "airfare"):
         "ee88dfa8539e17003e19b1831089c4e56e2b61bbe580470921ea29e7ac4eb115",
     ("baseline", "auto"):
@@ -70,35 +70,35 @@ GOLDEN = {
     ("baseline", "realestate"):
         "ca7232d9545a5621a3d5f0683e67b8931dbe01db0b33b51f6dfe56a13656a8a3",
     ("surface", "airfare"):
-        "266c730495ec9bc83f928135e1b978c17fe3d5b985cdefed373bbd33eeb95280",
+        "46cc203e6122bd84b496e3bce9bfc06b926732dcb9246fe77a0827b0d8b44ebd",
     ("surface", "auto"):
-        "951d9ad1f37ebb995809c89014ba16f3e96d265bee58fcb6553171658264b4c5",
+        "9d3e02e8a5ffe70003de5407358efd2502658ce04acedc7c487b36c1baf4bdee",
     ("surface", "book"):
-        "ef4a950956b357ad0b45213deda54308d6e23ac63f91d768be466883051afb0e",
+        "7ede2ff3b91697a1af1df72ad1bc9a81179803b7e2cdb5fc029406ebff665db2",
     ("surface", "job"):
-        "8763ac37052e76ad346243c1eb678869925403f44040c133d4da8b89293c3ad8",
+        "8c34c8a2c7ff1dedc612b54499f940c886a6a08272827227229c2e2199e98f45",
     ("surface", "realestate"):
-        "e371ef3a5448172569e04963906d7fb9f598984cee01c30b0455563a276ae833",
+        "bd67b3232c3690ff7f92087533824763d613a87216489de0a5b9060e77c390eb",
     ("surface+deep", "airfare"):
-        "e62bb6d5492d9f6d99d3e71bf07f332625db09f5924f3a38d2059e875968eba1",
+        "e6f74d09796a39e06f9ce18b897ace64dd88c5dc9ddf14ed6f0922505b198237",
     ("surface+deep", "auto"):
-        "8fdbcb3022df4293ffebd4095773415b4d1265598d84ac89776aebbf0f17f5bf",
+        "36fc24a7e930b077d87490b7f3d0deca06cb61b10b4760fdb81251a3d18ecb87",
     ("surface+deep", "book"):
-        "f50c8c647d1f07d96b2cc0f4fe2c9c43fe3b5f376895161a045122361ecfb8a5",
+        "2cfef74b2f59d170640dcdb9c401f367d191099460301708dfd2c2d8d04cf59b",
     ("surface+deep", "job"):
-        "3b8420697589c70c517b9dcf0a34e27d530ae157fa8f787f6de49e35f67d2fd0",
+        "5c2de6d92469e236e072e22c1bd94c0a118980e8f81d9076c09f7978e692319a",
     ("surface+deep", "realestate"):
-        "ca53917662684c8d32846859f2658b7316546717c51596d367b884280d6ce3f6",
+        "fa1dd177d10803fee77eef85e2cb274d8583d0129eecbad3959a7eaa240a7387",
     ("webiq+threshold", "airfare"):
-        "5288b66c9465a98482a49ca9106463614e3cc201712732947e510ca8207af613",
+        "98b1dfc13255aaee8f54b1539852b443f5196cf04b5a7fb5e1e3e9a8ea86a2f8",
     ("webiq+threshold", "auto"):
-        "3fe21785f9298e4f8dc67db109e9e4abf1a9991854cd6cec0aa601a4218d164a",
+        "1b4c465f7b7679f34d64660cb34979cc2280a153a9e30666e042be3169ffdbaf",
     ("webiq+threshold", "book"):
-        "3e44ebb0638c0b7e97078ea1fe84a1d9298b7136bdb0b7f8e178136defc28b02",
+        "f9d392e13e05f7d1fd5e9e59e4aca5f5738f479d1ae2d66ec8ef165a5aebed58",
     ("webiq+threshold", "job"):
-        "d2b18c7dfe234670c07234518d15c41000151a72fab344e4d16dc3c24478e91f",
+        "c280e6ddf8133a6ae13875288d0225b3ffeb106991e3be1976c18b721e8dbc03",
     ("webiq+threshold", "realestate"):
-        "fb1b4b8ba5ff3020e3feb230175943070a5e984f2eefeaf87409e73366b0907f",
+        "24b4262f86061d5d37cc8c1cefc67dd487a7e2197415f89e55a154ac589bef4e",
 }
 
 #: Table 1 columns 2-5 as ``ExperimentSuite.table1_characteristics``

@@ -24,7 +24,6 @@ from repro.io import (
     run_result_to_dict,
 )
 from repro.obs import ObsConfig
-from repro.perf import CacheConfig
 from repro.resilience import FaultProfile, ResilienceConfig
 
 
@@ -105,11 +104,10 @@ class TestRunResult:
 
 @pytest.fixture(scope="module")
 def instrumented_result():
-    """One run with every accounting layer active (faults, cache, obs)."""
+    """One run with every accounting layer active (faults, memo, obs)."""
     config = WebIQConfig(
         resilience=ResilienceConfig(
             profile=FaultProfile(fault_rate=0.15, seed=5)),
-        cache=CacheConfig(),
         obs=ObsConfig(),
     )
     dataset = build_domain_dataset("book", n_interfaces=4, seed=2)

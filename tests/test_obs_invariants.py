@@ -2,7 +2,7 @@
 
 Rather than asserting hand-computed numbers, these tests run the full
 pipeline across a grid of configurations — two domains, several dataset
-seeds, faults off/on, cache off/on — and require the
+seeds, faults off/on — and require the
 :class:`~repro.obs.InvariantChecker` to find zero violations in every
 cell. Any missed or double-counted call anywhere in the engine stack
 breaks a conservation law, so the sweep is a whole-stack correctness
@@ -17,7 +17,6 @@ import pytest
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
 from repro.obs import InvariantChecker, ObsConfig, check_run
-from repro.perf import CacheConfig
 from repro.resilience import BreakerPolicy, FaultProfile, ResilienceConfig
 
 N_INTERFACES = 4
@@ -35,39 +34,50 @@ def resilience_on():
     )
 
 
-def run_cell(domain: str, seed: int, faults: bool, cache: bool):
+def run_cell(domain: str, seed: int, faults: bool):
     config = WebIQConfig(
         resilience=resilience_on() if faults else None,
-        cache=CacheConfig() if cache else None,
         obs=ObsConfig(),
     )
     dataset = build_domain_dataset(domain, N_INTERFACES, seed)
     return WebIQMatcher(config).run(dataset)
 
 
+#: Every run reports its memo, so every cell is a cached one; the ids
+#: keep the ``cached-`` prefix of the grid's former cache axis.
+FAULTS_IDS = ("cached-clean", "cached-faulty")
+
+
 class TestInvariantSweep:
     @pytest.mark.parametrize("domain", DOMAINS)
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("faults", (False, True), ids=("clean", "faulty"))
-    @pytest.mark.parametrize("cache", (False, True), ids=("uncached", "cached"))
-    def test_zero_violations(self, domain, seed, faults, cache):
-        result = run_cell(domain, seed, faults=faults, cache=cache)
+    @pytest.mark.parametrize("faults", (False, True), ids=FAULTS_IDS)
+    def test_zero_violations(self, domain, seed, faults):
+        result = run_cell(domain, seed, faults=faults)
         report = check_run(result)
         assert report.ok, report.summary()
         # the cell exercised the laws it was meant to
         assert "trace-well-formed" in report.checked
         assert "round-trip-conservation" in report.checked
-        if cache:
-            assert "cache-entry-conservation" in report.checked
-        else:
-            assert "uncached-passthrough" in report.checked
+        assert "cache-entry-conservation" in report.checked
         if faults:
             assert "fault-fate-conservation" in report.checked
             assert "retry-conservation" in report.checked
 
+    def test_default_observed_run_checks_cache_entry_conservation(self):
+        # No knob but obs: the default run's memo misses are the observed
+        # engine calls, one each.
+        result = WebIQMatcher(WebIQConfig(obs=ObsConfig())).run(
+            build_domain_dataset("book", N_INTERFACES, 1))
+        report = check_run(result)
+        assert report.ok, report.summary()
+        assert "cache-entry-conservation" in report.checked
+        assert result.obs.metrics.sum_counters(
+            "web.calls", substrate="engine") == result.cache.misses > 0
+
     def test_faulty_cells_saw_real_faults(self):
         # Guard against the sweep silently testing a fault-free Web.
-        result = run_cell("book", 2, faults=True, cache=True)
+        result = run_cell("book", 2, faults=True)
         assert result.degradation.total_faults > 0
         assert result.degradation.total_retries > 0
 
@@ -76,13 +86,12 @@ class TestCheckerDetectsCorruption:
     """The oracle itself must be falsifiable: cook the books, get caught."""
 
     def make_result(self):
-        return run_cell("book", 1, faults=True, cache=True)
+        return run_cell("book", 1, faults=True)
 
     def test_missing_round_trip_is_caught(self):
         result = self.make_result()
         result.obs.metrics.counter(
-            "web.round_trips", layer="transport", substrate="engine",
-            component="surface",
+            "web.round_trips", substrate="engine", component="surface",
         ).value -= 1
         report = check_run(result)
         assert report.violations_for("round-trip-conservation")
@@ -95,7 +104,7 @@ class TestCheckerDetectsCorruption:
 
     def test_phantom_memo_miss_is_caught(self):
         # Consistent per-kind books, but one more miss than the memo
-        # sent to the engine: only the restated entry law can see it.
+        # sent to the engine: only the entry law can see it.
         result = self.make_result()
         result.cache.note_miss("marginal")
         report = check_run(result)
@@ -126,11 +135,10 @@ class TestCheckerDetectsCorruption:
 class TestObservationIsReadOnly:
     """obs attached vs. absent: everything but the artifacts is identical."""
 
-    def run_pair(self, faults: bool, cache: bool):
+    def run_pair(self, faults: bool):
         def one(obs: bool):
             config = WebIQConfig(
                 resilience=resilience_on() if faults else None,
-                cache=CacheConfig() if cache else None,
                 obs=ObsConfig() if obs else None,
             )
             dataset = build_domain_dataset("book", N_INTERFACES, 2)
@@ -149,17 +157,15 @@ class TestObservationIsReadOnly:
             return payload, result
         return one(obs=False), one(obs=True)
 
-    @pytest.mark.parametrize("faults", (False, True), ids=("clean", "faulty"))
-    @pytest.mark.parametrize("cache", (False, True), ids=("uncached", "cached"))
-    def test_run_bit_identical_with_and_without_obs(self, faults, cache):
+    @pytest.mark.parametrize("faults", (False, True), ids=FAULTS_IDS)
+    def test_run_bit_identical_with_and_without_obs(self, faults):
         (plain_payload, plain), (observed_payload, observed) = \
-            self.run_pair(faults=faults, cache=cache)
+            self.run_pair(faults=faults)
         assert plain.obs is None
         assert observed.obs is not None
         assert observed_payload == plain_payload
-        if cache:
-            assert observed.cache.hits == plain.cache.hits
-            assert observed.cache.misses == plain.cache.misses
+        assert observed.cache.hits == plain.cache.hits
+        assert observed.cache.misses == plain.cache.misses
         if faults:
             assert (observed.degradation.faults_by_kind
                     == plain.degradation.faults_by_kind)

@@ -3,15 +3,14 @@
 The span profiler's core promise is that turning it on changes nothing:
 ``ObsConfig(profile=True)`` must leave every exported payload
 bit-identical to a profile-off run across the whole stack matrix —
-faults, cache and checkpointing in combination.
+faults and checkpointing, alone and in combination.
 On top of read-only-ness, the profile's own accounting must balance
 (the ``profile-time-conservation`` law): every span closed, self time
 non-negative, and the sum of all self times equal to the root spans'
 cumulative time.
 
-The cells cycle the stack knobs across (domain, seed) pairs rather than
-taking the full 2^3 product, so every knob is exercised on and off, in
-combination, at tier-1 cost.
+The cells cycle the stack knobs across (domain, seed) pairs, so every
+knob is exercised on and off, in combination, at tier-1 cost.
 """
 
 import json
@@ -23,7 +22,6 @@ from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
 from repro.io import run_result_to_dict
 from repro.obs import (
-    LAYER_TRANSPORT,
     ObsConfig,
     aggregate_spans,
     build_profile,
@@ -33,7 +31,6 @@ from repro.obs import (
     span_time_violations,
     write_profile,
 )
-from repro.perf import CacheConfig
 from repro.resilience import BreakerPolicy, FaultProfile, ResilienceConfig
 
 N_INTERFACES = 3
@@ -41,12 +38,12 @@ N_INTERFACES = 3
 #: each cell turns a different combination of stack knobs on, so the
 #: read-only proof covers every subsystem alone and in combination
 CELLS = (
-    ("book", 1, dict(faults=False, cache=False, checkpoint=False)),
-    ("book", 2, dict(faults=True, cache=False, checkpoint=False)),
-    ("book", 3, dict(faults=False, cache=True, checkpoint=True)),
-    ("auto", 1, dict(faults=True, cache=True, checkpoint=False)),
-    ("auto", 2, dict(faults=False, cache=False, checkpoint=True)),
-    ("auto", 3, dict(faults=True, cache=True, checkpoint=True)),
+    ("book", 1, dict(faults=False, checkpoint=False)),
+    ("book", 2, dict(faults=True, checkpoint=False)),
+    ("book", 3, dict(faults=False, checkpoint=True)),
+    ("auto", 1, dict(faults=True, checkpoint=False)),
+    ("auto", 2, dict(faults=False, checkpoint=True)),
+    ("auto", 3, dict(faults=True, checkpoint=True)),
 )
 
 CELL_IDS = [f"{domain}-s{seed}-" for domain, seed, _ in CELLS]
@@ -93,7 +90,6 @@ def run_cell(domain, seed, knobs, profile, tmp_path=None):
             directory=str(tmp_path / f"journal-{suffix}"))
     config = WebIQConfig(
         resilience=resilience_on() if knobs["faults"] else None,
-        cache=CacheConfig() if knobs["cache"] else None,
         checkpoint=checkpoint,
         obs=ObsConfig(profile=profile),
     )
@@ -148,7 +144,7 @@ class TestProfileIsReadOnly:
 
         # the donor-selection counters need a cell whose case-2 donors
         # share words with their recipients (book-s2's do not):
-        # auto-s1, faults + cache
+        # auto-s1, faults
         domain, seed, knobs = CELLS[3]
         hot = ("donor.value_comparisons", "donor.candidates",
                "similarity.feature_builds", "agglomerate.pairs_seeded",
@@ -173,17 +169,17 @@ class TestCounterBooksBalance:
     """Hot-path counters vs. the stack's own accounting (satellite 6)."""
 
     def test_round_trip_counter_matches_cache_and_transport(self):
-        """On a pristine cached run, three independent ledgers count the
-        same thing: the engine's hot-path counter, the cache's miss
-        count, and the transport layer's observed calls. Any stopwatch
-        mischarging at a counter site breaks this equality."""
-        config = WebIQConfig(cache=CacheConfig(), obs=ObsConfig(profile=True))
+        """On a pristine run, three independent ledgers count the same
+        thing: the engine's hot-path counter, the memo's miss count, and
+        the observed engine calls. Any stopwatch mischarging at a counter
+        site breaks this equality."""
+        config = WebIQConfig(obs=ObsConfig(profile=True))
         dataset = build_domain_dataset("book", 4, 2)
         result = WebIQMatcher(config).run(dataset)
         counter = result.obs.counters.get("engine.round_trips")
-        transport_calls = result.obs.metrics.sum_counters(
-            "web.calls", layer=LAYER_TRANSPORT, substrate="engine")
-        assert counter == result.cache.misses == transport_calls
+        observed_calls = result.obs.metrics.sum_counters(
+            "web.calls", substrate="engine")
+        assert counter == result.cache.misses == observed_calls
         assert counter == dataset.engine.query_count
 
     def test_work_counters_pinned(self):

@@ -15,7 +15,6 @@ from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
 from repro.io import observability_to_dict
 from repro.obs import MetricsRegistry, ObsConfig, Tracer
-from repro.perf import CacheConfig
 from repro.resilience import BreakerPolicy, FaultProfile, ResilienceConfig
 
 
@@ -104,11 +103,11 @@ class TestTracer:
     def test_event_queries(self):
         tracer = Tracer()
         with tracer.span("run"):
-            tracer.event("web_call", layer="entry", round_trips=2)
-            tracer.event("web_call", layer="transport", round_trips=3)
+            tracer.event("web_call", substrate="engine", round_trips=2)
+            tracer.event("web_call", substrate="source", round_trips=3)
             tracer.event("retry")
         assert tracer.count_events("web_call") == 2
-        assert tracer.count_events("web_call", layer="entry") == 1
+        assert tracer.count_events("web_call", substrate="engine") == 1
         assert tracer.sum_event_attr("round_trips", "web_call") == 5
         assert tracer.n_events == 3
         assert tracer.n_spans == 1
@@ -128,20 +127,23 @@ class TestTracer:
 class TestMetricsRegistry:
     def test_counter_create_on_use_and_labels(self):
         registry = MetricsRegistry()
-        registry.counter("web.calls", layer="entry").inc()
-        registry.counter("web.calls", layer="entry").inc(2)
-        registry.counter("web.calls", layer="transport").inc()
-        assert registry.counter_value("web.calls", layer="entry") == 3
-        assert registry.counter_value("web.calls", layer="transport") == 1
-        assert registry.counter_value("web.calls", layer="nowhere") == 0
+        registry.counter("web.calls", substrate="engine").inc()
+        registry.counter("web.calls", substrate="engine").inc(2)
+        registry.counter("web.calls", substrate="source").inc()
+        assert registry.counter_value("web.calls", substrate="engine") == 3
+        assert registry.counter_value("web.calls", substrate="source") == 1
+        assert registry.counter_value("web.calls", substrate="nowhere") == 0
 
     def test_sum_counters_aggregates_unfiltered_dimensions(self):
         registry = MetricsRegistry()
-        registry.counter("web.calls", layer="entry", component="surface").inc(2)
-        registry.counter("web.calls", layer="entry", component="attr_deep").inc(3)
-        registry.counter("web.calls", layer="transport", component="surface").inc(5)
+        registry.counter("web.calls", substrate="engine",
+                         component="surface").inc(2)
+        registry.counter("web.calls", substrate="engine",
+                         component="attr_deep").inc(3)
+        registry.counter("web.calls", substrate="source",
+                         component="surface").inc(5)
         assert registry.sum_counters("web.calls") == 10
-        assert registry.sum_counters("web.calls", layer="entry") == 5
+        assert registry.sum_counters("web.calls", substrate="engine") == 5
         assert registry.sum_counters("web.calls", component="surface") == 7
 
     def test_counters_reject_negative_increments(self):
@@ -175,13 +177,12 @@ class TestMetricsRegistry:
 
 
 def traced_run(dataset_seed: int):
-    """One fully instrumented run (faults + cache + obs) over a tiny domain."""
+    """One fully instrumented run (faults + obs) over a tiny domain."""
     config = WebIQConfig(
         resilience=ResilienceConfig(
             profile=FaultProfile(fault_rate=0.15, seed=5),
             breaker=BreakerPolicy(failure_threshold=10_000),
         ),
-        cache=CacheConfig(),
         obs=ObsConfig(),
     )
     dataset = build_domain_dataset("book", n_interfaces=4, seed=dataset_seed)

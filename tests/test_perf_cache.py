@@ -11,7 +11,9 @@ import json
 
 import pytest
 
+from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.core.surface import SurfaceConfig, SurfaceDiscoverer, WebValidator
+from repro.datasets import build_domain_dataset
 from repro.perf import CacheStats, ValidationCache, normalize_query
 from repro.resilience import (
     FaultProfile,
@@ -290,3 +292,33 @@ class TestProbeMemoDelta:
         assert self._commit(session, memo, second) == [
             [list(key), len(key[-1]) % 2 == 0] for key in second]
         assert self._commit(session, memo, []) == []
+
+
+class TestEveryRunHasItsMemo:
+    """A run that acquires reports its memo and returns it; there is no
+    switch that hides either, and no config that refuses a warm start."""
+
+    @staticmethod
+    def run(config, warm=None):
+        dataset = build_domain_dataset("book", 3, 1)
+        result = WebIQMatcher(config).run(dataset, warm=warm)
+        return result, dataset.engine.query_count
+
+    def test_default_run_reports_and_returns_its_memo(self):
+        result, queries = self.run(WebIQConfig())
+        assert result.cache.misses == queries > 0
+        assert result.cache_content.n_entries == result.cache.misses
+
+    def test_default_run_accepts_warm(self):
+        cold, _ = self.run(WebIQConfig())
+        warm, queries = self.run(WebIQConfig(), warm=cold.cache_content)
+        assert queries == 0
+        assert warm.cache.misses == 0
+        assert warm.cache.hits == cold.cache.hits + cold.cache.misses
+
+    def test_baseline_run_has_no_memo(self):
+        baseline = WebIQConfig(enable_surface=False, enable_attr_deep=False,
+                               enable_attr_surface=False)
+        result, _ = self.run(baseline)
+        assert result.cache is None
+        assert result.cache_content is None

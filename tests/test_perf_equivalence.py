@@ -1,12 +1,10 @@
-"""Cache-equivalence properties: cached runs change cost, never answers.
+"""Memo-equivalence properties: warm starts change cost, never answers.
 
-The central contract of :mod:`repro.perf`: turning the cache on must
-leave every payload of a pipeline run — acquired instances, clusters,
-accuracy metrics — bit-identical to the uncached run, on a pristine Web
-and on a faulty one. Every run asks each Surface question once through
-its own memo, so a cold run's round trips are the same with and without
-the cache; the cache pays off across runs, where a warm rerun seeded
-with the donor's memo asks nothing at all.
+The central contract of :mod:`repro.perf`: every run asks each Surface
+question once through its own memo, and a warm rerun seeded with a cold
+run's memo asks nothing at all — yet every payload of the warm run
+(acquired instances, clusters, accuracy metrics) must be bit-identical
+to the cold run's, on a pristine Web and on a faulty one.
 
 Under faults the comparisons park the load-dependent safety valves:
 query budgets unbounded and the breaker threshold out of reach. Budgets
@@ -22,13 +20,10 @@ whose payload equality this module certifies.
 from collections import Counter
 from dataclasses import replace
 
-import pytest
-
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
 from repro.io import run_result_to_dict
 from repro.obs import NO_PROVENANCE_DIVERGENCE, ObsConfig, check_run, diff_runs
-from repro.perf import CacheConfig
 from repro.perf.cache import normalize_query
 from repro.resilience import (
     BreakerPolicy,
@@ -66,7 +61,7 @@ def record_round_trips(engine, asked):
     engine.num_hits_proximity = recorded_proximity
 
 
-def run_once(cache, resilience=None, asked=None, warm=None):
+def run_once(resilience=None, asked=None, warm=None):
     """One full pipeline run; returns (payload, result, real_queries).
 
     ``asked``, when given, is a :class:`~collections.Counter` that counts
@@ -74,7 +69,7 @@ def run_once(cache, resilience=None, asked=None, warm=None):
     dataset = build_domain_dataset(DOMAIN, N_INTERFACES, SEED)
     if asked is not None:
         record_round_trips(dataset.engine, asked)
-    config = WebIQConfig(resilience=resilience, cache=cache, obs=ObsConfig())
+    config = WebIQConfig(resilience=resilience, obs=ObsConfig())
     result = WebIQMatcher(config).run(dataset, warm=warm)
     invariants = check_run(result)
     assert invariants.ok, invariants.summary()
@@ -109,86 +104,69 @@ def faulty_resilience():
     )
 
 
-def assert_each_question_once(uncached_asked, cached_asked,
-                              uncached_queries, cached_queries):
-    """Both cold runs ask each question once, and the same questions."""
-    for asked in (uncached_asked, cached_asked):
-        repeated = [key for key, n in asked.items() if n > 1]
-        assert not repeated, repeated[:5]
-    assert cached_asked == uncached_asked
-    assert cached_queries == uncached_queries \
-        == sum(uncached_asked.values()) > 0
+def assert_each_question_once(asked, queries):
+    """A cold run asks each question once."""
+    repeated = [key for key, n in asked.items() if n > 1]
+    assert not repeated, repeated[:5]
+    assert queries == sum(asked.values()) > 0
 
 
-def assert_warm_rerun_is_free(cached_result, resilience=None):
-    """A rerun warmed with the cold run's cache content asks nothing."""
+def warm_rerun(cold_result, resilience=None):
+    """A rerun warmed with the cold run's memo; it asks nothing."""
     warm, warm_result, warm_queries = run_once(
-        cache=CacheConfig(), resilience=resilience,
-        warm=cached_result.cache_content)
+        resilience=resilience, warm=cold_result.cache_content)
     assert warm_queries == 0
-    return warm
+    return warm, warm_result
 
 
 class TestEquivalencePristine:
     def test_payload_identical_and_each_question_asked_once(self):
-        uncached_asked, cached_asked = Counter(), Counter()
-        uncached, uncached_result, uncached_queries = run_once(
-            cache=None, asked=uncached_asked)
-        cached, cached_result, cached_queries = run_once(
-            cache=CacheConfig(), asked=cached_asked)
-
-        assert cached == uncached
-        assert uncached_result.cache is None
-        assert cached_result.cache is not None
-        assert_each_question_once(uncached_asked, cached_asked,
-                                  uncached_queries, cached_queries)
-        assert cached_result.cache.misses == cached_queries
-        assert assert_warm_rerun_is_free(cached_result) == uncached
+        asked = Counter()
+        cold, cold_result, cold_queries = run_once(asked=asked)
+        assert_each_question_once(asked, cold_queries)
+        assert cold_result.cache.misses == cold_queries
+        warm, warm_result = warm_rerun(cold_result)
+        assert warm == cold
+        assert warm_result.cache.misses == 0
 
     def test_cached_run_is_deterministic(self):
-        first, first_result, first_queries = run_once(cache=CacheConfig())
-        second, second_result, second_queries = run_once(cache=CacheConfig())
+        first, first_result, first_queries = run_once()
+        second, second_result, second_queries = run_once()
         assert first == second
         assert first_queries == second_queries
         assert first_result.cache.hits == second_result.cache.hits
         assert first_result.cache.misses == second_result.cache.misses
 
     def test_overhead_not_inflated(self):
-        # A cache hit charges nothing: total simulated overhead of the
-        # cached run can only stay or shrink.
-        _, uncached_result, _ = run_once(cache=None)
-        _, cached_result, _ = run_once(cache=CacheConfig())
-        assert cached_result.stopwatch.total_seconds <= \
-            uncached_result.stopwatch.total_seconds
+        # A memo hit charges nothing: total simulated overhead of the
+        # warm run can only stay or shrink.
+        _, cold_result, _ = run_once()
+        _, warm_result = warm_rerun(cold_result)
+        assert warm_result.stopwatch.total_seconds <= \
+            cold_result.stopwatch.total_seconds
 
 
 class TestEquivalenceUnderFaults:
     def test_payload_identical_under_faults(self):
-        uncached_asked, cached_asked = Counter(), Counter()
-        uncached, uncached_result, uncached_queries = run_once(
-            cache=None, resilience=faulty_resilience(), asked=uncached_asked)
-        cached, cached_result, cached_queries = run_once(
-            cache=CacheConfig(), resilience=faulty_resilience(),
-            asked=cached_asked)
+        asked = Counter()
+        cold, cold_result, _ = run_once(
+            resilience=faulty_resilience(), asked=asked)
 
-        # The runs saw real faults — this is not the pristine case again.
-        assert uncached_result.degradation.total_faults > 0
-        assert cached == uncached
+        # The run saw real faults — this is not the pristine case again.
+        assert cold_result.degradation.total_faults > 0
         # A faulted attempt is charged as a round trip without reaching
         # the raw engine, so ``asked`` counts only the attempts that got
         # through: at most one per question.
-        for asked in (uncached_asked, cached_asked):
-            assert max(asked.values()) == 1
-        assert cached_asked == uncached_asked
-        assert cached_queries == uncached_queries
-        assert_warm_rerun_is_free(cached_result, faulty_resilience())
+        assert max(asked.values()) == 1
+        warm, _ = warm_rerun(cold_result, faulty_resilience())
+        assert warm == cold
 
     def test_degraded_answers_outlive_the_run(self):
         # No retries: a raised fault is given up on at once, so the
         # donor's memo holds the resilient proxy's neutral answers.
         no_retry = replace(faulty_resilience(),
                            retry=RetryPolicy(max_attempts=1))
-        _, donor, _ = run_once(cache=CacheConfig(), resilience=no_retry)
+        _, donor, _ = run_once(resilience=no_retry)
         assert sum(donor.degradation.giveups_by_component.values()) > 0
         memo = donor.cache_content.validation
         # A cold run's every miss added one memo entry; nothing fell
@@ -210,10 +188,7 @@ class TestEquivalenceUnderFaults:
 
         # A warm run with the same profile answers those questions from
         # the preload: no round trip, the donor's answer kept.
-        _, warm, warm_queries = run_once(
-            cache=CacheConfig(), resilience=no_retry,
-            warm=donor.cache_content)
-        assert warm_queries == 0
+        _, warm = warm_rerun(donor, no_retry)
         assert warm.cache.misses == 0
         assert warm.cache.hits_by_kind["marginal"] >= len(spoiled)
         warm_memo = warm.cache_content.validation
@@ -221,32 +196,28 @@ class TestEquivalenceUnderFaults:
             assert warm_memo.marginal_hits[key] == count
 
     def test_faulty_runs_deterministic(self):
-        first, _, first_queries = run_once(
-            cache=CacheConfig(), resilience=faulty_resilience())
-        second, _, second_queries = run_once(
-            cache=CacheConfig(), resilience=faulty_resilience())
+        first, _, first_queries = run_once(resilience=faulty_resilience())
+        second, _, second_queries = run_once(resilience=faulty_resilience())
         assert first == second
         assert first_queries == second_queries
 
 
 class TestProvenanceEquivalence:
-    """Stronger than payload equality: the cached run must make every
-    decision for the same recorded reason as the uncached run."""
+    """Stronger than payload equality: the warm run must make every
+    decision for the same recorded reason as the cold run."""
 
     def test_no_provenance_divergence_pristine(self):
-        _, uncached_result, _ = run_once(cache=None)
-        _, cached_result, _ = run_once(cache=CacheConfig())
-        diff = diff_runs(run_result_to_dict(uncached_result),
-                         run_result_to_dict(cached_result))
+        _, cold_result, _ = run_once()
+        _, warm_result = warm_rerun(cold_result)
+        diff = diff_runs(run_result_to_dict(cold_result),
+                         run_result_to_dict(warm_result))
         assert not diff.provenance_diverged, diff.summary()
         assert NO_PROVENANCE_DIVERGENCE in diff.summary()
 
     def test_no_provenance_divergence_under_faults(self):
-        _, uncached_result, _ = run_once(
-            cache=None, resilience=faulty_resilience())
-        _, cached_result, _ = run_once(
-            cache=CacheConfig(), resilience=faulty_resilience())
-        assert uncached_result.degradation.total_faults > 0
-        diff = diff_runs(run_result_to_dict(uncached_result),
-                         run_result_to_dict(cached_result))
+        _, cold_result, _ = run_once(resilience=faulty_resilience())
+        _, warm_result = warm_rerun(cold_result, faulty_resilience())
+        assert cold_result.degradation.total_faults > 0
+        diff = diff_runs(run_result_to_dict(cold_result),
+                         run_result_to_dict(warm_result))
         assert not diff.provenance_diverged, diff.summary()

@@ -166,26 +166,22 @@ class TestSampledPermutations:
 
 
 def _matrix_configs(tmp_path):
-    """The stack matrix: faults x cache x checkpoint."""
-    from repro.perf import CacheConfig
+    """The stack matrix: faults x checkpoint."""
+    from repro.checkpoint import CheckpointConfig
     from repro.resilience import FaultProfile, ResilienceConfig
 
     combos = []
     for fault_rate in (0.0, 0.2):
-        for with_cache in (False, True):
-            for with_checkpoint in (False, True):
-                resilience = (
-                    ResilienceConfig(
-                        profile=FaultProfile(fault_rate=fault_rate, seed=5))
-                    if fault_rate else None)
-                cache = CacheConfig() if with_cache else None
-                checkpoint = None
-                if with_checkpoint:
-                    from repro.checkpoint import CheckpointConfig
-                    tag = f"f{fault_rate}-c{int(with_cache)}"
-                    checkpoint = CheckpointConfig(
-                        directory=str(tmp_path / f"journal-{tag}"))
-                combos.append((resilience, cache, checkpoint))
+        for with_checkpoint in (False, True):
+            resilience = (
+                ResilienceConfig(
+                    profile=FaultProfile(fault_rate=fault_rate, seed=5))
+                if fault_rate else None)
+            checkpoint = None
+            if with_checkpoint:
+                checkpoint = CheckpointConfig(
+                    directory=str(tmp_path / f"journal-f{fault_rate}"))
+            combos.append((resilience, checkpoint))
     return combos
 
 
@@ -196,11 +192,11 @@ class TestStackMatrix:
     N = 5
 
     def test_matrix_runs_hold_every_invariant_and_match_batch(self, tmp_path):
-        for resilience, cache, checkpoint in _matrix_configs(tmp_path):
+        for resilience, checkpoint in _matrix_configs(tmp_path):
             registry_dir = str(
                 tmp_path / f"registry-{len(list(tmp_path.iterdir()))}")
             config = WebIQConfig(
-                resilience=resilience, cache=cache, checkpoint=checkpoint,
+                resilience=resilience, checkpoint=checkpoint,
                 obs=ObsConfig(), registry=registry_dir)
             dataset = build_domain_dataset(DOMAIN, self.N, 1)
             result = WebIQMatcher(config).run(dataset)
@@ -234,12 +230,11 @@ class TestStackMatrix:
         """Zero provenance divergence: a registry-attached run exports the
         same bytes as the same run without one."""
         from repro.resilience import FaultProfile, ResilienceConfig
-        from repro.perf import CacheConfig
 
         base = dict(
             resilience=ResilienceConfig(
                 profile=FaultProfile(fault_rate=0.2, seed=5)),
-            cache=CacheConfig(), obs=ObsConfig())
+            obs=ObsConfig())
         without = WebIQMatcher(WebIQConfig(**base)).run(
             build_domain_dataset(DOMAIN, self.N, 1))
         with_registry = WebIQMatcher(WebIQConfig(

@@ -6,7 +6,7 @@ from repro.checkpoint import CheckpointConfig
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.core.surface import WebValidator
 from repro.datasets import build_domain_dataset
-from repro.perf.cache import CacheConfig, CachePreload, ValidationCache
+from repro.perf.cache import CachePreload, ValidationCache
 from repro.registry import RegistryStore, build_registry
 from repro.service import Epoch, WarmState
 from repro.surfaceweb.document import Document
@@ -133,10 +133,8 @@ class TestEpochIsolation:
     """Epochs share unchanged content, so isolation rests on nothing ever
     writing a preload's memo."""
 
-    CACHED = WebIQConfig(cache=CacheConfig())
-
     @staticmethod
-    def warm_run(domain, warm=None, config=CACHED):
+    def warm_run(domain, warm=None, config=WebIQConfig()):
         dataset = build_domain_dataset(domain, 3, 1)
         return WebIQMatcher(config).run(dataset, warm=warm).cache_content
 
@@ -188,10 +186,8 @@ class TestEpochIsolation:
         uninterrupted = self.warm_run("airfare", warm=parent)
         with pytest.raises(PreemptionError):
             self.warm_run("airfare", warm=parent, config=WebIQConfig(
-                cache=CacheConfig(),
                 checkpoint=CheckpointConfig(directory, kill_at=kill_at)))
         resumed = self.warm_run("airfare", warm=parent, config=WebIQConfig(
-            cache=CacheConfig(),
             checkpoint=CheckpointConfig(directory, resume=True)))
         assert resumed.fingerprint() == uninterrupted.fingerprint()
         assert resumed.validation is not parent.validation
