@@ -268,9 +268,11 @@ def diff_benches(
     Tolerances come from the baseline's declarations (falling back to the
     current artifact's, then to :data:`DEFAULT_TOLERANCE`): the committed
     baseline *is* the contract, so editing tolerances in a working copy
-    cannot loosen the gate. Raises :class:`BenchWorkloadMismatch` when
-    the artifacts measured different things — comparing a 20-interface
-    sweep against a 5-interface one is never a drift, it is a mistake.
+    cannot loosen the gate. A ``profile_digest`` that differs between
+    the two (or is present on one side only) is a regression. Raises
+    :class:`BenchWorkloadMismatch` when the artifacts measured different
+    things — comparing a 20-interface sweep against a 5-interface one is
+    never a drift, it is a mistake.
     """
     base_body = baseline["body"]
     cur_body = current["body"]
@@ -314,5 +316,15 @@ def diff_benches(
             MetricDrift(metric, None, cur_metrics[metric], None, "new",
                         spec.get("direction", "info"),
                         float(spec.get("rel", DEFAULT_TOLERANCE["rel"])))
+        )
+    # The profiler digest fingerprints the work the run did: a change, or
+    # a digest on one side only, means the workload itself changed, so it
+    # fails until the baseline is re-sealed with it.
+    base_digest = base_body.get("profile_digest")
+    cur_digest = cur_body.get("profile_digest")
+    if base_digest != cur_digest:
+        diff.drifts.append(
+            MetricDrift("profile_digest", base_digest, cur_digest, None,
+                        "regression", "two_sided", 0.0)
         )
     return diff

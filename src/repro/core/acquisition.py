@@ -31,7 +31,17 @@ from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.checkpoint.session import CheckpointSession, ReplayedUnit, UnitCapture
 from repro.core.attr_deep import AttrDeepValidator
@@ -113,6 +123,12 @@ class AcquisitionConfig:
     max_borrow_enrichment: int = 12
     surface: SurfaceConfig = field(default_factory=SurfaceConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
+
+    def __post_init__(self) -> None:
+        # Case 2 scans only the donors sharing a similar value with X1,
+        # which is every donor that can qualify only from 1 up.
+        if self.min_similar_values < 1:
+            raise ValueError("min_similar_values must be at least 1")
 
 
 @dataclass
@@ -539,22 +555,21 @@ class InstanceAcquirer:
         own = _form_counts(attribute.all_instances())
         exact, overlap = index.tally(own)
         scored: List[Tuple[int, str, Attribute]] = []
-        candidates = 0
+        # A donor absent from overlap scores 0 < min_similar_values, so
+        # only the scoring donors are scanned, still in rank order; each
+        # holds a form, so own and donor_values are both non-empty.
         for rank, other_interface, donor, donor_values in \
-                index.donors(interface):
-            candidates += 1
-            if not donor_values:
-                continue
+                index.donors(interface, sorted(overlap)):
             # exact-form containment, as _containment computes it
             containment = (exact.get(rank, 0)
-                           / min(len(own), len(donor_values)) if own else 0.0)
+                           / min(len(own), len(donor_values)))
             if containment >= self.config.case2_skip_overlap:
                 continue  # domains already similar: nothing to gain
-            score = overlap.get(rank, 0)
+            score = overlap[rank]
             if score >= self.config.min_similar_values:
                 scored.append((score, other_interface.interface_id, donor))
         if work.ACTIVE is not None:
-            work.ACTIVE.bump("donor.candidates", candidates)
+            work.ACTIVE.bump("donor.candidates", index.count(interface))
         scored.sort(key=lambda item: (-item[0], item[2].label.lower()))
         return [(interface_id, donor) for _, interface_id, donor in scored]
 
@@ -752,6 +767,8 @@ class _DonorIndex:
         self._holders: Dict[str, Set[int]] = {}
         #: word -> the held forms containing it
         self._postings: Dict[str, Set[str]] = {}
+        #: interface id -> how many of its attributes are eligible donors
+        self._eligible: Dict[str, int] = {}
         self.refresh()
 
     def refresh(self) -> None:
@@ -779,18 +796,31 @@ class _DonorIndex:
                     for word in norm.split():
                         self._postings.setdefault(word, set()).add(norm)
                 holders.add(rank)
+        if (forms is None) != (self._forms[rank] is None):
+            interface_id = self._slots[rank][0].interface_id
+            self._eligible[interface_id] = (
+                self._eligible.get(interface_id, 0)
+                + (1 if forms is not None else -1))
         self._forms[rank] = forms
 
-    def donors(self, interface: QueryInterface
+    def donors(self, interface: QueryInterface,
+               ranks: Optional[Iterable[int]] = None,
                ) -> Iterator[Tuple[int, QueryInterface, Attribute,
                                    Dict[str, str]]]:
         """``(rank, interface, donor, forms)`` for every eligible donor on
-        an interface other than ``interface``, by rank."""
-        for rank, (other, donor) in enumerate(self._slots):
+        an interface other than ``interface``, by rank; only those among
+        ``ranks`` (ascending) when given."""
+        for rank in range(len(self._slots)) if ranks is None else ranks:
+            other, donor = self._slots[rank]
             forms = self._forms[rank]
             if forms is not None \
                     and other.interface_id != interface.interface_id:
                 yield rank, other, donor, forms
+
+    def count(self, interface: QueryInterface) -> int:
+        """How many donors :meth:`donors` yields for ``interface``."""
+        return (sum(self._eligible.values())
+                - self._eligible.get(interface.interface_id, 0))
 
     def tally(self, counts: Dict[str, int]
               ) -> Tuple[Dict[int, int], Dict[int, int]]:

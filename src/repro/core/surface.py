@@ -345,7 +345,8 @@ class WebValidator:
     marginal and a candidate marginal of the same text are one question
     under one key. That reuse is a large part of why the two-phase design
     "greatly reduces the number of validation queries posed to search
-    engines".
+    engines". Score vectors are memoised there too, per scoring rule, so
+    a candidate scored again costs one lookup, not one per count.
     """
 
     #: window (words) within which a cue phrase and a candidate must co-occur
@@ -384,9 +385,23 @@ class WebValidator:
 
         The first phrase (the label) is scored with the adjacency query
         "L x"; the cue phrases are scored with windowed co-occurrence.
+
+        A repeat reads the memo's ``vectors`` and notes the ``n + 1``
+        marginal and ``n`` joint hits the recomputation would have noted,
+        so the run's account is the same either way.
         """
-        return self._vector(phrases, candidate, self.marginal_hits,
-                            self._joint)
+        memo = self._cache
+        key = (self.scoring, tuple(phrases), candidate)
+        vector = memo.vectors.get(key)
+        if vector is None:
+            computed = self._vector(phrases, candidate, self.marginal_hits,
+                                    self._joint)
+            memo.vectors[key] = tuple(computed)
+            return computed
+        memo.stats.note_hit("marginal", len(vector) + 1)
+        if vector:
+            memo.stats.note_hit("joint", len(vector))
+        return list(vector)
 
     def recorded_vector(self, phrases: Sequence[str],
                         candidate: str) -> List[float]:

@@ -119,9 +119,11 @@ class CacheStats:
         """Fraction of lookups answered from the memo (0.0 when idle)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def note_hit(self, kind: str) -> None:
-        self.hits += 1
-        self.hits_by_kind[kind] = self.hits_by_kind.get(kind, 0) + 1
+    def note_hit(self, kind: str, count: int = 1) -> None:
+        """Note ``count`` hits of ``kind`` (a derived answer that stands
+        for several lookups notes them all at once)."""
+        self.hits += count
+        self.hits_by_kind[kind] = self.hits_by_kind.get(kind, 0) + count
 
     def note_miss(self, kind: str) -> None:
         self.misses += 1
@@ -178,17 +180,27 @@ class ValidationCache:
       query, max_results)``.
 
     ``stats`` counts the memo's own hits and misses; the askers note
-    each lookup there. Validators with different scoring rules share
-    counts, not scores.
+    each lookup there.
+
+    ``vectors`` is derived, not asked: each validator's score vector of
+    one ``(phrases, candidate)``, by ``(scoring, phrases, candidate)``, so
+    validators with different scoring rules share counts, not scores. A
+    vector is a pure function of counts already in the three maps, which
+    are never overwritten, so it is not counted by ``len``, not copied by
+    :meth:`clone`/:meth:`update` and not journaled: a warm or resumed run
+    recomputes it from counts that are all memo hits (DESIGN.md §30).
     """
 
     def __init__(self) -> None:
         self.marginal_hits: Dict[str, int] = {}
         self.joint_hits: Dict[Tuple[str, str, int], int] = {}
         self.searches: Dict[Tuple[str, int], Tuple[SearchResult, ...]] = {}
+        self.vectors: Dict[Tuple[str, Tuple[str, ...], str],
+                           Tuple[float, ...]] = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
+        """Entries asked of the engine, over the three asked maps."""
         return (
             len(self.marginal_hits)
             + len(self.joint_hits)

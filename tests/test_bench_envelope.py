@@ -38,9 +38,11 @@ TOLERANCES = {
 }
 
 
-def envelope(metrics=None, workload=None, name="sample-sweep"):
+def envelope(metrics=None, workload=None, name="sample-sweep",
+             profile_digest=None):
     metrics = dict(METRICS, **(metrics or {}))
-    return make_envelope(name, workload or WORKLOAD, metrics, TOLERANCES)
+    return make_envelope(name, workload or WORKLOAD, metrics, TOLERANCES,
+                         profile_digest=profile_digest)
 
 
 class TestEnvelope:
@@ -148,6 +150,35 @@ class TestDiff:
         with pytest.raises(BenchWorkloadMismatch, match="name"):
             diff_benches(envelope(), envelope(name="other-sweep"))
 
+    def test_equal_profile_digests_are_clean(self):
+        diff = diff_benches(envelope(profile_digest=4067162030),
+                            envelope(profile_digest=4067162030))
+        assert not diff.has_regression
+        assert "profile_digest" not in [d.metric for d in diff.drifts]
+
+    def test_profile_digest_change_is_a_regression(self):
+        # the doctored current artifact did different work than the
+        # baseline measured, even though every metric is unchanged
+        current = envelope(profile_digest=4067162030)
+        current["body"]["profile_digest"] = 1391662003
+        current["crc"] = record_crc(current["body"])
+        diff = diff_benches(envelope(profile_digest=4067162030), current)
+        (drift,) = [d for d in diff.drifts if d.status == "regression"]
+        assert drift.metric == "profile_digest"
+        assert (drift.baseline, drift.current) == (4067162030, 1391662003)
+        assert diff.has_regression
+        assert "REGRESSION" in diff.summary()
+
+    @pytest.mark.parametrize("base_digest, cur_digest",
+                             [(4067162030, None), (None, 4067162030)])
+    def test_profile_digest_on_one_side_is_a_regression(
+            self, base_digest, cur_digest):
+        diff = diff_benches(envelope(profile_digest=base_digest),
+                            envelope(profile_digest=cur_digest))
+        (drift,) = [d for d in diff.drifts if d.metric == "profile_digest"]
+        assert drift.status == "regression"
+        assert diff.has_regression
+
     def test_baseline_tolerances_win(self):
         # a loosened working-copy tolerance must not weaken the gate
         current = envelope({"round_trips": 1100})
@@ -178,6 +209,16 @@ class TestCliGate:
         out = capsys.readouterr().out
         assert "REGRESSION" in out
         assert "round_trips" in out
+
+    def test_profile_digest_change_exits_one(self, tmp_path, capsys):
+        base = self.write(tmp_path / "base.json",
+                          envelope(profile_digest=4067162030))
+        cur = self.write(tmp_path / "cur.json",
+                         envelope(profile_digest=1391662003))
+        assert main(["bench", "diff", base, cur]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION" in out
+        assert "profile_digest: 4067162030 -> 1391662003" in out
 
     def test_torn_artifact_exits_two(self, tmp_path, capsys):
         base = self.write(tmp_path / "base.json", envelope())

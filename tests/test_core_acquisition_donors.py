@@ -171,6 +171,15 @@ class TestCase1Donors:
         assert donors[0][1].label == "From"
 
 
+class TestConfig:
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_min_similar_values_below_one_rejected(self, bad):
+        # §5 asks for similar values shared; the case-2 scan reads only
+        # donors sharing one, which is every candidate only from 1 up
+        with pytest.raises(ValueError, match="min_similar_values"):
+            AcquisitionConfig(min_similar_values=bad)
+
+
 class TestCase2Donors:
     def make_world(self, donor_values):
         # enough own values that a 2-value overlap stays well under the
@@ -297,8 +306,10 @@ class TestIncrementalDonorIndex:
     must still equal the reference scan over the current values."""
 
     @settings(max_examples=150, deadline=None)
-    @given(_WORLD, _APPENDS, st.integers(min_value=1, max_value=3))
-    def test_appends_keep_donors_equal_to_reference(self, world, appends, k):
+    @given(_WORLD, _APPENDS, st.integers(min_value=1, max_value=3),
+           st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 0.3]))
+    def test_appends_keep_donors_equal_to_reference(
+            self, world, appends, k, min_similar_values, label_sim_threshold):
         interfaces = []
         for i, attributes in enumerate(world):
             built = []
@@ -309,7 +320,9 @@ class TestIncrementalDonorIndex:
                     built.append(text(f"a{j}", label, acquired=values))
             interfaces.append(QueryInterface(f"i{i}", "airfare", "flight",
                                              built))
-        acq = acquirer_with(interfaces, AcquisitionConfig(k=k))
+        acq = acquirer_with(interfaces, AcquisitionConfig(
+            k=k, min_similar_values=min_similar_values,
+            label_sim_threshold=label_sim_threshold))
         slots = [(interface, attribute) for interface in interfaces
                  for attribute in interface.attributes]
 
@@ -319,6 +332,9 @@ class TestIncrementalDonorIndex:
                         == reference_case2(acq, interface, attribute))
                 assert (acq._case1_donors(interface, attribute)
                         == reference_case1(acq, interface, attribute))
+                # the kept eligible count equals a scan's
+                assert acq._donor_index().count(interface) == sum(
+                    1 for _ in acq._donor_candidates(interface))
 
         check()
         for pick, values in appends:

@@ -14,7 +14,12 @@ import pytest
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.core.surface import SurfaceConfig, SurfaceDiscoverer, WebValidator
 from repro.datasets import build_domain_dataset
-from repro.perf import CacheStats, ValidationCache, normalize_query
+from repro.perf import (
+    CachePreload,
+    CacheStats,
+    ValidationCache,
+    normalize_query,
+)
 from repro.resilience import (
     FaultProfile,
     FlakySearchEngine,
@@ -54,6 +59,14 @@ class TestCacheStats:
         assert stats.hit_rate == pytest.approx(2 / 3)
         assert stats.hits_by_kind == {"marginal": 1, "search": 1}
         assert stats.misses_by_kind == {"marginal": 1}
+
+    def test_note_hit_counts_several_lookups(self):
+        stats = CacheStats()
+        stats.note_hit("marginal", 4)
+        stats.note_hit("joint", 3)
+        stats.note_hit("marginal")
+        assert stats.hits == 8
+        assert stats.hits_by_kind == {"marginal": 5, "joint": 3}
 
     def test_summary_is_one_line(self):
         summary = CacheStats().summary()
@@ -245,6 +258,112 @@ class TestValidationCache:
         for name in ("marginal_hits", "joint_hits", "searches"):
             assert list(getattr(before, name).items()) \
                 == list(getattr(cache, name).items())
+
+
+class TestScoreVectorMemo:
+    """``score_vector`` memoises each ``(scoring, phrases, candidate)``'s
+    vector in the run's memo. The vector is derived from counts already
+    memoised, so a repeat asks nothing and notes exactly the hits the
+    recomputation would have noted; the map is neither an entry, nor
+    copied, nor journaled."""
+
+    PHRASES = ("cities", "cities such as", "such cities as")
+
+    def test_repeat_is_an_equal_fresh_list_that_asks_nothing(self):
+        engine = make_engine()
+        memo = ValidationCache()
+        validator = WebValidator(engine, cache=memo)
+        first = validator.score_vector(self.PHRASES, "boston")
+        queries = engine.query_count
+        before = memo.stats.state_payload()
+        second = validator.score_vector(list(self.PHRASES), "boston")
+        assert second == first and second is not first
+        assert engine.query_count == queries
+        n = len(self.PHRASES)
+        after = memo.stats.state_payload()
+        assert after["misses_by_kind"] == before["misses_by_kind"]
+        assert after["hits"] - before["hits"] == 2 * n + 1
+        moved = {kind: count - before["hits_by_kind"].get(kind, 0)
+                 for kind, count in after["hits_by_kind"].items()}
+        assert moved == {"marginal": n + 1, "joint": n}
+        # a caller mutating its copy cannot reach the memo
+        second.append(99.0)
+        assert validator.score_vector(self.PHRASES, "boston") == first
+
+    def test_hit_notes_what_recomputing_notes(self):
+        # the same calls against a memo with no vectors (counts only)
+        # leave the same account, marginal noted before joint
+        memo, counts_only = ValidationCache(), ValidationCache()
+        validator = WebValidator(make_engine(), cache=memo)
+        plain = WebValidator(make_engine(), cache=counts_only)
+        for candidate in ("boston", "miami", "boston", "boston", "miami"):
+            assert validator.score_vector(self.PHRASES, candidate) == \
+                plain.score_vector(self.PHRASES, candidate)
+            counts_only.vectors.clear()
+        assert memo.stats == counts_only.stats
+        assert list(memo.stats.hits_by_kind) == ["marginal", "joint"]
+
+    def test_recorded_vector_notes_no_hits(self):
+        memo = ValidationCache()
+        validator = WebValidator(make_engine(), cache=memo)
+        vector = validator.score_vector(self.PHRASES, "boston")
+        before = memo.stats.state_payload()
+        assert validator.recorded_vector(self.PHRASES, "boston") == vector
+        assert memo.stats.state_payload() == before
+
+    def test_scoring_rules_do_not_share_vectors(self):
+        engine = make_engine()
+        memo = ValidationCache()
+        pmi = WebValidator(engine, scoring="pmi", cache=memo)
+        hits = WebValidator(engine, scoring="hits", cache=memo)
+        by_pmi = pmi.score_vector(self.PHRASES, "boston")
+        queries = engine.query_count
+        by_hits = hits.score_vector(self.PHRASES, "boston")
+        assert engine.query_count == queries  # counts are shared...
+        assert by_hits != by_pmi  # ...scores are not
+        assert by_hits == [
+            float(memo.joint_hits[(phrase, "boston", int(i != 0))])
+            for i, phrase in enumerate(self.PHRASES)]
+        assert len(memo.vectors) == 2
+
+    def test_vectors_are_no_entries_and_are_neither_copied_nor_journaled(self):
+        memo = ValidationCache()
+        mark = memo.mark()
+        WebValidator(make_engine(), cache=memo).score_vector(
+            self.PHRASES, "boston")
+        assert memo.vectors
+        assert len(memo) == len(memo.marginal_hits) + len(memo.joint_hits)
+        assert memo.clone().vectors == {}
+        fresh = ValidationCache()
+        fresh.update(memo)
+        assert fresh.vectors == {}
+        assert CachePreload(memo).validation.vectors == {}
+        assert set(memo.delta_since(mark)) == {
+            "marginal_hits", "joint_hits", "searches"}
+
+    def test_figure6_pass_computes_each_pair_once(self, monkeypatch):
+        # 5 domains x 20 interfaces at dataset seed 1, default config:
+        # Surface validation and Attr-Surface training and prediction ask
+        # for 7,624 vectors, 2,286 of them distinct within their run
+        from repro.datasets import DOMAINS
+
+        calls = {"score_vector": 0, "computed": 0}
+        score_vector, vector = WebValidator.score_vector, WebValidator._vector
+
+        def counted_score_vector(self, *args):
+            calls["score_vector"] += 1
+            return score_vector(self, *args)
+
+        def counted_vector(self, *args):
+            calls["computed"] += 1
+            return vector(self, *args)
+
+        monkeypatch.setattr(WebValidator, "score_vector", counted_score_vector)
+        monkeypatch.setattr(WebValidator, "_vector", counted_vector)
+        for domain in DOMAINS:
+            WebIQMatcher(WebIQConfig()).run(
+                build_domain_dataset(domain, 20, 1))
+        assert calls == {"score_vector": 7624, "computed": 2286}
 
 
 class TestProbeMemoDelta:
