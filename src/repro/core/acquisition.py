@@ -33,6 +33,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -370,9 +371,16 @@ class InstanceAcquirer:
         return report
 
     def _execute_unit(self, unit: _Unit) -> int:
-        """The body of one unit: replay it from the journal if a record is
-        pending, honour quarantine, else run it fresh. Returns the unit's
-        round-trip cost (queries, or probes for ``attr_deep``)."""
+        """One unit, then its notice to the donor index: a unit appends to
+        its own attribute and to no other. Returns the unit's round-trip
+        cost (queries, or probes for ``attr_deep``)."""
+        cost = self._run_unit(unit)
+        self._notify_donor_index(unit.interface, unit.attribute)
+        return cost
+
+    def _run_unit(self, unit: _Unit) -> int:
+        """Replay the unit from the journal if a record is pending, honour
+        quarantine, else run it fresh."""
         replayed = self._replayed(unit.phase, unit.interface, unit.attribute,
                                   unit.record)
         if replayed is not None:
@@ -479,19 +487,23 @@ class InstanceAcquirer:
         instances Y itself acquired from the Web say nothing about what the
         interface designer pre-defined.
         """
+        index = self._donor_index()
         others = [
             _normalized(y.instances) for y in interface.attributes
             if y.name != attribute.name and y.instances
         ]
         own_vector, own_norm = self._label_vector(attribute.label)
+        threshold = self.config.label_sim_threshold
+        # label_cosine is 0 unless the labels share a word, so above a
+        # threshold of 0 only the donors sharing one can qualify; they are
+        # still scanned in rank order (DESIGN.md §31)
+        ranks = index.label_ranks(own_vector) if threshold > 0 else None
         scored: List[Tuple[float, str, Attribute]] = []
-        candidates = 0
         for _, other_interface, donor, donor_values in \
-                self._donor_index().donors(interface):
-            candidates += 1
+                index.donors(interface, ranks):
             sim = label_cosine(own_vector, own_norm,
                                *self._label_vector(donor.label))
-            if sim < self.config.label_sim_threshold:
+            if sim < threshold:
                 continue
             if any(
                 _containment(donor_values, y_values)
@@ -501,7 +513,7 @@ class InstanceAcquirer:
                 continue
             scored.append((sim, other_interface.interface_id, donor))
         if work.ACTIVE is not None:
-            work.ACTIVE.bump("donor.candidates", candidates)
+            work.ACTIVE.bump("donor.candidates", index.count(interface))
         scored.sort(key=lambda item: (-item[0], item[2].label.lower()))
         return [(interface_id, donor) for _, interface_id, donor in scored]
 
@@ -668,20 +680,20 @@ class InstanceAcquirer:
         return True
 
     def _donor_index(self) -> _DonorIndex:
-        """The run's donor index, built on first use and brought up to
-        date with every append since the last donor query."""
+        """The run's donor index, built on first use; every unit since
+        keeps it current through :meth:`_notify_donor_index`."""
         if self._donor_forms is None:
-            self._donor_forms = _DonorIndex(self._interfaces, self.config)
-        else:
-            self._donor_forms.refresh()
+            self._donor_forms = _DonorIndex(self._interfaces, self.config,
+                                            self._label_vector)
         return self._donor_forms
 
-    def _donor_candidates(self, interface: QueryInterface
-                          ) -> Iterator[Tuple[QueryInterface, Attribute]]:
-        """Eligible donors on interfaces other than ``interface``, in
-        interface order, then attribute order (see :class:`_DonorIndex`)."""
-        for _, other, donor, _ in self._donor_index().donors(interface):
-            yield other, donor
+    def _notify_donor_index(self, interface: QueryInterface,
+                            attribute: Attribute) -> None:
+        """Tell the run's donor index that ``attribute`` may have grown.
+        Before the index exists there is nothing to tell: building it
+        reads every attribute."""
+        if self._donor_forms is not None:
+            self._donor_forms.notify(interface.interface_id, attribute.name)
 
     @staticmethod
     def _acquired_count(attribute: Attribute) -> int:
@@ -747,17 +759,33 @@ class _DonorIndex:
 
     ``acquired`` lists only grow during a run, so a donor whose
     ``(len(instances), len(acquired))`` version is unchanged has unchanged
-    forms; :meth:`refresh` re-indexes only the donors whose version moved.
-    The attribute lists themselves are fixed for the index's lifetime.
-    The index holds the interfaces, never the acquirer that queries it.
+    forms. Construction indexes every slot; after that, the acquirer
+    names the one attribute each unit touched to :meth:`notify`, and only
+    a notified donor whose version moved is re-indexed. The attribute lists
+    themselves are fixed for the index's lifetime.
+
+    Labels never change, so a word -> ranks posting list of every slot's
+    :func:`~repro.matching.similarity.label_vector` words is built once;
+    :meth:`label_ranks` reads it for case 1. ``values_similar`` is a pure
+    function of two forms, so :meth:`tally` asks it once per pair for the
+    index's lifetime (DESIGN.md §31).
+
+    The index holds the interfaces, never the acquirer that queries it:
+    the acquirer's label-vector memo is read at construction only.
     """
 
     def __init__(self, interfaces: Sequence[QueryInterface],
-                 config: AcquisitionConfig) -> None:
+                 config: AcquisitionConfig,
+                 label_vector: Callable[[str], Tuple[Dict[str, int], float]]
+                 ) -> None:
         self._k = config.k
         #: ``(interface, attribute)`` by rank
         self._slots = [(interface, attribute) for interface in interfaces
                        for attribute in interface.attributes]
+        #: ``(interface id, attribute name)`` -> rank
+        self._ranks = {(interface.interface_id, attribute.name): rank
+                       for rank, (interface, attribute)
+                       in enumerate(self._slots)}
         self._versions: List[Optional[Tuple[int, int]]] = \
             [None] * len(self._slots)
         #: rank -> the donor's forms as :func:`_normalized` returns them;
@@ -769,15 +797,25 @@ class _DonorIndex:
         self._postings: Dict[str, Set[str]] = {}
         #: interface id -> how many of its attributes are eligible donors
         self._eligible: Dict[str, int] = {}
-        self.refresh()
-
-    def refresh(self) -> None:
-        """Re-index every donor whose instance lists grew."""
+        #: normalised label word -> ascending ranks of the labels holding it
+        self._label_postings: Dict[str, List[int]] = {}
+        #: ``(recipient form, donor form)`` -> ``values_similar`` of the two
+        self._similar: Dict[Tuple[str, str], bool] = {}
         for rank, (_, attribute) in enumerate(self._slots):
-            version = (len(attribute.instances), len(attribute.acquired))
-            if version != self._versions[rank]:
-                self._versions[rank] = version
-                self._reindex(rank, attribute)
+            for word in label_vector(attribute.label)[0]:
+                self._label_postings.setdefault(word, []).append(rank)
+            self._update(rank)
+
+    def notify(self, interface_id: str, attribute_name: str) -> None:
+        """Re-index that attribute if its instance lists grew."""
+        self._update(self._ranks[(interface_id, attribute_name)])
+
+    def _update(self, rank: int) -> None:
+        attribute = self._slots[rank][1]
+        version = (len(attribute.instances), len(attribute.acquired))
+        if version != self._versions[rank]:
+            self._versions[rank] = version
+            self._reindex(rank, attribute)
 
     def _reindex(self, rank: int, attribute: Attribute) -> None:
         for norm in self._forms[rank] or ():
@@ -817,6 +855,14 @@ class _DonorIndex:
                     and other.interface_id != interface.interface_id:
                 yield rank, other, donor, forms
 
+    def label_ranks(self, vector: Dict[str, int]) -> List[int]:
+        """Ascending ranks of the slots whose labels share a word with a
+        :func:`~repro.matching.similarity.label_vector` ``vector``."""
+        ranks: Set[int] = set()
+        for word in vector:
+            ranks.update(self._label_postings.get(word, ()))
+        return sorted(ranks)
+
     def count(self, interface: QueryInterface) -> int:
         """How many donors :meth:`donors` yields for ``interface``."""
         return (sum(self._eligible.values())
@@ -833,6 +879,7 @@ class _DonorIndex:
         scoring zero are absent."""
         holders = self._holders
         postings = self._postings
+        memo = self._similar
         exact: Dict[int, int] = {}
         overlap: Dict[int, int] = {}
         comparisons = 0
@@ -846,7 +893,11 @@ class _DonorIndex:
             comparisons += len(candidates)
             similar: Set[int] = set()
             for candidate in candidates:
-                if values_similar(norm, candidate):
+                pair = (norm, candidate)
+                alike = memo.get(pair)
+                if alike is None:
+                    alike = memo[pair] = values_similar(norm, candidate)
+                if alike:
                     similar.update(holders[candidate])
             for rank in similar:
                 overlap[rank] = overlap.get(rank, 0) + count

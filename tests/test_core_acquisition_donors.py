@@ -9,16 +9,20 @@ from repro.core.acquisition import (
     _DonorIndex,
     _form_counts,
 )
+from repro.checkpoint import CheckpointConfig, RunJournal
+from repro.core import pipeline
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
 from repro.deepweb.models import Attribute, AttributeKind, QueryInterface
 from repro.matching.similarity import (
     label_similarity,
+    label_vector,
     value_similarity,
     values_similar,
 )
 from repro.surfaceweb.engine import SearchEngine
 from repro.util import counters as work
+from repro.util.errors import PreemptionError
 
 
 def select(name, label, values):
@@ -49,7 +53,7 @@ def indexed_count(values_a, values_b):
     donor whose pre-defined values are ``values_b``."""
     donor_if = QueryInterface("d", "airfare", "flight",
                               [select("b", "B", values_b)])
-    index = _DonorIndex([donor_if], AcquisitionConfig())
+    index = _DonorIndex([donor_if], AcquisitionConfig(), label_vector)
     _, overlap = index.tally(_form_counts(values_a))
     return overlap.get(0, 0)
 
@@ -220,12 +224,21 @@ class TestCase2Donors:
         assert donors == []
 
 
+def reference_donors(acq, interface):
+    """Every eligible donor on an interface other than ``interface``, in
+    interface order, then attribute order, from the current values."""
+    return [(other, donor) for other in acq._interfaces
+            if other.interface_id != interface.interface_id
+            for donor in other.attributes
+            if donor.has_instances or len(donor.acquired) >= acq.config.k]
+
+
 def reference_case1(acq, interface, attribute):
     """``_case1_donors`` as first written, from the reference functions."""
     others = [y for y in interface.attributes
               if y.name != attribute.name and y.instances]
     scored = []
-    for other_interface, donor in acq._donor_candidates(interface):
+    for other_interface, donor in reference_donors(acq, interface):
         sim = label_similarity(attribute.label, donor.label)
         if sim < acq.config.label_sim_threshold:
             continue
@@ -242,7 +255,7 @@ def reference_case2(acq, interface, attribute):
     """``_case2_donors`` as first written, with the brute-force count."""
     own = attribute.all_instances()
     scored = []
-    for other_interface, donor in acq._donor_candidates(interface):
+    for other_interface, donor in reference_donors(acq, interface):
         donor_values = donor.all_instances()
         if not donor_values:
             continue
@@ -288,9 +301,14 @@ class TestDonorSelectionMatchesReference:
 
 
 #: one attribute of a generated world: SELECT with pre-defined values, or
-#: TEXT with acquired ones; labels collide so the label tie-break matters
+#: TEXT with acquired ones; labels collide so the label tie-break matters,
+#: share a word at cosines of 0.5 and 0.71 so every threshold gates some
+#: pair, and are stopword-only (an empty label vector) in two spellings
 _ATTRIBUTE = st.tuples(st.booleans(),
-                       st.sampled_from(["Airline", "airline", "Carrier"]),
+                       st.sampled_from(["Airline", "airline", "Carrier",
+                                        "Airline name", "Carrier name",
+                                        "Airline carrier", "the",
+                                        "Select a"]),
                        st.lists(_VALUES, max_size=5))
 _WORLD = st.lists(st.lists(_ATTRIBUTE, min_size=1, max_size=3),
                   min_size=2, max_size=4)
@@ -301,13 +319,14 @@ _APPENDS = st.lists(st.tuples(st.integers(min_value=0, max_value=99),
 
 
 class TestIncrementalDonorIndex:
-    """The index is built once per run and kept current by re-indexing the
-    donors whose acquired lists grew; after every append both donor rules
-    must still equal the reference scan over the current values."""
+    """The index is built once per run and kept current by the acquirer's
+    notice after each unit, which re-indexes the notified donor if its
+    acquired list grew; after every append and its notice both donor
+    rules must still equal the reference scan over the current values."""
 
     @settings(max_examples=150, deadline=None)
     @given(_WORLD, _APPENDS, st.integers(min_value=1, max_value=3),
-           st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 0.3]))
+           st.sampled_from([1, 2, 3]), st.sampled_from([0.0, 0.3, 0.5]))
     def test_appends_keep_donors_equal_to_reference(
             self, world, appends, k, min_similar_values, label_sim_threshold):
         interfaces = []
@@ -333,10 +352,59 @@ class TestIncrementalDonorIndex:
                 assert (acq._case1_donors(interface, attribute)
                         == reference_case1(acq, interface, attribute))
                 # the kept eligible count equals a scan's
-                assert acq._donor_index().count(interface) == sum(
-                    1 for _ in acq._donor_candidates(interface))
+                assert acq._donor_index().count(interface) \
+                    == len(reference_donors(acq, interface))
 
         check()
         for pick, values in appends:
-            slots[pick % len(slots)][1].acquired.extend(values)
+            interface, attribute = slots[pick % len(slots)]
+            attribute.acquired.extend(values)
+            acq._notify_donor_index(interface, attribute)
             check()
+
+
+#: the index state a notified index and a fresh build must agree on
+_INDEX_STATE = ("_versions", "_forms", "_holders", "_postings", "_eligible",
+                "_label_postings")
+
+
+class TestDonorIndexAfterResume:
+    """A resumed run replays its journaled units, then runs the rest
+    fresh; the index it keeps current by notices must end equal to one
+    built fresh over the same interfaces."""
+
+    @pytest.mark.parametrize("phase", ["attr_deep", "attr_surface"])
+    def test_resumed_index_equals_a_fresh_build(self, tmp_path, monkeypatch,
+                                                phase):
+        def run(checkpoint):
+            return WebIQMatcher(WebIQConfig(checkpoint=checkpoint)).run(
+                build_domain_dataset("book", 3, 1))
+
+        run(CheckpointConfig(directory=str(tmp_path / "probe")))
+        records = RunJournal.open(str(tmp_path / "probe")).records
+        boundaries = [index for index, body in enumerate(records)
+                      if body["unit"][0] == phase]
+        kill_at = boundaries[len(boundaries) // 2]
+        directory = str(tmp_path / "journal")
+        with pytest.raises(PreemptionError):
+            run(CheckpointConfig(directory=directory, kill_at=kill_at))
+
+        compared = []
+
+        class Compared(InstanceAcquirer):
+            def _acquire(self, *args):
+                report = super()._acquire(*args)
+                kept = self._donor_forms
+                fresh = _DonorIndex(self._interfaces, self.config,
+                                    self._label_vector)
+                compared.append({
+                    name: (getattr(kept, name, None), getattr(fresh, name))
+                    for name in _INDEX_STATE})
+                return report
+
+        monkeypatch.setattr(pipeline, "InstanceAcquirer", Compared)
+        result = run(CheckpointConfig(directory=directory, resume=True))
+        assert result.checkpoint.replayed_records == kill_at + 1
+        (state,) = compared
+        for name, (kept, fresh) in state.items():
+            assert kept == fresh, name

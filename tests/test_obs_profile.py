@@ -50,6 +50,8 @@ CELL_IDS = [f"{domain}-s{seed}-" for domain, seed, _ in CELLS]
 
 #: work counters of one default profiled run on book, 5 interfaces, seed 1
 PINNED_WORK = {
+    "donor.candidates": 276,
+    "donor.value_comparisons": 103,
     "engine.round_trips": 779,
     "index.intersections": 2147,
     "index.window_checks": 226,
@@ -183,9 +185,10 @@ class TestCounterBooksBalance:
         assert counter == dataset.engine.query_count
 
     def test_work_counters_pinned(self):
-        """The Surface-Web and matching work of one profiled run, pinned:
-        a change to how the index, tokeniser, PMI scorer or blocking index
-        reads its data must leave these counts exactly where they are."""
+        """The Surface-Web, donor-selection and matching work of one
+        profiled run, pinned: a change to how the index, tokeniser, PMI
+        scorer, donor index or blocking index reads its data must leave
+        these counts exactly where they are."""
         config = WebIQConfig(obs=ObsConfig(profile=True))
         result = WebIQMatcher(config).run(build_domain_dataset("book", 5, 1))
         counts = result.obs.counters.as_dict()

@@ -76,7 +76,7 @@ class TestGate:
     def test_pairs_alternate_which_side_runs_first(self, tmp_path):
         base = make_tree(tmp_path, "base", 40.0)
         candidate = make_tree(tmp_path, "candidate", 50.0)
-        ratios = perf_ab.compare(base, candidate, "figure6-batch", 3)
+        ratios, _ = perf_ab.compare(base, candidate, "figure6-batch", 3)
         assert ratios["interfaces_per_kref"] == [pytest.approx(1.25)] * 3
         assert ratios["peak_rss_mb"] == [pytest.approx(1.0)] * 3
         order = (tmp_path / "order.log").read_text().split()
@@ -168,7 +168,7 @@ class TestLatencyGate:
     def test_every_pair_prints_its_p50_ratio(self, tmp_path, capsys):
         base = make_tree(tmp_path, "base", 40.0, p50=600.0)
         candidate = make_tree(tmp_path, "candidate", 40.0, p50=450.0)
-        ratios = perf_ab.compare(base, candidate, "service-mixed", 2)
+        ratios, _ = perf_ab.compare(base, candidate, "service-mixed", 2)
         assert ratios["op_p50_ref"] == [pytest.approx(0.75)] * 2
         assert capsys.readouterr().out.count(
             "op_p50_ref base 600.000 candidate 450.000 ratio 0.750") == 2
@@ -198,3 +198,68 @@ class TestLatencyGate:
                              "service-mixed", "--pairs", "1"]) == 1
         assert "median op_p50_ref ratio 1.500 over 1 pairs (min 1.500, " \
             "max 1.500); bound 1.250: FAILED" in capsys.readouterr().out
+
+
+class TestGainReport:
+    """The report of a claimed gain: each side's quartiles, the pairs
+    won, and the rule (nine pairs in ten won, median gap above the base's
+    interquartile spread). It never changes the exit code."""
+
+    def test_main_reports_quartiles_and_wins(self, tmp_path, capsys,
+                                             as_candidate):
+        base = make_tree(tmp_path, "base", 40.0)
+        as_candidate(make_tree(tmp_path, "fast", 44.0))
+        assert perf_ab.main(["--base", str(base), "--workload",
+                             "figure6-batch", "--pairs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "figure6-batch interfaces_per_kref: base median 40.000 " \
+            "(q1 40.000, q3 40.000); candidate median 44.000 (q1 44.000, " \
+            "q3 44.000); candidate won 2 of 2 pairs" in out
+        assert "median gap 4.000 > base interquartile spread 0.000): " \
+            "holds" in out
+
+    def test_ties_win_for_neither_and_change_no_exit_code(
+            self, tmp_path, capsys, as_candidate):
+        base = make_tree(tmp_path, "base", 40.0)
+        as_candidate(make_tree(tmp_path, "same", 40.0))
+        assert perf_ab.main(["--base", str(base), "--workload",
+                             "figure6-batch", "--pairs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "candidate won 0 of 2 pairs" in out
+        assert "does not hold" in out
+
+    def test_compare_returns_each_sides_throughput(self, tmp_path):
+        base = make_tree(tmp_path, "base", 40.0)
+        candidate = make_tree(tmp_path, "candidate", 50.0)
+        _, throughput = perf_ab.compare(base, candidate, "figure6-batch", 2)
+        assert throughput == {"base": [40.0, 40.0],
+                              "candidate": [50.0, 50.0]}
+
+    def test_quartiles(self):
+        assert perf_ab.quartiles([7.0]) == (7.0, 7.0, 7.0)
+        assert perf_ab.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) \
+            == (2.0, 3.0, 4.0)
+
+    BASE = [70.0, 71.0, 72.0, 72.0, 73.0, 73.0, 74.0, 74.0, 75.0, 76.0]
+
+    def test_nine_wins_and_a_wide_gap_hold(self, capsys):
+        # one loss in ten: 9 won; base q1 72, q3 74, so a spread of 2
+        candidate = [value + 4.0 for value in self.BASE[:9]] + [60.0]
+        assert perf_ab.gain_report("w", self.BASE, candidate)
+        assert "candidate won 9 of 10 pairs" in capsys.readouterr().out
+
+    def test_eight_wins_do_not_hold(self, capsys):
+        # a tie and a loss: only 8 won, however wide the gap
+        candidate = [value + 4.0 for value in self.BASE[:8]] \
+            + [self.BASE[8], 60.0]
+        assert not perf_ab.gain_report("w", self.BASE, candidate)
+        assert "candidate won 8 of 10 pairs" in capsys.readouterr().out
+
+    def test_a_gap_inside_the_base_spread_does_not_hold(self, capsys):
+        # every pair won, but the medians differ by 1 < the spread of 2
+        candidate = [value + 1.0 for value in self.BASE]
+        assert not perf_ab.gain_report("w", self.BASE, candidate)
+        out = capsys.readouterr().out
+        assert "candidate won 10 of 10 pairs" in out
+        assert "median gap 1.000 > base interquartile spread 2.000): " \
+            "does not hold" in out

@@ -33,6 +33,16 @@ class TestTokenize:
     def test_abbreviation_before_capital(self):
         assert tokenize("St. Louis is a city")[:2] == ["St.", "Louis"]
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect (DESIGN.md §9): the short-abbreviation rule also "
+        "fires on a 2-3 letter word ending a sentence, so 'day.' is one "
+        "token and phrase hit counts miss the page; a fix re-seals every "
+        "golden"))
+    def test_sentence_final_short_word_splits_off_its_period(self):
+        assert tokenize("Open every day. Welcome") == [
+            "Open", "every", "day", ".", "Welcome",
+        ]
+
     def test_hyphenated_word(self):
         assert "one-way" in tokenize("a one-way ticket")
 

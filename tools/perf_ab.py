@@ -22,6 +22,13 @@ exceeds one plus that metric's bound (0.25, so 1.25), or when a run fails
 its own correctness checks; else 0. The bounds are read from the base so
 that a change cannot loosen its own gate. Runs use the benchmark's default
 seed.
+
+For every workload the script also reports each side's median and
+quartiles of ``interfaces_per_kref``, how many pairs the candidate won
+(ties count for neither side), and whether the gain rule holds: the
+candidate won at least nine pairs in ten, and the candidate's median
+exceeds the base's by more than the base's interquartile spread. The
+report changes no exit code.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ P50 = "op_p50_ref"
 GATED = (METRIC, RSS, P50)
 #: length of every benchmark run, in seconds
 SECONDS = 10.0
+#: the share of pairs a claimed gain must win
+GAIN_WIN_SHARE = 0.9
 
 
 def _bound(spec_path: Path, metric: str) -> float:
@@ -90,16 +99,20 @@ def run_once(tree: Path, workload: str) -> Dict[str, float]:
             for name in GATED}
 
 
-def compare(base: Path, candidate: Path, workload: str,
-            pairs: int) -> Dict[str, List[float]]:
+def compare(base: Path, candidate: Path, workload: str, pairs: int
+            ) -> Tuple[Dict[str, List[float]], Dict[str, List[float]]]:
     """Candidate/base ratios of ``pairs`` alternating pairs, per gated
-    metric, printed as they finish."""
+    metric, printed as they finish; and each side's ``interfaces_per_kref``
+    values, pair by pair."""
     trees = {"base": base, "candidate": candidate}
     ratios: Dict[str, List[float]] = {name: [] for name in GATED}
+    throughput: Dict[str, List[float]] = {"base": [], "candidate": []}
     for index in range(pairs):
         order = pair_order(index)
         value = {side: run_once(trees[side], workload)
                  for side in order}
+        for side, values in throughput.items():
+            values.append(value[side][METRIC])
         parts = []
         for name in GATED:
             ratio = value["candidate"][name] / value["base"][name]
@@ -109,7 +122,35 @@ def compare(base: Path, candidate: Path, workload: str,
                          f"ratio {ratio:.3f}")
         print(f"{workload} pair {index + 1} ({order[0]} first): "
               + "; ".join(parts), flush=True)
-    return ratios
+    return ratios, throughput
+
+
+def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
+    """First quartile, median and third quartile of ``values``
+    (inclusive method; a single value is all three)."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def gain_report(workload: str, base: Sequence[float],
+                candidate: Sequence[float]) -> bool:
+    """Print each side's ``interfaces_per_kref`` quartiles, the pairs the
+    candidate won, and whether the gain rule holds; return whether it
+    does. Reports only: no gate reads it."""
+    wins = sum(c > b for b, c in zip(base, candidate))
+    b1, b_median, b3 = quartiles(base)
+    c1, c_median, c3 = quartiles(candidate)
+    gap, spread = c_median - b_median, b3 - b1
+    holds = wins >= GAIN_WIN_SHARE * len(base) and gap > spread
+    print(f"{workload} {METRIC}: base median {b_median:.3f} (q1 {b1:.3f}, "
+          f"q3 {b3:.3f}); candidate median {c_median:.3f} (q1 {c1:.3f}, "
+          f"q3 {c3:.3f}); candidate won {wins} of {len(base)} pairs; gain "
+          f"rule (won >= {GAIN_WIN_SHARE:.0%} of pairs, median gap "
+          f"{gap:.3f} > base interquartile spread {spread:.3f}): "
+          + ("holds" if holds else "does not hold"), flush=True)
+    return holds
 
 
 def verdict(workload: str, ratios: Sequence[float], bound: float,
@@ -143,11 +184,12 @@ def main(argv=None) -> int:
     ok = True
     for workload in args.workload:
         try:
-            ratios = compare(base, ROOT, workload, args.pairs)
+            ratios, throughput = compare(base, ROOT, workload, args.pairs)
         except RuntimeError as error:
             print(f"{workload}: {error}", flush=True)
             ok = False
             continue
+        gain_report(workload, throughput["base"], throughput["candidate"])
         for name in GATED:
             ok = verdict(workload, ratios[name], bounds[name], name) and ok
     return 0 if ok else 1
