@@ -13,11 +13,7 @@ Run:  python examples/custom_domain.py
 
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets.concepts import Concept, DomainSpec, LabelVariant
-from repro.datasets.corpus import CorpusConfig, build_corpus
-from repro.datasets.dataset import DomainDataset
-from repro.datasets.interfaces import generate_interfaces
-from repro.datasets.sources import build_sources
-from repro.surfaceweb.engine import SearchEngine
+from repro.datasets.dataset import build_domain_dataset
 
 CUISINES = (
     "Italian", "Mexican", "Chinese", "Japanese", "Thai", "Indian",
@@ -69,23 +65,16 @@ RESTAURANT = DomainSpec(
 
 
 def build_restaurant_dataset(n_interfaces: int = 12, seed: int = 5):
-    """Assemble a DomainDataset by hand from the custom spec.
+    """Register the custom spec, then build its dataset the usual way.
 
-    ``build_domain_dataset`` only knows the five built-in domains; for a
-    custom one we run the same four generators ourselves. The generators
-    look specs up by name, so we register the spec first.
+    The generators behind ``build_domain_dataset`` look specs up by name,
+    so once the spec is registered the facade builds a custom domain's
+    interfaces, Surface Web and Deep-Web sources like a built-in one's.
     """
     from repro.datasets import concepts as concepts_module
 
     concepts_module._SPECS[RESTAURANT.name] = RESTAURANT  # register
-
-    generated, truth = generate_interfaces("restaurant", n_interfaces, seed)
-    engine = SearchEngine(build_corpus("restaurant", seed, CorpusConfig()))
-    sources = build_sources(generated, "restaurant", seed)
-    return DomainDataset(
-        domain="restaurant", spec=RESTAURANT, generated=generated,
-        ground_truth=truth, engine=engine, sources=sources, seed=seed,
-    )
+    return build_domain_dataset("restaurant", n_interfaces, seed)
 
 
 def main() -> None:

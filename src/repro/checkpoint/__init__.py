@@ -11,9 +11,9 @@ this package, a process death mid-run lost all of it. The pieces:
   search engine or any Deep-Web source, plus :class:`CheckpointConfig`
   (attach to ``WebIQConfig.checkpoint``) and the in-memory
   :class:`CheckpointReport`;
-- :class:`repro.resilience.KillSwitch` (a.k.a. ``PreemptionPoint``) —
-  deterministic process death at any chosen journal boundary, so every
-  crash point is testable.
+- :class:`repro.resilience.KillSwitch` (armed by
+  ``CheckpointConfig.kill_at``) — deterministic process death at any
+  chosen journal boundary, so every crash point is testable.
 
 The contract: *kill at boundary k, then resume* produces a run payload
 byte-identical to the uninterrupted run, with zero transport calls

@@ -79,8 +79,7 @@ class CheckpointConfig:
     directory: str
     #: replay an existing journal instead of starting over
     resume: bool = False
-    #: arm a :class:`~repro.resilience.KillSwitch` at this journal
-    #: boundary (overrides the fault profile's ``preempt_at``)
+    #: arm a :class:`~repro.resilience.KillSwitch` at this journal boundary
     kill_at: Optional[int] = None
 
 

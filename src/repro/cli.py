@@ -357,27 +357,32 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _resilience_config(args):
-    """Build the run's ResilienceConfig from CLI flags, or None."""
-    if not 0.0 <= args.fault_rate <= 1.0:
-        raise SystemExit(
-            f"repro run: error: --fault-rate must be within [0, 1], "
-            f"got {args.fault_rate}")
-    wants_resilience = (
-        args.fault_rate > 0.0
-        or args.probe_budget is not None
-        or args.query_budget is not None
-        or args.degradation
-    )
-    if not wants_resilience:
+def _resilience_config(values, *, attach=False):
+    """The ResilienceConfig of a run or service request, or None when it
+    injects no fault, sets no budget and ``attach`` is false.
+
+    ``values`` maps ``fault_rate``, ``fault_seed``, ``probe_budget`` and
+    ``query_budget`` (command-line flags or a script entry) to values;
+    missing keys take their defaults. Raises ValueError for a fault rate
+    outside [0, 1].
+    """
+    fault_rate = values.get("fault_rate", 0.0)
+    probe_budget = values.get("probe_budget")
+    query_budget = values.get("query_budget")
+    if not 0.0 <= fault_rate <= 1.0:
+        raise ValueError(
+            f"--fault-rate must be within [0, 1], got {fault_rate}")
+    if not (attach or fault_rate > 0.0 or probe_budget is not None
+            or query_budget is not None):
         return None
     from repro.resilience import FaultProfile, ResilienceConfig
 
     return ResilienceConfig(
-        profile=FaultProfile(fault_rate=args.fault_rate, seed=args.fault_seed),
-        surface_query_budget=args.query_budget,
-        attr_surface_query_budget=args.query_budget,
-        attr_deep_probe_budget=args.probe_budget,
+        profile=FaultProfile(fault_rate=fault_rate,
+                             seed=values.get("fault_seed", 0)),
+        surface_query_budget=query_budget,
+        attr_surface_query_budget=query_budget,
+        attr_deep_probe_budget=probe_budget,
     )
 
 
@@ -465,12 +470,17 @@ def _cmd_run(args) -> int:
         raise SystemExit(
             "repro run: error: --registry needs a single --domain "
             "(a registry holds exactly one domain)")
+    try:
+        # a degradation report needs the layer even at rate 0
+        resilience = _resilience_config(vars(args), attach=args.degradation)
+    except ValueError as exc:
+        raise SystemExit(f"repro run: error: {exc}")
     config = WebIQConfig(
         enable_surface=not (args.baseline or args.no_surface),
         enable_attr_deep=not (args.baseline or args.no_attr_deep),
         enable_attr_surface=not (args.baseline or args.no_attr_surface),
         threshold=args.threshold,
-        resilience=_resilience_config(args),
+        resilience=resilience,
         obs=_obs_config(args),
         checkpoint=_checkpoint_config(args),
         supervisor=_supervisor_config(args),
@@ -666,13 +676,8 @@ def _scripted_request(entry, position: int):
             f"request {position}: unknown keys {sorted(unknown)}")
     if "domain" not in entry:
         raise ValueError(f"request {position}: missing 'domain'")
-    config = _service_run_config(
-        threshold=entry.get("threshold", 0.0),
-        fault_rate=entry.get("fault_rate", 0.0),
-        fault_seed=entry.get("fault_seed", 0),
-        probe_budget=entry.get("probe_budget"),
-        query_budget=entry.get("query_budget"),
-    )
+    config = WebIQConfig(threshold=entry.get("threshold", 0.0),
+                         resilience=_resilience_config(entry))
     return MatchRequest(
         tenant=entry.get("tenant", "anon"),
         domain=entry["domain"],
@@ -683,23 +688,6 @@ def _scripted_request(entry, position: int):
         assimilate=bool(entry.get("assimilate", False)),
         cost=float(entry.get("cost", 1.0)),
     )
-
-
-def _service_run_config(*, threshold=0.0, fault_rate=0.0, fault_seed=0,
-                        probe_budget=None, query_budget=None):
-    """A WebIQConfig for a service request."""
-    resilience = None
-    if fault_rate > 0.0 or probe_budget is not None \
-            or query_budget is not None:
-        from repro.resilience import FaultProfile, ResilienceConfig
-
-        resilience = ResilienceConfig(
-            profile=FaultProfile(fault_rate=fault_rate, seed=fault_seed),
-            surface_query_budget=query_budget,
-            attr_surface_query_budget=query_budget,
-            attr_deep_probe_budget=probe_budget,
-        )
-    return WebIQConfig(threshold=threshold, resilience=resilience)
 
 
 def _cmd_serve(args) -> int:
@@ -799,19 +787,17 @@ def _cmd_request(args) -> int:
     if args.domain == "all":
         raise SystemExit(
             "repro request: error: needs a single --domain")
-    if not 0.0 <= args.fault_rate <= 1.0:
-        raise SystemExit(
-            f"repro request: error: --fault-rate must be within [0, 1], "
-            f"got {args.fault_rate}")
+    try:
+        resilience = _resilience_config(vars(args))
+    except ValueError as exc:
+        raise SystemExit(f"repro request: error: {exc}")
+    config = WebIQConfig(threshold=args.threshold, resilience=resilience)
     service = MatchingService(ServiceConfig(
         spool_dir=args.spool, registry_dir=args.registry))
     request = MatchRequest(
         tenant=args.tenant, domain=args.domain,
         n_interfaces=args.interfaces, seed=args.seed,
-        config=_service_run_config(
-            threshold=args.threshold, fault_rate=args.fault_rate,
-            fault_seed=args.fault_seed, probe_budget=args.probe_budget,
-            query_budget=args.query_budget),
+        config=config,
         deadline_seconds=args.deadline,
         assimilate=args.registry is not None,
     )

@@ -56,7 +56,6 @@ from repro.core.acquisition import (
     AcquisitionReport,
     InstanceAcquirer,
 )
-from repro.core.surface import SurfaceMemo
 from repro.datasets.dataset import DomainDataset
 from repro.matching.clustering import IceQMatcher, MatchResult
 from repro.matching.metrics import MatchMetrics, evaluate_matches
@@ -108,7 +107,6 @@ class WebIQConfig:
     linkage: str = "average"
     acquisition: AcquisitionConfig = field(default_factory=AcquisitionConfig)
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
-    matching_seconds_per_evaluation: float = MATCHING_SECONDS_PER_EVALUATION
     #: fault injection + retry/breaker/budget policy; ``None`` (default)
     #: runs against the pristine substrates exactly as before
     resilience: Optional[ResilienceConfig] = None
@@ -276,8 +274,6 @@ class WebIQMatcher:
                     # unit). Stats stay at zero — the warm run counts its
                     # own hits against the preloaded content.
                     warm.apply(validation_cache)
-                if dataset.memo is None:
-                    dataset.memo = SurfaceMemo()
                 engine = dataset.engine
                 sources = dataset.sources
                 client: Optional[ResilientClient] = None
@@ -317,7 +313,7 @@ class WebIQMatcher:
                     engine, sources, self.config.acquisition,
                     resilience=client, validation_cache=validation_cache,
                     clock=clock, obs=obs, checkpoint=session,
-                    memo=dataset.memo,
+                    memo=dataset.world.memo,
                 )
                 acquisition = acquirer.acquire(
                     dataset.interfaces,
@@ -353,7 +349,7 @@ class WebIQMatcher:
                 clock.charge_seconds(
                     "matching",
                     match_result.similarity_evaluations
-                    * self.config.matching_seconds_per_evaluation,
+                    * MATCHING_SECONDS_PER_EVALUATION,
                 )
 
         metrics = evaluate_matches(
@@ -412,16 +408,12 @@ class WebIQMatcher:
 
     # ----------------------------------------------------------- checkpoint
     def _kill_switch(self) -> Optional[KillSwitch]:
-        """Arm deterministic preemption, if any was requested.
-
-        ``CheckpointConfig.kill_at`` wins; otherwise the fault profile's
-        ``preempt_at`` applies. Either way the switch is injected
-        hostility, not run identity — it never enters the journal meta.
+        """Arm ``CheckpointConfig.kill_at``'s deterministic preemption, if
+        any. The switch is injected hostility, not run identity — it
+        never enters the journal meta.
         """
         assert self.config.checkpoint is not None
         kill_at = self.config.checkpoint.kill_at
-        if kill_at is None and self.config.resilience is not None:
-            kill_at = self.config.resilience.profile.preempt_at
         return KillSwitch(kill_at) if kill_at is not None else None
 
     def _journal_meta(
@@ -434,9 +426,9 @@ class WebIQMatcher:
         Resume refuses a journal whose meta differs in any key: replaying
         a ``book`` journal into an ``airfare`` run would silently corrupt
         the result.
-        Deliberately excluded: ``kill_at`` / ``preempt_at`` (injected
-        hostility), observability (read-only), and ``registry``
-        (post-run bookkeeping that cannot change a run byte). A warm preload *is* run
+        Deliberately excluded: ``kill_at`` (injected hostility),
+        observability (read-only), and ``registry`` (post-run
+        bookkeeping that cannot change a run byte). A warm preload *is* run
         identity (it decides which queries hit), so warm runs carry its
         fingerprint, and cold runs omit the key entirely.
         """

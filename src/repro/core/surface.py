@@ -88,8 +88,6 @@ class SurfaceConfig:
     sigma: float = 3.0
     #: fraction of candidates that must be numeric to call the domain numeric
     numeric_majority: float = 0.8
-    #: minimum mean-PMI validation score for a candidate to survive
-    min_score: float = 0.0
     #: longest candidate accepted (characters); guards against parse runaway
     max_candidate_chars: int = 40
     #: at most this many candidates enter Web validation (each one costs
@@ -712,10 +710,10 @@ class SurfaceDiscoverer:
             if provenance is not None:
                 evidence[c] = ValidationEvidence(
                     phrases=phrases, scores=tuple(vector), score=score)
-        kept = [(s, c) for s, c in scored if s > self.config.min_score]
+        kept = [(s, c) for s, c in scored if s > 0.0]
         if provenance is not None:
             for s, c in scored:
-                if not s > self.config.min_score:
+                if not s > 0.0:
                     provenance.record_prune(PruneEvent(
                         key[0], key[1], c, stage="validation", score=s))
         kept.sort(key=lambda pair: (-pair[0], pair[1].lower()))

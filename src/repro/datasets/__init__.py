@@ -16,12 +16,18 @@ regenerates the whole experimental environment:
 - :mod:`repro.datasets.corpus` — generates the synthetic Surface-Web pages
   (Hearst-pattern sentences, "Label: value" listing pages, noise);
 - :mod:`repro.datasets.sources` — builds probe-able Deep-Web sources;
-- :mod:`repro.datasets.dataset` — the facade: ``build_domain_dataset``;
+- :mod:`repro.datasets.dataset` — the facade: ``build_domain_dataset``, and
+  ``build_world`` for a Surface Web shared by many datasets;
 - :mod:`repro.datasets.statistics` — Table 1 columns 2-5.
 """
 
 from repro.datasets.concepts import Concept, LabelVariant, domain_concepts, DOMAINS
-from repro.datasets.dataset import DomainDataset, build_domain_dataset
+from repro.datasets.dataset import (
+    DomainDataset,
+    DomainWorld,
+    build_domain_dataset,
+    build_world,
+)
 from repro.datasets.interfaces import GroundTruth, generate_interfaces
 from repro.datasets.statistics import DatasetStatistics, dataset_statistics
 
@@ -31,7 +37,9 @@ __all__ = [
     "domain_concepts",
     "DOMAINS",
     "DomainDataset",
+    "DomainWorld",
     "build_domain_dataset",
+    "build_world",
     "GroundTruth",
     "generate_interfaces",
     "DatasetStatistics",

@@ -6,23 +6,21 @@ probe-able Deep-Web sources — everything the WebIQ pipeline and the
 benchmarks consume.
 
 The Surface Web depends only on ``(domain, seed, corpus_config)``, not on
-the interfaces, and is only read once built. :func:`build_web` builds it
-alone, so a caller serving many runs of one domain (the matching service)
+the interfaces, and is only read once built. A :class:`DomainWorld` holds
+that Web together with its :class:`~repro.core.surface.SurfaceMemo`:
+snippet extractions are pure functions of the Web's snippets, so every run
+over the same Web shares them. :func:`build_world` is the one builder of a
+world. A caller serving many runs of one domain (the matching service)
 builds it once and passes it to every :func:`build_domain_dataset` call as
-``web=``; each dataset still gets its own engine and query counter.
-
-Every dataset keeps one :class:`~repro.core.surface.SurfaceMemo` for its
-Web (``DomainDataset.memo``): snippet extractions are pure functions of the
-Web's snippets, so every run over the same Web shares them. A caller that
-shares a Web passes that Web's memo as ``memo=``; otherwise the first
-pipeline run attaches one.
+``world=``; each dataset still gets its own engine and query counter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
+from repro.core.surface import SurfaceMemo
 from repro.datasets.concepts import DomainSpec, domain_spec
 from repro.datasets.corpus import CorpusConfig, build_corpus
 from repro.datasets.interfaces import (
@@ -36,27 +34,56 @@ from repro.deepweb.source import DeepWebSource
 from repro.surfaceweb.engine import SearchEngine
 from repro.surfaceweb.index import InvertedIndex
 
-if TYPE_CHECKING:  # the pipeline imports this module, not the reverse
-    from repro.core.surface import SurfaceMemo
+__all__ = ["DomainDataset", "DomainWorld", "build_domain_dataset",
+           "build_world"]
 
-__all__ = ["DomainDataset", "build_domain_dataset", "build_web"]
+
+@dataclass(frozen=True)
+class DomainWorld:
+    """One domain's Surface Web for one seed, and that Web's Surface memo.
+
+    The index is only read once built; the memo is read and filled by
+    every run over the Web and holds extractions of its snippets only.
+    """
+
+    domain: str
+    seed: int
+    corpus_config: CorpusConfig
+    index: InvertedIndex
+    memo: SurfaceMemo
+
+
+def build_world(
+    domain: str,
+    seed: int = 0,
+    corpus_config: CorpusConfig = CorpusConfig(),
+) -> DomainWorld:
+    """The indexed Surface Web of ``domain`` with an empty memo;
+    deterministic in all arguments."""
+    index = InvertedIndex()
+    index.add_all(build_corpus(domain, seed, corpus_config))
+    return DomainWorld(domain, seed, corpus_config, index, SurfaceMemo())
 
 
 @dataclass
 class DomainDataset:
     """A domain's complete evaluation environment."""
 
-    domain: str
     spec: DomainSpec
     generated: List[GeneratedInterface]
     ground_truth: GroundTruth
+    #: a fresh engine over ``world.index``, with its own query counter
     engine: SearchEngine
     sources: Dict[str, DeepWebSource]
-    seed: int
-    #: the Surface memo shared by every run over this dataset's Web;
-    #: ``WebIQMatcher.run`` attaches one while it is ``None``
-    memo: Optional["SurfaceMemo"] = field(
-        default=None, repr=False, compare=False)
+    world: DomainWorld
+
+    @property
+    def domain(self) -> str:
+        return self.world.domain
+
+    @property
+    def seed(self) -> int:
+        return self.world.seed
 
     @property
     def interfaces(self) -> List[QueryInterface]:
@@ -80,50 +107,38 @@ class DomainDataset:
             source.probe_count = 0
 
 
-def build_web(
-    domain: str,
-    seed: int = 0,
-    corpus_config: CorpusConfig = CorpusConfig(),
-) -> InvertedIndex:
-    """The indexed Surface Web of ``domain``; deterministic in all
-    arguments and, once returned, only ever read."""
-    index = InvertedIndex()
-    index.add_all(build_corpus(domain, seed, corpus_config))
-    return index
-
-
 def build_domain_dataset(
     domain: str,
     n_interfaces: int = 20,
     seed: int = 0,
     corpus_config: CorpusConfig = CorpusConfig(),
     source_config: SourceConfig = SourceConfig(),
-    web: Optional[InvertedIndex] = None,
-    memo: Optional["SurfaceMemo"] = None,
+    world: Optional[DomainWorld] = None,
 ) -> DomainDataset:
     """Build the full evaluation environment for ``domain``.
 
     Deterministic in all arguments; two calls with equal arguments yield
     interchangeable datasets (same interfaces, corpus and sources).
-    ``web``, when given, must be ``build_web(domain, seed, corpus_config)``
-    (built earlier and shared): the dataset searches it through a fresh
-    engine instead of building its own. ``memo``, when given, must hold
-    extractions of that Web's snippets only (one memo per shared Web);
-    without it the dataset's first run attaches a memo of its own.
+    ``world``, when given, is a :func:`build_world` result built earlier
+    and shared: the dataset searches its Web through a fresh engine and
+    shares its memo. A world of another domain, seed or corpus config
+    raises :class:`ValueError`.
     """
+    wanted = (domain, seed, corpus_config)
+    if world is not None:
+        held = (world.domain, world.seed, world.corpus_config)
+        if held != wanted:
+            raise ValueError(
+                f"a world of {held!r} cannot serve a dataset of {wanted!r}")
     spec = domain_spec(domain)
     generated, truth = generate_interfaces(domain, n_interfaces, seed)
-    if web is None:
-        web = build_web(domain, seed, corpus_config)
-    engine = SearchEngine(index=web)
-    sources = build_sources(generated, domain, seed, source_config)
+    if world is None:
+        world = build_world(domain, seed, corpus_config)
     return DomainDataset(
-        domain=domain,
         spec=spec,
         generated=generated,
         ground_truth=truth,
-        engine=engine,
-        sources=sources,
-        seed=seed,
-        memo=memo,
+        engine=SearchEngine(index=world.index),
+        sources=build_sources(generated, domain, seed, source_config),
+        world=world,
     )

@@ -38,7 +38,6 @@ from repro.resilience.faults import (
     FlakyDeepWebSource,
     FlakySearchEngine,
     KillSwitch,
-    PreemptionPoint,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "FlakySearchEngine",
     "FlakyDeepWebSource",
     "KillSwitch",
-    "PreemptionPoint",
     "RetryPolicy",
     "BreakerPolicy",
     "CircuitBreaker",

@@ -56,7 +56,7 @@ from repro.util.errors import (
 )
 from repro.util.rng import derive_rng
 
-from repro.resilience.context import UnitKey, current_unit
+from repro.resilience.context import current_unit
 from repro.resilience.faults import FaultKind, FaultProfile
 
 __all__ = [
@@ -373,13 +373,11 @@ class ResilientClient:
         self.report = DegradationReport()
         self._budgets = config.budgets()
         self._breakers: Dict[str, CircuitBreaker] = {}
-        #: legacy shared jitter stream, used only for calls made outside
-        #: any unit scope (direct client use); pipeline draws come from
-        #: per-unit streams (see :meth:`_backoff_rng`).
-        self._rng = derive_rng(config.profile.seed, "resilience", "backoff")
         #: per-unit jitter streams, derived lazily from the unit key so a
-        #: unit's draws are identical however the run is scheduled/resumed
-        self._unit_rngs: Dict[UnitKey, Any] = {}
+        #: unit's draws are identical however the run is scheduled/resumed;
+        #: calls outside any unit scope (direct client use) share the
+        #: stream keyed ``()``
+        self._unit_rngs: Dict[Tuple[str, ...], Any] = {}
         #: backoff delays computed so far (an accounting counter; per-unit
         #: streams need no fast-forward on resume)
         self.backoff_draws = 0
@@ -593,14 +591,12 @@ class ResilientClient:
 
     # ---------------------------------------------------------- internals
     def _backoff_rng(self):
-        """The jitter stream for this thread's unit (legacy shared stream
+        """The jitter stream for this thread's unit (one shared stream
         outside any unit scope). A per-unit stream starts at position 0
         whenever its unit runs, so backoff jitter is a pure function of
         ``(seed, unit, draw index within the unit)`` — independent of
         execution order and resume point."""
-        unit = current_unit()
-        if unit is None:
-            return self._rng
+        unit = current_unit() or ()
         rng = self._unit_rngs.get(unit)
         if rng is None:
             rng = derive_rng(

@@ -36,18 +36,18 @@ per ``(source, checkpoint unit)``: inside a unit scope (see
 :mod:`repro.resilience.context`) the stream is derived from the unit key
 and starts at position 0, so a unit's fates are independent of which
 units ran before it and of where a resumed run picks up — no
-fast-forwarding needed. Outside any unit (direct use in tests) the
-legacy per-source sequential stream applies unchanged. With
-``fault_rate=0.0`` the wrappers are exact pass-throughs: results,
-counters and downstream RNG streams are bit-identical to the unwrapped
-substrates.
+fast-forwarding needed. Outside any unit (direct use in tests, the
+``discover`` CLI) one per-source sequential stream, keyed by the empty
+unit, applies. With ``fault_rate=0.0`` the wrappers are exact
+pass-throughs: results, counters and downstream RNG streams are
+bit-identical to the unwrapped substrates.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.deepweb.source import DeepWebSource, ResponsePage
 from repro.surfaceweb.engine import (
@@ -64,7 +64,7 @@ from repro.util.errors import (
 )
 from repro.util.rng import derive_rng
 
-from repro.resilience.context import UnitKey, current_unit
+from repro.resilience.context import current_unit
 
 __all__ = [
     "FaultKind",
@@ -72,7 +72,6 @@ __all__ = [
     "FlakySearchEngine",
     "FlakyDeepWebSource",
     "KillSwitch",
-    "PreemptionPoint",
     "error_for_fault",
     "garble_text",
 ]
@@ -114,12 +113,6 @@ class FaultProfile:
     rate_limit_weight: float = 1.0
     garbled_weight: float = 1.0
     seed: int = 0
-    #: deterministic process death: abort the run right after journal
-    #: boundary N (requires checkpointing; see :class:`KillSwitch`).
-    #: ``None`` (default) never preempts. Like fault fates, the kill point
-    #: is part of the *injected hostility*, not of the run's identity —
-    #: a resumed run deliberately drops it.
-    preempt_at: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.fault_rate <= 1.0:
@@ -129,14 +122,6 @@ class FaultProfile:
             raise ValueError("fault weights must be non-negative")
         if self.fault_rate > 0 and not sum(weights):
             raise ValueError("a positive fault_rate needs a positive weight")
-        if self.preempt_at is not None and self.preempt_at < 0:
-            raise ValueError("preempt_at must be non-negative")
-
-    def kill_switch(self) -> Optional["KillSwitch"]:
-        """The profile's :class:`KillSwitch`, or ``None`` if it never kills."""
-        if self.preempt_at is None:
-            return None
-        return KillSwitch(self.preempt_at)
 
     def _weights(self) -> List[float]:
         return [
@@ -199,11 +184,6 @@ class KillSwitch:
         raise PreemptionError(
             f"run preempted at journal boundary {boundary}"
         )
-
-
-#: The ISSUE-facing alias: a *preemption point* is the arming side of the
-#: same mechanism (where may the run die?), the kill switch the firing side.
-PreemptionPoint = KillSwitch
 
 
 def error_for_fault(kind: FaultKind, where: str) -> WebAccessError:
@@ -333,14 +313,11 @@ class FlakyDeepWebSource:
         self.inner = inner
         self.profile = profile
         self.on_fault = on_fault
-        #: legacy sequential stream, used only outside any unit scope
-        self._rng = derive_rng(
-            profile.seed, "faults", "source", inner.interface.interface_id
-        )
         #: per-unit sequential streams (see module docs): each starts at
         #: position 0 when its unit first probes this source, making fates
-        #: a pure function of ``(seed, source, unit, draw index)``.
-        self._unit_rngs: Dict[UnitKey, object] = {}
+        #: a pure function of ``(seed, source, unit, draw index)``. Calls
+        #: outside any unit share the stream keyed ``()``.
+        self._unit_rngs: Dict[Tuple[str, ...], object] = {}
 
     # ------------------------------------------------------- source facade
     @property
@@ -371,12 +348,10 @@ class FlakyDeepWebSource:
         return self.inner.recognizes(attribute_name, value)
 
     def _fate_rng(self):
-        """This thread's fate stream: per-unit inside a unit scope (derived
-        fresh from the unit key on first use), the legacy sequential
-        per-source stream otherwise."""
-        unit = current_unit()
-        if unit is None:
-            return self._rng
+        """This thread's fate stream, derived from its unit key on first
+        use: per-unit inside a unit scope, one sequential per-source
+        stream outside any."""
+        unit = current_unit() or ()
         rng = self._unit_rngs.get(unit)
         if rng is None:
             rng = derive_rng(

@@ -34,7 +34,8 @@ authoritative interleaving is the deterministic DRR dispatch order), so
 identical workloads produce identical epochs, ledgers and exports.
 
 The service also keeps one world per domain
-(:attr:`MatchingService.webs`): the Surface Web and its
+(:attr:`MatchingService.worlds`): a
+:class:`~repro.datasets.dataset.DomainWorld`, the Surface Web and its
 :class:`~repro.core.surface.SurfaceMemo`. The indexed corpus depends only
 on ``(domain, seed)`` and is only read, so every request for the domain
 searches it through its own fresh engine instead of re-generating it; the
@@ -53,8 +54,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint import CheckpointConfig, RunJournal
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
-from repro.core.surface import SurfaceMemo
-from repro.datasets.dataset import build_domain_dataset, build_web
+from repro.datasets.dataset import (
+    DomainWorld,
+    build_domain_dataset,
+    build_world,
+)
 from repro.io import run_result_to_dict
 from repro.perf.cache import CachePreload
 from repro.registry.assimilate import RegistryAssimilator
@@ -66,7 +70,6 @@ from repro.service.admission import (
 )
 from repro.service.state import Epoch, WarmState
 from repro.supervisor import SupervisorConfig
-from repro.surfaceweb.index import InvertedIndex
 from repro.util.clock import DEEP_PROBE_SECONDS, SEARCH_QUERY_SECONDS
 from repro.util.errors import (
     AdmissionRejected,
@@ -279,9 +282,8 @@ class MatchingService:
         self.stats = ServiceStats()
         self.events: List[ServiceEvent] = []
         self.responses: Dict[str, MatchResponse] = {}
-        #: domain -> (seed, its built Surface Web, that Web's Surface
-        #: memo), for the last seed asked
-        self.webs: Dict[str, Tuple[int, InvertedIndex, SurfaceMemo]] = {}
+        #: domain -> its world for the last seed asked
+        self.worlds: Dict[str, DomainWorld] = {}
         self._on_event = on_event
         self._next_id = 1
 
@@ -404,10 +406,10 @@ class MatchingService:
             # Dataset construction is inside the crash domain on purpose:
             # a bad request (unknown domain, absurd sizes) must crash
             # *this* request, not the serve loop.
-            web, memo = self._world(request.domain, request.seed)
+            world = self._world(request.domain, request.seed)
             dataset = build_domain_dataset(
                 request.domain, n_interfaces=request.n_interfaces,
-                seed=request.seed, web=web, memo=memo)
+                seed=request.seed, world=world)
             result = WebIQMatcher(effective).run(dataset, warm=preload)
             # Assimilation shares the crash domain: a registry that cannot
             # take this run's interfaces (another domain's registry, say)
@@ -473,23 +475,18 @@ class MatchingService:
         self.responses[request_id] = response
         return response
 
-    def _world(self, domain: str,
-               seed: int) -> Tuple[InvertedIndex, SurfaceMemo]:
-        """The domain's Surface Web for ``seed`` and its memo, built on
-        first use.
+    def _world(self, domain: str, seed: int) -> DomainWorld:
+        """The domain's world for ``seed``, built on first use.
 
-        The entry is made only once the Web is built, so a failed build
+        The entry is made only once the world is built, so a failed build
         (an unknown domain) leaves the table as it was. A new seed
-        replaces the Web and the memo together: a memo only ever holds
-        extractions of its own Web's snippets.
+        replaces the domain's world, Web and memo together.
         """
-        held = self.webs.get(domain)
-        if held is not None and held[0] == seed:
-            return held[1], held[2]
-        web = build_web(domain, seed)
-        memo = SurfaceMemo()
-        self.webs[domain] = (seed, web, memo)
-        return web, memo
+        world = self.worlds.get(domain)
+        if world is None or world.seed != seed:
+            world = build_world(domain, seed)
+            self.worlds[domain] = world
+        return world
 
     def _expire(self, request: MatchRequest, parent: Epoch,
                 effective: WebIQConfig, warm_start: bool,

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.checkpoint import JOURNAL_FORMAT, RunJournal
-from repro.resilience import KillSwitch, PreemptionPoint
+from repro.resilience import KillSwitch
 from repro.util.envelope import record_crc, seal
 from repro.util.errors import (
     JournalCorruptionError,
@@ -289,6 +289,3 @@ class TestKillSwitch:
         assert KillSwitch.sweep_point(7, 40) == KillSwitch.sweep_point(7, 40)
         assert all(0 <= p < 40 for p in points)
         assert len(points) > 1  # the sweep actually varies the kill point
-
-    def test_preemption_point_alias(self):
-        assert PreemptionPoint is KillSwitch

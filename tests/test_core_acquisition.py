@@ -279,12 +279,12 @@ class TestSurfaceMemo:
     def test_runs_over_one_dataset_share_its_memo(self):
         dataset = build_domain_dataset("book", n_interfaces=6, seed=1)
         first = WebIQMatcher(WebIQConfig()).run(dataset)
-        memo = dataset.memo
+        memo = dataset.world.memo
         held = (dict(memo._extractions), dict(memo._labels))
         second = WebIQMatcher(WebIQConfig()).run(dataset)
         fresh = WebIQMatcher(WebIQConfig()).run(
             build_domain_dataset("book", n_interfaces=6, seed=1))
-        assert dataset.memo is memo
+        assert dataset.world.memo is memo
         assert (memo._extractions, memo._labels) == held
         export = json.dumps(run_result_to_dict(second), sort_keys=True)
         assert export == json.dumps(run_result_to_dict(fresh),
@@ -295,7 +295,7 @@ class TestSurfaceMemo:
     def test_memoized_extractions_equal_fresh_ones(self):
         dataset = build_domain_dataset("book", n_interfaces=8, seed=1)
         WebIQMatcher(WebIQConfig()).run(dataset)
-        memo = dataset.memo
+        memo = dataset.world.memo
         assert memo._extractions
         fresh = SnippetExtractor()
         for (snippet, query), found in memo._extractions.items():

@@ -5,8 +5,10 @@ import pytest
 from repro.datasets import (
     DOMAINS,
     build_domain_dataset,
+    build_world,
     dataset_statistics,
 )
+from repro.datasets.corpus import CorpusConfig
 
 
 class TestBuildDomainDataset:
@@ -48,6 +50,30 @@ class TestBuildDomainDataset:
         assert [i.attribute_names for i in a.interfaces] == \
             [i.attribute_names for i in b.interfaces]
         assert a.engine.n_documents == b.engine.n_documents
+
+
+class TestDomainWorld:
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world("book", 2)
+
+    def test_datasets_share_a_given_world(self, world):
+        a = build_domain_dataset("book", n_interfaces=4, seed=2, world=world)
+        b = build_domain_dataset("book", n_interfaces=2, seed=2, world=world)
+        assert a.world is b.world is world
+        assert a.engine.index is b.engine.index is world.index
+        assert a.engine is not b.engine
+        assert (a.domain, a.seed) == ("book", 2)
+
+    @pytest.mark.parametrize("asked", [
+        dict(domain="auto", seed=2),
+        dict(domain="book", seed=3),
+        dict(domain="book", seed=2,
+             corpus_config=CorpusConfig(n_noise_docs=10)),
+    ], ids=["domain", "seed", "corpus_config"])
+    def test_refuses_a_world_of_another_web(self, world, asked):
+        with pytest.raises(ValueError, match="cannot serve"):
+            build_domain_dataset(n_interfaces=2, world=world, **asked)
 
 
 class TestStatistics:

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.core.pipeline import WebIQConfig, WebIQMatcher
+from repro.core.pipeline import (
+    MATCHING_SECONDS_PER_EVALUATION,
+    WebIQConfig,
+    WebIQMatcher,
+)
 from repro.datasets import build_domain_dataset
 from repro.experiments import ExperimentSuite
 from repro.surfaceweb.document import Document
@@ -41,13 +45,14 @@ class TestExperimentSuiteErrors:
 
 
 class TestPipelineConfigEdges:
-    def test_zero_matching_cost(self):
+    def test_matching_cost_per_evaluation(self):
         dataset = build_domain_dataset("book", n_interfaces=4, seed=8)
         config = WebIQConfig(enable_surface=False, enable_attr_deep=False,
-                             enable_attr_surface=False,
-                             matching_seconds_per_evaluation=0.0)
+                             enable_attr_surface=False)
         result = WebIQMatcher(config).run(dataset)
-        assert result.stopwatch.seconds("matching") == 0.0
+        assert result.stopwatch.seconds("matching") \
+            == result.match_result.similarity_evaluations \
+            * MATCHING_SECONDS_PER_EVALUATION
 
     def test_negative_threshold_merges_at_least_as_much(self):
         dataset = build_domain_dataset("book", n_interfaces=4, seed=8)

@@ -312,7 +312,7 @@ class TestPerUnitStreams:
             flaky = FlakyDeepWebSource(make_source(), profile)
             for other in order:
                 fates_in_unit(flaky, other, n=7)
-            for _ in range(3):  # legacy stream, outside any unit
+            for _ in range(3):  # the stream outside any unit
                 try:
                     flaky.submit({"from": "Boston"})
                 except WebAccessError:
@@ -320,6 +320,47 @@ class TestPerUnitStreams:
             assert fates_in_unit(flaky, UNIT) == alone
         assert fates_in_unit(FlakyDeepWebSource(make_source(), profile),
                              OTHER_UNITS[0]) != alone
+
+    def test_outside_any_unit_fates_follow_the_source_stream(self):
+        # what direct substrate use (the ``discover`` command) draws
+        profile = FaultProfile(fault_rate=0.5, seed=3)
+        seen = []
+        flaky = FlakyDeepWebSource(make_source(), profile,
+                                   on_fault=seen.append)
+        fates = []
+        for _ in range(20):
+            before = len(seen)
+            try:
+                flaky.submit({"from": "Boston"})
+            except WebAccessError:
+                pass
+            fates.append(seen[-1] if len(seen) > before else None)
+        stream = derive_rng(3, "faults", "source", "air-1")
+        assert fates == [profile.draw(stream) for _ in range(20)]
+        assert None in fates and len(set(fates)) > 2
+
+    def test_outside_any_unit_jitter_follows_the_backoff_stream(self):
+        client = self.make_client()
+        for component in ("first", "second"):  # one stream across calls
+            failures = {"n": 0}
+
+            def flaky():
+                failures["n"] += 1
+                if failures["n"] <= 3:
+                    raise TransientWebError("502")
+                return "ok"
+
+            with client.component(component):
+                client.call(flaky)
+        stream = derive_rng(11, "resilience", "backoff")
+        retry = client.config.retry
+        expected = {}
+        for component in ("first", "second"):
+            total = 0.0
+            for attempt in range(3):
+                total += retry.delay(attempt, stream)
+            expected[component] = total
+        assert client.report.backoff_seconds_by_component == expected
 
 
 class TestCircuitBreaker:

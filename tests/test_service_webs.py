@@ -1,11 +1,12 @@
-"""The service's domain-world table: one built Web and memo per domain.
+"""The service's domain-world table: one built world per domain.
 
 A domain's indexed corpus depends only on ``(domain, seed)``, so the
-service builds it on a domain's first request and hands every later
-request for that domain a fresh engine over it, together with the one
-Surface memo of that Web. The table holds the last seed asked per domain,
-a failed build never enters it, and sharing the Web and the memo leaves
-every export byte-identical to a standalone run.
+service builds its :class:`~repro.datasets.dataset.DomainWorld` (the Web
+and that Web's Surface memo) on a domain's first request and hands it to
+every later request for that domain, each through a fresh engine. The
+table holds the last seed asked per domain, a failed build never enters
+it, and sharing the world leaves every export byte-identical to a
+standalone run.
 """
 
 import json
@@ -16,7 +17,7 @@ import repro.datasets.dataset as dataset_module
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
 from repro.datasets.corpus import build_corpus
-from repro.datasets.dataset import build_web
+from repro.datasets.dataset import build_world
 from repro.io import run_result_to_dict, strip_service_section
 from repro.matching.clustering import IceQMatcher
 from repro.resilience import FaultProfile, ResilienceConfig
@@ -75,40 +76,42 @@ class TestWebTable:
         responses = service.drive([request(d) for d in domains * 2])
         assert [r.outcome for r in responses] == ["completed"] * 6
         assert sorted(corpus_builds) == sorted((d, 1) for d in domains)
-        assert sorted(service.webs) == sorted(domains)
+        assert sorted(service.worlds) == sorted(domains)
 
     def test_requests_share_the_domain_web(self):
         service = MatchingService()
         service.drive([request("book")])
-        _, web, memo = service.webs["book"]
+        world = service.worlds["book"]
         service.drive([request("book", tenant="globex")])
-        assert service.webs["book"] == (1, web, memo)
+        assert service.worlds["book"] is world
+        assert (world.domain, world.seed) == ("book", 1)
 
     def test_another_seed_replaces_the_domain_web(self, corpus_builds):
         service = MatchingService()
         service.drive([request("book"), request("auto")])
-        _, old_web, old_memo = service.webs["book"]
-        auto = service.webs["auto"]
+        old = service.worlds["book"]
+        auto = service.worlds["auto"]
         responses = service.drive([request("book", seed=2)])
         assert responses[0].outcome == "completed"
         assert corpus_builds == [("book", 1), ("auto", 1), ("book", 2)]
-        seed, web, memo = service.webs["book"]
-        assert seed == 2 and web is not old_web and memo is not old_memo
-        assert memo_entries(memo) > 0
-        assert sorted(service.webs) == ["auto", "book"]
-        assert service.webs["auto"] is auto
+        world = service.worlds["book"]
+        assert world.seed == 2 and world.index is not old.index \
+            and world.memo is not old.memo
+        assert memo_entries(world.memo) > 0
+        assert sorted(service.worlds) == ["auto", "book"]
+        assert service.worlds["auto"] is auto
 
     def test_unknown_domain_crashes_alone(self, corpus_builds):
         service = MatchingService()
         service.drive([request("book")])
-        before = dict(service.webs)
-        entries = memo_entries(before["book"][2])
+        before = dict(service.worlds)
+        entries = memo_entries(before["book"].memo)
         (crashed,) = service.drive([request("atlantis")])
         assert crashed.outcome == "crashed"
         assert "UnknownDomainError" in crashed.error
-        assert service.webs == before
-        assert all(service.webs[d] is before[d] for d in before)
-        assert memo_entries(service.webs["book"][2]) == entries
+        assert service.worlds == before
+        assert all(service.worlds[d] is before[d] for d in before)
+        assert memo_entries(service.worlds["book"].memo) == entries
         req = request("book", tenant="globex")
         (served,) = service.drive([req])
         assert served.outcome == "completed"
@@ -122,7 +125,7 @@ class TestSharedMemo:
     def test_one_memo_per_domain(self):
         service = MatchingService()
         service.drive([request(d) for d in ["book", "auto"] * 2])
-        book, auto = service.webs["book"][2], service.webs["auto"][2]
+        book, auto = service.worlds["book"].memo, service.worlds["auto"].memo
         assert book is not auto
         assert memo_entries(book) > 0 and memo_entries(auto) > 0
 
@@ -150,19 +153,19 @@ class TestSharedMemo:
         service = MatchingService()
         round_ = [request(d) for d in ("book", "auto", "job")]
         service.drive(round_)
-        before = {d: memo_entries(service.webs[d][2])
+        before = {d: memo_entries(service.worlds[d].memo)
                   for d in ("book", "auto", "job")}
         responses = service.drive(
             [request(d, tenant="globex") for d in ("book", "auto", "job")])
         assert [r.outcome for r in responses] == ["completed"] * 3
-        assert {d: memo_entries(service.webs[d][2])
+        assert {d: memo_entries(service.worlds[d].memo)
                 for d in ("book", "auto", "job")} == before
 
     def test_crashed_request_entries_leave_later_exports_unchanged(
             self, monkeypatch):
         service = MatchingService()
         service.drive([request("book")])
-        memo = service.webs["book"][2]
+        memo = service.worlds["book"].memo
         entries = memo_entries(memo)
 
         def crash(*args, **kwargs):
@@ -177,7 +180,7 @@ class TestSharedMemo:
                 tenant="globex", domain="book", n_interfaces=4, seed=1)])
         assert crashed.outcome == "crashed"
         assert memo_entries(memo) > entries
-        assert service.webs["book"][2] is memo
+        assert service.worlds["book"].memo is memo
         req = MatchRequest(tenant="initech", domain="book",
                            n_interfaces=4, seed=1)
         (served,) = service.drive([req])
@@ -188,7 +191,7 @@ class TestSharedMemo:
 
 class TestSharedIndex:
     def test_engines_over_one_index_count_apart(self):
-        web = build_web("book", 1)
+        web = build_world("book", 1).index
         first = SearchEngine(index=web)
         second = SearchEngine(index=web)
         first.num_hits("book")
@@ -199,11 +202,11 @@ class TestSharedIndex:
 
     def test_engine_over_index_answers_like_one_over_documents(self):
         own = SearchEngine(build_corpus("auto", 1))
-        shared = SearchEngine(index=build_web("auto", 1))
+        shared = SearchEngine(index=build_world("auto", 1).index)
         for query in ('"makes such as"', "+honda", '"make honda"'):
             assert shared.num_hits(query) == own.num_hits(query)
             assert shared.search(query) == own.search(query)
 
     def test_documents_and_index_are_exclusive(self):
         with pytest.raises(ValueError):
-            SearchEngine([], index=build_web("book", 1))
+            SearchEngine([], index=build_world("book", 1).index)

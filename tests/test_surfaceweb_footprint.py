@@ -3,9 +3,9 @@
 The matching service keeps one built Web per domain for its whole life
 (DESIGN.md §23), so a Web's resident size is a standing cost, and five
 of them must fit the benchmark's memory bound. This test measures, with
-``tracemalloc``, the net bytes one ``build_web(domain, 1)`` leaves
-allocated, after a warm-up build so that module-level caches are not
-charged to it.
+``tracemalloc``, the net bytes the index of one ``build_world(domain, 1)``
+leaves allocated, after a warm-up build so that module-level caches are
+not charged to it.
 
 Measured on CPython 3.11, x86-64 (MB = 10**6 bytes):
 
@@ -30,18 +30,18 @@ import tracemalloc
 import pytest
 
 from repro.datasets.concepts import DOMAINS
-from repro.datasets.dataset import build_web
+from repro.datasets.dataset import build_world
 
 #: upper bound on one domain's Web, corpus plus index
 MAX_BYTES = 1_000_000
 
 
 def web_bytes(domain: str, seed: int) -> int:
-    build_web(domain, seed)  # warm-up: lazily built module state
+    build_world(domain, seed)  # warm-up: lazily built module state
     gc.collect()
     tracemalloc.start()
     try:
-        web = build_web(domain, seed)
+        web = build_world(domain, seed).index
         gc.collect()
         size, _ = tracemalloc.get_traced_memory()
     finally:
