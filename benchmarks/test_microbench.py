@@ -4,6 +4,7 @@ The figure benches run each expensive pipeline once; these measure the
 substrate operations that dominate those runs with robust statistics, so
 performance regressions are visible at the operation level:
 
+- tokenising every page of a domain corpus, and tagging one snippet,
 - inverted-index construction over a domain corpus,
 - phrase queries and hit counting,
 - snippet extraction from one result,
@@ -27,13 +28,15 @@ import time
 import pytest
 
 from repro.core.surface import ExtractionQueryBuilder, SnippetExtractor
-from repro.datasets import build_domain_dataset
+from repro.datasets import build_domain_dataset, corpus
 from repro.datasets.corpus import build_corpus
 from repro.matching import IceQMatcher
 from repro.matching.clustering import views_from_interfaces
 from repro.matching.similarity import attribute_similarity
 from repro.surfaceweb.engine import SearchEngine
 from repro.text.labels import analyze_label
+from repro.text.postag import default_tagger
+from repro.text.tokenizer import tokenize
 
 from .conftest import BENCH_SEED, TOL_INFO, TOL_TIGHT, emit_bench, print_table
 
@@ -66,6 +69,23 @@ def auto_docs():
 
 
 @pytest.fixture(scope="module")
+def auto_texts():
+    """The raw text of every page of the auto corpus (a built page keeps
+    only its tokens), recorded as the generator emits it."""
+    texts = []
+    document = corpus.Document
+
+    def recording(doc_id, url, title, text):
+        texts.append(text)
+        return document(doc_id, url, title, text)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "Document", recording)
+        build_corpus("auto", seed=BENCH_SEED)
+    return texts
+
+
+@pytest.fixture(scope="module")
 def auto_engine(auto_docs):
     return SearchEngine(auto_docs)
 
@@ -77,8 +97,12 @@ def airfare_views():
     return views_from_interfaces(dataset.interfaces)
 
 
-def test_microbench(auto_docs, auto_engine, airfare_views):
+def test_microbench(auto_docs, auto_texts, auto_engine, airfare_views):
     timings = {}
+
+    tokenize_ms, tokenized = median_ms(
+        lambda: [tokenize(text) for text in auto_texts], rounds=ROUNDS_SLOW)
+    timings["tokenize_corpus_ms"] = tokenize_ms
 
     index_ms, engine = median_ms(
         lambda: SearchEngine(auto_docs), rounds=ROUNDS_SLOW)
@@ -106,6 +130,11 @@ def test_microbench(auto_docs, auto_engine, airfare_views):
         lambda: extractor.extract(snippet, query))
     timings["snippet_extraction_ms"] = extract_ms
     assert candidates
+
+    tagger = default_tagger()
+    tag_ms, tagged = median_ms(lambda: tagger.tag(snippet))
+    timings["tag_snippet_ms"] = tag_ms
+    assert len(tagged) == len(tokenize(snippet))
 
     a, b = airfare_views[0], airfare_views[25]
     sim_ms, _ = median_ms(lambda: attribute_similarity(a, b))
@@ -145,6 +174,7 @@ def test_microbench(auto_docs, auto_engine, airfare_views):
     # told apart from the workload itself changing under the timer.
     work = {
         "corpus_documents": len(auto_docs),
+        "corpus_tokens": sum(map(len, tokenized)),
         "search_results": len(results),
         "num_hits": hits,
         "extraction_candidates": len(candidates),

@@ -11,6 +11,8 @@ problem (the paper's §8 transfer direction).
 Run:  python examples/custom_domain.py
 """
 
+from contextlib import contextmanager
+
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets.concepts import Concept, DomainSpec, LabelVariant
 from repro.datasets.dataset import build_domain_dataset
@@ -64,34 +66,41 @@ RESTAURANT = DomainSpec(
 )
 
 
-def build_restaurant_dataset(n_interfaces: int = 12, seed: int = 5):
-    """Register the custom spec, then build its dataset the usual way.
+@contextmanager
+def registered(spec: DomainSpec):
+    """Register a custom spec for the duration of a ``with`` block.
 
     The generators behind ``build_domain_dataset`` look specs up by name,
-    so once the spec is registered the facade builds a custom domain's
-    interfaces, Surface Web and Deep-Web sources like a built-in one's.
+    so while the spec is registered the facade builds a custom domain's
+    interfaces, Surface Web and Deep-Web sources like a built-in one's,
+    and a run reads the spec's keywords back. The entry is removed on the
+    way out, so the library's domain table is the five ICQ domains again.
     """
     from repro.datasets import concepts as concepts_module
 
-    concepts_module._SPECS[RESTAURANT.name] = RESTAURANT  # register
-    return build_domain_dataset("restaurant", n_interfaces, seed)
+    concepts_module._SPECS[spec.name] = spec
+    try:
+        yield spec
+    finally:
+        del concepts_module._SPECS[spec.name]
 
 
 def main() -> None:
-    dataset = build_restaurant_dataset()
-    print(f"Custom domain 'restaurant': {len(dataset.interfaces)} interfaces, "
-          f"{dataset.engine.n_documents} Surface-Web pages")
+    with registered(RESTAURANT):
+        dataset = build_domain_dataset("restaurant", 12, 5)
+        print(f"Custom domain 'restaurant': {len(dataset.interfaces)} "
+              f"interfaces, {dataset.engine.n_documents} Surface-Web pages")
 
-    print("\nSample interface:")
-    sample = dataset.interfaces[0]
-    for attr in sample.attributes:
-        values = f" {list(attr.instances[:3])}" if attr.instances else ""
-        print(f"  {attr.label:15} ({attr.kind.value}){values}")
+        print("\nSample interface:")
+        sample = dataset.interfaces[0]
+        for attr in sample.attributes:
+            values = f" {list(attr.instances[:3])}" if attr.instances else ""
+            print(f"  {attr.label:15} ({attr.kind.value}){values}")
 
-    baseline = WebIQMatcher(WebIQConfig(
-        enable_surface=False, enable_attr_deep=False,
-        enable_attr_surface=False)).run(dataset)
-    webiq = WebIQMatcher(WebIQConfig()).run(dataset)
+        baseline = WebIQMatcher(WebIQConfig(
+            enable_surface=False, enable_attr_deep=False,
+            enable_attr_surface=False)).run(dataset)
+        webiq = WebIQMatcher(WebIQConfig()).run(dataset)
 
     print(f"\nBaseline F-1: {baseline.metrics.f1:.3f}")
     print(f"WebIQ    F-1: {webiq.metrics.f1:.3f}")

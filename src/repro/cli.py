@@ -661,6 +661,15 @@ def _cmd_bench(args) -> int:
     return 1 if diff.has_regression else 0
 
 
+#: script keys that take a number, as the matching command-line flags
+#: do (``float`` flags: any JSON number; ``int`` flags: an integer), and
+#: those of them that may also be ``null`` (no deadline, no budget)
+_SCRIPT_NUMBERS = ("threshold", "fault_rate", "cost", "deadline")
+_SCRIPT_INTEGERS = ("interfaces", "seed", "fault_seed", "probe_budget",
+                    "query_budget")
+_SCRIPT_NULLABLE = ("deadline", "probe_budget", "query_budget")
+
+
 def _scripted_request(entry, position: int):
     """One script entry -> a MatchRequest (raises ValueError if bad)."""
     from repro.service import MatchRequest
@@ -676,6 +685,19 @@ def _scripted_request(entry, position: int):
             f"request {position}: unknown keys {sorted(unknown)}")
     if "domain" not in entry:
         raise ValueError(f"request {position}: missing 'domain'")
+    for key, value in entry.items():
+        if key in _SCRIPT_NUMBERS:
+            kinds, kind = (int, float), "a number"
+        elif key in _SCRIPT_INTEGERS:
+            kinds, kind = int, "an integer"
+        else:
+            continue
+        # JSON true/false parse to bool, which Python counts as an int
+        if (isinstance(value, bool) or not isinstance(value, kinds)) and \
+                not (value is None and key in _SCRIPT_NULLABLE):
+            raise ValueError(
+                f"request {position}: {key!r} must be {kind}, "
+                f"got {value!r}")
     config = WebIQConfig(threshold=entry.get("threshold", 0.0),
                          resilience=_resilience_config(entry))
     return MatchRequest(

@@ -28,8 +28,10 @@ extraction queries' ``+keyword`` filters behave like they do on Google.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.datasets.concepts import Concept, DomainSpec, domain_spec
 from repro.surfaceweb.document import Document
@@ -60,7 +62,14 @@ class CorpusConfig:
     mention_batch: int = 8
 
 
-def zipf_sample(rng, values: Sequence[str], k: int, s: float = 1.0) -> List[str]:
+#: ``(len(values), s)`` -> the Zipf weights of that many ranks, their
+#: running sums and their total: what every first draw of
+#: :func:`zipf_sample` over such a vocabulary recomputes
+ZipfTables = Dict[Tuple[int, float], Tuple[List[float], List[float], float]]
+
+
+def zipf_sample(rng, values: Sequence[str], k: int, s: float = 1.0,
+                tables: Optional[ZipfTables] = None) -> List[str]:
     """Sample ``k`` distinct values with Zipf-like popularity weights.
 
     Real Web text is popularity-skewed: the same few cities, airlines and
@@ -69,12 +78,28 @@ def zipf_sample(rng, values: Sequence[str], k: int, s: float = 1.0) -> List[str]
     end up holding largely the *same* popular instances, which is what makes
     their acquired domains similar. A value's weight is ``1/(rank+1)**s``
     in the order the vocabulary lists it.
+
+    ``tables`` keeps each vocabulary size's weights across calls (one
+    corpus build passes one dict). The first draw bisects the running
+    sums for the first sum that reaches the pick, which is the value a
+    scan adding the weights in rank order stops at; later draws scan
+    what is left of the pool.
     """
     k = min(k, len(values))
-    weights = [1.0 / (rank + 1) ** s for rank in range(len(values))]
-    chosen: List[str] = []
+    if k <= 0:
+        return []
+    if tables is None:
+        tables = {}
+    key = (len(values), s)
+    table = tables.get(key)
+    if table is None:
+        table = tables[key] = _zipf_table(*key)
+    weights, running, total = table
     pool = list(range(len(values)))
-    for _ in range(k):
+    first = bisect_left(running, rng.random() * total)
+    # past the last running sum (floating point): take the last value
+    chosen = [values[pool.pop(first if first < len(pool) else -1)]]
+    for _ in range(k - 1):
         total = sum(weights[i] for i in pool)
         pick = rng.random() * total
         acc = 0.0
@@ -87,6 +112,16 @@ def zipf_sample(rng, values: Sequence[str], k: int, s: float = 1.0) -> List[str]
         else:  # floating-point edge: take the last remaining value
             chosen.append(values[pool.pop()])
     return chosen
+
+
+def _zipf_table(n: int, s: float
+                ) -> Tuple[List[float], List[float], float]:
+    """The weights of ``n`` ranks, their running sums in rank order and
+    their total. The total is ``sum``'s, as a draw over the whole pool
+    takes it: Python 3.12's float ``sum`` is compensated, so it can
+    differ from the last running sum."""
+    weights = [1.0 / (rank + 1) ** s for rank in range(n)]
+    return weights, list(accumulate(weights)), sum(weights)
 
 
 def concept_phrases(concept: Concept) -> List[Tuple[str, str]]:
@@ -127,11 +162,12 @@ def build_corpus(
         )
         next_id += 1
 
+    tables: ZipfTables = {}
     for concept in spec.concepts:
         rng = derive_rng(seed, "corpus", domain, concept.name)
-        _emit_pattern_docs(emit, spec, concept, rng, config)
-        _emit_singleton_docs(emit, spec, concept, rng)
-        _emit_listing_docs(emit, spec, concept, rng, config)
+        _emit_pattern_docs(emit, spec, concept, rng, config, tables)
+        _emit_singleton_docs(emit, spec, concept, rng, tables)
+        _emit_listing_docs(emit, spec, concept, rng, config, tables)
         _emit_mention_docs(emit, spec, concept, rng, config)
 
     _emit_noise_docs(emit, spec, derive_rng(seed, "corpus", domain, "noise"),
@@ -174,7 +210,7 @@ def _format_values(values: Sequence[str]) -> str:
 
 
 def _emit_pattern_docs(emit, spec: DomainSpec, concept: Concept, rng,
-                       config: CorpusConfig) -> None:
+                       config: CorpusConfig, tables: ZipfTables) -> None:
     if concept.web_richness <= 0:
         return
     lo, hi = config.hearst_values
@@ -190,8 +226,8 @@ def _emit_pattern_docs(emit, spec: DomainSpec, concept: Concept, rng,
                                     min(rng.randint(lo, hi),
                                         len(vocab.DISTRACTORS)))
             else:
-                values = zipf_sample(rng, list(concept.values),
-                                     rng.randint(lo, hi))
+                values = zipf_sample(rng, concept.values,
+                                     rng.randint(lo, hi), tables=tables)
             sentence = template.format(
                 Plural=plural.capitalize(), plural=plural,
                 values=_format_values(values),
@@ -204,7 +240,8 @@ def _emit_pattern_docs(emit, spec: DomainSpec, concept: Concept, rng,
             emit(f"{spec.display_name} {plural}", text)
 
 
-def _emit_singleton_docs(emit, spec: DomainSpec, concept: Concept, rng) -> None:
+def _emit_singleton_docs(emit, spec: DomainSpec, concept: Concept, rng,
+                         tables: ZipfTables) -> None:
     """Pages with singleton-pattern sentences (g1 and g4 of Figure 4)."""
     if concept.web_richness <= 1:
         return
@@ -213,7 +250,7 @@ def _emit_singleton_docs(emit, spec: DomainSpec, concept: Concept, rng) -> None:
         if singular in concept.poor_phrases:
             continue
         for i in range(n_docs):
-            value = zipf_sample(rng, list(concept.values), 1)[0]
+            value = zipf_sample(rng, concept.values, 1, tables=tables)[0]
             if i % 2 == 0:
                 sentence = (
                     f"The {singular} of the {spec.object_name} is {value}."
@@ -225,7 +262,7 @@ def _emit_singleton_docs(emit, spec: DomainSpec, concept: Concept, rng) -> None:
 
 
 def _emit_listing_docs(emit, spec: DomainSpec, concept: Concept, rng,
-                       config: CorpusConfig) -> None:
+                       config: CorpusConfig, tables: ZipfTables) -> None:
     """Pages of 'Label: value' entries — the proximity-pattern evidence."""
     if concept.proximity_docs <= 0:
         return
@@ -235,7 +272,7 @@ def _emit_listing_docs(emit, spec: DomainSpec, concept: Concept, rng,
         lines = [_domain_sentence(spec, rng)]
         for _ in range(rng.randint(lo, hi)):
             label = rng.choice(labels)
-            value = zipf_sample(rng, list(concept.values), 1)[0]
+            value = zipf_sample(rng, concept.values, 1, tables=tables)[0]
             lines.append(f"{label}: {value}.")
         emit(f"{spec.display_name} listings", " ".join(lines))
 

@@ -113,10 +113,22 @@ class SearchEngine:
         return score
 
     def num_hits(self, query: str) -> int:
-        """Number of documents matching ``query`` (the "NumHits" oracle)."""
+        """Number of documents matching ``query`` (the "NumHits" oracle).
+
+        A query that is exactly one quoted phrase of at least one word
+        (every validation query) is read with the one ``word_tokens``
+        call the parser would make and counted by the index without
+        building a page set; any other query is parsed, so a malformed
+        one raises :class:`~repro.util.errors.QuerySyntaxError` as ever.
+        """
         self.query_count += 1
         if work.ACTIVE is not None:
             work.ACTIVE.bump("engine.round_trips")
+        if (len(query) > 2 and query[0] == '"' and query[-1] == '"'
+                and query.count('"') == 2):
+            phrase = word_tokens(query[1:-1])
+            if phrase:  # the index lower-cases it, as the parser would
+                return self.index.phrase_count(phrase)
         return len(self._matching_docs(self._parser.parse(query)))
 
     def num_hits_proximity(
@@ -137,7 +149,7 @@ class SearchEngine:
         b = word_tokens(phrase_b.lower())
         if not a or not b:
             return 0
-        return len(self.index.cooccurrence_docs(a, b, window))
+        return self.index.cooccurrence_count(a, b, window)
 
     # ------------------------------------------------------------- internals
     def _matching_docs(self, parsed: ParsedQuery) -> Set[int]:

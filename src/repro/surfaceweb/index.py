@@ -35,6 +35,16 @@ from repro.util import counters as work
 __all__ = ["InvertedIndex"]
 
 
+def _bin_popcount(bits: int) -> int:
+    """Set bits of a non-negative ``bits``, where ``int.bit_count``
+    (Python 3.10+) is missing."""
+    return bin(bits).count("1")
+
+
+#: number of set bits of a non-negative int (a page bitmap's page count)
+_popcount = getattr(int, "bit_count", _bin_popcount)
+
+
 class InvertedIndex:
     """In-memory inverted index at page level.
 
@@ -135,9 +145,24 @@ class InvertedIndex:
         phrase = [w.lower() for w in phrase]
         if len(phrase) < 2:
             return self.documents_with_term(phrase[0]) if phrase else set()
+        return set(self._phrase_pages(phrase))
+
+    def phrase_count(self, phrase: Sequence[str]) -> int:
+        """``len(documents_with_phrase(phrase))``, counted without
+        building the set: a one-word phrase is the popcount of its
+        word's bitmap, a longer one the length of the same walk's page
+        list."""
+        phrase = [w.lower() for w in phrase]
+        if len(phrase) < 2:
+            return _popcount(self._bits.get(phrase[0], 0)) if phrase else 0
+        return len(self._phrase_pages(phrase))
+
+    def _phrase_pages(self, phrase: List[str]) -> List[int]:
+        """The pages holding the lower-cased ``phrase`` of two or more
+        words, in the order its rarest word's pages were added."""
         found = self._phrase_bits(phrase)
         if not found:
-            return set()
+            return []
         # Every phrase word is present, so each has a page list; the
         # rarest one enumerates the surviving bits. About half the
         # survivors lack the phrase, and most of those hold its first
@@ -146,23 +171,23 @@ class InvertedIndex:
         first, n = phrase[0], len(phrase)
         repeats = self._repeats.get(first, 0)
         documents = self._documents
-        result: Set[int] = set()
+        pages: List[int] = []
         for d in rarest:
             if found >> d & 1:
                 words = documents[d].words
                 p = words.index(first)
                 if words[p:p + n] == phrase or (
                         repeats >> d & 1 and _starts(words, phrase, True)):
-                    result.add(d)
-        return result
+                    pages.append(d)
+        return pages
 
-    def cooccurrence_docs(
+    def cooccurrence_count(
         self,
         phrase_a: Sequence[str],
         phrase_b: Sequence[str],
         window: int,
-    ) -> Set[int]:
-        """Doc-ids where both phrases occur within ``window`` words.
+    ) -> int:
+        """Number of pages where both phrases occur within ``window`` words.
 
         The distance is measured between the end of one phrase and the start
         of the other (order-insensitive); ``window=0`` means adjacency. The
@@ -180,15 +205,15 @@ class InvertedIndex:
         found &= self._phrase_bits(phrase_b)
         if work.ACTIVE is not None:
             work.ACTIVE.bump("index.intersections")
-        result: Set[int] = set()
         if not found:
-            return result
+            return 0
         len_a, len_b = len(phrase_a), len(phrase_b)
         rarest = min(map(self._pages.__getitem__, phrase_a + phrase_b),
                      key=len)
         repeats_a = self._repeats.get(phrase_a[0], 0)
         repeats_b = self._repeats.get(phrase_b[0], 0)
         documents = self._documents
+        count = 0
         for d in rarest:
             if not found >> d & 1:
                 continue
@@ -200,8 +225,8 @@ class InvertedIndex:
             if work.ACTIVE is not None:
                 work.ACTIVE.bump("index.window_checks")
             if _within_window(pos_a, len_a, pos_b, len_b, window):
-                result.add(d)
-        return result
+                count += 1
+        return count
 
     def _phrase_bits(self, phrase: List[str]) -> int:
         """Bitmap of the pages holding every word of the lower-cased

@@ -22,23 +22,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple)
 
 from repro.text.tokenizer import tokenize
 
 __all__ = ["TaggedToken", "BrillTagger", "default_tagger"]
 
 
-@dataclass(frozen=True)
-class TaggedToken:
-    """A token paired with its part-of-speech tag."""
+class TaggedToken(NamedTuple):
+    """A token paired with its part-of-speech tag; unpacks as
+    ``word, tag``."""
 
     word: str
     tag: str
-
-    def __iter__(self):
-        # Allow ``for word, tag in tagged`` unpacking.
-        return iter((self.word, self.tag))
 
 
 # ---------------------------------------------------------------------------
@@ -157,23 +154,30 @@ _SUFFIX_TAGS: Sequence[Tuple[str, str]] = (
     ("ous", "JJ"), ("ful", "JJ"), ("able", "JJ"), ("ible", "JJ"),
     ("ive", "JJ"), ("al", "JJ"), ("ic", "JJ"), ("less", "JJ"),
 )
+#: every suffix above, for one C-level test that most words fail
+_SUFFIXES = tuple(suffix for suffix, _ in _SUFFIX_TAGS)
 
 
 def _guess_tag(word: str, sentence_initial: bool) -> str:
     """Initial-state tag for a word absent from the lexicon."""
-    if _NUMBER_RE.match(word):
-        return "CD"
-    if _ORDINAL_RE.match(word):
-        return "JJ"
-    if not word[0].isalnum():
+    first = word[0]
+    # both number patterns need a digit or "$" first ("$" only for
+    # _NUMBER_RE); every character ``\d`` matches is ``isdigit()``
+    if first.isdigit() or first == "$":
+        if _NUMBER_RE.match(word):
+            return "CD"
+        if _ORDINAL_RE.match(word):
+            return "JJ"
+    if not first.isalnum():
         return "PUNCT"
     low = word.lower()
     # Capitalised mid-sentence => proper noun (city names, airlines, makes).
-    if word[0].isupper() and not sentence_initial:
+    if first.isupper() and not sentence_initial:
         return "NNPS" if low.endswith("s") and not low.endswith("ss") else "NNP"
-    for suffix, tag in _SUFFIX_TAGS:
-        if low.endswith(suffix) and len(low) > len(suffix) + 1:
-            return tag
+    if low.endswith(_SUFFIXES):
+        for suffix, tag in _SUFFIX_TAGS:
+            if low.endswith(suffix) and len(low) > len(suffix) + 1:
+                return tag
     if low.endswith("s") and not low.endswith("ss"):
         return "NNS"
     return "NN"
@@ -283,7 +287,7 @@ class BrillTagger:
             for i, tag in enumerate(tags):
                 if tag == rule.from_tag and rule.condition(tags, tokens, i):
                     tags[i] = rule.to_tag
-        return [TaggedToken(w, t) for w, t in zip(tokens, tags)]
+        return list(map(TaggedToken._make, zip(tokens, tags)))
 
 
 _DEFAULT_TAGGER: Optional[BrillTagger] = None

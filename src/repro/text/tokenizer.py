@@ -17,17 +17,26 @@ __all__ = ["tokenize", "words", "sentences", "normalize"]
 
 # A token is a run of word characters (letters/digits, allowing internal
 # apostrophes, hyphens, periods in abbreviations like "U.S."), a currency
-# amount, or a single punctuation character.
+# amount, or a single punctuation character. The rules are grouped by the
+# first character they accept, behind a lookahead that rejects every other
+# start at once: a letter, a digit or "$", anything else. No two groups
+# accept the same first character, so the first rule to match at each
+# position is the one a flat alternation of the same rules, in the same
+# order within each group, would pick.
 _TOKEN_RE = re.compile(
     r"""
-    \$?\d{1,3}(?:,\d{3})+(?:\.\d+)?   # grouped numbers: $15,200 / 1,200.50
-  | \$\d+(?:\.\d+)?           # plain monetary values: $9.99
-  | \d+(?:st|nd|rd|th)\b      # ordinals: 1st, 2nd, 15th
-  | \d+(?:\.\d+)?             # plain numbers: 1994 or 3.5
-  | (?:[A-Za-z]\.){2,}        # dotted abbreviations: J.K., U.S.
-  | [A-Za-z]{2,3}\.(?=\s+[A-Z0-9])  # short abbreviations: "St." before a capital
-  | [A-Za-z](?:[A-Za-z'\-]*[A-Za-z])?   # words, incl. hyphenated/apostrophes
-  | [^\sA-Za-z0-9]            # any single punctuation mark
+    (?=[A-Za-z])(?:
+        (?:[A-Za-z]\.){2,}                  # dotted abbreviations: J.K.
+      | [A-Za-z]{2,3}\.(?=\s+[A-Z0-9])      # "St." before a capital
+      | [A-Za-z](?:[A-Za-z'\-]*[A-Za-z])?   # words, one-way, O'Reilly
+    )
+  | (?=[\d$])(?:
+        \$?\d{1,3}(?:,\d{3})+(?:\.\d+)?     # grouped: $15,200, 1,200.50
+      | \$\d+(?:\.\d+)?                    # plain money: $9.99
+      | \d+(?:st|nd|rd|th)\b               # ordinals: 1st, 2nd, 15th
+      | \d+(?:\.\d+)?                      # plain numbers: 1994, 3.5
+    )
+  | [^\sA-Za-z0-9]                         # any single punctuation mark
     """,
     re.VERBOSE,
 )

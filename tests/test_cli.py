@@ -470,6 +470,32 @@ class TestServiceCommands:
                        "requests": []})]) == 2
         assert "bad quota" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("fault_rate", "0.2"), ("threshold", "0.5"), ("cost", "2"),
+        ("deadline", "30"), ("fault_rate", True), ("threshold", [0.5]),
+        ("interfaces", "2"), ("interfaces", 2.0), ("interfaces", True),
+        ("seed", "1"), ("seed", False), ("seed", None),
+        ("fault_seed", 1.5), ("probe_budget", "3"), ("query_budget", 2.5),
+    ])
+    def test_serve_mistyped_value_is_a_bad_script(self, capsys, tmp_path,
+                                                  key, value):
+        assert main(["serve", "--script", self.script(
+            tmp_path, [{"domain": "book", key: value}])]) == 2
+        err = capsys.readouterr().err
+        assert "bad script" in err and repr(key) in err
+
+    def test_serve_admits_null_deadline_and_budgets(self, tmp_path):
+        from repro.cli import _scripted_request
+
+        request = _scripted_request(
+            {"domain": "book", "deadline": None, "probe_budget": None,
+             "query_budget": None, "interfaces": 3, "seed": 1,
+             "fault_rate": 0, "threshold": 0.1, "cost": 2}, 0)
+        assert request.deadline_seconds is None
+        assert request.config.resilience is None
+        assert (request.n_interfaces, request.seed, request.cost) == \
+            (3, 1, 2.0)
+
     def test_request_completed_exits_0(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         assert main(["request", "--domain", "book", "--interfaces", "3",

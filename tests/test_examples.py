@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.datasets import concepts
+from repro.datasets.concepts import DOMAINS
+
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 EXAMPLES = sorted(p.name for p in EXAMPLES_DIR.glob("*.py"))
@@ -26,6 +29,18 @@ def test_example_runs(script, capsys):
     runpy.run_path(str(EXAMPLES_DIR / script), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), f"{script} produced no output"
+    # an example that registers a domain removes it again
+    assert sorted(concepts._SPECS) == sorted(DOMAINS)
+
+
+def test_custom_domain_unregisters_its_spec_on_error():
+    example = runpy.run_path(str(EXAMPLES_DIR / "custom_domain.py"))
+    spec = example["RESTAURANT"]
+    with pytest.raises(RuntimeError):
+        with example["registered"](spec):
+            assert concepts.domain_spec("restaurant") is spec
+            raise RuntimeError("the body fails")
+    assert sorted(concepts._SPECS) == sorted(DOMAINS)
 
 
 def test_quickstart_reports_improvement(capsys):

@@ -228,6 +228,32 @@ class TestGainReport:
         assert "candidate won 0 of 2 pairs" in out
         assert "does not hold" in out
 
+    def test_seconds_reach_every_run(self, tmp_path, as_candidate):
+        base = make_tree(tmp_path, "base", 40.0)
+        candidate = make_tree(tmp_path, "candidate", 40.0)
+        for tree in (base, candidate):
+            run = tree / "perfbench" / "run.py"
+            run.write_text("import sys, pathlib\n"
+                           "with open(pathlib.Path(__file__).resolve()"
+                           ".parent.parent.parent / 'argv.log', 'a') as f:"
+                           "\n    f.write(' '.join(sys.argv[1:]) + '\\n')\n"
+                           + run.read_text())
+        as_candidate(candidate)
+        assert perf_ab.main(["--base", str(base), "--workload",
+                             "figure6-batch", "--pairs", "1",
+                             "--seconds", "30"]) == 0
+        assert perf_ab.main(["--base", str(base), "--workload",
+                             "figure6-batch", "--pairs", "1"]) == 0
+        runs = (tmp_path / "argv.log").read_text().splitlines()
+        assert [run.split("--seconds ")[1].split()[0] for run in runs] \
+            == ["30.0", "30.0", "10.0", "10.0"]
+
+    def test_seconds_must_be_positive(self, tmp_path):
+        base = make_tree(tmp_path, "base", 40.0)
+        with pytest.raises(SystemExit):
+            perf_ab.main(["--base", str(base), "--workload",
+                          "figure6-batch", "--seconds", "0"])
+
     def test_compare_returns_each_sides_throughput(self, tmp_path):
         base = make_tree(tmp_path, "base", 40.0)
         candidate = make_tree(tmp_path, "candidate", 50.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.surfaceweb.document import Document
 from repro.surfaceweb.engine import SearchEngine
+from repro.util.errors import QuerySyntaxError
 
 
 @pytest.fixture()
@@ -88,6 +89,24 @@ class TestNumHits:
 
     def test_zero_hits(self, engine):
         assert engine.num_hits("zeppelin") == 0
+
+    def test_one_quoted_word_is_its_page_count(self, engine):
+        assert engine.num_hits('"Book"') == engine.num_hits("book") == 2
+        assert engine.num_hits('"zeppelin"') == 0
+
+    @pytest.mark.parametrize("query", [
+        '"such as"', '"Such  As"', '"departure cities, such as"',
+        '"such as" +honda', ' "such as"', '"such" "as"', '"such as" ford',
+    ])
+    def test_quoted_phrase_count_equals_parsed_count(self, engine, query):
+        parsed = engine._matching_docs(engine._parser.parse(query))
+        assert engine.num_hits(query) == len(parsed)
+
+    @pytest.mark.parametrize("query", ['""', '" , "', '"', '"a" "',
+                                       '" "'])
+    def test_quoted_query_without_words_raises(self, engine, query):
+        with pytest.raises(QuerySyntaxError):
+            engine.num_hits(query)
 
 
 class TestProximity:

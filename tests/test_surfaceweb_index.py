@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.surfaceweb.document import Document
 from repro.surfaceweb.engine import SearchEngine
-from repro.surfaceweb.index import InvertedIndex
+from repro.surfaceweb.index import InvertedIndex, _bin_popcount, _popcount
 from repro.util import counters as work
 
 
@@ -102,54 +102,80 @@ class TestPhraseQueries:
 class TestCooccurrence:
     def test_adjacent(self):
         index = build_index("make honda is great")
-        assert index.cooccurrence_docs(["make"], ["honda"], window=0) == {0}
+        assert index.cooccurrence_count(["make"], ["honda"], window=0) == 1
 
     def test_within_window(self):
         index = build_index("make of the car honda")
-        assert index.cooccurrence_docs(["make"], ["honda"], window=3) == {0}
-        assert index.cooccurrence_docs(["make"], ["honda"], window=2) == set()
+        assert index.cooccurrence_count(["make"], ["honda"], window=3) == 1
+        assert index.cooccurrence_count(["make"], ["honda"], window=2) == 0
 
     def test_order_insensitive(self):
         index = build_index("honda is a make")
-        assert index.cooccurrence_docs(["make"], ["honda"], window=2) == {0}
+        assert index.cooccurrence_count(["make"], ["honda"], window=2) == 1
 
     def test_multiword_phrases(self):
         index = build_index("departure cities such as boston and chicago")
-        hits = index.cooccurrence_docs(
+        hits = index.cooccurrence_count(
             ["departure", "cities", "such", "as"], ["chicago"], window=3
         )
-        assert hits == {0}
+        assert hits == 1
 
     def test_requires_both(self):
         index = build_index("only make here", "only honda here")
-        assert index.cooccurrence_docs(["make"], ["honda"], window=9) == set()
+        assert index.cooccurrence_count(["make"], ["honda"], window=9) == 0
 
     def test_overlapping_spans_do_not_cooccur(self):
         # Regression: "city" inside "new york city" is the same text span,
         # not two phrases near each other. The old gap arithmetic went
         # negative for overlaps and sailed under any window.
         index = build_index("visit new york city today")
-        assert index.cooccurrence_docs(
-            ["city"], ["new", "york", "city"], window=5) == set()
-        assert index.cooccurrence_docs(
-            ["new", "york", "city"], ["city"], window=5) == set()
+        assert index.cooccurrence_count(
+            ["city"], ["new", "york", "city"], window=5) == 0
+        assert index.cooccurrence_count(
+            ["new", "york", "city"], ["city"], window=5) == 0
 
     def test_self_cooccurrence_needs_two_occurrences(self):
         # One occurrence can never co-occur with itself...
         single = build_index("the boston office")
-        assert single.cooccurrence_docs(["boston"], ["boston"],
-                                        window=9) == set()
+        assert single.cooccurrence_count(["boston"], ["boston"],
+                                         window=9) == 0
         # ...two genuinely distinct occurrences still count.
         double = build_index("boston loves boston")
-        assert double.cooccurrence_docs(["boston"], ["boston"],
-                                        window=1) == {0}
+        assert double.cooccurrence_count(["boston"], ["boston"],
+                                         window=1) == 1
 
     def test_adjacency_still_counts_after_overlap_fix(self):
         # gap == 0 (phrases touching) is the §3.2 adjacency pattern and
         # must keep matching at window=0.
         index = build_index("departure city boston")
-        assert index.cooccurrence_docs(
-            ["departure", "city"], ["boston"], window=0) == {0}
+        assert index.cooccurrence_count(
+            ["departure", "city"], ["boston"], window=0) == 1
+
+    def test_counts_every_qualifying_page_once(self):
+        index = build_index("make honda make honda", "honda make",
+                            "make the big honda", "honda")
+        assert index.cooccurrence_count(["make"], ["honda"], window=0) == 2
+        assert index.cooccurrence_count(["make"], ["honda"], window=2) == 3
+
+
+class TestCounts:
+    """Count paths equal ``len()`` of the set paths they replace."""
+
+    def test_phrase_count(self):
+        index = build_index("new york city", "york new york", "new jersey",
+                            "New York")
+        assert index.phrase_count(["new", "york"]) == 3
+        assert index.phrase_count(["York"]) == 3
+        assert index.phrase_count(["jersey"]) == 1
+        assert index.phrase_count(["york", "city"]) == 1
+        assert index.phrase_count(["boston"]) == 0
+        assert index.phrase_count(["new", "boston"]) == 0
+        assert index.phrase_count([]) == 0
+
+    def test_popcount(self):
+        for bits in (0, 1, 0b1011, 1 << 200, (1 << 300) - 1):
+            assert _popcount(bits) == _bin_popcount(bits) \
+                == sum(bits >> i & 1 for i in range(bits.bit_length()))
 
 
 # --------------------------------------------------- brute-force references
@@ -238,8 +264,8 @@ class TestProperties:
         index = InvertedIndex()
         for i, words in enumerate(docs):
             index.add(Document(i, f"u{i}", "t", " ".join(words)))
-        narrow = index.cooccurrence_docs(["a"], ["b"], window)
-        wide = index.cooccurrence_docs(["a"], ["b"], window + 1)
+        narrow = index.cooccurrence_count(["a"], ["b"], window)
+        wide = index.cooccurrence_count(["a"], ["b"], window + 1)
         assert narrow <= wide
 
     # exactness: every phrase read equals a brute-force scan of each page's
@@ -267,15 +293,15 @@ class TestProperties:
                 reference_intersections(docs, phrase)
 
     @given(corpus_and_phrases(), st.integers(0, 3))
-    def test_cooccurrence_docs_match_scan(self, drawn, window):
+    def test_cooccurrence_count_match_scan(self, drawn, window):
         docs, phrases = drawn
         index = InvertedIndex()
         index.add_all(docs)
         for phrase_a, phrase_b in zip(phrases, phrases[1:] + phrases[:1]):
             with work.collecting(work.WorkCounters()) as counts:
-                found = index.cooccurrence_docs(phrase_a, phrase_b, window)
-            assert found == {d.doc_id for d in docs
-                             if scan_cooccurs(d, phrase_a, phrase_b, window)}
+                found = index.cooccurrence_count(phrase_a, phrase_b, window)
+            assert found == sum(scan_cooccurs(d, phrase_a, phrase_b, window)
+                                for d in docs)
             assert counts.get("index.intersections") == (
                 reference_intersections(docs, phrase_a)
                 + reference_intersections(docs, phrase_b) + 1)
@@ -283,12 +309,32 @@ class TestProperties:
                 scan_docs(docs, phrase_a) & scan_docs(docs, phrase_b))
 
     @given(corpus_and_phrases())
+    def test_phrase_count_matches_documents_with_phrase(self, drawn):
+        docs, phrases = drawn
+        index = InvertedIndex()
+        index.add_all(docs)
+        for phrase in phrases:
+            with work.collecting(work.WorkCounters()) as set_counts:
+                found = index.documents_with_phrase(phrase)
+            with work.collecting(work.WorkCounters()) as counts:
+                count = index.phrase_count(phrase)
+            assert count == len(found)
+            assert counts.as_dict() == set_counts.as_dict()
+
+    @given(corpus_and_phrases())
     def test_quoted_num_hits_match_scan(self, drawn):
         docs, phrases = drawn
         engine = SearchEngine(docs)
         for phrase in phrases:
+            query = '"' + " ".join(phrase) + '"'
             with work.collecting(work.WorkCounters()) as counts:
-                hits = engine.num_hits('"' + " ".join(phrase) + '"')
+                hits = engine.num_hits(query)
             assert hits == len(scan_docs(docs, phrase))
             assert counts.get("index.intersections") == \
                 reference_intersections(docs, phrase)
+            # the parsed path: same count, same work
+            with work.collecting(work.WorkCounters()) as parsed_counts:
+                parsed = engine._parser.parse(query)
+                assert len(engine._matching_docs(parsed)) == hits
+            assert counts.get("tokenizer.calls") == \
+                parsed_counts.get("tokenizer.calls") == 1

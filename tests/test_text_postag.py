@@ -7,6 +7,7 @@ from repro.text.postag import (
     BrillTagger,
     ContextRule,
     TaggedToken,
+    _guess_tag,
     default_tagger,
 )
 
@@ -18,6 +19,36 @@ def tagger():
 
 def tags_of(tagger, text):
     return [t.tag for t in tagger.tag(text)]
+
+
+class TestTaggedToken:
+    def test_fields_and_unpacking(self):
+        token = TaggedToken("Boston", "NNP")
+        assert (token.word, token.tag) == ("Boston", "NNP")
+        word, tag = token
+        assert (word, tag) == ("Boston", "NNP")
+        assert [w for w, _ in [token, TaggedToken("a", "DT")]] == \
+            ["Boston", "a"]
+
+    def test_equality_and_hash(self):
+        assert TaggedToken("city", "NN") == TaggedToken("city", "NN")
+        assert TaggedToken("city", "NN") != TaggedToken("city", "NNP")
+        assert len({TaggedToken("city", "NN"), TaggedToken("city", "NN")}) \
+            == 1
+
+    def test_repr(self):
+        assert repr(TaggedToken("city", "NN")) == \
+            "TaggedToken(word='city', tag='NN')"
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            TaggedToken("city", "NN").tag = "VB"
+
+    def test_tagger_returns_tagged_tokens(self, tagger):
+        tagged = tagger.tag("Departure city")
+        assert all(type(t) is TaggedToken for t in tagged)
+        assert tagged == [TaggedToken("Departure", "NN"),
+                          TaggedToken("city", "NN")]
 
 
 class TestInitialState:
@@ -38,6 +69,13 @@ class TestInitialState:
 
     def test_ordinal(self, tagger):
         assert tags_of(tagger, "2nd") == ["JJ"]
+
+    @pytest.mark.parametrize("word,tag", [
+        ("$", "PUNCT"), ("$9.99", "CD"), ("1,200", "CD"), ("3RD", "JJ"),
+        ("12", "CD"), ("\u0663", "CD"), ("\u00b2", "NN"), ("x2", "NN"),
+    ])
+    def test_number_patterns_by_first_character(self, word, tag):
+        assert _guess_tag(word, sentence_initial=True) == tag
 
     def test_punctuation(self, tagger):
         assert tags_of(tagger, "city, state") == ["NN", "PUNCT", "NN"]

@@ -1,9 +1,46 @@
 """Tests for repro.text.tokenizer."""
 
+import re
+import string
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.text.tokenizer import normalize, sentences, tokenize, words
+from repro.datasets import corpus
+from repro.datasets.concepts import DOMAINS
+from repro.text.tokenizer import (
+    _TOKEN_RE,
+    normalize,
+    sentences,
+    tokenize,
+    words,
+)
+
+#: the flat alternation the first-character groups of ``_TOKEN_RE``
+#: replaced, verbatim: the oracle of which rule matches first
+FLAT_TOKEN_RE = re.compile(
+    r"""
+    \$?\d{1,3}(?:,\d{3})+(?:\.\d+)?   # grouped numbers: $15,200 / 1,200.50
+  | \$\d+(?:\.\d+)?           # plain monetary values: $9.99
+  | \d+(?:st|nd|rd|th)\b      # ordinals: 1st, 2nd, 15th
+  | \d+(?:\.\d+)?             # plain numbers: 1994 or 3.5
+  | (?:[A-Za-z]\.){2,}        # dotted abbreviations: J.K., U.S.
+  | [A-Za-z]{2,3}\.(?=\s+[A-Z0-9])  # short abbreviations: "St." before a capital
+  | [A-Za-z](?:[A-Za-z'\-]*[A-Za-z])?   # words, incl. hyphenated/apostrophes
+  | [^\sA-Za-z0-9]            # any single punctuation mark
+    """,
+    re.VERBOSE,
+)
+
+#: letters, digits, the punctuation the rules name, non-ASCII letters and
+#: digits ("\u0663" is a decimal digit to ``\d``, "\u00b2" is not) and
+#: whitespace, including a no-break space
+ALPHABET = (string.ascii_letters + string.digits + "$.,'-:;!?\""
+            + "\u00e9\u00df\u0663\u00b2\u20ac" + " \t\n\u00a0")
+#: fragments that reach deep into the number and abbreviation rules
+FRAGMENTS = ("St.", " Louis", "J.K.", "U.S.", "1,200", ",500", ".50",
+             "$", "$9", "3rd", "1st", "th", "one-way", "O'Reilly", " ",
+             "day. ", "\u0663,\u0663\u0663\u0663", "x-", "'")
 
 
 class TestTokenize:
@@ -65,6 +102,36 @@ class TestTokenize:
     def test_single_word_roundtrip(self, word):
         # The tokenizer targets the ASCII text of the synthetic Web.
         assert tokenize(word) == [word]
+
+
+class TestGroupedPattern:
+    """``_TOKEN_RE`` splits every text as the flat alternation did."""
+
+    @given(st.text(alphabet=st.sampled_from(ALPHABET), max_size=80))
+    def test_matches_flat_pattern_on_characters(self, text):
+        assert _TOKEN_RE.findall(text) == FLAT_TOKEN_RE.findall(text)
+
+    @given(st.lists(st.one_of(st.sampled_from(FRAGMENTS),
+                              st.sampled_from(ALPHABET)), max_size=30))
+    def test_matches_flat_pattern_on_fragments(self, parts):
+        text = "".join(parts)
+        assert _TOKEN_RE.findall(text) == FLAT_TOKEN_RE.findall(text)
+
+    def test_matches_flat_pattern_on_every_page(self, monkeypatch):
+        texts = []
+        document = corpus.Document
+
+        def recording(doc_id, url, title, text):
+            texts.append(text)
+            return document(doc_id, url, title, text)
+
+        monkeypatch.setattr(corpus, "Document", recording)
+        for seed in (1, 2, 3):
+            for domain in DOMAINS:
+                corpus.build_corpus(domain, seed)
+        assert len(texts) == 6156
+        for text in texts:
+            assert _TOKEN_RE.findall(text) == FLAT_TOKEN_RE.findall(text)
 
 
 class TestWords:

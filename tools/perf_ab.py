@@ -6,9 +6,10 @@ Usage, from the candidate checkout's root::
         --workload figure6-batch --workload registry-stream
 
 The candidate is the checkout this script lives in. For every workload,
-the script makes ``--pairs`` pairs of untraced 10-second runs of
-``perfbench/run.py --trace 0``, one in the base tree and one in the
-candidate tree, one process at a time. The tree that goes first alternates
+the script makes ``--pairs`` pairs of untraced runs of
+``perfbench/run.py --trace 0``, ``--seconds`` long each (default 10; the
+benchmark's own runs take BENCHMARK.json's ``run_seconds``, 30), one in
+the base tree and one in the candidate tree, one process at a time. The tree that goes first alternates
 from pair to pair (the base in the first pair), so a host that speeds up
 or slows down during the job favours neither side. Each pair gives three
 ratios, candidate over base: ``interfaces_per_kref``, ``peak_rss_mb`` and
@@ -49,7 +50,7 @@ RSS = "peak_rss_mb"
 P50 = "op_p50_ref"
 #: every gated metric, in print order
 GATED = (METRIC, RSS, P50)
-#: length of every benchmark run, in seconds
+#: default length of every benchmark run, in seconds
 SECONDS = 10.0
 #: the share of pairs a claimed gain must win
 GAIN_WIN_SHARE = 0.9
@@ -77,14 +78,16 @@ def pair_order(index: int) -> Tuple[str, str]:
     return ("base", "candidate") if index % 2 == 0 else ("candidate", "base")
 
 
-def run_once(tree: Path, workload: str) -> Dict[str, float]:
-    """One untraced benchmark run in ``tree``; its gated metrics.
+def run_once(tree: Path, workload: str, seconds: float = SECONDS
+             ) -> Dict[str, float]:
+    """One untraced ``seconds``-long benchmark run in ``tree``; its gated
+    metrics.
 
     Raises ``RuntimeError`` when the run exits non-zero or reports
     ``"correct": false``."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seconds", str(SECONDS), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -99,7 +102,8 @@ def run_once(tree: Path, workload: str) -> Dict[str, float]:
             for name in GATED}
 
 
-def compare(base: Path, candidate: Path, workload: str, pairs: int
+def compare(base: Path, candidate: Path, workload: str, pairs: int,
+            seconds: float = SECONDS
             ) -> Tuple[Dict[str, List[float]], Dict[str, List[float]]]:
     """Candidate/base ratios of ``pairs`` alternating pairs, per gated
     metric, printed as they finish; and each side's ``interfaces_per_kref``
@@ -109,7 +113,7 @@ def compare(base: Path, candidate: Path, workload: str, pairs: int
     throughput: Dict[str, List[float]] = {"base": [], "candidate": []}
     for index in range(pairs):
         order = pair_order(index)
-        value = {side: run_once(trees[side], workload)
+        value = {side: run_once(trees[side], workload, seconds)
                  for side in order}
         for side, values in throughput.items():
             values.append(value[side][METRIC])
@@ -173,9 +177,13 @@ def main(argv=None) -> int:
                         help="root of the base checkout")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=3)
+    parser.add_argument("--seconds", type=float, default=SECONDS,
+                        help="length of every run (default %(default)s)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if not args.seconds > 0:
+        parser.error("--seconds must be positive")
     base = args.base.resolve()
     spec = base / "BENCHMARK.json"
     bounds = {METRIC: min_ratio(spec), RSS: max_ratio(spec, RSS),
@@ -184,7 +192,8 @@ def main(argv=None) -> int:
     ok = True
     for workload in args.workload:
         try:
-            ratios, throughput = compare(base, ROOT, workload, args.pairs)
+            ratios, throughput = compare(base, ROOT, workload, args.pairs,
+                                         args.seconds)
         except RuntimeError as error:
             print(f"{workload}: {error}", flush=True)
             ok = False
