@@ -76,11 +76,7 @@ from repro.resilience.client import (
     ResilientDeepWebSource,
     ResilientSearchEngine,
 )
-from repro.resilience.faults import (
-    FlakyDeepWebSource,
-    FlakySearchEngine,
-    KillSwitch,
-)
+from repro.resilience.faults import KillSwitch
 from repro.supervisor import SupervisorConfig, SupervisorReport
 from repro.util.clock import SimulatedClock, StopwatchReport
 from repro.util.counters import collecting as collecting_counters
@@ -279,23 +275,9 @@ class WebIQMatcher:
                 client: Optional[ResilientClient] = None
                 if self.config.resilience is not None:
                     client = ResilientClient(self.config.resilience, obs=obs)
-                    profile = self.config.resilience.profile
-                    engine = ResilientSearchEngine(
-                        FlakySearchEngine(
-                            engine, profile,
-                            on_fault=client.note_injected_fault,
-                            attempt_provider=lambda: client.current_attempt,
-                        ),
-                        client,
-                    )
+                    engine = ResilientSearchEngine(engine, client)
                     sources = {
-                        source_id: ResilientDeepWebSource(
-                            FlakyDeepWebSource(
-                                source, profile,
-                                on_fault=client.note_injected_fault,
-                            ),
-                            client,
-                        )
+                        source_id: ResilientDeepWebSource(source, client)
                         for source_id, source in sources.items()
                     }
                 if obs is not None:

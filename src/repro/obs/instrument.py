@@ -12,9 +12,10 @@ resilient proxies::
 
     ValidationCache                  # the run's memo answers repeats
       ObservedSearchEngine           # every memo miss, heading for the Web
-        ResilientSearchEngine -> FlakySearchEngine -> SearchEngine
+        ResilientSearchEngine        # injects faults and retries them
+          SearchEngine
 
-Each wrapper counts the calls that head for the (possibly flaky) Web and,
+Each wrapper counts the calls that head for the (possibly faulty) Web and,
 by differencing the substrate's ``query_count``/``probe_count`` around
 each call, how many *real round trips* the call cost (retries included).
 Those tallies give the :class:`~repro.obs.invariants.InvariantChecker`
@@ -22,10 +23,10 @@ its conservation laws: observed engine calls must equal memo misses, and
 observed round trips must equal the stopwatch's per-account query counts
 and the resilience budgets' spend.
 
-The wrappers are strictly read-only observers: they consume no randomness,
-swallow no exceptions, and forward every attribute they do not define
-(breaker handles, ...) to the wrapped layer, so resilient behaviour is
-bit-identical with or without them.
+The wrappers are strictly read-only observers: they consume no randomness
+and swallow no exceptions, so resilient behaviour is bit-identical with or
+without them. Each exposes only what the layers above it read: the calls
+and the substrate's round-trip counter.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.obs.provenance import (
     ProvenanceRecorder,
 )
 from repro.obs.trace import Tracer
+from repro.surfaceweb.engine import DEFAULT_PROXIMITY_WINDOW
 from repro.util.counters import WorkCounters
 
 __all__ = [
@@ -169,13 +171,6 @@ class ObservedSearchEngine:
     def query_count(self) -> int:
         return self.inner.query_count
 
-    def reset_query_count(self) -> None:
-        self.inner.reset_query_count()
-
-    @property
-    def n_documents(self) -> int:
-        return self.inner.n_documents
-
     def search(self, query: str, max_results: int = 10):
         return self._observe(
             "search", lambda: self.inner.search(query, max_results)
@@ -185,21 +180,11 @@ class ObservedSearchEngine:
         return self._observe("num_hits", lambda: self.inner.num_hits(query))
 
     def num_hits_proximity(self, phrase_a: str, phrase_b: str,
-                           window: Optional[int] = None):
-        if window is None:
-            return self._observe(
-                "num_hits_proximity",
-                lambda: self.inner.num_hits_proximity(phrase_a, phrase_b),
-            )
+                           window: int = DEFAULT_PROXIMITY_WINDOW) -> int:
         return self._observe(
             "num_hits_proximity",
             lambda: self.inner.num_hits_proximity(phrase_a, phrase_b, window),
         )
-
-    def __getattr__(self, name: str):
-        # Forward everything else (breaker handles, ...) untouched so the
-        # wrapper is invisible to the layers above and below.
-        return getattr(self.inner, name)
 
     # ----------------------------------------------------------- internals
     def _observe(self, method: str, fn):
@@ -222,23 +207,12 @@ class ObservedDeepWebSource:
 
     # ------------------------------------------------------- source facade
     @property
-    def interface(self):
-        return self.inner.interface
-
-    @property
     def interface_id(self) -> str:
         return self.inner.interface.interface_id
 
     @property
     def probe_count(self) -> int:
         return self.inner.probe_count
-
-    @probe_count.setter
-    def probe_count(self, value: int) -> None:
-        self.inner.probe_count = value
-
-    def recognizes(self, attribute_name: str, value: str) -> bool:
-        return self.inner.recognizes(attribute_name, value)
 
     def submit(self, values: Mapping[str, str]):
         before = self.inner.probe_count
@@ -250,6 +224,3 @@ class ObservedDeepWebSource:
             source=self.interface_id,
         )
         return result
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)

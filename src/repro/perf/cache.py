@@ -21,7 +21,7 @@ its content; a run with no acquisition (the IceQ baseline) has no memo.
 **Layering.** The memo is the only cache, and it sits above every
 engine layer::
 
-    ValidationCache -> ResilientSearchEngine -> FlakySearchEngine -> engine
+    ValidationCache -> ResilientSearchEngine -> engine
 
 (An observed run inserts one :class:`~repro.obs.ObservedSearchEngine`
 directly below the memo, so every observed engine call is a memo miss.)

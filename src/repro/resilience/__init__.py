@@ -4,14 +4,15 @@ The original WebIQ system faced the real 2006 Web; this package restores
 that unreliability to the offline reproduction — deterministically — and
 provides the machinery to survive it:
 
-- :mod:`repro.resilience.faults` — :class:`FaultProfile` plus the
-  :class:`FlakySearchEngine` / :class:`FlakyDeepWebSource` wrappers that
-  inject timeouts, 5xx transients, rate limits and truncated pages;
+- :mod:`repro.resilience.faults` — :class:`FaultProfile`, which decides
+  each attempt's fate: a timeout, 5xx transient, rate limit or truncated
+  page, or none;
 - :mod:`repro.resilience.client` — :class:`ResilientClient` (retry with
   exponential backoff + jitter, per-component budgets, per-source circuit
   breakers), the drop-in :class:`ResilientSearchEngine` /
-  :class:`ResilientDeepWebSource` proxies, and the
-  :class:`DegradationReport` a run attaches to its result;
+  :class:`ResilientDeepWebSource` proxies, one per substrate, that draw
+  each attempt's fate and retry it, and the :class:`DegradationReport` a
+  run attaches to its result;
 - :mod:`repro.resilience.context` — the per-unit scope that keys fault
   and jitter streams by checkpoint unit, making their draws independent
   of execution order.
@@ -35,16 +36,12 @@ from repro.resilience.client import (
 from repro.resilience.faults import (
     FaultKind,
     FaultProfile,
-    FlakyDeepWebSource,
-    FlakySearchEngine,
     KillSwitch,
 )
 
 __all__ = [
     "FaultKind",
     "FaultProfile",
-    "FlakySearchEngine",
-    "FlakyDeepWebSource",
     "KillSwitch",
     "RetryPolicy",
     "BreakerPolicy",

@@ -1,7 +1,7 @@
 """Retry, circuit breaking, budgets and graceful degradation.
 
 :class:`ResilientClient` is the policy engine between WebIQ's components
-and the (possibly flaky) Web substrates:
+and the Web substrates, whose calls its fault profile makes fail:
 
 - **retry with exponential backoff + jitter** (:class:`RetryPolicy`) for
   the recoverable :class:`~repro.util.errors.WebAccessError` family, with
@@ -22,7 +22,10 @@ under ``<component>_retry`` accounts, keeping Figure 8's overhead model
 honest about what resilience costs.
 
 :class:`ResilientSearchEngine` and :class:`ResilientDeepWebSource` are the
-drop-in proxies components talk to. When a call is abandoned — retries
+drop-in proxies components talk to, one per substrate. Each draws the fate
+of every attempt from the client's :class:`~repro.resilience.faults.FaultProfile`
+inside the retry loop, so injection and retry are one layer over the raw
+substrate. When a call is abandoned — retries
 exhausted, breaker open, or budget spent — they degrade instead of raising:
 empty search results, zero hit counts, or an "unavailable" error page that
 the §4 response heuristics classify as a failed probe. The pipeline
@@ -31,6 +34,7 @@ therefore never crashes; it yields partial results and reports the damage.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -57,7 +61,12 @@ from repro.util.errors import (
 from repro.util.rng import derive_rng
 
 from repro.resilience.context import current_unit
-from repro.resilience.faults import FaultKind, FaultProfile
+from repro.resilience.faults import (
+    FaultKind,
+    FaultProfile,
+    error_for_fault,
+    garble_text,
+)
 
 __all__ = [
     "RetryPolicy",
@@ -233,8 +242,9 @@ class DegradationReport:
     attributes).
     """
 
-    #: fault kind value -> injections (e.g. ``{"timeout": 12}``); fed by the
-    #: flaky wrappers' ``on_fault`` hook, so silent ``garbled`` faults count
+    #: fault kind value -> injections (e.g. ``{"timeout": 12}``); counted
+    #: by the proxies as each attempt's fate is drawn, so silent
+    #: ``garbled`` faults count
     faults_by_kind: Dict[str, int] = field(default_factory=dict)
     #: component -> raised faults observed while it was active
     faults_by_component: Dict[str, int] = field(default_factory=dict)
@@ -381,10 +391,9 @@ class ResilientClient:
         #: backoff delays computed so far (an accounting counter; per-unit
         #: streams need no fast-forward on resume)
         self.backoff_draws = 0
-        #: per-thread mutable call state (active component, in-flight
-        #: attempt index). Thread-local so concurrent callers — e.g. the
-        #: service's tenants sharing one client — cannot race each
-        #: other's ambient state.
+        #: per-thread mutable call state (the active component).
+        #: Thread-local so concurrent callers — e.g. the service's tenants
+        #: sharing one client — cannot race each other's ambient state.
         self._local = threading.local()
         #: optional :class:`~repro.obs.Observability` bundle; when attached,
         #: every retry-loop decision is traced and counted. Strictly
@@ -406,21 +415,6 @@ class ResilientClient:
     def active_component(self) -> str:
         return getattr(self._local, "component", None) or DEFAULT_COMPONENT
 
-    @property
-    def current_attempt(self) -> int:
-        """0-based attempt index of this *thread's* in-flight :meth:`call`.
-
-        Flaky wrappers read it (via ``attempt_provider``) to key
-        per-attempt fault fates, so a retry re-rolls where a re-issue
-        replays. Thread-local: one caller's retry loop must never leak its
-        attempt index into the fault fates another thread is rolling.
-        """
-        return getattr(self._local, "attempt", 0)
-
-    @current_attempt.setter
-    def current_attempt(self, value: int) -> None:
-        self._local.attempt = value
-
     def budget_exhausted(self, component: str) -> bool:
         budget = self._budgets.get(component)
         return budget is not None and budget.exhausted
@@ -435,10 +429,6 @@ class ResilientClient:
     def skip_attribute(self, interface_id: str, attribute: str) -> None:
         """Record that an attribute was skipped outright (budget gone)."""
         self.report.attributes_skipped.append((interface_id, attribute))
-
-    def note_injected_fault(self, kind: FaultKind) -> None:
-        """Hook for the flaky wrappers' ``on_fault`` callback."""
-        self._bump(self.report.faults_by_kind, kind.value)
 
     # --------------------------------------------------- checkpoint support
     def state_payload(self) -> Dict[str, object]:
@@ -523,7 +513,7 @@ class ResilientClient:
         fn: Callable[[], T],
         source_id: Optional[str] = None,
     ) -> T:
-        """Run ``fn`` under retry/breaker/budget policy.
+        """Run ``fn`` under retry/breaker/budget policy, once per attempt.
 
         Raises :class:`CircuitOpenError` when the source's breaker rejects
         the call, :class:`BudgetExhaustedError` when the component's budget
@@ -554,7 +544,6 @@ class ResilientClient:
             if budget is not None:
                 budget.charge()
                 self._bump(self.report.budget_spent_by_component, component)
-            self.current_attempt = attempt
             try:
                 result = fn()
             except WebAccessError as exc:
@@ -626,42 +615,54 @@ class ResilientClient:
         counter[key] = counter.get(key, 0) + 1
 
 
-class ResilientSearchEngine:
-    """Search-engine proxy that retries faults and degrades to emptiness.
+def _raises(client: ResilientClient, kind: FaultKind) -> bool:
+    """Count an injected fault in the report; does it raise? (Every kind
+    but ``garbled`` does: a garbled answer comes back truncated instead.)"""
+    client._bump(client.report.faults_by_kind, kind.value)
+    return kind is not FaultKind.GARBLED
 
-    Wraps any engine-shaped object (typically a
-    :class:`~repro.resilience.faults.FlakySearchEngine`). Calls the client
-    cannot complete come back as the harmless neutral element of each
-    query type — no results, zero hits — so Surface and Attr-Surface
-    simply see an unhelpful Web rather than an exception.
+
+def _no_hits(hits: int) -> int:
+    """A truncated hit-count page reads as "no evidence", not garbage."""
+    return 0
+
+
+class ResilientSearchEngine:
+    """Search-engine proxy: injects faults, retries them, degrades to emptiness.
+
+    Wraps the raw :class:`~repro.surfaceweb.engine.SearchEngine`. Each
+    attempt's fate comes from :meth:`FaultProfile.call_fate`, keyed by the
+    call's content and the attempt's index within its retry loop, so a
+    retry re-rolls the fate while repeating the call later replays it.
+    Calls the client cannot complete come back as the harmless neutral
+    element of each query type — no results, zero hits — so Surface and
+    Attr-Surface simply see an unhelpful Web rather than an exception.
     """
 
     def __init__(self, inner, client: ResilientClient) -> None:
         self.inner = inner
         self.client = client
+        self.profile = client.config.profile
 
     @property
     def query_count(self) -> int:
         return self.inner.query_count
 
-    def reset_query_count(self) -> None:
-        self.inner.reset_query_count()
-
-    @property
-    def n_documents(self) -> int:
-        return self.inner.n_documents
-
     def search(self, query: str, max_results: int = 10) -> List[SearchResult]:
-        try:
-            return self.client.call(lambda: self.inner.search(query, max_results))
-        except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
-            return []
+        return self._call(
+            "search", lambda: self.inner.search(query, max_results),
+            lambda results: [
+                SearchResult(r.doc_id, r.url, r.title, garble_text(r.snippet))
+                for r in results
+            ],
+            [], query, max_results,
+        )
 
     def num_hits(self, query: str) -> int:
-        try:
-            return self.client.call(lambda: self.inner.num_hits(query))
-        except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
-            return 0
+        return self._call(
+            "num_hits", lambda: self.inner.num_hits(query), _no_hits, 0,
+            query,
+        )
 
     def num_hits_proximity(
         self,
@@ -669,12 +670,28 @@ class ResilientSearchEngine:
         phrase_b: str,
         window: int = DEFAULT_PROXIMITY_WINDOW,
     ) -> int:
+        return self._call(
+            "num_hits_proximity",
+            lambda: self.inner.num_hits_proximity(phrase_a, phrase_b, window),
+            _no_hits, 0, phrase_a, phrase_b, window,
+        )
+
+    def _call(self, method: str, fetch: Callable[[], T],
+              garble: Callable[[T], T], neutral: T, *call_key: object) -> T:
+        attempts = itertools.count()
+
+        def attempt() -> T:
+            kind = self.profile.call_fate(method, next(attempts), *call_key)
+            if kind is not None and _raises(self.client, kind):
+                self.inner.query_count += 1  # the failed round trip happened
+                raise error_for_fault(kind, f"search engine {method}")
+            answer = fetch()
+            return answer if kind is None else garble(answer)
+
         try:
-            return self.client.call(
-                lambda: self.inner.num_hits_proximity(phrase_a, phrase_b, window)
-            )
+            return self.client.call(attempt)
         except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
-            return 0
+            return neutral
 
 
 #: The page a resilient source serves when a probe is abandoned. Contains
@@ -688,16 +705,28 @@ _UNAVAILABLE_TEXT = (
 
 
 class ResilientDeepWebSource:
-    """Deep-Web source proxy: retries, per-source breaker, degrade-to-page.
+    """Deep-Web source proxy: injects faults, retries them behind a
+    per-source breaker, degrades to a page.
 
-    Abandoned probes return a synthetic "service unavailable" page instead
-    of raising, mirroring how a browser user experiences a dead source —
-    they still get *a* page, just not a useful one.
+    Each source draws its fates from its own sequential stream per
+    checkpoint unit (see :mod:`repro.resilience.faults`), so probing order
+    across sources does not couple their failures. Garbled responses
+    return a truncated page — the §4 response heuristics must then make
+    sense of half a results page. Abandoned probes return a synthetic
+    "service unavailable" page instead of raising, mirroring how a browser
+    user experiences a dead source — they still get *a* page, just not a
+    useful one.
     """
 
     def __init__(self, inner, client: ResilientClient) -> None:
         self.inner = inner
         self.client = client
+        self.profile = client.config.profile
+        #: per-unit sequential fate streams: each starts at position 0
+        #: when its unit first probes this source, making fates a pure
+        #: function of ``(seed, source, unit, draw index)``. Calls outside
+        #: any unit share the stream keyed ``()``.
+        self._unit_rngs: Dict[Tuple[str, ...], Any] = {}
 
     @property
     def interface(self):
@@ -711,23 +740,36 @@ class ResilientDeepWebSource:
     def probe_count(self) -> int:
         return self.inner.probe_count
 
-    @probe_count.setter
-    def probe_count(self, value: int) -> None:
-        self.inner.probe_count = value
-
-    @property
-    def breaker(self) -> CircuitBreaker:
-        return self.client.breaker_for(self.interface_id)
-
-    def recognizes(self, attribute_name: str, value: str) -> bool:
-        return self.inner.recognizes(attribute_name, value)
-
     def submit(self, values: Mapping[str, str]) -> ResponsePage:
+        def attempt() -> ResponsePage:
+            kind = self.profile.draw(self._fate_rng())
+            if kind is not None and _raises(self.client, kind):
+                self.inner.probe_count += 1  # the failed submission counts
+                raise error_for_fault(
+                    kind, f"source {self.interface_id} submit"
+                )
+            page = self.inner.submit(values)
+            if kind is None:
+                return page
+            return ResponsePage(page.url, garble_text(page.text))
+
         try:
-            return self.client.call(
-                lambda: self.inner.submit(values), source_id=self.interface_id
-            )
+            return self.client.call(attempt, source_id=self.interface_id)
         except (WebAccessError, CircuitOpenError, BudgetExhaustedError):
             return ResponsePage(
                 f"deep://{self.interface_id}/unavailable", _UNAVAILABLE_TEXT
             )
+
+    def _fate_rng(self):
+        """This unit's fate stream, derived from its unit key on first
+        use: per-unit inside a unit scope, one sequential per-source
+        stream outside any."""
+        unit = current_unit() or ()
+        rng = self._unit_rngs.get(unit)
+        if rng is None:
+            rng = derive_rng(
+                self.profile.seed, "faults", "source", self.interface_id,
+                *unit,
+            )
+            self._unit_rngs[unit] = rng
+        return rng

@@ -9,6 +9,13 @@ Figure 7 ladder (the baseline is also Figure 6's IceQ column), and
 ``webiq+threshold`` is Figure 6 at the paper's second threshold τ = 0.1;
 all four come from :data:`repro.experiments._CONFIGS`, so the sealed runs
 are the ones the experiment tables print.
+The ``faults`` configurations run the default WebIQ against a Web whose
+calls fail at rate 0.1: ``faults`` seals every fault fate, retry and
+backoff second of the degradation report; ``faults+observed`` adds the
+trace, so the order of each ``fault`` and ``retry`` event against its
+``web_call`` is sealed too; ``faults+budget`` caps the Surface phase's
+round trips low enough that every domain exhausts the budget, so the
+calls refused after it degrade to neutral answers in the sealed export.
 Table 1's columns 2–5 are no part of any export; their rows are pinned
 exactly in :data:`TABLE1_CHARACTERISTICS`, next to the digests.
 A change that moves a digest or a row on purpose must say so and re-seal
@@ -25,9 +32,14 @@ from repro.datasets import DOMAINS, build_domain_dataset
 from repro.experiments import _CONFIGS, ExperimentSuite
 from repro.io import run_result_to_dict
 from repro.obs import ObsConfig
+from repro.resilience import FaultProfile, ResilienceConfig
 
 N_INTERFACES = 20
 DATASET_SEED = 1
+
+FAULTS = ResilienceConfig(profile=FaultProfile(fault_rate=0.1, seed=1))
+#: below every domain's Surface spend under FAULTS (669 to 1,195 round trips)
+SURFACE_BUDGET = 400
 
 CONFIGS = {
     "default": WebIQConfig,
@@ -36,6 +48,11 @@ CONFIGS = {
     "surface": lambda: _CONFIGS["surface"],
     "surface+deep": lambda: _CONFIGS["surface+deep"],
     "webiq+threshold": lambda: _CONFIGS["webiq+threshold"],
+    "faults": lambda: WebIQConfig(resilience=FAULTS),
+    "faults+observed": lambda: WebIQConfig(resilience=FAULTS,
+                                           obs=ObsConfig()),
+    "faults+budget": lambda: WebIQConfig(resilience=ResilienceConfig(
+        profile=FAULTS.profile, surface_query_budget=SURFACE_BUDGET)),
 }
 
 GOLDEN = {
@@ -99,6 +116,36 @@ GOLDEN = {
         "c280e6ddf8133a6ae13875288d0225b3ffeb106991e3be1976c18b721e8dbc03",
     ("webiq+threshold", "realestate"):
         "24b4262f86061d5d37cc8c1cefc67dd487a7e2197415f89e55a154ac589bef4e",
+    ("faults", "airfare"):
+        "80d03335a1486f4a520d607433bbba290bcb354cafaa3b2c337fd634b564092d",
+    ("faults", "auto"):
+        "bb540c43eb04e9967fceb5f2ae3af21f80513f7e55f1e5a09d4839a7e19a76e2",
+    ("faults", "book"):
+        "53bb5d0e287b764adc7b3c134edc1a5ef79b790072c479d5a3fce3ea3b3df3d0",
+    ("faults", "job"):
+        "77064d2fd53d0e9294227384652925ca383e9036aeb5a605b74fbdccc4117221",
+    ("faults", "realestate"):
+        "b5c0b905095ac8678aa8975eb5ec6ad5aafb02b517bb2db0cf15bc753c657800",
+    ("faults+observed", "airfare"):
+        "30e79e0cf34343376ed0682e82f522e9b2d2f5932f937f2bc4b598f98dc5764c",
+    ("faults+observed", "auto"):
+        "4b317f7d2df09ac213c47d7dcb210fdbc407883f18a26f1bf82fa85a12ef8f01",
+    ("faults+observed", "book"):
+        "790172c159516b567325188c01a09e33470d55eca30883a2f2171695a4f6a2ef",
+    ("faults+observed", "job"):
+        "a5f6af80ce1b5100f75f9ba1c3a1bfa43f312a3a8771ead43edc9667e38acf37",
+    ("faults+observed", "realestate"):
+        "dad797993ecbd5bd241d1231d6d6ad40544e2673eac8ccc84435edcb6672d5b2",
+    ("faults+budget", "airfare"):
+        "bb33ab90fb3177e7fd4d14dc14f923e11357d33f4bc91475635efe069f35f21f",
+    ("faults+budget", "auto"):
+        "31183bdc0e2a87b2d73154a543fb5b29bafd57e4cb80a9014ebf632f2e4dd42c",
+    ("faults+budget", "book"):
+        "f84063c8f3a25c75a5eb0b7ea0d212aa12bd0422c17b793e0dcc536bf4893461",
+    ("faults+budget", "job"):
+        "167af1d2df9a39e5bf641d8b10ec8bec3d73af2bf9eaf37bd6a0ac2c35532b86",
+    ("faults+budget", "realestate"):
+        "b1cbaa350af6d681d8a3995d2406a0ecc278cd39c9b149503330f7a4d7c1c00d",
 }
 
 #: Table 1 columns 2-5 as ``ExperimentSuite.table1_characteristics``
@@ -112,10 +159,13 @@ TABLE1_CHARACTERISTICS = [
 ]
 
 
+def export(config: WebIQConfig, domain: str) -> dict:
+    return run_result_to_dict(WebIQMatcher(config).run(
+        build_domain_dataset(domain, N_INTERFACES, DATASET_SEED)))
+
+
 def export_digest(config: WebIQConfig, domain: str) -> str:
-    run = WebIQMatcher(config).run(
-        build_domain_dataset(domain, N_INTERFACES, DATASET_SEED))
-    blob = json.dumps(run_result_to_dict(run), sort_keys=True,
+    blob = json.dumps(export(config, domain), sort_keys=True,
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -132,6 +182,14 @@ def test_every_domain_is_sealed():
 @pytest.mark.parametrize("name, domain", sorted(GOLDEN))
 def test_export_matches_sealed_digest(name, domain):
     assert export_digest(CONFIGS[name](), domain) == GOLDEN[name, domain]
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+def test_budget_config_exhausts_in_every_domain(domain):
+    degradation = export(CONFIGS["faults+budget"](), domain)["degradation"]
+    assert degradation["budgets_exhausted"] == ["surface"]
+    assert degradation["budget_spent_by_component"]["surface"] \
+        == SURFACE_BUDGET
 
 
 def test_table1_characteristics_are_sealed():

@@ -29,12 +29,16 @@ STUB = """\
 import json, pathlib, sys
 here = pathlib.Path(__file__).resolve().parent.parent
 log = here.parent / "order.log"
+# the first run of each pair (an even count of runs before it) runs at
+# ``first`` times its throughput: a host that favours one position
+runs = len(log.read_text().split()) if log.exists() else 0
 with open(log, "a") as handle:
     handle.write(here.name + "\\n")
+value = {value} * ({first} if runs % 2 == 0 else 1.0)
 print("noise line")
 print(json.dumps({{"correct": {correct}, "attempted": 5, "failed": 0,
                   "metrics": {{"interfaces_per_kref":
-                               {{"value": {value}, "unit": "1/kref"}},
+                               {{"value": value, "unit": "1/kref"}},
                                "peak_rss_mb":
                                {{"value": {rss}, "unit": "MB"}},
                                "op_p50_ref":
@@ -43,11 +47,11 @@ print(json.dumps({{"correct": {correct}, "attempted": 5, "failed": 0,
 
 
 def make_tree(root, name, value, correct=True, bound=None, rss=40.0,
-              rss_bound=None, p50=600.0, p50_bound=None):
+              rss_bound=None, p50=600.0, p50_bound=None, first=1.0):
     tree = root / name
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(
-        STUB.format(value=value, rss=rss, p50=p50,
+        STUB.format(value=value, rss=rss, p50=p50, first=first,
                     correct="True" if correct else "False"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     overrides = {"interfaces_per_kref": bound, "peak_rss_mb": rss_bound,
@@ -289,3 +293,40 @@ class TestGainReport:
         assert "candidate won 10 of 10 pairs" in out
         assert "median gap 1.000 > base interquartile spread 2.000): " \
             "does not hold" in out
+
+
+class TestOrderReport:
+    """The median ratio of base-first and of candidate-first pairs, and
+    the warning an odd pair count draws. Neither changes the exit code."""
+
+    def test_order_medians_expose_a_first_run_bias(self, tmp_path, capsys,
+                                                   as_candidate):
+        # equal trees on a host where the first run of a pair is 10% slower
+        base = make_tree(tmp_path, "base", 40.0, first=0.9)
+        as_candidate(make_tree(tmp_path, "same", 40.0, first=0.9))
+        assert perf_ab.main(["--base", str(base), "--workload",
+                             "figure6-batch", "--pairs", "4"]) == 0
+        captured = capsys.readouterr()
+        assert "figure6-batch interfaces_per_kref ratio by order: " \
+            "base-first median 1.111 over 2 pairs; candidate-first " \
+            "median 0.900 over 2 pairs" in captured.out
+        assert "figure6-batch peak_rss_mb ratio by order: base-first " \
+            "median 1.000 over 2 pairs; candidate-first median 1.000 " \
+            "over 2 pairs" in captured.out
+        assert "warning" not in captured.err
+
+    def test_odd_pairs_warn_and_keep_the_exit_code(self, tmp_path, capsys,
+                                                   as_candidate):
+        base = make_tree(tmp_path, "base", 40.0)
+        as_candidate(make_tree(tmp_path, "fast", 44.0))
+        args = ["--base", str(base), "--workload", "figure6-batch"]
+        assert perf_ab.main(args + ["--pairs", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "warning: --pairs 1 is odd" in captured.err
+        assert "candidate-first median none (0 pairs)" in captured.out
+        as_candidate(make_tree(tmp_path, "slow", 20.0))
+        assert perf_ab.main(args + ["--pairs", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "warning: --pairs 3 is odd" in captured.err
+        assert "base-first median 0.500 over 2 pairs; candidate-first " \
+            "median 0.500 over 1 pairs" in captured.out

@@ -22,7 +22,6 @@ from repro.perf import (
 )
 from repro.resilience import (
     FaultProfile,
-    FlakySearchEngine,
     ResilienceConfig,
     ResilientClient,
     ResilientSearchEngine,
@@ -169,18 +168,15 @@ class TestValidationCache:
                                garbled_weight=0.0)
         client = ResilientClient(ResilienceConfig(
             profile=profile, retry=_no_retry(), breaker=_no_breaker()))
-        flaky = FlakySearchEngine(
-            make_engine(), profile,
-            attempt_provider=lambda: client.current_attempt)
+        engine = ResilientSearchEngine(make_engine(), client)
         memo = ValidationCache()
-        validator = WebValidator(ResilientSearchEngine(flaky, client),
-                                 cache=memo)
+        validator = WebValidator(engine, cache=memo)
 
         assert validator.marginal_hits("boston") == 0
         assert sum(client.report.giveups_by_component.values()) == 1
-        spent = flaky.query_count
+        spent = engine.query_count
         assert validator.marginal_hits("boston") == 0
-        assert flaky.query_count == spent
+        assert engine.query_count == spent
         assert memo.marginal_hits == {"boston": 0}
         assert (memo.stats.hits, memo.stats.misses) == (1, 1)
 
@@ -190,13 +186,15 @@ class TestValidationCache:
         profile = FaultProfile(fault_rate=1.0, timeout_weight=0.0,
                                transient_weight=0.0, rate_limit_weight=0.0,
                                garbled_weight=1.0)
-        flaky = FlakySearchEngine(make_engine(), profile)
+        client = ResilientClient(ResilienceConfig(profile=profile))
+        engine = ResilientSearchEngine(make_engine(), client)
         memo = ValidationCache()
-        validator = WebValidator(flaky, cache=memo)
+        validator = WebValidator(engine, cache=memo)
 
         assert validator.marginal_hits("boston") == 0
         assert validator.marginal_hits("boston") == 0
-        assert flaky.query_count == 1
+        assert engine.query_count == 1
+        assert client.report.faults_by_kind == {"garbled": 1}
         assert memo.marginal_hits == {"boston": 0}
         assert (memo.stats.hits, memo.stats.misses) == (1, 1)
 

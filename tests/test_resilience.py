@@ -6,8 +6,6 @@ pass-through; and everything — fault streams, backoff schedules, breaker
 trips — is deterministic in the profile seed.
 """
 
-import threading
-
 import pytest
 
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
@@ -20,8 +18,6 @@ from repro.resilience import (
     CircuitBreaker,
     FaultKind,
     FaultProfile,
-    FlakyDeepWebSource,
-    FlakySearchEngine,
     ResilienceConfig,
     ResilientClient,
     ResilientDeepWebSource,
@@ -63,6 +59,36 @@ def make_source():
 
 TIMEOUTS_ONLY = dict(transient_weight=0, rate_limit_weight=0, garbled_weight=0)
 GARBLED_ONLY = dict(timeout_weight=0, transient_weight=0, rate_limit_weight=0)
+
+
+def make_client(profile, max_attempts=1):
+    """A client that gives up after ``max_attempts`` and never trips a
+    breaker, so every call draws exactly its attempts' fates."""
+    return ResilientClient(ResilienceConfig(
+        profile=profile, retry=RetryPolicy(max_attempts=max_attempts),
+        breaker=BreakerPolicy(failure_threshold=10_000)))
+
+
+def resilient_engine(profile, max_attempts=1):
+    client = make_client(profile, max_attempts)
+    return ResilientSearchEngine(make_engine(), client), client
+
+
+def resilient_source(profile, client=None, interface_id="air-1"):
+    inner = make_source()
+    inner.interface.interface_id = interface_id
+    return ResilientDeepWebSource(inner, client or make_client(profile))
+
+
+def fate_of(client, call):
+    """The fault kind value the single attempt of ``call()`` drew, read
+    off the report (``None`` when the attempt was healthy)."""
+    before = dict(client.report.faults_by_kind)
+    call()
+    moved = [kind for kind, count in client.report.faults_by_kind.items()
+             if count != before.get(kind, 0)]
+    assert len(moved) <= 1
+    return moved[0] if moved else None
 
 
 class TestErrorHierarchy:
@@ -119,25 +145,32 @@ class TestFaultProfile:
 
 
 class TestFlakySearchEngine:
+    """Fault injection on the Surface Web: the resilient engine proxy
+    draws each attempt's fate itself."""
+
     def test_zero_rate_is_pass_through(self):
-        inner, pristine = make_engine(), make_engine()
-        flaky = FlakySearchEngine(inner, FaultProfile(fault_rate=0.0))
-        assert flaky.search('"such as"') == pristine.search('"such as"')
-        assert flaky.num_hits("boston") == pristine.num_hits("boston")
-        assert flaky.query_count == pristine.query_count
+        engine, client = resilient_engine(FaultProfile(fault_rate=0.0))
+        pristine = make_engine()
+        assert engine.search('"such as"') == pristine.search('"such as"')
+        assert engine.num_hits("boston") == pristine.num_hits("boston")
+        assert engine.query_count == pristine.query_count
+        assert client.report.empty
 
     def test_raising_faults_charge_the_round_trip(self):
-        flaky = FlakySearchEngine(
-            make_engine(), FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
-        with pytest.raises(WebTimeoutError):
-            flaky.search("boston")
-        assert flaky.query_count == 1  # the failed round trip still counts
+        profile = FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY)
+        engine, client = resilient_engine(profile)
+        assert engine.search("boston") == []
+        assert engine.query_count == 1  # the failed round trip still counts
+        assert client.report.faults_by_kind == {"timeout": 1}
+        engine, client = resilient_engine(profile, max_attempts=3)
+        assert engine.num_hits("boston") == 0
+        assert engine.query_count == 3  # and so does every retried one
+        assert client.report.faults_by_kind == {"timeout": 3}
 
     def test_garbled_truncates_snippets(self):
-        inner = make_engine()
-        flaky = FlakySearchEngine(
-            inner, FaultProfile(fault_rate=1.0, **GARBLED_ONLY))
-        results = flaky.search('"such as"')
+        engine, _ = resilient_engine(
+            FaultProfile(fault_rate=1.0, **GARBLED_ONLY))
+        results = engine.search('"such as"')
         clean = make_engine().search('"such as"')
         assert len(results) == len(clean)
         for garbled, ok in zip(results, clean):
@@ -145,109 +178,106 @@ class TestFlakySearchEngine:
             assert ok.snippet.startswith(garbled.snippet)
 
     def test_garbled_hit_counts_read_as_zero(self):
-        flaky = FlakySearchEngine(
-            make_engine(), FaultProfile(fault_rate=1.0, **GARBLED_ONLY))
-        assert flaky.num_hits("boston") == 0
-        assert flaky.num_hits_proximity("cities", "boston") == 0
-        assert flaky.query_count == 2
+        engine, client = resilient_engine(
+            FaultProfile(fault_rate=1.0, **GARBLED_ONLY))
+        assert engine.num_hits("boston") == 0
+        assert engine.num_hits_proximity("cities", "boston") == 0
+        assert engine.query_count == 2
+        assert client.report.faults_by_kind == {"garbled": 2}
+        assert client.report.total_retries == 0  # garbled calls succeed
 
-    def test_on_fault_hook_sees_every_kind(self):
+    def test_report_sees_every_kind(self):
         # Fates are keyed by call content, so a repeated identical call
         # replays one fate forever; distinct queries sample the fate space.
-        seen = []
-        flaky = FlakySearchEngine(
-            make_engine(), FaultProfile(fault_rate=1.0),
-            on_fault=seen.append)
+        engine, client = resilient_engine(FaultProfile(fault_rate=1.0))
         for i in range(60):
-            try:
-                flaky.num_hits(f"boston {i}")
-            except WebAccessError:
-                pass
-        assert set(seen) == set(FaultKind)
+            engine.num_hits(f"boston {i}")
+        assert set(client.report.faults_by_kind) \
+            == {kind.value for kind in FaultKind}
+        assert client.report.total_faults == 60
 
     def test_fate_is_pure_function_of_call_content(self):
         # The same query drawn twice — even with other traffic interleaved —
         # meets the same fate; this is what makes caching sound under faults.
         def fates(queries):
-            flaky = FlakySearchEngine(
-                make_engine(), FaultProfile(fault_rate=0.5, seed=7))
-            out = {}
-            for q in queries:
-                try:
-                    flaky.num_hits(q)
-                    out[q] = "ok"
-                except WebAccessError as exc:
-                    out[q] = type(exc).__name__
-            return out
+            engine, client = resilient_engine(
+                FaultProfile(fault_rate=0.5, seed=7))
+            return {q: fate_of(client, lambda: engine.num_hits(q))
+                    for q in queries}
 
         first = fates(["boston", "chicago", "dallas"])
         shuffled = fates(["dallas", "extra query", "boston", "chicago"])
+        assert set(first.values()) - {None}
         for query, fate in first.items():
             assert shuffled[query] == fate
 
     def test_retry_attempt_rerolls_fate(self):
-        attempt = {"n": 0}
-        flaky = FlakySearchEngine(
-            make_engine(), FaultProfile(fault_rate=0.5, seed=3),
-            attempt_provider=lambda: attempt["n"])
-
-        def fate(query):
-            try:
-                flaky.num_hits(query)
-                return "ok"
-            except WebAccessError as exc:
-                return type(exc).__name__
-
-        per_attempt = []
-        for n in range(40):
-            attempt["n"] = n
-            per_attempt.append(fate("boston"))
+        profile = FaultProfile(fault_rate=0.5, seed=3)
+        per_attempt = [profile.call_fate("num_hits", n, "boston")
+                       for n in range(40)]
         # Re-rolling across attempts explores different fates...
         assert len(set(per_attempt)) > 1
-        # ...while the same (query, attempt) pair always replays its own.
-        attempt["n"] = 0
-        assert fate("boston") == per_attempt[0]
+        # ...while the same (call, attempt) pair always replays its own,
+        assert profile.call_fate("num_hits", 0, "boston") == per_attempt[0]
+        # keyed by the method and arguments too.
+        assert [profile.call_fate("search", n, "boston")
+                for n in range(40)] != per_attempt
+
+    def test_retry_rerolls_the_fate_and_a_repeat_replays_it(self):
+        profile = FaultProfile(fault_rate=0.5, seed=3)
+        # "dallas" rate-limits on attempts 0 and 1 and is answered on 2
+        fates = [profile.call_fate("num_hits", n, "dallas") for n in range(3)]
+        assert fates == [FaultKind.RATE_LIMIT, FaultKind.RATE_LIMIT, None]
+        engine, client = resilient_engine(profile, max_attempts=10)
+        hits = make_engine().num_hits("dallas")
+        for calls in (1, 2):  # the repeat walks the same three attempts
+            assert engine.num_hits("dallas") == hits
+            assert engine.query_count == 3 * calls
+            assert client.report.faults_by_kind == {"rate_limit": 2 * calls}
+            assert client.report.total_retries == 2 * calls
+        # one attempt only: the first fate stands and the call gives up
+        engine, client = resilient_engine(profile, max_attempts=1)
+        assert engine.num_hits("dallas") == 0
+        assert client.report.giveups_by_component == {"web": 1}
 
 
 class TestFlakyDeepWebSource:
+    """Fault injection on the Deep Web, drawn by the source proxy."""
+
     def test_raising_faults_charge_the_probe(self):
-        flaky = FlakyDeepWebSource(
-            make_source(), FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
-        with pytest.raises(WebTimeoutError):
-            flaky.submit({"from": "Boston"})
-        assert flaky.probe_count == 1
+        source = resilient_source(FaultProfile(fault_rate=1.0,
+                                               **TIMEOUTS_ONLY))
+        page = source.submit({"from": "Boston"})
+        assert "unavailable" in page.url
+        assert source.probe_count == 1
+        assert source.client.report.faults_by_kind == {"timeout": 1}
 
     def test_garbled_page_is_a_truncated_real_page(self):
-        flaky = FlakyDeepWebSource(
-            make_source(), FaultProfile(fault_rate=1.0, **GARBLED_ONLY))
+        source = resilient_source(FaultProfile(fault_rate=1.0,
+                                               **GARBLED_ONLY))
         clean = make_source().submit({"from": "Boston"})
-        page = flaky.submit({"from": "Boston"})
+        page = source.submit({"from": "Boston"})
         assert clean.text.startswith(page.text)
         assert len(page.text) < len(clean.text)
+        assert source.probe_count == 1
 
     def test_sources_have_independent_fault_streams(self):
         profile = FaultProfile(fault_rate=0.5, seed=3, **TIMEOUTS_ONLY)
         outcomes = {}
         for make_noise in (0, 5):
-            flaky_a = FlakyDeepWebSource(make_source(), profile)
-            # interleave traffic to a second source; A's fate must not move
-            other = make_source()
-            other.interface.interface_id = "air-2"
-            flaky_b = FlakyDeepWebSource(other, profile)
+            client = make_client(profile)
+            source_a = resilient_source(profile, client)
+            # interleave traffic to a second source on the same client;
+            # A's fate must not move
+            source_b = resilient_source(profile, client, "air-2")
             for _ in range(make_noise):
-                try:
-                    flaky_b.submit({"from": "Boston"})
-                except WebAccessError:
-                    pass
-            fates = []
-            for _ in range(20):
-                try:
-                    flaky_a.submit({"from": "Boston"})
-                    fates.append("ok")
-                except WebAccessError:
-                    fates.append("fault")
-            outcomes[make_noise] = fates
+                source_b.submit({"from": "Boston"})
+            outcomes[make_noise] = [
+                "unavailable" in source_a.submit({"from": "Boston"}).url
+                for _ in range(20)
+            ]
         assert outcomes[0] == outcomes[5]
+        assert len(set(outcomes[0])) == 2
 
 
 UNIT = ("attr_deep", "air-1", "from")
@@ -271,16 +301,13 @@ def jitter_in_unit(client, unit, retries=6):
     return client.report.backoff_seconds_by_component[component]
 
 
-def fates_in_unit(flaky, unit, n=20):
-    fates = []
+def submit_fate(source):
+    return fate_of(source.client, lambda: source.submit({"from": "Boston"}))
+
+
+def fates_in_unit(source, unit, n=20):
     with unit_scope(unit):
-        for _ in range(n):
-            try:
-                flaky.submit({"from": "Boston"})
-                fates.append("ok")
-            except WebAccessError as exc:
-                fates.append(type(exc).__name__)
-    return fates
+        return [submit_fate(source) for _ in range(n)]
 
 
 class TestPerUnitStreams:
@@ -305,38 +332,26 @@ class TestPerUnitStreams:
 
     def test_source_fault_fates_ignore_earlier_units(self):
         profile = FaultProfile(fault_rate=0.5, seed=3)
-        alone = fates_in_unit(FlakyDeepWebSource(make_source(), profile),
-                              UNIT)
-        assert "ok" in alone and len(set(alone)) > 1
+        alone = fates_in_unit(resilient_source(profile), UNIT)
+        assert None in alone and len(set(alone)) > 1
         for order in (OTHER_UNITS, OTHER_UNITS[::-1]):
-            flaky = FlakyDeepWebSource(make_source(), profile)
+            source = resilient_source(profile)
             for other in order:
-                fates_in_unit(flaky, other, n=7)
+                fates_in_unit(source, other, n=7)
             for _ in range(3):  # the stream outside any unit
-                try:
-                    flaky.submit({"from": "Boston"})
-                except WebAccessError:
-                    pass
-            assert fates_in_unit(flaky, UNIT) == alone
-        assert fates_in_unit(FlakyDeepWebSource(make_source(), profile),
+                submit_fate(source)
+            assert fates_in_unit(source, UNIT) == alone
+        assert fates_in_unit(resilient_source(profile),
                              OTHER_UNITS[0]) != alone
 
     def test_outside_any_unit_fates_follow_the_source_stream(self):
-        # what direct substrate use (the ``discover`` command) draws
+        # what a source proxy used outside any unit scope draws
         profile = FaultProfile(fault_rate=0.5, seed=3)
-        seen = []
-        flaky = FlakyDeepWebSource(make_source(), profile,
-                                   on_fault=seen.append)
-        fates = []
-        for _ in range(20):
-            before = len(seen)
-            try:
-                flaky.submit({"from": "Boston"})
-            except WebAccessError:
-                pass
-            fates.append(seen[-1] if len(seen) > before else None)
+        source = resilient_source(profile)
+        fates = [submit_fate(source) for _ in range(20)]
         stream = derive_rng(3, "faults", "source", "air-1")
-        assert fates == [profile.draw(stream) for _ in range(20)]
+        expected = [profile.draw(stream) for _ in range(20)]
+        assert fates == [kind and kind.value for kind in expected]
         assert None in fates and len(set(fates)) > 2
 
     def test_outside_any_unit_jitter_follows_the_backoff_stream(self):
@@ -538,74 +553,26 @@ class TestResilientClient:
 
         assert run_once() == run_once()
 
-    def test_current_attempt_is_per_thread(self):
-        """A concurrent call must not clobber another thread's attempt.
-
-        Regression test for an order-dependence bug: ``current_attempt``
-        was a plain instance attribute, so another thread's fresh
-        ``call`` (attempt 0) reset the attempt index this thread's retry
-        loop was mid-way through — re-keying its fault fates from
-        re-roll back to replay. Thread A retries into attempt 1, then
-        parks while thread B completes a call on the *same* client; A
-        must still see its own attempt index afterwards.
-        """
-        client = ResilientClient(
-            ResilienceConfig(retry=RetryPolicy(max_attempts=3)))
-        a_retrying = threading.Event()
-        b_done = threading.Event()
-        seen = {}
-
-        def fn_a():
-            if client.current_attempt == 0:
-                raise TransientWebError("first attempt fails")
-            a_retrying.set()
-            assert b_done.wait(5.0), "thread B never completed"
-            seen["a"] = client.current_attempt
-            return "a"
-
-        def thread_b():
-            assert a_retrying.wait(5.0), "thread A never reached attempt 1"
-            client.call(lambda: "b")
-            b_done.set()
-
-        helper = threading.Thread(target=thread_b)
-        helper.start()
-        try:
-            assert client.call(fn_a) == "a"
-        finally:
-            b_done.set()  # never leave fn_a parked if B died
-            helper.join(5.0)
-        assert seen["a"] == 1
-
 
 class TestResilientProxies:
-    def dead_engine(self, **retry_kwargs):
-        client = ResilientClient(ResilienceConfig(
-            retry=RetryPolicy(max_attempts=2, **retry_kwargs)))
-        flaky = FlakySearchEngine(
-            make_engine(), FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
-        return ResilientSearchEngine(flaky, client), client
+    def test_engine_pass_through_when_healthy(self):
+        engine, client = resilient_engine(FaultProfile(fault_rate=0.0))
+        assert engine.search('"such as"') == make_engine().search('"such as"')
+        assert client.report.empty
 
     def test_engine_degrades_to_neutral_values(self):
-        engine, client = self.dead_engine()
+        engine, client = resilient_engine(
+            FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY), max_attempts=2)
         assert engine.search("boston") == []
         assert engine.num_hits("boston") == 0
         assert engine.num_hits_proximity("cities", "boston") == 0
         assert client.report.giveups_by_component["web"] == 3
 
-    def test_engine_pass_through_when_healthy(self):
-        client = ResilientClient(ResilienceConfig())
-        flaky = FlakySearchEngine(make_engine(), FaultProfile(fault_rate=0.0))
-        engine = ResilientSearchEngine(flaky, client)
-        assert engine.search('"such as"') == make_engine().search('"such as"')
-        assert client.report.empty
-
     def test_dead_source_degrades_to_failure_page(self):
         client = ResilientClient(ResilienceConfig(
+            profile=FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY),
             retry=RetryPolicy(max_attempts=2)))
-        flaky = FlakyDeepWebSource(
-            make_source(), FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
-        source = ResilientDeepWebSource(flaky, client)
+        source = ResilientDeepWebSource(make_source(), client)
         page = source.submit({"from": "Boston"})
         assert not analyze_response(page.text).success
         assert "unavailable" in page.url
@@ -614,13 +581,12 @@ class TestResilientProxies:
         # A dead source must stop burning real probes once its breaker is
         # open: fast-fails never reach the inner source.
         client = ResilientClient(ResilienceConfig(
+            profile=FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY),
             retry=RetryPolicy(max_attempts=10),
             breaker=BreakerPolicy(failure_threshold=3,
                                   cooldown_rejections=100),
         ))
-        flaky = FlakyDeepWebSource(
-            make_source(), FaultProfile(fault_rate=1.0, **TIMEOUTS_ONLY))
-        source = ResilientDeepWebSource(flaky, client)
+        source = ResilientDeepWebSource(make_source(), client)
         source.submit({"from": "Boston"})
         probes_at_trip = source.probe_count
         assert probes_at_trip == 3

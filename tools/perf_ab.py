@@ -14,6 +14,10 @@ from pair to pair (the base in the first pair), so a host that speeds up
 or slows down during the job favours neither side. Each pair gives three
 ratios, candidate over base: ``interfaces_per_kref``, ``peak_rss_mb`` and
 ``op_p50_ref``. Every ratio is printed, and the gate reads their medians.
+The median ratio of the base-first pairs and that of the candidate-first
+pairs are printed too: a gap between them is the bias of running first,
+which the alternation cancels only over an even number of pairs, so an
+odd ``--pairs`` draws a warning.
 
 The exit code is 1 when a workload's median ``interfaces_per_kref`` ratio
 falls below one minus that metric's bound in the base's BENCHMARK.json
@@ -129,6 +133,21 @@ def compare(base: Path, candidate: Path, workload: str, pairs: int,
     return ratios, throughput
 
 
+def order_report(workload: str, ratios: Dict[str, List[float]]) -> None:
+    """Print, per gated metric, the median ratio of the base-first pairs
+    and of the candidate-first pairs (see :func:`pair_order`)."""
+    for name in GATED:
+        parts = []
+        for first, offset in (("base", 0), ("candidate", 1)):
+            group = ratios[name][offset::2]
+            parts.append(
+                f"{first}-first median "
+                + (f"{statistics.median(group):.3f} over {len(group)} pairs"
+                   if group else "none (0 pairs)"))
+        print(f"{workload} {name} ratio by order: " + "; ".join(parts),
+              flush=True)
+
+
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
     """First quartile, median and third quartile of ``values``
     (inclusive method; a single value is all three)."""
@@ -184,6 +203,10 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     if not args.seconds > 0:
         parser.error("--seconds must be positive")
+    if args.pairs % 2:
+        print(f"warning: --pairs {args.pairs} is odd, so the base runs "
+              "first in one pair more than the candidate; use an even "
+              "count to balance the order", file=sys.stderr, flush=True)
     base = args.base.resolve()
     spec = base / "BENCHMARK.json"
     bounds = {METRIC: min_ratio(spec), RSS: max_ratio(spec, RSS),
@@ -198,6 +221,7 @@ def main(argv=None) -> int:
             print(f"{workload}: {error}", flush=True)
             ok = False
             continue
+        order_report(workload, ratios)
         gain_report(workload, throughput["base"], throughput["candidate"])
         for name in GATED:
             ok = verdict(workload, ratios[name], bounds[name], name) and ok
