@@ -45,7 +45,7 @@ from repro.core.pipeline import WebIQRunResult
 from repro.datasets.dataset import DomainDataset
 from repro.datasets.interfaces import GroundTruth
 from repro.deepweb.models import Attribute, AttributeKind, QueryInterface
-from repro.obs.instrument import Observability
+from repro.obs.instrument import Observability, counter_rows
 from repro.perf.cache import CacheStats
 from repro.resilience.client import DegradationReport
 from repro.supervisor import SupervisorReport
@@ -270,15 +270,22 @@ def supervisor_report_to_dict(report: SupervisorReport) -> Dict[str, Any]:
 
 
 def observability_to_dict(obs: Observability) -> Dict[str, Any]:
-    """The run's trace and metrics, ready for byte-stable JSON.
+    """The run's trace and the counters derived from it, ready for
+    byte-stable JSON.
 
     Both halves export deterministically (logical sequence numbers,
-    simulated-clock timestamps, sorted metric rows), so serialising with
-    ``sort_keys=True`` makes byte equality across runs meaningful.
+    simulated-clock timestamps, sorted counter rows), so serialising with
+    ``sort_keys=True`` makes byte equality across runs meaningful. No
+    gauge or histogram is recorded; their keys stay, empty, so the export
+    format is unchanged.
     """
     return {
         "trace": obs.tracer.export(),
-        "metrics": obs.metrics.export(),
+        "metrics": {
+            "counters": counter_rows(obs.tracer),
+            "gauges": [],
+            "histograms": [],
+        },
     }
 
 

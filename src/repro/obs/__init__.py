@@ -1,16 +1,16 @@
-"""Run-trace observability: tracer, metrics, and the invariant oracle.
+"""Run-trace observability: the tracer and the invariant oracle.
 
 ``repro.obs`` watches a pipeline run from inside the Web stack and turns
-what it sees into three artifacts:
+what it sees into these artifacts:
 
 - a deterministic **trace** (:class:`~repro.obs.trace.Tracer`) — phase
-  spans and per-call events timestamped from the run's simulated clock;
-- a **metrics registry** (:class:`~repro.obs.metrics.MetricsRegistry`) —
-  labelled counters/gauges/histograms over calls, round trips and
-  retries;
+  spans and per-call events timestamped from the run's simulated clock.
+  Every Web call and retry-loop decision is recorded once, as an event;
+  the labelled **counters** over calls, round trips and retries are a
+  view of those events (:func:`~repro.obs.instrument.counter_rows`);
 - an **invariant report**
   (:class:`~repro.obs.invariants.InvariantChecker`) — cross-layer
-  conservation laws relating the trace and metrics to the stopwatch,
+  conservation laws relating the trace to the stopwatch,
   degradation and memo accounting, making every run a correctness test
   of the whole stack;
 - a **decision provenance** record
@@ -34,19 +34,13 @@ from repro.obs.instrument import (
     ObsConfig,
     ObservedDeepWebSource,
     ObservedSearchEngine,
+    counter_rows,
 )
 from repro.obs.invariants import (
     InvariantChecker,
     InvariantReport,
     InvariantViolation,
     check_run,
-)
-from repro.obs.metrics import (
-    HISTOGRAM_SAMPLE_CAP,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
 )
 from repro.obs.profile import (
     PROFILE_FORMAT,
@@ -90,11 +84,7 @@ __all__ = [
     "Tracer",
     "Span",
     "TraceEvent",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HISTOGRAM_SAMPLE_CAP",
+    "counter_rows",
     "PROFILE_FORMAT",
     "PathStats",
     "aggregate_spans",

@@ -1,10 +1,11 @@
 """Observability plumbing: the per-run bundle and the observed wrappers.
 
 :class:`Observability` carries one run's :class:`~repro.obs.trace.Tracer`
-and :class:`~repro.obs.metrics.MetricsRegistry` plus the *component scope*
-(which pipeline phase is currently executing), so instrumentation anywhere
-in the stack can attribute what it sees without threading extra arguments
-through every call.
+plus the *component scope* (which pipeline phase is currently executing),
+so instrumentation anywhere in the stack can attribute what it sees
+without threading extra arguments through every call. Each call is
+recorded once, as a trace event; :func:`counter_rows` derives the run's
+labelled counters from those events.
 
 :class:`ObservedSearchEngine` and :class:`ObservedDeepWebSource` are
 transparent pass-through layers, one per substrate, directly above the
@@ -15,10 +16,10 @@ resilient proxies::
         ResilientSearchEngine        # injects faults and retries them
           SearchEngine
 
-Each wrapper counts the calls that head for the (possibly faulty) Web and,
+Each wrapper reports the calls that head for the (possibly faulty) Web and,
 by differencing the substrate's ``query_count``/``probe_count`` around
 each call, how many *real round trips* the call cost (retries included).
-Those tallies give the :class:`~repro.obs.invariants.InvariantChecker`
+Those events give the :class:`~repro.obs.invariants.InvariantChecker`
 its conservation laws: observed engine calls must equal memo misses, and
 observed round trips must equal the stopwatch's per-account query counts
 and the resilience budgets' spend.
@@ -33,9 +34,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import (
     DEFAULT_PROVENANCE_CAPACITY,
     ProvenanceRecorder,
@@ -49,18 +49,62 @@ __all__ = [
     "Observability",
     "ObservedSearchEngine",
     "ObservedDeepWebSource",
+    "counter_rows",
 ]
 
 #: Component label outside any phase scope.
 DEFAULT_COMPONENT = "web"
+
+#: Retry-loop event name -> counter suffix (``resilience.<suffix>``).
+_PLURALS = {
+    "retry": "retries",
+    "fault": "faults",
+    "giveup": "giveups",
+    "breaker_trip": "breaker_trips",
+    "breaker_reject": "breaker_rejections",
+    "budget_exhausted": "budgets_exhausted",
+}
+
+
+def counter_rows(tracer: Tracer) -> List[Dict[str, Any]]:
+    """The run's labelled counters, derived from its trace events.
+
+    Each ``web_call`` event counts one ``web.calls`` and its
+    ``round_trips`` into ``web.round_trips``, labelled by substrate and
+    component; each retry-loop event counts one ``resilience.<plural>``,
+    labelled by component. A label set that saw only zero-round-trip
+    calls still gets its ``web.round_trips`` row. Rows come sorted by
+    ``(name, labels)``, so equal traces give byte-identical exports.
+    """
+    totals: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], int] = {}
+
+    def add(name: str, value: int, **labels: Any) -> None:
+        key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
+        totals[key] = totals.get(key, 0) + value
+
+    for event in tracer.iter_events():
+        attrs = event.attrs
+        if event.name == "web_call":
+            labels = {"substrate": attrs["substrate"],
+                      "component": attrs["component"]}
+            add("web.calls", 1, **labels)
+            add("web.round_trips", attrs["round_trips"], **labels)
+        elif event.name in _PLURALS:
+            add(f"resilience.{_PLURALS[event.name]}", 1,
+                component=attrs["component"])
+    return [
+        {"name": name, "labels": dict(labels), "value": value}
+        for (name, labels), value in sorted(totals.items())
+    ]
 
 
 @dataclass(frozen=True)
 class ObsConfig:
     """Pipeline-facing observability knobs (attach to ``WebIQConfig.obs``).
 
-    Metrics counters, phase spans and per-call trace events are always
-    recorded. ``provenance`` turns the decision-provenance recorder on (default) or
+    Phase spans and per-call trace events are always recorded; the
+    exported counters are derived from those events (:func:`counter_rows`).
+    ``provenance`` turns the decision-provenance recorder on (default) or
     off; ``provenance_capacity`` bounds each of its ring buffers so an
     arbitrarily large run cannot exhaust memory. ``profile`` additionally
     collects hot-path work counters (:mod:`repro.util.counters`) for the
@@ -74,7 +118,11 @@ class ObsConfig:
 
 
 class Observability:
-    """One run's tracer + metrics registry + provenance + component scope."""
+    """One run's tracer + provenance + component scope.
+
+    The tracer is the run's only record of its Web calls and retry-loop
+    decisions; counters are a view of it (:func:`counter_rows`).
+    """
 
     def __init__(
         self,
@@ -83,7 +131,6 @@ class Observability:
     ) -> None:
         self.config = config
         self.tracer = Tracer(clock_seconds)
-        self.metrics = MetricsRegistry()
         self.provenance: Optional[ProvenanceRecorder] = (
             ProvenanceRecorder(config.provenance_capacity)
             if config.provenance else None
@@ -125,29 +172,25 @@ class Observability:
         round_trips: int,
         **attrs: Any,
     ) -> None:
-        """One observed Web-stack call: a counter bump and a trace event,
-        attributed to the active component."""
-        component = self.active_component
-        self.metrics.counter(
-            "web.calls", substrate=substrate, component=component
-        ).inc()
-        self.metrics.counter(
-            "web.round_trips", substrate=substrate, component=component
-        ).inc(round_trips)
+        """One observed Web-stack call: a trace event attributed to the
+        active component."""
         self.tracer.event(
             "web_call",
             substrate=substrate,
             method=method,
-            component=component,
+            component=self.active_component,
             round_trips=round_trips,
             **attrs,
         )
 
     def summary(self) -> str:
-        """One CLI-ready line for the run's trace + metrics volume."""
+        """One CLI-ready line for the run's trace + counter volume."""
+        rows = counter_rows(self.tracer)
         line = (
             f"observability: {self.tracer.n_spans} spans, "
-            f"{self.tracer.n_events} events; {self.metrics.summary()}"
+            f"{self.tracer.n_events} events; metrics: {len(rows)} counters "
+            f"(sum {sum(row['value'] for row in rows)}), "
+            f"0 gauges, 0 histograms"
         )
         if self.provenance is not None:
             line += f"; {self.provenance.summary()}"

@@ -9,9 +9,9 @@ underlying traffic from different layers:
   (faults, retries, give-ups, breaker trips, budget spend);
 - the run memo's :class:`~repro.perf.CacheStats` (hits and misses, per
   map);
-- the :mod:`repro.obs` trace/metrics (per-call counts of one observer
-  per substrate, directly below the memo, with measured round-trip
-  deltas).
+- the :mod:`repro.obs` trace (one event per call of one observer per
+  substrate, directly below the memo, with measured round-trip deltas,
+  and one event per retry-loop decision).
 
 None of them is derived from another: the stopwatch differences substrate
 counters per phase, the degradation report counts retry-loop decisions,
@@ -120,8 +120,6 @@ class InvariantChecker:
             self._check_budget_conservation(report, result, obs)
         if obs is not None and degradation is not None:
             self._check_retry_conservation(report, obs, degradation)
-        if obs is not None:
-            self._check_trace_metrics_consistency(report, obs)
         provenance = obs.provenance if obs is not None else None
         if provenance is not None:
             self._check_lineage_conservation(report, provenance, result)
@@ -226,7 +224,7 @@ class InvariantChecker:
         report.checked.append(name)
         self._equal(
             report, name,
-            obs.metrics.sum_counters("web.calls", substrate="engine"),
+            obs.tracer.count_events("web_call", substrate="engine"),
             cache.misses,
             "observed engine calls", "memo misses",
         )
@@ -241,8 +239,8 @@ class InvariantChecker:
             ("attr_surface", "engine"),
             ("attr_deep", "source"),
         ):
-            traced = obs.metrics.sum_counters(
-                "web.round_trips",
+            traced = obs.tracer.sum_event_attr(
+                "round_trips", "web_call",
                 substrate=substrate, component=component,
             )
             self._equal(
@@ -250,8 +248,8 @@ class InvariantChecker:
                 f"traced {component} round trips",
                 f"stopwatch queries[{component}]",
             )
-        stray = obs.metrics.sum_counters(
-            "web.round_trips", component=DEFAULT_COMPONENT,
+        stray = obs.tracer.sum_event_attr(
+            "round_trips", "web_call", component=DEFAULT_COMPONENT,
         )
         if stray:
             self._fail(
@@ -317,8 +315,9 @@ class InvariantChecker:
                 f"stopwatch queries[{component}]",
             )
         if obs is not None:
-            traced_probes = obs.metrics.sum_counters(
-                "web.round_trips", substrate="source", component="attr_deep",
+            traced_probes = obs.tracer.sum_event_attr(
+                "round_trips", "web_call",
+                substrate="source", component="attr_deep",
             )
             self._equal(
                 report, name, traced_probes, spent.get("attr_deep", 0),
@@ -329,22 +328,6 @@ class InvariantChecker:
                                   obs: Observability, degradation) -> None:
         name = "retry-conservation"
         report.checked.append(name)
-        counted = obs.metrics.sum_counters("resilience.retries")
-        self._equal(
-            report, name, counted, degradation.total_retries,
-            "retry counter", "degradation retries",
-        )
-        for component, retries in sorted(
-            degradation.retries_by_component.items()
-        ):
-            self._equal(
-                report, name,
-                obs.metrics.sum_counters(
-                    "resilience.retries", component=component),
-                retries,
-                f"retry counter[{component}]",
-                f"degradation retries[{component}]",
-            )
         self._equal(
             report, name, obs.tracer.count_events("retry"),
             degradation.total_retries,
@@ -365,28 +348,6 @@ class InvariantChecker:
             sum(degradation.breaker_trips.values()),
             "traced breaker trips", "degradation breaker trips",
         )
-
-    def _check_trace_metrics_consistency(self, report: InvariantReport,
-                                         obs: Observability) -> None:
-        name = "trace-metrics-consistency"
-        report.checked.append(name)
-        for substrate in ("engine", "source"):
-            events = obs.tracer.count_events("web_call", substrate=substrate)
-            calls = obs.metrics.sum_counters("web.calls", substrate=substrate)
-            self._equal(
-                report, name, events, calls,
-                f"web_call events[{substrate}]",
-                f"web.calls counter[{substrate}]",
-            )
-            traced_rt = obs.tracer.sum_event_attr(
-                "round_trips", "web_call", substrate=substrate)
-            counted_rt = obs.metrics.sum_counters(
-                "web.round_trips", substrate=substrate)
-            self._equal(
-                report, name, traced_rt, counted_rt,
-                f"traced round trips[{substrate}]",
-                f"web.round_trips counter[{substrate}]",
-            )
 
     def _check_lineage_conservation(self, report: InvariantReport,
                                     provenance: ProvenanceRecorder,

@@ -12,10 +12,10 @@ The profile has two strictly separated sections:
 
 ``deterministic``
     Everything derived from the :class:`~repro.util.clock.SimulatedClock`,
-    the trace structure, the work counters and the metrics registry. Two
-    runs with equal seed and configuration produce byte-identical
-    deterministic sections; its CRC (``digest``) is therefore a run
-    fingerprint a bench envelope can embed.
+    the trace structure (and the counters derived from its events) and the
+    work counters. Two runs with equal seed and configuration produce
+    byte-identical deterministic sections; its CRC (``digest``) is
+    therefore a run fingerprint a bench envelope can embed.
 ``wall``
     Host wall-clock attribution per span path (from the span's
     ``perf_counter`` bounds, which never enter the trace export). Advisory
@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.obs.instrument import counter_rows
 from repro.obs.trace import Span, Tracer
 from repro.util.atomicio import atomic_write_json, atomic_write_text
 from repro.util.envelope import record_crc
@@ -195,20 +196,15 @@ def _phase_rollup(tracer: Tracer) -> Dict[str, Dict[str, Any]]:
     return {name: phases[name] for name in sorted(phases)}
 
 
-def _component_rollup(metrics) -> Dict[str, Dict[str, int]]:
+def _component_rollup(tracer: Tracer) -> Dict[str, Dict[str, int]]:
     """Per-component observed call and round-trip totals."""
     components: Dict[str, Dict[str, int]] = {}
-    for labels in metrics.counter_labels("web.calls"):
-        component = labels.get("component", "?")
-        if component not in components:
-            components[component] = {
-                "calls": metrics.sum_counters(
-                    "web.calls", component=component
-                ),
-                "round_trips": metrics.sum_counters(
-                    "web.round_trips", component=component
-                ),
-            }
+    for row in counter_rows(tracer):
+        if row["name"] in ("web.calls", "web.round_trips"):
+            totals = components.setdefault(
+                row["labels"]["component"], {"calls": 0, "round_trips": 0}
+            )
+            totals[row["name"][len("web."):]] += row["value"]
     return {name: components[name] for name in sorted(components)}
 
 
@@ -242,7 +238,7 @@ def build_profile(result) -> Dict[str, Any]:
             for stats in ordered
         ],
         "phases": _phase_rollup(obs.tracer),
-        "components": _component_rollup(obs.metrics),
+        "components": _component_rollup(obs.tracer),
         "counters": (
             obs.counters.as_dict() if obs.counters is not None else {}
         ),

@@ -85,16 +85,6 @@ T = TypeVar("T")
 #: Component name used when a call happens outside any declared component.
 DEFAULT_COMPONENT = "web"
 
-#: Retry-loop event name -> metrics counter suffix (``resilience.<suffix>``).
-_PLURALS = {
-    "retry": "retries",
-    "fault": "faults",
-    "giveup": "giveups",
-    "breaker_trip": "breaker_trips",
-    "breaker_reject": "breaker_rejections",
-    "budget_exhausted": "budgets_exhausted",
-}
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -396,7 +386,7 @@ class ResilientClient:
         #: sharing one client — cannot race each other's ambient state.
         self._local = threading.local()
         #: optional :class:`~repro.obs.Observability` bundle; when attached,
-        #: every retry-loop decision is traced and counted. Strictly
+        #: every retry-loop decision is traced (and so counted). Strictly
         #: observational: attaching it changes no behaviour.
         self.obs = obs
 
@@ -595,15 +585,9 @@ class ResilientClient:
         return rng
 
     def _observe(self, event: str, **attrs) -> None:
-        """Trace + count one retry-loop decision (no-op without obs)."""
-        if self.obs is None:
-            return
-        component = attrs.get("component", self.active_component)
-        self.obs.metrics.counter(
-            f"resilience.{_PLURALS.get(event, event + 's')}",
-            component=component,
-        ).inc()
-        self.obs.tracer.event(event, **attrs)
+        """Trace one retry-loop decision (no-op without obs)."""
+        if self.obs is not None:
+            self.obs.tracer.event(event, **attrs)
 
     def _note_fault(self, component: str, exc: WebAccessError) -> None:
         self._bump(self.report.faults_by_component, component)

@@ -72,8 +72,8 @@ class TestInvariantSweep:
         report = check_run(result)
         assert report.ok, report.summary()
         assert "cache-entry-conservation" in report.checked
-        assert result.obs.metrics.sum_counters(
-            "web.calls", substrate="engine") == result.cache.misses > 0
+        assert result.obs.tracer.count_events(
+            "web_call", substrate="engine") == result.cache.misses > 0
 
     def test_faulty_cells_saw_real_faults(self):
         # Guard against the sweep silently testing a fault-free Web.
@@ -90,9 +90,9 @@ class TestCheckerDetectsCorruption:
 
     def test_missing_round_trip_is_caught(self):
         result = self.make_result()
-        result.obs.metrics.counter(
-            "web.round_trips", substrate="engine", component="surface",
-        ).value -= 1
+        event = next(result.obs.tracer.iter_events(
+            "web_call", substrate="engine", component="surface"))
+        event.attrs["round_trips"] -= 1
         report = check_run(result)
         assert report.violations_for("round-trip-conservation")
 
@@ -116,6 +116,15 @@ class TestCheckerDetectsCorruption:
         result.obs.tracer.roots[0].seq_end = None
         report = check_run(result)
         assert report.violations_for("trace-well-formed")
+
+    def test_untraced_retry_is_caught(self):
+        result = self.make_result()
+        tracer = result.obs.tracer
+        retry = next(tracer.iter_events("retry"))
+        next(span for span in tracer.iter_spans()
+             if retry in span.events).events.remove(retry)
+        report = check_run(result)
+        assert report.violations_for("retry-conservation")
 
     def test_lost_retry_is_caught(self):
         result = self.make_result()

@@ -179,8 +179,8 @@ class TestCounterBooksBalance:
         dataset = build_domain_dataset("book", 4, 2)
         result = WebIQMatcher(config).run(dataset)
         counter = result.obs.counters.get("engine.round_trips")
-        observed_calls = result.obs.metrics.sum_counters(
-            "web.calls", substrate="engine")
+        observed_calls = result.obs.tracer.count_events(
+            "web_call", substrate="engine")
         assert counter == result.cache.misses == observed_calls
         assert counter == dataset.engine.query_count
 

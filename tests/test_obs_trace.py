@@ -1,4 +1,4 @@
-"""Tests for repro.obs tracing and metrics: structure and determinism.
+"""Tests for repro.obs tracing and its counters: structure and determinism.
 
 The trace is a test oracle, so the properties under test are the ones the
 invariant checker leans on: spans close even on exceptions, sequence
@@ -14,7 +14,7 @@ import pytest
 from repro.core.pipeline import WebIQConfig, WebIQMatcher
 from repro.datasets import build_domain_dataset
 from repro.io import observability_to_dict
-from repro.obs import MetricsRegistry, ObsConfig, Tracer
+from repro.obs import ObsConfig, Observability, Tracer, counter_rows
 from repro.resilience import BreakerPolicy, FaultProfile, ResilienceConfig
 
 
@@ -112,6 +112,22 @@ class TestTracer:
         assert tracer.n_events == 3
         assert tracer.n_spans == 1
 
+    def test_sum_event_attr_aggregates_unfiltered_dimensions(self):
+        tracer = Tracer()
+        with tracer.span("run"):
+            for substrate, component, round_trips in (
+                ("engine", "surface", 2),
+                ("engine", "attr_deep", 3),
+                ("source", "surface", 5),
+            ):
+                tracer.event("web_call", substrate=substrate,
+                             component=component, round_trips=round_trips)
+        assert tracer.sum_event_attr("round_trips", "web_call") == 10
+        assert tracer.sum_event_attr(
+            "round_trips", "web_call", substrate="engine") == 5
+        assert tracer.sum_event_attr(
+            "round_trips", "web_call", component="surface") == 7
+
     def test_export_shape(self):
         tracer = Tracer()
         with tracer.span("run", domain="book"):
@@ -124,56 +140,47 @@ class TestTracer:
         assert payload["spans"][0]["attrs"] == {"domain": "book"}
 
 
-class TestMetricsRegistry:
-    def test_counter_create_on_use_and_labels(self):
-        registry = MetricsRegistry()
-        registry.counter("web.calls", substrate="engine").inc()
-        registry.counter("web.calls", substrate="engine").inc(2)
-        registry.counter("web.calls", substrate="source").inc()
-        assert registry.counter_value("web.calls", substrate="engine") == 3
-        assert registry.counter_value("web.calls", substrate="source") == 1
-        assert registry.counter_value("web.calls", substrate="nowhere") == 0
+class TestCounterRows:
+    """The exported counters are a view of the trace's events."""
 
-    def test_sum_counters_aggregates_unfiltered_dimensions(self):
-        registry = MetricsRegistry()
-        registry.counter("web.calls", substrate="engine",
-                         component="surface").inc(2)
-        registry.counter("web.calls", substrate="engine",
-                         component="attr_deep").inc(3)
-        registry.counter("web.calls", substrate="source",
-                         component="surface").inc(5)
-        assert registry.sum_counters("web.calls") == 10
-        assert registry.sum_counters("web.calls", substrate="engine") == 5
-        assert registry.sum_counters("web.calls", component="surface") == 7
+    def test_rows_are_keyed_by_name_and_labels(self):
+        obs = Observability()
+        obs.record_call("engine", "num_hits", round_trips=1)
+        with obs.component("surface"):
+            obs.record_call("engine", "search", round_trips=2)
+            obs.record_call("engine", "num_hits", round_trips=1)
+            obs.tracer.event("retry", component="surface", attempt=0)
+        rows = {
+            (row["name"], tuple(sorted(row["labels"].items()))): row["value"]
+            for row in counter_rows(obs.tracer)
+        }
+        surface = (("component", "surface"), ("substrate", "engine"))
+        web = (("component", "web"), ("substrate", "engine"))
+        assert rows == {
+            ("web.calls", surface): 2,
+            ("web.calls", web): 1,
+            ("web.round_trips", surface): 3,
+            ("web.round_trips", web): 1,
+            ("resilience.retries", (("component", "surface"),)): 1,
+        }
 
-    def test_counters_reject_negative_increments(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.counter("x").inc(-1)
-
-    def test_gauge_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth").set(3.0)
-        registry.gauge("depth").set(1.5)
-        assert registry.gauge("depth").value == 1.5
-
-    def test_histogram_summary_statistics(self):
-        registry = MetricsRegistry()
-        for value in (1.0, 3.0, 2.0):
-            registry.histogram("backoff").observe(value)
-        histogram = registry.histogram("backoff")
-        assert histogram.count == 3
-        assert histogram.min == 1.0
-        assert histogram.max == 3.0
-        assert histogram.mean == pytest.approx(2.0)
-
-    def test_export_is_sorted_and_serialisable(self):
-        registry = MetricsRegistry()
-        registry.counter("b", z="1").inc()
-        registry.counter("a", z="1").inc()
-        payload = registry.export()
-        json.dumps(payload)
-        assert [row["name"] for row in payload["counters"]] == ["a", "b"]
+    def test_rows_are_sorted_and_serialisable(self):
+        tracer = Tracer()
+        with tracer.span("run"):
+            tracer.event("web_call", substrate="source", component="b",
+                         method="submit", round_trips=1)
+            tracer.event("fault", component="a", kind="TransientError")
+            tracer.event("web_call", substrate="engine", component="b",
+                         method="search", round_trips=1)
+        rows = counter_rows(tracer)
+        json.dumps(rows)
+        assert [(row["name"], row["labels"]) for row in rows] == [
+            ("resilience.faults", {"component": "a"}),
+            ("web.calls", {"component": "b", "substrate": "engine"}),
+            ("web.calls", {"component": "b", "substrate": "source"}),
+            ("web.round_trips", {"component": "b", "substrate": "engine"}),
+            ("web.round_trips", {"component": "b", "substrate": "source"}),
+        ]
 
 
 def traced_run(dataset_seed: int):
@@ -214,3 +221,37 @@ class TestTraceDeterminism:
         for phase in ("surface", "attr_deep", "attr_surface", "matching"):
             assert sum(1 for _ in tracer.iter_spans(phase)) == 1
         assert tracer.count_events("web_call") > 0
+
+
+class TestCountedOnce:
+    """The observability line and the exported counter rows, pinned.
+
+    The ``metrics`` section is a view of the trace; these pins hold the
+    view to the rows the run has always exported.
+    """
+
+    def test_observed_book_summary_is_pinned(self):
+        dataset = build_domain_dataset("book", n_interfaces=20, seed=1)
+        result = WebIQMatcher(WebIQConfig(obs=ObsConfig())).run(dataset)
+        assert result.obs.summary() == (
+            "observability: 5 spans, 1228 events; "
+            "metrics: 6 counters (sum 2456), 0 gauges, 0 histograms; "
+            "provenance: 547 lineage, 339 prunes, 5460 explanations, "
+            "95 merges"
+        )
+
+    def test_zero_round_trip_call_still_exports_its_row(self):
+        obs = Observability()
+        obs.record_call("engine", "num_hits", round_trips=0)
+        assert observability_to_dict(obs)["metrics"] == {
+            "counters": [
+                {"name": "web.calls",
+                 "labels": {"component": "web", "substrate": "engine"},
+                 "value": 1},
+                {"name": "web.round_trips",
+                 "labels": {"component": "web", "substrate": "engine"},
+                 "value": 0},
+            ],
+            "gauges": [],
+            "histograms": [],
+        }

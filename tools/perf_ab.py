@@ -2,7 +2,7 @@
 
 Usage, from the candidate checkout's root::
 
-    python3 tools/perf_ab.py --base ../base-checkout --pairs 3 \
+    python3 tools/perf_ab.py --base ../base-checkout --pairs 4 \
         --workload figure6-batch --workload registry-stream
 
 The candidate is the checkout this script lives in. For every workload,
