@@ -21,109 +21,97 @@ approximation. Batch IceQ (:meth:`IceQMatcher.similarities
 registry (:mod:`repro.registry.assimilate`) both score only the pairs this
 index proposes (DESIGN.md §25).
 
-A :class:`Signature` is read off :attr:`AttributeView.features
-<repro.matching.similarity.AttributeView.features>`, the very facts
+The postings are the two numerators of ``Sim``, so a probe counts them as
+it walks: per candidate, the integer label dot product and the number of
+shared ``(type, value)`` keys, which ``similarity_components(...,
+overlap=)`` finishes into the very floats a full evaluation computes
+(DESIGN.md §36). The index reads :attr:`AttributeView.features
+<repro.matching.similarity.AttributeView.features>`, the facts
 ``similarity_components`` compares, so indexing a view never normalises
-its label or infers its type a second time. The index mirrors the postings
-idiom of :class:`repro.surfaceweb.index.InvertedIndex`: plain key ->
-ascending posting lists, built with ``setdefault``.
+its label or infers its type a second time. It mirrors the postings idiom
+of :class:`repro.surfaceweb.index.InvertedIndex`: plain key -> ascending
+posting lists of view ids, built with ``setdefault``.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, List, Tuple
 
-from repro.matching.similarity import AttributeView
+from repro.matching.similarity import ViewFeatures
 from repro.matching.types import DomainType
 from repro.util import counters as work
 
-__all__ = ["BlockingIndex", "Signature", "candidate_partners"]
+__all__ = ["BlockingIndex"]
 
-
-class Signature(NamedTuple):
-    """Everything the blocking index knows about one attribute view."""
-
-    #: the keys of the view's label word vector
-    tokens: FrozenSet[str]
-    #: the ``strip().lower()`` instance values
-    values: FrozenSet[str]
-    #: inferred domain type, or None without instances (DomSim = 0 then)
-    domain_type: Optional[DomainType]
-
-    @classmethod
-    def of(cls, view: AttributeView) -> "Signature":
-        features = view.features
-        return cls(frozenset(features.label_vector), features.values,
-                   features.domain_type)
+#: ``(view id, label dot product, shared (type, value) keys)``
+Candidate = Tuple[int, int, int]
 
 
 class BlockingIndex:
     """Inverted index over indexed views' blocking evidence.
 
-    Candidate generation for a signature unions three posting families:
-    shared label token, shared ``(type, value)`` pair, and the all-numeric
-    bucket (when the probe is itself numeric). Posting lists hold view ids
-    (positions in the order views were added), so candidates come back as
-    an ascending id list.
+    A probe unions three posting families: shared label token, shared
+    ``(type, value)`` pair, and the all-numeric bucket (when the probe is
+    itself numeric). Posting lists hold view ids (positions in the order
+    views were added), so candidates come back in ascending id order.
+    Value postings are kept one dict per type, so no per-value lookup
+    hashes a :class:`DomainType`.
     """
 
     def __init__(self) -> None:
-        self._signatures: List[Signature] = []
+        #: each indexed view's label word counts, by view id
+        self._vectors: List[Dict[str, int]] = []
         self._by_token: Dict[str, List[int]] = {}
-        self._by_value: Dict[Tuple[DomainType, str], List[int]] = {}
+        self._by_value: Dict[DomainType, Dict[str, List[int]]] = {}
         self._numeric: List[int] = []
 
-    def add(self, signature: Signature) -> int:
-        """Index one view's signature; returns its view id."""
-        view_id = len(self._signatures)
-        self._signatures.append(signature)
-        for token in signature.tokens:
+    def add(self, features: ViewFeatures) -> int:
+        """Index one view's features; returns its view id."""
+        view_id = len(self._vectors)
+        self._vectors.append(features.label_vector)
+        for token in features.label_vector:
             self._by_token.setdefault(token, []).append(view_id)
-        domain_type = signature.domain_type
+        domain_type = features.domain_type
         if domain_type is not None:
             if domain_type.is_numeric:
                 self._numeric.append(view_id)
             else:
-                for value in signature.values:
-                    self._by_value.setdefault(
-                        (domain_type, value), []).append(view_id)
+                by_value = self._by_value.setdefault(domain_type, {})
+                for value in features.values:
+                    by_value.setdefault(value, []).append(view_id)
         return view_id
 
-    def candidates(self, signature: Signature) -> List[int]:
-        """Indexed view ids that might have nonzero similarity to the
-        view ``signature`` describes.
+    def probe(self, features: ViewFeatures) -> List[Candidate]:
+        """Indexed views that might have nonzero similarity to the view
+        ``features`` describes, ascending by id, as ``(id, dot, shared)``.
 
-        Over-generation is allowed (it only costs evaluations); missing a
-        pair that full evaluation would score nonzero is the bug the
-        soundness suites hunt.
+        ``dot`` is the integer dot product of the two label word vectors,
+        and ``shared`` the number of ``(type, value)`` keys the two views
+        share: ``len(values_a & values_b)`` when the types are equal and
+        non-numeric, else 0. Over-generation is allowed (it only costs
+        evaluations); missing a pair that full evaluation would score
+        nonzero is the bug the soundness suites hunt.
         """
         if work.ACTIVE is not None:
             work.ACTIVE.bump("blocking.probes")
-        found: Set[int] = set()
-        for token in signature.tokens:
-            found.update(self._by_token.get(token, ()))
-        domain_type = signature.domain_type
-        if domain_type is not None:
-            if domain_type.is_numeric:
-                found.update(self._numeric)
-            else:
-                for value in signature.values:
-                    found.update(self._by_value.get((domain_type, value), ()))
-        return sorted(found)
-
-
-def candidate_partners(views: Sequence[AttributeView]) -> List[List[int]]:
-    """``partners[i]``: the ascending ``j > i`` whose pair ``(i, j)`` the
-    index proposes, for every view of ``views`` — same-interface pairs
-    included. Views join one at a time, each probing the views before it.
-    """
-    partners: List[List[int]] = [[] for _ in views]
-    index = BlockingIndex()
-    for j, view in enumerate(views):
-        signature = Signature.of(view)
-        for i in index.candidates(signature):
-            partners[i].append(j)
-        index.add(signature)
-    return partners
+        vectors = self._vectors
+        by_token = self._by_token
+        dots: Dict[int, int] = {}
+        for token, count in features.label_vector.items():
+            for view_id in by_token.get(token, ()):
+                dots[view_id] = (dots.get(view_id, 0)
+                                 + count * vectors[view_id][token])
+        shared: Dict[int, int] = {}
+        domain_type = features.domain_type
+        if domain_type is None:
+            found = dots.keys()
+        elif domain_type.is_numeric:
+            found = dots.keys() | self._numeric
+        else:
+            by_value = self._by_value.get(domain_type, {})
+            for value in features.values:
+                for view_id in by_value.get(value, ()):
+                    shared[view_id] = shared.get(view_id, 0) + 1
+            found = dots.keys() | shared.keys()
+        return [(view_id, dots.get(view_id, 0), shared.get(view_id, 0))
+                for view_id in sorted(found)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.deepweb.models import QueryInterface
-from repro.matching.blocking import candidate_partners
+from repro.matching.blocking import BlockingIndex
 from repro.matching.similarity import (
     AttributeView,
     SimilarityConfig,
@@ -291,29 +291,41 @@ class IceQMatcher:
         :func:`agglomerate` reads (absent = 0.0).
 
         Views join a :class:`~repro.matching.blocking.BlockingIndex` one
-        at a time, and only the pairs it proposes are evaluated; every
-        other pair has ``Sim == 0`` exactly, so the dict equals the one
-        an all-pairs loop builds, key order included (DESIGN.md §25). The
-        attached provenance recorder still gets one explanation per pair
-        in ``(i, j)`` order: a skipped pair is explained by the components
-        an evaluation would have produced, ``LabelSim = DomSim = 0.0``.
+        at a time, each probing the views before it, and only the pairs it
+        proposes are evaluated, finished from the overlap the probe
+        counted (DESIGN.md §36); every other pair has ``Sim == 0``
+        exactly, so the dict equals the one an all-pairs loop builds, key
+        order included (DESIGN.md §25). The attached provenance recorder
+        still gets one explanation per pair in ``(i, j)`` order: a skipped
+        pair is explained by the components an evaluation would have
+        produced, ``LabelSim = DomSim = 0.0``.
         """
         n = len(views)
         config = self.config
         provenance = self.provenance
-        partners = candidate_partners(views)
+        # partners[i]: flat (j, dot, shared) runs, one per proposed pair
+        # (i, j) with j > i; flat, so buffering them allocates no tuples
+        partners: List[List[int]] = [[] for _ in views]
+        index = BlockingIndex()
+        for j, view in enumerate(views):
+            features = view.features
+            for i, dot, shared in index.probe(features):
+                partners[i] += (j, dot, shared)
+            index.add(features)
         sims: Dict[Tuple[int, int], float] = {}
         scored: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
         for i, row in enumerate(partners):
             view = views[i]
-            for j in row:
-                components = similarity_components(view, views[j], config)
+            runs = iter(row)
+            for j, dot, shared in zip(runs, runs, runs):
+                components = similarity_components(
+                    view, views[j], config, overlap=(dot, shared))
                 if components[2] != 0.0:
                     sims[(i, j)] = components[2]
                 if provenance is not None:
                     scored[(i, j)] = components
         if work.ACTIVE is not None:
-            evaluated = sum(len(row) for row in partners)
+            evaluated = sum(len(row) for row in partners) // 3
             work.ACTIVE.bump("similarity.pairs_blocked",
                              n * (n - 1) // 2 - evaluated)
         if provenance is not None:

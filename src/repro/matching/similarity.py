@@ -256,18 +256,42 @@ def similarity_components(
     a: AttributeView,
     b: AttributeView,
     config: SimilarityConfig = SimilarityConfig(),
+    overlap: Optional[Tuple[int, int]] = None,
 ) -> Tuple[float, float, float]:
     """``(LabelSim, DomSim, Sim)`` with the blend computed exactly as
     :func:`attribute_similarity` computes it — provenance records built
     from these components recompute to the matcher's ``Sim`` bit for bit.
+
+    ``overlap`` is the pair's ``(dot, shared)`` as a
+    :meth:`BlockingIndex.probe <repro.matching.blocking.BlockingIndex.probe>`
+    counts them: the label dot product and the number of shared
+    ``(type, value)`` keys. Given, they replace the label-vector walk and
+    the value-set intersection; every float stays the same (DESIGN.md §36).
     """
     if work.ACTIVE is not None:
         work.ACTIVE.bump("similarity.evaluations")
     fa = a.features
     fb = b.features
-    label_sim = label_cosine(fa.label_vector, fa.label_norm,
-                             fb.label_vector, fb.label_norm)
-    dom_sim = _feature_domain_similarity(fa, fb, config)
+    if overlap is None:
+        label_sim = label_cosine(fa.label_vector, fa.label_norm,
+                                 fb.label_vector, fb.label_norm)
+        dom_sim = _feature_domain_similarity(fa, fb, config)
+    else:
+        dot, shared = overlap
+        label_sim = dot / (fa.label_norm * fb.label_norm) if dot else 0.0
+        range_a = fa.numeric_range
+        range_b = fb.numeric_range
+        if shared:
+            # a shared (type, value) key means equal non-numeric types,
+            # whose type factor is 1.0, and 1.0 * x is x
+            dom_sim = shared / min(len(fa.values), len(fb.values))
+        elif range_a is None or range_b is None:
+            dom_sim = 0.0
+        else:
+            # two ranges mean two numeric types: the family's factor
+            type_factor = (1.0 if fa.domain_type is fb.domain_type
+                           else config.numeric_family_factor)
+            dom_sim = type_factor * _range_overlap(range_a, range_b)
     return label_sim, dom_sim, config.alpha * label_sim + config.beta * dom_sim
 
 

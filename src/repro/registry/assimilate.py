@@ -5,7 +5,8 @@ A :meth:`RegistryAssimilator.assimilate` call does two things:
 1. **Block** — the new interface's views query the
    :class:`~repro.matching.blocking.BlockingIndex` over all registered
    views (the index batch IceQ uses too); only the candidate pairs get
-   :func:`~repro.matching.similarity.similarity_components`. Skipped
+   :func:`~repro.matching.similarity.similarity_components`, finished
+   from the overlap counts the probe hands over (DESIGN.md §36). Skipped
    pairs are charged to the :class:`~repro.registry.blocking.BlockingStats`
    ledger. Pairs *within* the new interface are never evaluated at all:
    the cannot-link constraint makes same-interface similarities
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.deepweb.models import QueryInterface
-from repro.matching.blocking import BlockingIndex, Signature
+from repro.matching.blocking import BlockingIndex
 from repro.matching.clustering import (
     Cluster,
     IceQMatcher,
@@ -200,7 +201,7 @@ class RegistryAssimilator:
         self._registered: List[AttributeView] = []
         self._ids = set(store.interface_ids())
         for view in store.registered_views():
-            self._index.add(Signature.of(view))
+            self._index.add(view.features)
             self._registered.append(view)
 
     def assimilate(self, interface: QueryInterface) -> AddRecord:
@@ -217,19 +218,20 @@ class RegistryAssimilator:
                 "assimilated"
             )
         new_views = views_from_interfaces([interface])
-        signatures = [Signature.of(view) for view in new_views]
 
         evaluated = 0
         existing = len(self._registered)
-        for view, signature in zip(new_views, signatures):
-            for view_id in self._index.candidates(signature):
+        for view in new_views:
+            key = view.key
+            for view_id, dot, shared in self._index.probe(view.features):
                 other = self._registered[view_id]
                 _, _, value = similarity_components(
-                    other, view, store.similarity)
+                    other, view, store.similarity, overlap=(dot, shared))
                 evaluated += 1
                 if value != 0.0:
-                    a, b = view.key, other.key
-                    store.sims[(a, b) if a < b else (b, a)] = value
+                    other_key = other.key
+                    store.sims[(key, other_key) if key < other_key
+                               else (other_key, key)] = value
 
         record = AddRecord(
             interface_id=interface.interface_id,
@@ -241,8 +243,8 @@ class RegistryAssimilator:
         store.stats.record(record)
         store.interfaces.append((interface.interface_id, new_views))
         self._ids.add(interface.interface_id)
-        for view, signature in zip(new_views, signatures):
-            self._index.add(signature)
+        for view in new_views:
+            self._index.add(view.features)
             self._registered.append(view)
         return record
 

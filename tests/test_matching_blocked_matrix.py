@@ -15,6 +15,10 @@ stopword-only labels, mixed numeric families), the label-only baseline's
 weights (α = 1, β = 0) and their domain-only mirror, and τ = −1, where
 ``agglomerate`` reads every pair densely. A deliberately lossy index
 must make the check fail.
+
+The matrix finishes each proposed pair from the ``(dot, shared)`` counts
+the index's probe hands over; a second check holds that finish to the
+full evaluation on its own, pair by pair, float reprs included.
 """
 
 import itertools
@@ -24,7 +28,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datasets import DOMAINS, build_domain_dataset
 from repro.datasets.perturb import add_label_noise, drop_select_instances
-from repro.matching import blocking
+from repro.matching import clustering
+from repro.matching.blocking import BlockingIndex
 from repro.matching.clustering import (
     IceQMatcher,
     agglomerate,
@@ -114,6 +119,9 @@ EDGE_INSTANCES = (
     ("Chicago", "Denver"),
     ("  ", ""),
     ("7",),
+    # one literal under two types: DATE here, STRING below
+    ("12/25", "1/1"),
+    ("12/25", "Boston", "Chicago"),
 )
 
 edge_views = st.lists(
@@ -179,12 +187,71 @@ class TestBlockedMatrixEqualsDense:
         assert_blocked_equals_dense(one)
 
 
+def probed_pairs(views):
+    """``(i, j, (dot, shared))`` for every pair the index proposes, views
+    joining one at a time as in ``IceQMatcher.similarities``."""
+    index = BlockingIndex()
+    pairs = []
+    for j, view in enumerate(views):
+        for i, dot, shared in index.probe(view.features):
+            pairs.append((i, j, (dot, shared)))
+        index.add(view.features)
+    return pairs
+
+
+def assert_overlap_is_exact(views, config=SimilarityConfig()):
+    """Every proposed pair finished from the probe's counts equals the
+    full evaluation, float reprs included."""
+    for i, j, overlap in probed_pairs(views):
+        a, b = views[i], views[j]
+        assert repr(similarity_components(a, b, config, overlap=overlap)) \
+            == repr(similarity_components(a, b, config)), (a, b, overlap)
+
+
+class TestProbeOverlapIsExact:
+    """``similarity_components(..., overlap=)`` with the probe's
+    ``(dot, shared)`` reproduces the full evaluation bit for bit."""
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_registry_stream_domains(self, domain):
+        views = views_from_interfaces(
+            build_domain_dataset(domain, 24, 1).interfaces)
+        assert_overlap_is_exact(views)
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        domain=st.sampled_from(DOMAINS),
+        seed=st.integers(0, 10 ** 6),
+        label_rate=st.floats(0.0, 0.6),
+        drop_rate=st.floats(0.0, 1.0),
+        extra=edge_views,
+        config=st.sampled_from(CONFIGS),
+    )
+    def test_perturbed_views(self, domain, seed, label_rate, drop_rate,
+                             extra, config):
+        dataset = build_domain_dataset(domain, 4, seed % 17)
+        add_label_noise(dataset, rate=label_rate, seed=seed)
+        drop_select_instances(dataset, rate=drop_rate, seed=seed)
+        views = extra + views_from_interfaces(dataset.interfaces) + extra
+        assert_overlap_is_exact(views, config)
+
+    @pytest.mark.parametrize("config", CONFIGS,
+                             ids=["default", "label-only", "domain-only"])
+    def test_edge_views_alone(self, config):
+        views = [
+            AttributeView(f"i{k % 3}", f"a{k}", label, instances)
+            for k, (label, instances) in enumerate(
+                itertools.product(EDGE_LABELS, EDGE_INSTANCES))
+        ]
+        assert_overlap_is_exact(views, config)
+
+
 def test_a_lossy_index_fails_the_check(monkeypatch):
     """The check has teeth: batch IceQ built on the soundness suite's
     lossy index, which drops value-only and numeric-only candidates, no
     longer equals the dense matrix."""
     views = views_from_interfaces(
         build_domain_dataset("airfare", 6, 1).interfaces)
-    monkeypatch.setattr(blocking, "BlockingIndex", _LossyIndex)
+    monkeypatch.setattr(clustering, "BlockingIndex", _LossyIndex)
     with pytest.raises(AssertionError):
         assert_blocked_equals_dense(views)

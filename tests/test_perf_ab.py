@@ -315,6 +315,19 @@ class TestOrderReport:
             "over 2 pairs" in captured.out
         assert "warning" not in captured.err
 
+    def test_the_default_pair_count_is_even(self, tmp_path, capsys,
+                                            as_candidate):
+        assert perf_ab.PAIRS % 2 == 0
+        base = make_tree(tmp_path, "base", 40.0)
+        as_candidate(make_tree(tmp_path, "same", 40.0))
+        assert perf_ab.main(["--base", str(base), "--workload",
+                             "figure6-batch"]) == 0
+        captured = capsys.readouterr()
+        assert "warning" not in captured.err
+        assert f"candidate won 0 of {perf_ab.PAIRS} pairs" in captured.out
+        order = (tmp_path / "order.log").read_text().split()
+        assert order.count("base") == order.count("same") == perf_ab.PAIRS
+
     def test_odd_pairs_warn_and_keep_the_exit_code(self, tmp_path, capsys,
                                                    as_candidate):
         base = make_tree(tmp_path, "base", 40.0)

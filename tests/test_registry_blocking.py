@@ -28,7 +28,7 @@ from repro.datasets.perturb import (
     drop_select_instances,
     shuffle_attribute_order,
 )
-from repro.matching.blocking import BlockingIndex, Signature
+from repro.matching.blocking import BlockingIndex
 from repro.matching.clustering import agglomerate, views_from_interfaces
 from repro.matching.similarity import AttributeView, attribute_similarity
 
@@ -49,10 +49,10 @@ def blocked_pairs(views, index_cls=BlockingIndex):
     for interface_id in sorted(by_interface):
         arriving = by_interface[interface_id]
         for view in arriving:
-            for view_id in index.candidates(Signature.of(view)):
+            for view_id, _, _ in index.probe(view.features):
                 candidates.add(frozenset((registered[view_id].key, view.key)))
         for view in arriving:
-            index.add(Signature.of(view))
+            index.add(view.features)
             registered.append(view)
     return candidates
 
@@ -92,11 +92,11 @@ def counterexample_report(views):
     lines = ["blocking dropped a positive-similarity pair; minimal "
              "counterexample:"]
     for view in views:
-        signature = Signature.of(view)
+        features = view.features
         lines.append(
             f"  {view.interface_id}.{view.name} label={view.label!r} "
-            f"tokens={sorted(signature.tokens)} "
-            f"values={sorted(signature.values)[:5]}")
+            f"tokens={sorted(features.label_vector)} "
+            f"values={sorted(features.values)[:5]}")
     for a, b in itertools.combinations(views, 2):
         sim = attribute_similarity(a, b)
         if sim > 0 and a.interface_id != b.interface_id:
@@ -181,65 +181,100 @@ class TestPerturbedSoundness:
 class TestBlockingUnit:
     def test_shared_token_is_a_candidate(self):
         index = BlockingIndex()
-        index.add(Signature.of(AttributeView("i1", "a", "Departure city", ())))
+        index.add(AttributeView("i1", "a", "Departure city", ()).features)
         probe = AttributeView("i2", "b", "Arrival city", ())
-        assert index.candidates(Signature.of(probe)) == [0]
+        # one shared token, counted once on each side
+        assert index.probe(probe.features) == [(0, 1, 0)]
 
     def test_shared_value_signature_is_a_candidate(self):
         index = BlockingIndex()
-        index.add(Signature.of(AttributeView("i1", "a", "Carrier",
-                                             ("Delta", "United"))))
+        index.add(AttributeView("i1", "a", "Carrier",
+                                ("Delta", "United")).features)
         probe = AttributeView("i2", "b", "Airline", ("  united  ", "JetBlue"))
-        assert index.candidates(Signature.of(probe)) == [0]
+        assert index.probe(probe.features) == [(0, 0, 1)]
 
     def test_numeric_family_shares_one_bucket(self):
         index = BlockingIndex()
-        index.add(Signature.of(AttributeView("i1", "a", "Price",
-                                             ("$10", "$25"))))
+        index.add(AttributeView("i1", "a", "Price", ("$10", "$25")).features)
         probe = AttributeView("i2", "b", "Amount", ("3", "7"))
         # no shared token, no shared literal value — but both numeric:
         # range overlap could still be positive, so they must meet
-        assert index.candidates(Signature.of(probe)) == [0]
+        assert index.probe(probe.features) == [(0, 0, 0)]
+
+    def test_numeric_values_are_not_counted(self):
+        """Numeric pairs compare by range, so their values are never
+        value-posted: equal literals leave ``shared`` at 0."""
+        index = BlockingIndex()
+        index.add(AttributeView("i1", "a", "Year", ("1999", "2004")).features)
+        probe = AttributeView("i2", "b", "Model year", ("1999", "2001"))
+        assert index.probe(probe.features) == [(0, 1, 0)]
 
     def test_unrelated_pair_is_blocked_and_has_zero_sim(self):
         a = AttributeView("i1", "a", "Airline", ("Delta",))
         b = AttributeView("i2", "b", "Carrier", ("Lufthansa",))
         index = BlockingIndex()
-        index.add(Signature.of(a))
-        assert index.candidates(Signature.of(b)) == []
+        index.add(a.features)
+        assert index.probe(b.features) == []
         assert attribute_similarity(a, b) == 0.0
 
     def test_type_mismatch_without_tokens_is_blocked(self):
         a = AttributeView("i1", "a", "Code", ("XY12", "AB34"))
         b = AttributeView("i2", "b", "Count", ("3", "7"))
         index = BlockingIndex()
-        index.add(Signature.of(a))
-        assert index.candidates(Signature.of(b)) == []
+        index.add(a.features)
+        assert index.probe(b.features) == []
         assert attribute_similarity(a, b) == 0.0
 
-    def test_signature_reads_the_view_features(self):
-        """A signature holds the facts ``similarity_components`` compares:
-        the label-vector keys, the normalised values and the inferred
-        type, read off the view's cached features."""
+    def test_same_literal_under_two_types_is_blocked(self):
+        a = AttributeView("i1", "a", "When", ("12/25", "1/1"))
+        b = AttributeView("i2", "b", "Where", ("12/25", "Boston", "Chicago"))
+        assert a.features.domain_type is not b.features.domain_type
+        index = BlockingIndex()
+        index.add(a.features)
+        assert index.probe(b.features) == []
+        assert attribute_similarity(a, b) == 0.0
+
+    def test_index_reads_the_view_features(self):
+        """The index holds the facts ``similarity_components`` compares:
+        the label word counts, and the normalised values under the
+        inferred type, read off the view's cached features."""
         view = AttributeView("i1", "a", "The Departure Cities",
                              (" Boston ", "CHICAGO", "boston"))
-        signature = Signature.of(view)
-        assert signature.tokens == frozenset(view.features.label_vector)
-        assert signature.tokens == {"departure", "city"}
-        assert signature.values is view.features.values
-        assert signature.domain_type is view.features.domain_type
-        assert Signature.of(AttributeView("i1", "b", "x", ())).domain_type \
-            is None
+        index = BlockingIndex()
+        assert index.add(view.features) == 0
+        assert view.features.label_vector == {"departure": 1, "city": 1}
+        probe = AttributeView("i2", "b", "City of departure city",
+                              ("BOSTON", "Denver"))
+        # dot: city 1·2 + departure 1·1; shared: "boston"
+        assert index.probe(probe.features) == [(0, 3, 1)]
+        # no instances, no type: only the label postings can propose
+        bare = AttributeView("i3", "c", "x", ())
+        assert bare.features.domain_type is None
+        assert index.probe(bare.features) == []
+
+    def test_candidates_ascend_and_counts_accumulate(self):
+        index = BlockingIndex()
+        for k, (label, instances) in enumerate([
+                ("City", ("Boston",)),
+                ("Zip", ("02139",)),
+                ("City city", ("Boston", "Denver")),
+                ("Departure", ("Denver", "Boston", "Austin"))]):
+            assert index.add(
+                AttributeView("i1", f"a{k}", label, instances).features) == k
+        probe = AttributeView("i2", "b", "City", ("boston", "denver"))
+        assert index.probe(probe.features) == [
+            (0, 1, 1), (2, 2, 2), (3, 0, 2)]
 
 
 class _LossyIndex(BlockingIndex):
     """A deliberately broken blocking rule: drops every candidate that
-    was proposed on value or numeric evidence alone."""
+    was proposed on value or numeric evidence alone (a zero label dot
+    product means no shared token)."""
 
-    def candidates(self, signature):
+    def probe(self, features):
         return [
-            vid for vid in super().candidates(signature)
-            if signature.tokens & self._signatures[vid].tokens
+            (vid, dot, shared) for vid, dot, shared in super().probe(features)
+            if dot
         ]
 
 
@@ -266,7 +301,8 @@ class TestShrinker:
         assert a.interface_id != b.interface_id
         assert attribute_similarity(a, b) > 0
         # token overlap is absent — the dropped evidence was the values
-        assert not (Signature.of(a).tokens & Signature.of(b).tokens)
+        assert not (a.features.label_vector.keys()
+                    & b.features.label_vector.keys())
         report = counterexample_report(minimal)
         assert "missed pair" in report
 

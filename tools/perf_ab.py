@@ -6,7 +6,7 @@ Usage, from the candidate checkout's root::
         --workload figure6-batch --workload registry-stream
 
 The candidate is the checkout this script lives in. For every workload,
-the script makes ``--pairs`` pairs of untraced runs of
+the script makes ``--pairs`` pairs (default 4) of untraced runs of
 ``perfbench/run.py --trace 0``, ``--seconds`` long each (default 10; the
 benchmark's own runs take BENCHMARK.json's ``run_seconds``, 30), one in
 the base tree and one in the candidate tree, one process at a time. The tree that goes first alternates
@@ -16,8 +16,8 @@ ratios, candidate over base: ``interfaces_per_kref``, ``peak_rss_mb`` and
 ``op_p50_ref``. Every ratio is printed, and the gate reads their medians.
 The median ratio of the base-first pairs and that of the candidate-first
 pairs are printed too: a gap between them is the bias of running first,
-which the alternation cancels only over an even number of pairs, so an
-odd ``--pairs`` draws a warning.
+which the alternation cancels only over an even number of pairs, so the
+default is even and an odd ``--pairs`` draws a warning.
 
 The exit code is 1 when a workload's median ``interfaces_per_kref`` ratio
 falls below one minus that metric's bound in the base's BENCHMARK.json
@@ -56,6 +56,8 @@ P50 = "op_p50_ref"
 GATED = (METRIC, RSS, P50)
 #: default length of every benchmark run, in seconds
 SECONDS = 10.0
+#: default pair count per workload; even, so each side runs first as often
+PAIRS = 4
 #: the share of pairs a claimed gain must win
 GAIN_WIN_SHARE = 0.9
 
@@ -195,7 +197,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", type=Path, required=True,
                         help="root of the base checkout")
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=3)
+    parser.add_argument("--pairs", type=int, default=PAIRS,
+                        help="pairs per workload (default %(default)s)")
     parser.add_argument("--seconds", type=float, default=SECONDS,
                         help="length of every run (default %(default)s)")
     args = parser.parse_args(argv)
